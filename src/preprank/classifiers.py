@@ -119,14 +119,16 @@ def _tree_fit(train: Dataset, min_leaf: int = 2):
         j: len(train.attributes[j].categories) for j in train.categorical_predictors
     }
 
-    def build(idx: np.ndarray):
+    root: dict = {}
+    stack = [(root, np.arange(train.n_rows))]  # explicit, so depth is unbounded
+    while stack:
+        node, idx = stack.pop()
         labels = y[idx]
-        dist = _class_distribution(labels, n_classes)
-        node = {"dist": dist}
+        node["dist"] = _class_distribution(labels, n_classes)
         counts = np.bincount(labels, minlength=n_classes)
         h_node = _entropy_from_counts(counts)
         if h_node == 0.0:
-            return node
+            continue
         best = None  # (gain, j, payload)
         for j, is_cont in predictors:
             col = x[idx, j]
@@ -149,7 +151,7 @@ def _tree_fit(train: Dataset, min_leaf: int = 2):
                 if best is None or cand > best[0] + 1e-12:
                     best = (cand, j, ("cat", cat_sizes[j]))
         if best is None:
-            return node
+            continue
         gain, j, payload = best
         col = x[idx, j]
         missing = np.isnan(col)
@@ -163,13 +165,15 @@ def _tree_fit(train: Dataset, min_leaf: int = 2):
                     left_mask |= missing
                 else:
                     right_mask |= missing
+            left, right = {}, {}
             node.update(
                 attr=j,
                 threshold=threshold,
                 default_left=bool(default_left),
-                left=build(idx[left_mask]),
-                right=build(idx[right_mask]),
+                left=left,
+                right=right,
             )
+            stack += [(left, idx[left_mask]), (right, idx[right_mask])]
         else:
             groups = {}
             for cat in np.unique(col[~missing]).astype(int):
@@ -177,10 +181,9 @@ def _tree_fit(train: Dataset, min_leaf: int = 2):
             if missing.any():
                 largest = max(groups, key=lambda c: (len(groups[c]), -c))
                 groups[largest] = np.concatenate([groups[largest], idx[missing]])
-            node.update(attr=j, children={c: build(g) for c, g in sorted(groups.items())})
-        return node
-
-    root = build(np.arange(train.n_rows))
+            children = {c: {} for c in sorted(groups)}
+            node.update(attr=j, children=children)
+            stack += [(children[c], groups[c]) for c in children]
     return root
 
 
@@ -326,41 +329,80 @@ def _learner_nb(kind, train, test, seed):
 # --- k nearest neighbours ----------------------------------------------------
 
 
+#: test rows per distance block; bounds the block's n_train-wide temporaries
+_KNN_BLOCK_ROWS = 64
+
+
 def _learner_knn(kind, train, test, seed):
+    """Vote shares of the k nearest training rows.
+
+    The squared distance adds, per predictor, the squared difference of
+    values min-max normalized on the training column (0 when it is
+    constant), or 0/1 for equal/different categories; a cell missing on
+    either side adds 1.  The neighbours are the first k training rows by
+    (distance, row index): every row closer than the k-th smallest distance,
+    then rows at that distance in ascending row order, as a stable sort
+    orders them.  Test rows are scored in blocks of ``_KNN_BLOCK_ROWS``.
+    """
     n_classes = len(train.class_attribute.categories)
     y = train.class_labels
     k = min(kind.k, train.n_rows)
-    dist2 = np.zeros((test.n_rows, train.n_rows))
+    columns = []  # (continuous?, train values, test values, train missing, test missing)
     for j in train.predictor_indices:
         tr = train.column(j)
         te = test.column(j)
-        if train.attributes[j].is_continuous:
-            present = ~np.isnan(tr)
-            vals = tr[present]
+        tr_missing, te_missing = np.isnan(tr), np.isnan(te)
+        is_cont = train.attributes[j].is_continuous
+        if is_cont:
+            vals = tr[~tr_missing]
             if vals.size:
                 lo, hi = vals.min(), vals.max()
                 span = hi - lo
             else:
                 lo, span = 0.0, 0.0
             if span > 0:
-                ntr = (tr - lo) / span
-                nte = (te - lo) / span
+                tr = (tr - lo) / span
+                te = (te - lo) / span
             else:
-                ntr = np.where(np.isnan(tr), np.nan, 0.0)
-                nte = np.where(np.isnan(te), np.nan, 0.0)
-            contrib = (nte[:, None] - ntr[None, :]) ** 2
-        else:
-            contrib = (te[:, None] != tr[None, :]).astype(float)
-        either_missing = np.isnan(te)[:, None] | np.isnan(tr)[None, :]
-        contrib = np.where(either_missing, 1.0, contrib)
-        dist2 += contrib
-    order = np.argsort(dist2, axis=1, kind="stable")  # equal distances: lowest row first
-    neighbours = order[:, :k]
+                tr = np.where(tr_missing, np.nan, 0.0)
+                te = np.where(te_missing, np.nan, 0.0)
+        columns.append((is_cont, tr, te, tr_missing, te_missing))
     scores = np.zeros((test.n_rows, n_classes))
-    for i in range(test.n_rows):
-        votes = np.bincount(y[neighbours[i]], minlength=n_classes)
-        scores[i] = votes / votes.sum()
+    for start in range(0, test.n_rows, _KNN_BLOCK_ROWS):
+        stop = min(start + _KNN_BLOCK_ROWS, test.n_rows)
+        dist2 = np.zeros((stop - start, train.n_rows))
+        for is_cont, tr, te, tr_missing, te_missing in columns:
+            if is_cont:
+                contrib = te[start:stop, None] - tr[None, :]
+                contrib *= contrib
+                contrib[te_missing[start:stop]] = 1.0
+                contrib[:, tr_missing] = 1.0
+                dist2 += contrib
+            else:
+                dist2 += te[start:stop, None] != tr[None, :]  # a missing cell differs too
+        rows, neighbours = np.nonzero(_nearest(dist2, k))
+        votes = np.bincount(
+            rows * n_classes + y[neighbours], minlength=(stop - start) * n_classes
+        )
+        scores[start:stop] = votes.reshape(-1, n_classes) / k
     return scores
+
+
+def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the first k columns of each row by (distance, column index)."""
+    kth = np.partition(dist2, k - 1, axis=1)[:, k - 1 : k]
+    if np.isnan(kth).any():
+        # a NaN distance (only from values overflowing the float range) sorts last
+        order = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+        taken = np.zeros(dist2.shape, dtype=bool)
+        np.put_along_axis(taken, order, True, axis=1)
+        return taken
+    closer = dist2 < kth
+    tied = dist2 == kth
+    wanted = k - closer.sum(axis=1)
+    over = np.flatnonzero(tied.sum(axis=1) > wanted)  # rows with more ties than places
+    tied[over] &= np.cumsum(tied[over], axis=1) <= wanted[over, None]
+    return closer | tied
 
 
 # --- logistic regression -----------------------------------------------------

@@ -84,10 +84,8 @@ def cmd_impact_scan(args) -> int:
         db = metadb.build_metadb(
             corpus.datasets, kind, args.measure, args.seed, jobs=args.jobs
         )
-        built = set(db.dataset_names())
-        for ds in corpus.datasets:
-            if ds.name not in built:
-                skipped[ds.name] = f"failed during measurement ({kind.name})"
+        for name, reason in db.skipped:
+            skipped[name] = f"{reason} ({kind.name})"
         lines = _distribution_lines(db, header + f" algorithm={kind.name}")
         _write(out_dir / f"impact_{_alg_slug(kind.name)}.tsv", lines)
         print(f"wrote impact report for {kind.name}", file=sys.stderr)
@@ -104,17 +102,12 @@ def cmd_build_metadb(args) -> int:
         "build-metadb", args, ["datasets", "algorithm", "measure", "seed", "jobs"]
     )
     metadb.save(db, args.out, header_comment=config)
-    built = set(db.dataset_names())
-    skipped = [
-        (ds.name, "failed during measurement")
-        for ds in corpus.datasets
-        if ds.name not in built
-    ]
     print(
-        f"meta-database: {len(db.rows)} rows over {len(built)} datasets -> {args.out}",
+        f"meta-database: {len(db.rows)} rows over {len(db.dataset_names())} datasets "
+        f"-> {args.out}",
         file=sys.stderr,
     )
-    return _failures_exit(args, tuple(corpus.failures) + tuple(skipped))
+    return _failures_exit(args, tuple(corpus.failures) + db.skipped)
 
 
 def cmd_train(args) -> int:
@@ -243,6 +236,12 @@ def cmd_evaluate(args) -> int:
             ]
         ),
     ]
+    single = [f.dataset_name for f in report.per_dataset if f.single_class]
+    if single:
+        summary.append(
+            f"single_class_folds\t{','.join(single)} (training fold held one "
+            "response class; predicted with probability 1)"
+        )
     _write(out_dir / "summary.txt", summary)
     print(f"evaluation reports -> {out_dir}", file=sys.stderr)
     return 0

@@ -204,6 +204,7 @@ def predict_proba(model: ForestModel, features: np.ndarray):
 
 
 def predicted_class(model: ForestModel, proba) -> str:
+    """The most probable class; ties go to the earliest in the class order."""
     return model.class_order[int(np.argmax(proba))]
 
 
@@ -219,6 +220,8 @@ class LoovPrediction:
 class LoovFold:
     dataset_name: str
     predictions: tuple[LoovPrediction, ...]
+    #: the training fold held one response class, predicted with probability 1
+    single_class: bool = False
 
 
 @dataclass(frozen=True)
@@ -231,14 +234,27 @@ def loov_evaluate(db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int) 
 
     For each source dataset, a forest is trained on every other dataset's
     rows and scores the held-out rows; no instance of the test dataset ever
-    reaches its own training fold.
+    reaches its own training fold.  A training fold with a single response
+    class trains no forest: its held-out rows get that class with
+    probability 1, and the fold is marked ``single_class``.
     """
     names = db.dataset_names()
     if len(names) < 2:
         raise ValueError("leave-one-dataset-out needs at least two source datasets")
     folds = []
     for name in names:
-        model = train_forest(exclude_dataset(db, name), n_trees, seed=seed)
+        train_db = exclude_dataset(db, name)
+        classes = {r.meta_response_class for r in train_db.rows}
+        if len(classes) == 1:
+            [only] = classes
+            proba = tuple(float(c == only) for c in RESPONSE_CLASSES)
+            predictions = tuple(
+                LoovPrediction(row.transformation, proba, only, row.meta_response_class)
+                for row in db.rows_of(name)
+            )
+            folds.append(LoovFold(name, predictions, single_class=True))
+            continue
+        model = train_forest(train_db, n_trees, seed=seed)
         predictions = []
         for row in db.rows_of(name):
             proba = predict_proba(model, instance_features(row))

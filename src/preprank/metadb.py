@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,9 @@ class MetaDatabase:
     measure: str
     rows: tuple[MetaInstance, ...]
     schema_version: int = SCHEMA_VERSION
+    #: (dataset name, "Type: message") per dataset that failed during
+    #: measurement; kept in memory only, never saved
+    skipped: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def dataset_names(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -176,8 +179,9 @@ def build_metadb(
 ) -> MetaDatabase:
     """Measure every applicable transformation on every dataset.
 
-    Datasets where any step fails are skipped with a logged reason; the
-    result covers the survivors in corpus order.
+    Datasets where any step fails are skipped with a logged reason, which
+    the result also keeps in ``skipped``; its rows cover the survivors in
+    corpus order.
     """
     datasets = list(datasets)
     if measure not in MEASURES:
@@ -191,16 +195,16 @@ def build_metadb(
     else:
         results = [_dataset_rows(t) for t in tasks]
     rows: list[MetaInstance] = []
-    survivors = 0
+    skipped: list[tuple[str, str]] = []
     for name, ds_rows, reason in results:
         if ds_rows is None:
             log.warning("skipping dataset %s: %s", name, reason)
+            skipped.append((name, reason))
             continue
-        survivors += 1
         rows.extend(ds_rows)
-    if survivors == 0:
+    if len(skipped) == len(results):
         raise MetaDbError("all datasets failed")
-    return MetaDatabase(algorithm, measure, tuple(rows))
+    return MetaDatabase(algorithm, measure, tuple(rows), skipped=tuple(skipped))
 
 
 # --- persistence ----------------------------------------------------------

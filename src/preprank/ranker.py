@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, cross_validate
 from .dataset import Dataset
-from .forest import ForestModel, predict_proba
+from .forest import ForestModel, predict_proba, predicted_class
 from .metadb import feature_vector
 from .metafeatures import compute_meta_features, delta
 from .transforms import (
@@ -145,14 +145,13 @@ def rank_transformations(
     scored.sort(key=lambda item: (-item[1][0], item[0].text))
     out = []
     for rank, (spec, proba) in enumerate(scored, start=1):
-        winner = min(range(3), key=lambda i: (-proba[i], i))
         out.append(
             Recommendation(
                 spec=spec,
                 p_positive=proba[0],
                 p_negative=proba[1],
                 p_zero=proba[2],
-                predicted_class=model.class_order[winner],
+                predicted_class=predicted_class(model, proba),
                 rank=rank,
             )
         )

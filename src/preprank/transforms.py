@@ -351,11 +351,40 @@ def _segment_entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+#: NumPy sums fewer than this many terms left to right and longer ones pairwise
+_SEQUENTIAL_SUM_TERMS = 8
+
+
+def _segment_entropies(counts: np.ndarray) -> np.ndarray:
+    """:func:`_segment_entropy` of every row of a nonzero count matrix, bit for bit.
+
+    The terms of a row are added left to right, as NumPy adds a sum of fewer
+    than eight terms; a row with eight or more nonzero classes goes through
+    :func:`_segment_entropy` itself, whose sum NumPy groups pairwise.
+    """
+    present = counts > 0
+    p = counts / counts.sum(axis=1, keepdims=True)
+    terms = np.zeros_like(p)
+    terms[present] = p[present] * np.log2(p[present])
+    sums = np.zeros(len(counts))
+    for c in range(counts.shape[1]):
+        sums += terms[:, c]  # absent classes add an exact 0.0
+    out = -sums
+    for i in np.flatnonzero(present.sum(axis=1) >= _SEQUENTIAL_SUM_TERMS):
+        out[i] = _segment_entropy(counts[i])
+    return out
+
+
 def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
     """Recursive entropy-minimizing cut points accepted by the MDL criterion.
 
-    Candidates are midpoints between consecutive distinct sorted values whose
-    class sets differ; information-gain ties break toward the lower cut.
+    Candidates are the boundaries between runs of equal sorted values whose
+    two runs hold different sets of classes.  Scanning them in ascending
+    value order with a running best gain that starts at 0, a candidate
+    becomes the best when its information gain exceeds the running best by
+    more than 1e-12; the segment's cut is the last one to do so.  Exact gain
+    ties, and gains within 1e-12 of the best so far, thus go to the lower
+    cut.  Each cut sits at the midpoint of the two values it separates.
     """
     if values.size == 0:
         return []
@@ -371,7 +400,7 @@ def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
     stack = [(0, v.size)]
     while stack:
         lo, hi = stack.pop()
-        best = _best_cut(v, y, prefix, lo, hi)
+        best = _best_cut(v, prefix, lo, hi)
         if best is None:
             continue
         pos, gain = best
@@ -383,7 +412,8 @@ def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
     return sorted(cuts)
 
 
-def _best_cut(v, y, prefix, lo, hi):
+def _best_cut(v, prefix, lo, hi):
+    """(position, gain) of the segment's cut, or None; see :func:`_mdl_cuts`."""
     n = hi - lo
     if n < 2:
         return None
@@ -391,34 +421,34 @@ def _best_cut(v, y, prefix, lo, hi):
     h_all = _segment_entropy(total)
     if h_all == 0.0:
         return None
-    best_gain = 0.0
-    best_pos = None
-    run_classes = {int(y[lo])}
-    boundaries = []
-    for i in range(lo + 1, hi):
-        if v[i] != v[i - 1]:
-            boundaries.append((i, frozenset(run_classes)))
-            run_classes = {int(y[i])}
-        else:
-            run_classes.add(int(y[i]))
-    # attach the class set of the run *after* each boundary
-    after_sets = []
-    for idx, (pos, _) in enumerate(boundaries):
-        end = boundaries[idx + 1][0] if idx + 1 < len(boundaries) else hi
-        after_sets.append(frozenset(int(c) for c in y[pos:end]))
-    for (pos, before_set), after_set in zip(boundaries, after_sets):
-        if before_set == after_set:
-            continue
-        left = prefix[pos] - prefix[lo]
-        right = prefix[hi] - prefix[pos]
-        nl, nr = left.sum(), right.sum()
-        gain = h_all - (nl / n) * _segment_entropy(left) - (nr / n) * _segment_entropy(right)
-        if gain > best_gain + 1e-12:
-            best_gain = gain
-            best_pos = pos
-    if best_pos is None:
+    bounds = lo + 1 + np.flatnonzero(v[lo + 1 : hi] != v[lo : hi - 1])
+    edges = np.concatenate(([lo], bounds, [hi]))
+    in_run = (prefix[edges[1:]] - prefix[edges[:-1]]) > 0  # classes of each run
+    pos = bounds[(in_run[:-1] != in_run[1:]).any(axis=1)]
+    if pos.size == 0:
         return None
-    return best_pos, best_gain
+    left = prefix[pos] - prefix[lo]
+    right = prefix[hi] - prefix[pos]
+    gains = (
+        h_all
+        - (left.sum(axis=1) / n) * _segment_entropies(left)
+        - (right.sum(axis=1) / n) * _segment_entropies(right)
+    )
+    # only a gain above every earlier one (and 0) can beat the running best
+    records = np.flatnonzero(gains > np.maximum.accumulate(np.append(0.0, gains))[:-1])
+    if records.size == 0:
+        return None
+    best = records[-1]
+    rec = gains[records]
+    if not (rec > np.append(0.0, rec[:-1]) + 1e-12).all():
+        # two records within 1e-12 of each other: replay the running-best rule
+        best_gain, best = 0.0, None
+        for r in records:
+            if gains[r] > best_gain + 1e-12:
+                best_gain, best = gains[r], r
+        if best is None:
+            return None
+    return int(pos[best]), gains[best]
 
 
 def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +103,12 @@ def make_rule_metadb(n_datasets=30, seed=0, with_zero_band=True):
                 )
             )
     return MetaDatabase(TREE, "acc", tuple(rows))
+
+
+def single_class_fold_metadb():
+    """ds00 holds the only non-zero row, so its training fold is all zero."""
+    db = make_rule_metadb(n_datasets=4, seed=12)
+    rows = [replace(r, meta_response_class="zero", meta_response_value=0.0) for r in db.rows]
+    first = next(i for i, r in enumerate(rows) if r.dataset_name == "ds00")
+    rows[first] = replace(rows[first], meta_response_class="positive", meta_response_value=0.1)
+    return MetaDatabase(db.algorithm, db.measure, tuple(rows))

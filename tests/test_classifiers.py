@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import preprank.classifiers as classifiers_mod
 from preprank.classifiers import (
     LOGISTIC,
     NAIVE_BAYES,
@@ -233,3 +234,113 @@ def test_measure_lookup():
     assert [pm.get(m) for m in ("acc", "prec", "rec", "auc")] == [0.1, 0.2, 0.3, 0.4]
     with pytest.raises(ValueError):
         pm.get("f1")
+
+
+def test_deep_tree_grows_without_recursion_limit():
+    # every pair of rows flips the class, so the tree is thousands of levels deep
+    n = 6000
+    rows = np.column_stack([np.arange(n, dtype=float), (np.arange(n) // 2) % 2])
+    ds = small_dataset(rows)
+    output = fit_predict(TREE, ds, ds, 1)
+    assert [p for p, _ in output] == list(ds.class_labels)
+
+
+# --- kNN against the full stable sort it replaced ------------------------------
+
+
+def _argsort_knn(kind, train, test, seed):
+    """The dense, fully sorted kNN that the blocked one replaced, verbatim."""
+    n_classes = len(train.class_attribute.categories)
+    y = train.class_labels
+    k = min(kind.k, train.n_rows)
+    dist2 = np.zeros((test.n_rows, train.n_rows))
+    for j in train.predictor_indices:
+        tr = train.column(j)
+        te = test.column(j)
+        if train.attributes[j].is_continuous:
+            present = ~np.isnan(tr)
+            vals = tr[present]
+            if vals.size:
+                lo, hi = vals.min(), vals.max()
+                span = hi - lo
+            else:
+                lo, span = 0.0, 0.0
+            if span > 0:
+                ntr = (tr - lo) / span
+                nte = (te - lo) / span
+            else:
+                ntr = np.where(np.isnan(tr), np.nan, 0.0)
+                nte = np.where(np.isnan(te), np.nan, 0.0)
+            contrib = (nte[:, None] - ntr[None, :]) ** 2
+        else:
+            contrib = (te[:, None] != tr[None, :]).astype(float)
+        either_missing = np.isnan(te)[:, None] | np.isnan(tr)[None, :]
+        contrib = np.where(either_missing, 1.0, contrib)
+        dist2 += contrib
+    order = np.argsort(dist2, axis=1, kind="stable")  # equal distances: lowest row first
+    neighbours = order[:, :k]
+    scores = np.zeros((test.n_rows, n_classes))
+    for i in range(test.n_rows):
+        votes = np.bincount(y[neighbours[i]], minlength=n_classes)
+        scores[i] = votes / votes.sum()
+    return scores
+
+
+def _knn_split(seed, n_rows, missing_rate=0.0, coarse=False, **shape):
+    ds = random_dataset(seed, n_rows=n_rows, missing_rate=missing_rate, **shape)
+    if coarse:  # few distinct values: many test rows have tied distances
+        rows = np.array(ds.rows)
+        rows[:, list(ds.continuous_predictors)] = np.round(
+            rows[:, list(ds.continuous_predictors)]
+        )
+        ds = Dataset(ds.name, ds.attributes, ds.class_index, rows)
+    order = np.random.default_rng(seed).permutation(ds.n_rows)
+    cut = ds.n_rows // 3
+    return ds.subset(np.sort(order[cut:])), ds.subset(np.sort(order[:cut]))
+
+
+KNN_CASES = [
+    dict(seed=1, n_rows=60, n_continuous=2, n_categorical=1),
+    dict(seed=2, n_rows=90, n_continuous=3, n_categorical=2, coarse=True),
+    dict(seed=3, n_rows=90, n_continuous=0, n_categorical=3, n_classes=3),
+    dict(seed=4, n_rows=120, n_continuous=3, n_categorical=2, missing_rate=0.2),
+    dict(seed=5, n_rows=120, n_continuous=2, n_categorical=1, missing_rate=0.5, coarse=True),
+    dict(seed=6, n_rows=600, n_continuous=3, n_categorical=2, n_classes=4, coarse=True),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", KNN_CASES)
+def test_knn_matches_full_stable_sort(case, k):
+    train, test = _knn_split(**case)
+    expected = _argsort_knn(knn(k), train, test, 0)
+    assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test, 0), expected)
+
+
+def test_knn_case_spans_several_blocks():
+    _, test = _knn_split(**KNN_CASES[-1])
+    assert test.n_rows > 2 * classifiers_mod._KNN_BLOCK_ROWS
+
+
+def test_knn_overflowing_values_match_full_stable_sort():
+    # a column spanning more than the float range normalizes to NaN distances
+    rng = np.random.default_rng(0)
+    values = rng.choice([-1e308, 1e308, 0.0, 5e307], size=(30, 2))
+    rows = np.column_stack([values, rng.integers(0, 2, 30)])
+    train, test = small_dataset(rows[:20], kinds=("continuous",) * 2), small_dataset(
+        rows[20:], kinds=("continuous",) * 2
+    )
+    with np.errstate(all="ignore"):
+        for k in (1, 2, 3, 5):
+            expected = _argsort_knn(knn(k), train, test, 0)
+            assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test, 0), expected)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_block_size_does_not_change_scores(monkeypatch, k):
+    train, test = _knn_split(**KNN_CASES[4])
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 1)
+    one_row = classifiers_mod._learner_knn(knn(k), train, test, 0)
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
+    one_block = classifiers_mod._learner_knn(knn(k), train, test, 0)
+    assert np.array_equal(one_row, one_block)

@@ -1,6 +1,7 @@
 import pytest
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, single_class_fold_metadb
 
+import preprank.metadb as metadb_mod
 from preprank.cli import main
 
 SMALL = ["syn00", "syn01", "syn06", "syn12"]
@@ -145,6 +146,25 @@ def test_evaluate_report_suite(pipeline, tmp_path):
         assert (out_dir / name).read_text().startswith("# preprank evaluate")
 
 
+def test_evaluate_survives_single_class_fold(tmp_path):
+    db_path = tmp_path / "db.tsv"
+    metadb_mod.save(single_class_fold_metadb(), db_path)
+    out_dir = tmp_path / "reports"
+    args = ["evaluate", "--metadb", str(db_path), "--trees", "5", "--seed", "1"]
+    assert main(args + ["--out", str(out_dir)]) == 0
+    summary = (out_dir / "summary.txt").read_text().splitlines()
+    assert summary[-1].startswith("single_class_folds\tds00 (")
+    assert (out_dir / "measures.tsv").read_text().count("\nds0") == 4
+
+
+def test_evaluate_summary_has_no_single_class_line_normally(pipeline, tmp_path):
+    db_path, _ = pipeline
+    out_dir = tmp_path / "reports"
+    args = ["evaluate", "--metadb", str(db_path), "--trees", "3", "--seed", "1"]
+    assert main(args + ["--out", str(out_dir)]) == 0
+    assert "single_class_folds" not in (out_dir / "summary.txt").read_text()
+
+
 def test_evaluate_deterministic(pipeline, tmp_path):
     db_path, _ = pipeline
     a = tmp_path / "a"
@@ -194,6 +214,46 @@ def test_partial_failure_exit_codes(tmp_path, capsys):
     ]
     assert main(args) == 1
     assert main(args + ["--allow-partial"]) == 0
+
+
+@pytest.fixture
+def failing_syn01(monkeypatch):
+    """Makes measuring syn01 raise inside ``build_metadb``."""
+    real = metadb_mod.compute_meta_features
+
+    def compute(ds):
+        if ds.name == "syn01":
+            raise ArithmeticError("no meta-features for syn01")
+        return real(ds)
+
+    monkeypatch.setattr(metadb_mod, "compute_meta_features", compute)
+
+
+def test_build_metadb_reports_failure_reason(small_manifest, tmp_path, capsys, failing_syn01):
+    args = [
+        "build-metadb",
+        "--datasets", str(small_manifest),
+        "--algorithm", "nb",
+        "--seed", "1",
+        "--out", str(tmp_path / "db.tsv"),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "failed: syn01: ArithmeticError: no meta-features for syn01\n" in err
+    assert main(args + ["--allow-partial"]) == 0
+
+
+def test_impact_scan_reports_failure_reason(small_manifest, tmp_path, capsys, failing_syn01):
+    args = [
+        "impact-scan",
+        "--datasets", str(small_manifest),
+        "--algorithm", "nb",
+        "--seed", "1",
+        "--out", str(tmp_path / "impact"),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "failed: syn01: ArithmeticError: no meta-features for syn01 (nb)\n" in err
 
 
 def test_train_rejects_bad_metadb(tmp_path, capsys):

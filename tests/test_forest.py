@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_rule_metadb
+from conftest import make_rule_metadb, single_class_fold_metadb
 
 import preprank.forest as forest_mod
 from preprank.forest import (
@@ -117,6 +117,30 @@ def test_loov_two_datasets():
     single = MetaDatabase(db.algorithm, db.measure, db.rows_of(db.dataset_names()[0]))
     with pytest.raises(ValueError):
         loov_evaluate(single, 5, seed=0)
+
+
+def test_loov_single_class_fold_predicts_that_class(monkeypatch):
+    db = single_class_fold_metadb()
+    trained = []
+    real_train = forest_mod.train_forest
+
+    def recording_train(sub_db, n_trees, *, seed):
+        trained.append(sub_db.dataset_names())
+        return real_train(sub_db, n_trees, seed=seed)
+
+    monkeypatch.setattr(forest_mod, "train_forest", recording_train)
+    report = forest_mod.loov_evaluate(db, 5, seed=0)
+    assert [f.dataset_name for f in report.per_dataset] == list(db.dataset_names())
+    assert [f.single_class for f in report.per_dataset] == [True, False, False, False]
+    assert len(trained) == 3 and all("ds00" in names for names in trained)
+    held_out = report.per_dataset[0]
+    assert [p.transformation for p in held_out.predictions] == [
+        r.transformation for r in db.rows_of("ds00")
+    ]
+    for p in held_out.predictions:
+        assert p.probabilities == (0.0, 0.0, 1.0)
+        assert p.predicted_class == "zero"
+    assert [p.true_class for p in held_out.predictions].count("positive") == 1
 
 
 def test_model_round_trip(tmp_path):

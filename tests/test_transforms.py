@@ -15,7 +15,7 @@ from preprank.transforms import (
     enumerate_applicable,
     parse_spec_text,
 )
-from preprank.transforms import _mdl_cuts  # white-box oracle target
+from preprank.transforms import _best_cut, _mdl_accepts, _mdl_cuts  # white-box oracle targets
 
 
 def one_column(values, n_classes=2, labels=None):
@@ -200,6 +200,145 @@ def test_mdl_cuts_match_independent_oracle():
         ours = _mdl_cuts(values, labels)
         oracle = _oracle_mdl(list(values), list(labels))
         assert ours == pytest.approx(oracle), f"trial {trial}"
+
+
+# The scalar cut search that the vectorized ``_best_cut`` replaced, kept
+# verbatim as a bit-for-bit oracle: one Python step per sorted position,
+# class sets as frozensets, one entropy call per candidate boundary.
+
+
+def _scalar_segment_entropy(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _scalar_best_cut(v, y, prefix, lo, hi):
+    n = hi - lo
+    if n < 2:
+        return None
+    total = prefix[hi] - prefix[lo]
+    h_all = _scalar_segment_entropy(total)
+    if h_all == 0.0:
+        return None
+    best_gain = 0.0
+    best_pos = None
+    run_classes = {int(y[lo])}
+    boundaries = []
+    for i in range(lo + 1, hi):
+        if v[i] != v[i - 1]:
+            boundaries.append((i, frozenset(run_classes)))
+            run_classes = {int(y[i])}
+        else:
+            run_classes.add(int(y[i]))
+    after_sets = []
+    for idx, (pos, _) in enumerate(boundaries):
+        end = boundaries[idx + 1][0] if idx + 1 < len(boundaries) else hi
+        after_sets.append(frozenset(int(c) for c in y[pos:end]))
+    for (pos, before_set), after_set in zip(boundaries, after_sets):
+        if before_set == after_set:
+            continue
+        left = prefix[pos] - prefix[lo]
+        right = prefix[hi] - prefix[pos]
+        nl, nr = left.sum(), right.sum()
+        gain = (
+            h_all
+            - (nl / n) * _scalar_segment_entropy(left)
+            - (nr / n) * _scalar_segment_entropy(right)
+        )
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best_pos = pos
+    if best_pos is None:
+        return None
+    return best_pos, best_gain
+
+
+def _sorted_prefix(values, labels):
+    order = np.argsort(values, kind="stable")
+    v, y = values[order], labels[order]
+    onehot = np.zeros((v.size, int(labels.max()) + 1))
+    onehot[np.arange(v.size), y] = 1.0
+    return v, y, np.vstack([np.zeros(onehot.shape[1]), np.cumsum(onehot, axis=0)])
+
+
+def _scalar_mdl_cuts(values, labels):
+    if values.size == 0:
+        return []
+    v, y, prefix = _sorted_prefix(values, labels)
+    cuts, stack = [], [(0, v.size)]
+    while stack:
+        lo, hi = stack.pop()
+        best = _scalar_best_cut(v, y, prefix, lo, hi)
+        if best is None or not _mdl_accepts(prefix, lo, best[0], hi, best[1]):
+            continue
+        pos = best[0]
+        cuts.append(float((v[pos - 1] + v[pos]) / 2.0))
+        stack += [(pos, hi), (lo, pos)]
+    return sorted(cuts)
+
+
+def _assert_same_as_scalar(values, labels):
+    values, labels = np.asarray(values, dtype=float), np.asarray(labels)
+    assert _mdl_cuts(values, labels) == _scalar_mdl_cuts(values, labels)
+    v, y, prefix = _sorted_prefix(values, labels)
+    rng = np.random.default_rng(values.size)
+    segments = [(0, v.size)] + [
+        tuple(sorted(rng.choice(v.size + 1, size=2, replace=False))) for _ in range(5)
+    ]
+    for lo, hi in segments:
+        ours, scalar = _best_cut(v, prefix, lo, hi), _scalar_best_cut(v, y, prefix, lo, hi)
+        assert (ours is None) == (scalar is None), (lo, hi)
+        if ours is not None:  # same position, same gain to the last bit
+            assert ours[0] == scalar[0] and ours[1] == scalar[1], (lo, hi)
+
+
+@pytest.mark.parametrize("pattern", [(2, 1, 0, 0), (1, 0, 2), (0, 1), (0, 0, 1)])
+@pytest.mark.parametrize("run", [1, 2, 7])
+def test_mdl_matches_scalar_search_on_tie_heavy_runs(pattern, run):
+    # periodic labels make many candidates' gains tie exactly or to within
+    # 1e-12 (several of these reach the running-best replay), and runs of
+    # equal values make most positions non-candidates
+    for n in (60, 100, 192, 500):
+        labels = np.tile(pattern, n)[:n]
+        _assert_same_as_scalar(np.arange(n) // run, labels)
+        _assert_same_as_scalar(np.arange(n) // run, np.sort(labels))
+
+
+def test_mdl_matches_scalar_search_on_random_inputs():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        if trial % 3 == 0:
+            values = rng.normal(size=n) + labels * rng.uniform(0, 3)
+        elif trial % 3 == 1:
+            values = np.round(rng.normal(size=n) + labels, 1)
+        else:
+            values = rng.integers(0, int(rng.integers(1, 9)), size=n).astype(float)
+        _assert_same_as_scalar(values, labels)
+
+
+def test_mdl_single_distinct_value_has_no_cut():
+    labels = np.arange(50) % 3
+    _assert_same_as_scalar(np.full(50, 4.25), labels)
+    v, _, prefix = _sorted_prefix(np.full(50, 4.25), labels)
+    assert _best_cut(v, prefix, 0, 50) is None
+
+
+@pytest.mark.parametrize("n_classes", [8, 9, 12, 20])
+def test_mdl_matches_scalar_search_with_many_classes(n_classes):
+    # NumPy sums eight or more entropy terms pairwise, not left to right
+    rng = np.random.default_rng(n_classes)
+    for trial in range(8):
+        n = int(rng.integers(100, 600))
+        labels = rng.integers(0, n_classes, size=n)
+        values = labels * rng.uniform(0, 1) + rng.normal(size=n)
+        if trial % 2:
+            values = np.round(values)
+        _assert_same_as_scalar(values, labels)
 
 
 def test_nominal_to_binary_unsupervised_shapes():
