@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import rankdata
 
+from . import tree
 from .dataset import Dataset, stratified_folds
 
 MEASURES = ("acc", "prec", "rec", "auc")
@@ -95,175 +96,14 @@ CV_RUNS = CallCounter()
 # --- decision tree --------------------------------------------------------
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _class_distribution(y: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(y, minlength=n_classes).astype(float)
-    return counts / counts.sum()
-
-
-def _tree_fit(train: Dataset, min_leaf: int = 2):
-    x = train.rows
-    y = train.class_labels
-    n_classes = len(train.class_attribute.categories)
-    predictors = [
-        (j, train.attributes[j].is_continuous) for j in train.predictor_indices
-    ]
-    cat_sizes = {
-        j: len(train.attributes[j].categories) for j in train.categorical_predictors
-    }
-
-    root: dict = {}
-    stack = [(root, np.arange(train.n_rows))]  # explicit, so depth is unbounded
-    while stack:
-        node, idx = stack.pop()
-        labels = y[idx]
-        node["dist"] = _class_distribution(labels, n_classes)
-        counts = np.bincount(labels, minlength=n_classes)
-        h_node = _entropy_from_counts(counts)
-        if h_node == 0.0:
-            continue
-        best = None  # (gain, j, payload)
-        for j, is_cont in predictors:
-            col = x[idx, j]
-            present = ~np.isnan(col)
-            if present.sum() < 2 * min_leaf:
-                continue
-            pid = idx[present]
-            vals = col[present]
-            if is_cont:
-                cand = _best_numeric_split(vals, y[pid], n_classes, min_leaf)
-                if cand is None:
-                    continue
-                gain, threshold = cand
-                if best is None or gain > best[0] + 1e-12:
-                    best = (gain, j, ("num", threshold))
-            else:
-                cand = _categorical_split(vals.astype(int), y[pid], n_classes, min_leaf)
-                if cand is None:
-                    continue
-                if best is None or cand > best[0] + 1e-12:
-                    best = (cand, j, ("cat", cat_sizes[j]))
-        if best is None:
-            continue
-        gain, j, payload = best
-        col = x[idx, j]
-        missing = np.isnan(col)
-        if payload[0] == "num":
-            threshold = payload[1]
-            left_mask = ~missing & (col < threshold)
-            right_mask = ~missing & ~left_mask
-            default_left = left_mask.sum() >= right_mask.sum()
-            if missing.any():
-                if default_left:
-                    left_mask |= missing
-                else:
-                    right_mask |= missing
-            left, right = {}, {}
-            node.update(
-                attr=j,
-                threshold=threshold,
-                default_left=bool(default_left),
-                left=left,
-                right=right,
-            )
-            stack += [(left, idx[left_mask]), (right, idx[right_mask])]
-        else:
-            groups = {}
-            for cat in np.unique(col[~missing]).astype(int):
-                groups[int(cat)] = idx[~missing & (col == cat)]
-            if missing.any():
-                largest = max(groups, key=lambda c: (len(groups[c]), -c))
-                groups[largest] = np.concatenate([groups[largest], idx[missing]])
-            children = {c: {} for c in sorted(groups)}
-            node.update(attr=j, children=children)
-            stack += [(children[c], groups[c]) for c in children]
-    return root
-
-
-def _xlog2(x: np.ndarray) -> np.ndarray:
-    safe = np.where(x > 0, x, 1.0)
-    return x * np.log2(safe)
-
-
-def _best_numeric_split(vals, labels, n_classes, min_leaf):
-    order = np.argsort(vals, kind="stable")
-    v = vals[order]
-    lab = labels[order]
-    n = v.size
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), lab] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
-    h_all = _entropy_from_counts(total)
-    # weighted child entropies for every split position, from count identities
-    left = prefix[:-1]
-    right = total - left
-    wl = np.arange(1, n, dtype=float)
-    wr = n - wl
-    children = (
-        _xlog2(wl) - _xlog2(left).sum(axis=1) + _xlog2(wr) - _xlog2(right).sum(axis=1)
-    ) / n
-    gains = h_all - children
-    valid = (v[1:] != v[:-1]) & (wl >= min_leaf) & (wr >= min_leaf)
-    best = None
-    for i in np.flatnonzero(valid):
-        gain = gains[i]
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            threshold = float((v[i] + v[i + 1]) / 2.0)
-            if threshold <= v[i]:  # midpoint of adjacent floats can round down
-                threshold = float(v[i + 1])
-            best = (float(gain), threshold)
-    return best
-
-
-def _categorical_split(vals, labels, n_classes, min_leaf):
-    cats, inverse = np.unique(vals, return_inverse=True)
-    if cats.size < 2:
-        return None
-    counts = np.zeros((cats.size, n_classes))
-    np.add.at(counts, (inverse, labels), 1.0)
-    sizes = counts.sum(axis=1)
-    if (sizes < min_leaf).any():
-        return None
-    total = counts.sum(axis=0)
-    n = total.sum()
-    h_all = _entropy_from_counts(total)
-    children = sum(
-        (sizes[c] / n) * _entropy_from_counts(counts[c]) for c in range(cats.size)
-    )
-    gain = h_all - children
-    return gain if gain > 1e-12 else None
-
-
-def _tree_predict_row(node, row):
-    while "attr" in node:
-        value = row[node["attr"]]
-        if "children" in node:
-            if math.isnan(value) or int(value) not in node["children"]:
-                # unseen or missing category: answer with this node's distribution
-                return node["dist"]
-            node = node["children"][int(value)]
-        else:
-            if math.isnan(value):
-                node = node["left"] if node["default_left"] else node["right"]
-            elif value < node["threshold"]:
-                node = node["left"]
-            else:
-                node = node["right"]
-    return node["dist"]
-
-
 def _learner_tree(kind, train, test, seed):
-    root = _tree_fit(train)
-    scores = np.vstack([_tree_predict_row(root, row) for row in test.rows])
-    return scores
+    """Information-gain tree: leaves of at least 2 rows, one child per category."""
+    root = tree.grow(
+        train.rows, train.class_labels, np.ones(train.n_rows),
+        len(train.class_attribute.categories), lambda: train.predictor_indices,
+        criterion=tree.ENTROPY, categorical=frozenset(train.categorical_predictors), min_leaf=2,
+    )
+    return np.vstack([tree.leaf(root, row)["p"] for row in test.rows])
 
 
 # --- naive Bayes -----------------------------------------------------------

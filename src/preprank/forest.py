@@ -3,7 +3,7 @@
 Trees grow on bootstrap samples drawn with dataset-balancing instance
 weights, split on a random subset of features by weighted Gini gain, and
 route NOT_APPLICABLE values through a per-split default branch learned from
-the majority direction.
+the majority direction.  The tree algorithm itself lives in :mod:`.tree`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tree
 from .metadb import (
     FEATURE_COLUMNS,
     MetaDatabase,
@@ -46,102 +47,6 @@ class ForestModel:
     measure: str = ""
 
 
-def _gini(weighted_counts: np.ndarray) -> float:
-    total = weighted_counts.sum()
-    if total <= 0:
-        return 0.0
-    p = weighted_counts / total
-    return float(1.0 - (p * p).sum())
-
-
-def _leaf(y: np.ndarray, w: np.ndarray, n_classes: int) -> dict:
-    counts = np.zeros(n_classes)
-    np.add.at(counts, y, w)
-    return {"p": (counts / counts.sum()).tolist()}
-
-
-def _best_weighted_split(values, y, w, n_classes):
-    """Best (gain, threshold) over midpoints of adjacent distinct values."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    lab = y[order]
-    wt = w[order]
-    n = v.size
-    contrib = np.zeros((n, n_classes))
-    contrib[np.arange(n), lab] = wt
-    prefix = np.cumsum(contrib, axis=0)
-    total = prefix[-1]
-    w_total = total.sum()
-    h_all = _gini(total)
-    if h_all == 0.0:
-        return None
-    # weighted child impurities for every split position at once
-    left = prefix[:-1]
-    right = total - left
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
-    children = (
-        wl - (left * left).sum(axis=1) / np.maximum(wl, 1e-300)
-    ) / w_total + (wr - (right * right).sum(axis=1) / np.maximum(wr, 1e-300)) / w_total
-    gains = h_all - children
-    valid = (v[1:] != v[:-1]) & (wl > 0) & (wr > 0)
-    best = None
-    for i in np.flatnonzero(valid):
-        gain = gains[i]
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            threshold = float((v[i] + v[i + 1]) / 2.0)
-            if threshold <= v[i]:  # midpoint of adjacent floats can round down
-                threshold = float(v[i + 1])
-            best = (float(gain), threshold)
-    return best
-
-
-def _grow_tree(x, y, w, rng, n_candidates, n_classes):
-    def build(idx):
-        labels = y[idx]
-        node = _leaf(labels, w[idx], n_classes)
-        if idx.size < MIN_NODE_SIZE or np.all(labels == labels[0]):
-            return node
-        features = rng.choice(x.shape[1], size=n_candidates, replace=False)
-        best = None  # (gain, feature, threshold)
-        for f in np.sort(features):
-            col = x[idx, f]
-            present = ~np.isnan(col)
-            if present.sum() < 2:
-                continue
-            cand = _best_weighted_split(
-                col[present], labels[present], w[idx][present], n_classes
-            )
-            if cand is None:
-                continue
-            gain, threshold = cand
-            if best is None or gain > best[0] + 1e-12:
-                best = (gain, int(f), threshold)
-        if best is None:
-            return node
-        _, f, threshold = best
-        col = x[idx, f]
-        missing = np.isnan(col)
-        left_mask = ~missing & (col < threshold)
-        right_mask = ~missing & ~left_mask
-        default_left = w[idx][left_mask].sum() >= w[idx][right_mask].sum()
-        if missing.any():
-            if default_left:
-                left_mask |= missing
-            else:
-                right_mask |= missing
-        node = {
-            "f": f,
-            "t": threshold,
-            "d": 0 if default_left else 1,
-            "l": build(idx[left_mask]),
-            "r": build(idx[right_mask]),
-        }
-        return node
-
-    return build(np.arange(x.shape[0]))
-
-
 def train_forest(
     db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int
 ) -> ForestModel:
@@ -163,8 +68,15 @@ def train_forest(
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         sample = rng.choice(n_rows, size=n_rows, replace=True, p=prob)
+
+        def draw(rng=rng):
+            return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+
         trees.append(
-            _grow_tree(x[sample], y[sample], w[sample], rng, n_candidates, len(RESPONSE_CLASSES))
+            tree.grow(
+                x[sample], y[sample], w[sample], len(RESPONSE_CLASSES), draw,
+                criterion=tree.GINI, min_node=MIN_NODE_SIZE,
+            )
         )
     return ForestModel(
         trees=tuple(trees),
@@ -177,18 +89,6 @@ def train_forest(
     )
 
 
-def _tree_vote(node: dict, row: np.ndarray) -> int:
-    while "f" in node:
-        value = row[node["f"]]
-        if math.isnan(value):
-            node = node["l"] if node["d"] == 0 else node["r"]
-        elif value < node["t"]:
-            node = node["l"]
-        else:
-            node = node["r"]
-    return int(np.argmax(node["p"]))  # ties resolve in class order
-
-
 def predict_proba(model: ForestModel, features: np.ndarray):
     """Fraction of trees voting each class, in the model's class order."""
     row = np.asarray(features, dtype=float)
@@ -197,8 +97,8 @@ def predict_proba(model: ForestModel, features: np.ndarray):
             f"feature row has shape {row.shape}, expected ({len(model.feature_ids)},)"
         )
     votes = np.zeros(len(model.class_order))
-    for tree in model.trees:
-        votes[_tree_vote(tree, row)] += 1.0
+    for root in model.trees:
+        votes[int(np.argmax(tree.leaf(root, row)["p"]))] += 1.0  # ties go in class order
     proba = votes / len(model.trees)
     return tuple(float(p) for p in proba)
 

@@ -209,8 +209,12 @@ def build_metadb(
 
 # --- persistence ----------------------------------------------------------
 
-_PROVENANCE_COLUMNS = ("dataset", "transformation")
-_TRAILING_COLUMNS = ("base_perf", "response_value", "response_class")
+_HEADER = (
+    ("dataset", "transformation")
+    + tuple(f"mf_{fid}" for fid in MODIFIABLE_IDS)
+    + tuple(f"dmf_{fid}" for fid in MODIFIABLE_IDS)
+    + ("base_perf", "response_value", "response_class")
+)
 
 
 def _format(value: float | None) -> str:
@@ -219,16 +223,10 @@ def _format(value: float | None) -> str:
 
 def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     """Write tab-delimited text: a schema comment, a header, one line per row."""
-    header = (
-        _PROVENANCE_COLUMNS
-        + tuple(f"mf_{fid}" for fid in MODIFIABLE_IDS)
-        + tuple(f"dmf_{fid}" for fid in MODIFIABLE_IDS)
-        + _TRAILING_COLUMNS
-    )
     lines = [
         f"# preprank-metadb schema_version={db.schema_version} "
         f"algorithm={db.algorithm.name} measure={db.measure}",
-        "\t".join(header),
+        "\t".join(_HEADER),
     ]
     if header_comment:
         lines.insert(1, f"# {header_comment.lstrip('# ')}")
@@ -264,13 +262,7 @@ def load(path) -> MetaDatabase:
             continue
         if header is None:
             header = line.split("\t")
-            expected = (
-                _PROVENANCE_COLUMNS
-                + tuple(f"mf_{fid}" for fid in MODIFIABLE_IDS)
-                + tuple(f"dmf_{fid}" for fid in MODIFIABLE_IDS)
-                + _TRAILING_COLUMNS
-            )
-            if tuple(header) != expected:
+            if tuple(header) != _HEADER:
                 raise MetaDbError("unexpected column header")
             continue
         cells = line.split("\t")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .tree import entropy
 
 NOT_APPLICABLE = None
 
@@ -76,7 +77,6 @@ assert len(FEATURE_IDS) == 61
 
 #: features a transformation can change; the class group stays constant
 MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
-CLASS_GROUP_IDS: tuple[str, ...] = FEATURE_IDS[55:]
 
 _CONTINUOUS_GROUP = frozenset(FEATURE_IDS[2:26])
 _CATEGORICAL_GROUP = frozenset(FEATURE_IDS[30:48])
@@ -94,10 +94,6 @@ class MetaFeatureVector:
 
     def __getitem__(self, feature_id: str) -> float | None:
         return self.values[feature_id]
-
-    @property
-    def modifiable_mask(self) -> dict[str, bool]:
-        return {fid: fid in MODIFIABLE_IDS for fid in FEATURE_IDS}
 
     def modifiable(self) -> dict[str, float | None]:
         """The 55 transformation-sensitive entries, in table order."""
@@ -121,14 +117,6 @@ class DeltaVector:
         return {fid: self.deltas[fid] for fid in MODIFIABLE_IDS}
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    counts = counts[counts > 0]
-    if counts.size == 0:
-        return 0.0
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
-
-
 def attribute_entropy(ds: Dataset, attr: int) -> float:
     """Shannon entropy (bits) of a categorical attribute over non-missing cells."""
     a = ds.attributes[attr]
@@ -138,7 +126,7 @@ def attribute_entropy(ds: Dataset, attr: int) -> float:
     present = col[~np.isnan(col)].astype(int)
     if present.size == 0:
         return 0.0
-    return _entropy_bits(np.bincount(present, minlength=len(a.categories)))
+    return entropy(np.bincount(present, minlength=len(a.categories)))
 
 
 def mutual_information(ds: Dataset, attr: int) -> float:
@@ -179,7 +167,7 @@ def derived_information_features(ds: Dataset):
     if mean_mi == 0.0:
         return NOT_APPLICABLE, NOT_APPLICABLE
     mean_entropy = float(np.mean([attribute_entropy(ds, j) for j in cat]))
-    class_entropy = _entropy_bits(np.bincount(ds.class_labels))
+    class_entropy = entropy(np.bincount(ds.class_labels))
     ena = class_entropy / mean_mi
     nsr = (mean_entropy - mean_mi) / mean_mi
     return ena, nsr
@@ -303,7 +291,7 @@ def compute_meta_features(ds: Dataset) -> MetaFeatureVector:
     class_counts = np.bincount(ds.class_labels)
     class_counts = class_counts[class_counts > 0]
     values["NumberOfClasses"] = float(class_counts.size)
-    values["ClassEntropy"] = _entropy_bits(class_counts)
+    values["ClassEntropy"] = entropy(class_counts)
     values["MinorityClassSize"] = float(class_counts.min())
     values["MajorityClassSize"] = float(class_counts.max())
     values["MinorityClassPercentage"] = 100.0 * class_counts.min() / n

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
+from .tree import entropies, entropy, select
 
 DISCRETIZE_SUPERVISED = "discretize_sup"
 DISCRETIZE_UNSUPERVISED = "discretize_unsup"
@@ -343,38 +344,6 @@ def _discretize_mdl(ds: Dataset, targets) -> Dataset:
     return _rebuild(ds, plan)
 
 
-def _segment_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-#: NumPy sums fewer than this many terms left to right and longer ones pairwise
-_SEQUENTIAL_SUM_TERMS = 8
-
-
-def _segment_entropies(counts: np.ndarray) -> np.ndarray:
-    """:func:`_segment_entropy` of every row of a nonzero count matrix, bit for bit.
-
-    The terms of a row are added left to right, as NumPy adds a sum of fewer
-    than eight terms; a row with eight or more nonzero classes goes through
-    :func:`_segment_entropy` itself, whose sum NumPy groups pairwise.
-    """
-    present = counts > 0
-    p = counts / counts.sum(axis=1, keepdims=True)
-    terms = np.zeros_like(p)
-    terms[present] = p[present] * np.log2(p[present])
-    sums = np.zeros(len(counts))
-    for c in range(counts.shape[1]):
-        sums += terms[:, c]  # absent classes add an exact 0.0
-    out = -sums
-    for i in np.flatnonzero(present.sum(axis=1) >= _SEQUENTIAL_SUM_TERMS):
-        out[i] = _segment_entropy(counts[i])
-    return out
-
-
 def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
     """Recursive entropy-minimizing cut points accepted by the MDL criterion.
 
@@ -418,7 +387,7 @@ def _best_cut(v, prefix, lo, hi):
     if n < 2:
         return None
     total = prefix[hi] - prefix[lo]
-    h_all = _segment_entropy(total)
+    h_all = entropy(total)
     if h_all == 0.0:
         return None
     bounds = lo + 1 + np.flatnonzero(v[lo + 1 : hi] != v[lo : hi - 1])
@@ -431,23 +400,12 @@ def _best_cut(v, prefix, lo, hi):
     right = prefix[hi] - prefix[pos]
     gains = (
         h_all
-        - (left.sum(axis=1) / n) * _segment_entropies(left)
-        - (right.sum(axis=1) / n) * _segment_entropies(right)
+        - (left.sum(axis=1) / n) * entropies(left)
+        - (right.sum(axis=1) / n) * entropies(right)
     )
-    # only a gain above every earlier one (and 0) can beat the running best
-    records = np.flatnonzero(gains > np.maximum.accumulate(np.append(0.0, gains))[:-1])
-    if records.size == 0:
+    best = select(gains)
+    if best is None:
         return None
-    best = records[-1]
-    rec = gains[records]
-    if not (rec > np.append(0.0, rec[:-1]) + 1e-12).all():
-        # two records within 1e-12 of each other: replay the running-best rule
-        best_gain, best = 0.0, None
-        for r in records:
-            if gains[r] > best_gain + 1e-12:
-                best_gain, best = gains[r], r
-        if best is None:
-            return None
     return int(pos[best]), gains[best]
 
 
@@ -459,9 +417,9 @@ def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:
     k = int((total > 0).sum())
     k1 = int((left > 0).sum())
     k2 = int((right > 0).sum())
-    ent = _segment_entropy(total)
-    ent1 = _segment_entropy(left)
-    ent2 = _segment_entropy(right)
+    ent = entropy(total)
+    ent1 = entropy(left)
+    ent2 = entropy(right)
     delta = math.log2(3**k - 2) - (k * ent - k1 * ent1 - k2 * ent2)
     threshold = (math.log2(n - 1) + delta) / n
     return gain > threshold
