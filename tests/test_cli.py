@@ -2,6 +2,7 @@ import pytest
 from conftest import CORPUS_DIR, single_class_fold_metadb
 
 import preprank.metadb as metadb_mod
+import preprank.ranker as ranker_mod
 from preprank.cli import main
 
 SMALL = ["syn00", "syn01", "syn06", "syn12"]
@@ -264,3 +265,57 @@ def test_train_rejects_bad_metadb(tmp_path, capsys):
         "--out", str(tmp_path / "m.json"),
     ])
     assert code == 2
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_recommend_unexpected_error_exits_2_with_one_line(pipeline, monkeypatch, capsys):
+    _, model_path = pipeline
+    monkeypatch.setattr(ranker_mod, "rank_transformations", _raise(RuntimeError("ranker broke")))
+    code = main([
+        "recommend",
+        "--dataset", str(CORPUS_DIR / "mini" / "syn06.arff"),
+        "--algorithm", "tree",
+        "--model", str(model_path),
+        "--seed", "42",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: RuntimeError: ranker broke\n" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("build broke"), RecursionError("too deep")])
+def test_build_metadb_unexpected_error_exits_2_with_one_line(
+    small_manifest, tmp_path, monkeypatch, capsys, exc
+):
+    monkeypatch.setattr(metadb_mod, "build_metadb", _raise(exc))
+    code = main([
+        "build-metadb",
+        "--datasets", str(small_manifest),
+        "--algorithm", "nb",
+        "--seed", "1",
+        "--out", str(tmp_path / "db.tsv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {type(exc).__name__}: {exc}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "db.tsv").exists()
+
+
+def test_keyboard_interrupt_is_not_caught(small_manifest, tmp_path, monkeypatch):
+    monkeypatch.setattr(metadb_mod, "build_metadb", _raise(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main([
+            "build-metadb",
+            "--datasets", str(small_manifest),
+            "--algorithm", "nb",
+            "--seed", "1",
+            "--out", str(tmp_path / "db.tsv"),
+        ])

@@ -2,12 +2,14 @@
 
 The functions under "oracles" are the base tree (information gain, multiway
 categorical splits) and the meta-forest tree (weighted Gini) as they were
-before both moved onto ``preprank.tree``, kept verbatim.  Scores, forests and
-split choices must match them bit for bit.
+before both moved onto ``preprank.tree``, and the one-column threshold search
+the shared grower ran before it searched all columns of a node at once, kept
+verbatim.  Scores, forests and split choices must match them bit for bit.
 """
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -308,6 +310,81 @@ def _scalar_select(gains):
     return None if best is None else best[1]
 
 
+# --- oracles: the one-column threshold search ---------------------------------------
+
+
+def _oracle_entropy_children(left, right, wl, wr, total):
+    # from count identities, so no per-position entropy call
+    return (
+        _xlog2(wl) - _xlog2(left).sum(axis=1) + _xlog2(wr) - _xlog2(right).sum(axis=1)
+    ) / total
+
+
+def _oracle_gini_children(left, right, wl, wr, total):
+    return (wl - (left * left).sum(axis=1) / np.maximum(wl, 1e-300)) / total + (
+        wr - (right * right).sum(axis=1) / np.maximum(wr, 1e-300)
+    ) / total
+
+
+_ORACLE_CRITERIA = {
+    "entropy": tree.Criterion(_entropy_from_counts, _oracle_entropy_children),
+    "gini": tree.Criterion(_gini, _oracle_gini_children),
+}
+
+
+# verbatim, except that the split choice rule ``select`` is passed in so a test can count ties
+def _oracle_best_threshold(values, labels, weights, n_classes, min_leaf, criterion, select):
+    """(gain, threshold) of the best binary cut of a numeric column, or None.
+
+    Cuts lie between adjacent distinct sorted values and leave at least
+    ``min_leaf`` rows on each side; the threshold is the midpoint of the two
+    values, or the upper one when the midpoint rounds down onto the lower.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    n = v.size
+    contrib = np.zeros((n, n_classes))
+    contrib[np.arange(n), labels[order]] = weights[order]
+    prefix = np.cumsum(contrib, axis=0)
+    total = prefix[-1]
+    h_all = criterion.impurity(total)
+    if h_all == 0.0:
+        return None
+    left = prefix[:-1]
+    right = total - left
+    gains = h_all - criterion.children(
+        left, right, left.sum(axis=1), right.sum(axis=1), total.sum()
+    )
+    # a cut after sorted position i leaves i + 1 rows on the left
+    first, stop = min_leaf - 1, n - min_leaf
+    cuts = first + np.flatnonzero(v[first + 1 : stop + 1] != v[first:stop])
+    k = select(gains[cuts])
+    if k is None:
+        return None
+    i = cuts[k]
+    threshold = float((v[i] + v[i + 1]) / 2.0)
+    if threshold <= v[i]:
+        threshold = float(v[i + 1])
+    return float(gains[i]), threshold
+
+
+def _oracle_node_split(block, labels, weights, n_classes, min_leaf, criterion, select):
+    """(column, gain, threshold) the grower's column-at-a-time loop took, or None."""
+    found = []  # (gain, threshold, column)
+    for j, col in enumerate(block):
+        present = ~np.isnan(col)
+        if np.count_nonzero(present) < 2 * min_leaf:
+            continue
+        cand = _oracle_best_threshold(
+            col[present], labels[present], weights[present], n_classes, min_leaf, criterion,
+            select,
+        )
+        if cand is not None:
+            found.append((*cand, j))
+    k = select(np.array([gain for gain, _, _ in found]))
+    return None if k is None else (found[k][2], found[k][0], found[k][1])
+
+
 # --- the base tree ------------------------------------------------------------------
 
 
@@ -486,3 +563,130 @@ def test_select_matches_scalar_loop_on_fuzzed_gains():
         assert tree.select(gains) == _scalar_select(gains), gains
     assert near_ties > 5000  # the replay path is exercised, not just the fast one
 
+
+# --- the batched node search ---------------------------------------------------------------
+
+
+def _node_split(block, labels, weights, n_classes, min_leaf, criterion):
+    """(column, gain, threshold) of the batched search, as ``grow`` takes it."""
+    onehot = np.zeros((labels.size, n_classes))
+    onehot[np.arange(labels.size), labels] = weights
+    gains, lo, hi = tree._best_cuts(block, onehot, min_leaf, criterion)
+    k = tree.select(gains)
+    if k is None:
+        return None
+    return k, gains[k], tree._threshold(lo[k], hi[k])
+
+
+def _fuzzed_node(rng, n_classes, min_leaf):
+    """A node block that is tie-heavy within and across columns, with sparse columns."""
+    n = int(rng.integers(2, 60))
+    n_cols = int(rng.integers(1, 13))
+    period = rng.permutation(n_classes)[: int(rng.integers(2, n_classes + 1))]
+    labels = np.tile(period, n)[:n] if rng.random() < 0.5 else rng.integers(0, n_classes, size=n)
+    if np.all(labels == labels[0]):
+        labels[-1] = (labels[0] + 1) % n_classes  # a node the grower would search
+    weights = np.ones(n) if rng.random() < 0.3 else 1.0 / rng.integers(1, 12, size=n)
+    block = np.empty((n_cols, n))
+    for j in range(n_cols):
+        kind = rng.integers(0, 7)
+        if kind == 0 and j:  # an exact copy ties every gain of an earlier column
+            block[j] = block[rng.integers(0, j)]
+        elif kind == 1:  # few distinct values: ties within the column
+            block[j] = rng.integers(0, 3, size=n)
+        elif kind == 2:  # all missing
+            block[j] = np.nan
+        elif kind == 3:  # fewer present values than two minimum leaves
+            block[j] = np.nan
+            keep = rng.choice(n, size=min(n, int(rng.integers(0, 2 * min_leaf))), replace=False)
+            block[j, keep] = rng.normal(size=keep.size)
+        elif kind == 4:  # runs in row order: periodic labels tie cuts within the column
+            block[j] = np.arange(n) // int(rng.integers(1, 4))
+        else:
+            block[j] = np.round(rng.normal(size=n), 1)
+            block[j, rng.random(n) < 0.2] = np.nan
+    return block, labels, weights
+
+
+def test_batched_node_search_matches_column_at_a_time_oracle():
+    rng = np.random.default_rng(0)
+    near_ties: Counter = Counter()
+    for trial in range(3000):
+        name = ("entropy", "gini")[trial % 2]
+        n_classes = (3, 9)[trial // 2 % 2]
+        min_leaf = 1 + trial // 4 % 2
+        block, labels, weights = _fuzzed_node(rng, n_classes, min_leaf)
+        near = []  # per call of the rule: the columns' cut choices, then the node's
+
+        def counting_select(gains):
+            top = gains.max(initial=0.0)
+            near.append(top > 1e-12 and np.count_nonzero(gains + 1e-12 >= top) > 1)
+            return _scalar_select(gains)
+
+        expected = _oracle_node_split(
+            block, labels, weights, n_classes, min_leaf, _ORACLE_CRITERIA[name], counting_select
+        )
+        criterion = getattr(tree, name.upper())
+        ours = _node_split(block, labels, weights, n_classes, min_leaf, criterion)
+        assert ours == expected, (trial, ours, expected)
+        near_ties["column"] += sum(near[:-1])
+        near_ties["node"] += near[-1]
+    # both scans of the split choice rule meet near-ties, not only the fast path
+    assert near_ties["column"] > 300 and near_ties["node"] > 300, near_ties
+
+
+@pytest.mark.parametrize("n_classes", [3, 9])
+def test_batched_node_search_matches_oracle_on_nodes_searched_in_several_batches(n_classes):
+    # 2500 rows of 3 or 9 classes put 2 columns or 1 in a batch of tree._BATCH_CELLS
+    rng = np.random.default_rng(n_classes)
+    n = 2500
+    labels = rng.integers(0, n_classes, size=n)
+    weights = 1.0 / rng.integers(1, 12, size=n)
+    block = np.round(rng.normal(size=(7, n)) + labels / n_classes, 1)
+    block[3] = block[1]  # ties the best column across batches
+    block[rng.random(block.shape) < 0.1] = np.nan
+    block[5] = np.nan
+    assert block.size * n_classes > 2 * tree._BATCH_CELLS  # three batches or more
+    for name in ("entropy", "gini"):
+        for min_leaf in (1, 2):
+            ours = _node_split(
+                block, labels, weights, n_classes, min_leaf, getattr(tree, name.upper())
+            )
+            assert ours is not None
+            assert ours == _oracle_node_split(
+                block, labels, weights, n_classes, min_leaf, _ORACLE_CRITERIA[name],
+                _scalar_select,
+            )
+
+
+def test_row_impurities_match_scalar_oracles_bit_for_bit():
+    rng = np.random.default_rng(1)
+    for trial in range(2000):
+        n_classes = int(rng.integers(1, 13))
+        counts = rng.integers(0, 5, size=(int(rng.integers(1, 8)), n_classes)).astype(float)
+        if trial % 2:
+            counts *= 1.0 / rng.integers(1, 12, size=counts.shape)
+        counts[counts.sum(axis=1) == 0, 0] = 1.0  # rows are nonzero
+        assert np.array_equal(tree.entropies(counts), [_entropy_from_counts(r) for r in counts])
+        assert np.array_equal(tree.ginis(counts), [_gini(r) for r in counts])
+
+
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+def test_growth_raises_no_floating_point_warning_on_sparse_columns(name):
+    rng = np.random.default_rng(5)
+    n = 40
+    x = np.column_stack([
+        np.full(n, np.nan),  # all missing
+        np.where(np.arange(n) == 7, 1.5, np.nan),  # one present value
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 3, size=n).astype(float),
+    ])
+    x[rng.random(n) < 0.2, 2] = np.nan
+    y = rng.integers(0, 3, size=n)
+    w = 1.0 / rng.integers(1, 5, size=n)
+    criterion = getattr(tree, name.upper())
+    with np.errstate(all="raise"):
+        root = tree.grow(
+            x, y, w, 3, lambda: range(4), criterion=criterion, categorical={3}, min_leaf=2
+        )
+    assert "f" in root and root["f"] in (2, 3)
