@@ -96,14 +96,19 @@ CV_RUNS = CallCounter()
 # --- decision tree --------------------------------------------------------
 
 
-def _learner_tree(kind, train, test, seed):
-    """Information-gain tree: leaves of at least 2 rows, one child per category."""
-    root = tree.grow(
-        train.rows, train.class_labels, np.ones(train.n_rows),
-        len(train.class_attribute.categories), lambda: train.predictor_indices,
-        criterion=tree.ENTROPY, categorical=frozenset(train.categorical_predictors), min_leaf=2,
+def _learner_tree(kind, ds, train_rows, tests, seed):
+    """Information-gain trees, one per fold, grown together over the rows of ``ds``.
+
+    Leaves hold at least 2 rows; a categorical split has one child per category.
+    """
+    predictors = np.asarray(ds.predictor_indices)
+    roots = tree.grow(
+        ds.rows, ds.class_labels, np.ones(ds.n_rows), len(ds.class_attribute.categories),
+        [(rows, lambda: predictors) for rows in train_rows],
+        criterion=tree.ENTROPY, categorical=frozenset(ds.categorical_predictors), min_leaf=2,
     )
-    return np.vstack([tree.leaf(root, row)["p"] for row in test.rows])
+    for root, test in zip(roots, tests):
+        yield np.vstack([tree.leaf(root, row)["p"] for row in test.rows])
 
 
 # --- naive Bayes -----------------------------------------------------------
@@ -335,11 +340,28 @@ def _learner_logistic(kind, train, test, seed):
 
 # --- dispatch and cross-validation -------------------------------------------
 
+
+def _one_fold_at_a_time(fn):
+    """The learner protocol around ``fn(kind, train, test, seed) -> scores``.
+
+    A learner takes ``(kind, ds, train_rows, tests, seed)``: per fold the
+    indices of its training rows in ``ds`` and its test dataset, ``tests``
+    an iterable read once.  It yields each fold's (n_test, n_classes) class
+    scores in fold order.  This one trains ``fn`` on one fold at a time.
+    """
+
+    def learner(kind, ds, train_rows, tests, seed):
+        for rows, test in zip(train_rows, tests):
+            yield fn(kind, ds.subset(rows), test, seed)
+
+    return learner
+
+
 _LEARNERS = {
     "tree": _learner_tree,
-    "nb": _learner_nb,
-    "knn": _learner_knn,
-    "logistic": _learner_logistic,
+    "nb": _one_fold_at_a_time(_learner_nb),
+    "knn": _one_fold_at_a_time(_learner_knn),
+    "logistic": _one_fold_at_a_time(_learner_logistic),
 }
 
 
@@ -348,7 +370,18 @@ def register_learner(family: str, fn) -> None:
 
     ``scores`` must be an (n_test, n_classes) array of class scores.
     """
-    _LEARNERS[family] = fn
+    _LEARNERS[family] = _one_fold_at_a_time(fn)
+
+
+def _fold_scores(kind: ClassifierKind, ds: Dataset, train_rows, tests, seed: int):
+    """Each fold's class scores from the learner of ``kind``; see :func:`_one_fold_at_a_time`."""
+    learner = _LEARNERS.get(kind.family)
+    if learner is None:
+        raise ValueError(f"no learner registered for {kind.family!r}")
+    if any(len(rows) == 0 for rows in train_rows):
+        raise ValueError("empty training split")
+    for scores in learner(kind, ds, train_rows, tests, seed):
+        yield np.asarray(scores, dtype=float)
 
 
 def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset, seed: int):
@@ -359,12 +392,7 @@ def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset, seed: int):
     """
     if train.attributes != test.attributes or train.class_index != test.class_index:
         raise ValueError("train and test datasets have different schemas")
-    if train.n_rows == 0:
-        raise ValueError("empty training split")
-    learner = _LEARNERS.get(kind.family)
-    if learner is None:
-        raise ValueError(f"no learner registered for {kind.family!r}")
-    scores = np.asarray(learner(kind, train, test, seed), dtype=float)
+    [scores] = _fold_scores(kind, train, [np.arange(train.n_rows)], [test], seed)
     preds = scores.argmax(axis=1)
     return [(int(p), scores[i]) for i, p in enumerate(preds)]
 
@@ -375,18 +403,15 @@ def cross_validate(
     """Stratified k-fold cross-validation with predictions pooled across folds."""
     CV_RUNS.increment()
     assignment = stratified_folds(ds, k, seed)
-    folds = np.asarray(assignment.fold_of_row)
-    n = ds.n_rows
-    n_classes = len(ds.class_attribute.categories)
-    preds = np.empty(n, dtype=int)
-    scores = np.zeros((n, n_classes))
-    for f in range(k):
-        test_idx = np.flatnonzero(folds == f)
-        train_idx = np.flatnonzero(folds != f)
-        output = fit_predict(kind, ds.subset(train_idx), ds.subset(test_idx), seed)
-        for row, (p, s) in zip(test_idx, output):
-            preds[row] = p
-            scores[row] = s
+    fold_of_row = np.asarray(assignment.fold_of_row)
+    train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
+    test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
+    tests = (ds.subset(rows) for rows in test_rows)  # one test copy at a time
+    preds = np.empty(ds.n_rows, dtype=int)
+    scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
+    for test_idx, fold_scores in zip(test_rows, _fold_scores(kind, ds, train_rows, tests, seed)):
+        preds[test_idx] = fold_scores.argmax(axis=1)
+        scores[test_idx] = fold_scores
     return _pooled_measures(ds.class_labels, preds, scores)
 
 

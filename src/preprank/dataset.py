@@ -7,6 +7,7 @@ missing cells hold NaN.
 
 from __future__ import annotations
 
+import copy
 import csv as _csvmod
 import math
 from dataclasses import dataclass, replace
@@ -174,9 +175,17 @@ class Dataset:
         return self.rows[:, j]
 
     def subset(self, row_indices) -> "Dataset":
-        """New dataset holding the given rows (order preserved), same schema."""
-        idx = np.asarray(row_indices, dtype=int)
-        return Dataset(self.name, self.attributes, self.class_index, self.rows[idx])
+        """New dataset holding the given rows (order preserved), same schema.
+
+        The rows were validated with this dataset, so only the shape is checked.
+        """
+        rows = self.rows[np.asarray(row_indices, dtype=int)]
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise ValueError("a subset needs a sequence of at least one row index")
+        rows.flags.writeable = False
+        subset = copy.copy(self)  # copies no rows and skips __post_init__
+        object.__setattr__(subset, "rows", rows)
+        return subset
 
     def renamed(self, name: str) -> "Dataset":
         return replace(self, name=name)

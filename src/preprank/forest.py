@@ -63,21 +63,18 @@ def train_forest(
     n_rows, n_features = x.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
     prob = w / w.sum()
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for tree_seed in seeds:
+    bags = []  # per tree: its bootstrap rows of x and its feature draws
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         sample = rng.choice(n_rows, size=n_rows, replace=True, p=prob)
 
         def draw(rng=rng):
             return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
 
-        trees.append(
-            tree.grow(
-                x[sample], y[sample], w[sample], len(RESPONSE_CLASSES), draw,
-                criterion=tree.GINI, min_node=MIN_NODE_SIZE,
-            )
-        )
+        bags.append((sample, draw))
+    trees = tree.grow(
+        x, y, w, len(RESPONSE_CLASSES), bags, criterion=tree.GINI, min_node=MIN_NODE_SIZE
+    )
     return ForestModel(
         trees=tuple(trees),
         n_trees=n_trees,
@@ -96,11 +93,12 @@ def predict_proba(model: ForestModel, features: np.ndarray):
         raise ValueError(
             f"feature row has shape {row.shape}, expected ({len(model.feature_ids)},)"
         )
-    votes = np.zeros(len(model.class_order))
+    row = row.tolist()
+    votes = [0] * len(model.class_order)
     for root in model.trees:
-        votes[int(np.argmax(tree.leaf(root, row)["p"]))] += 1.0  # ties go in class order
-    proba = votes / len(model.trees)
-    return tuple(float(p) for p in proba)
+        p = tree.leaf(root, row)["p"]
+        votes[p.index(max(p))] += 1  # the first maximum: ties go in class order
+    return tuple(v / len(model.trees) for v in votes)
 
 
 def predicted_class(model: ForestModel, proba) -> str:

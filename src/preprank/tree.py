@@ -1,18 +1,24 @@
 """Decision-tree core of the base tree learner, the meta-forest and MDL cuts.
 
-One grower builds both learners' trees from an explicit stack, so depth is
-unbounded.  Nodes are dicts, which the forest also persists: a leaf is
-``{"p": class distribution}``; a numeric split is ``{"f": feature, "t":
-threshold, "d": 0 or 1, "l": left, "r": right}``, where rows with a value
-below ``t`` go left and a missing value goes left when ``d`` is 0; a
+One grower builds both learners' trees, each from its own explicit stack,
+so depth is unbounded.  Nodes are dicts, which the forest also persists: a
+leaf is ``{"p": class distribution}``; a numeric split is ``{"f": feature,
+"t": threshold, "d": 0 or 1, "l": left, "r": right}``, where rows with a
+value below ``t`` go left and a missing value goes left when ``d`` is 0; a
 categorical split is ``{"f": feature, "c": {category: child}, "p": ...}``,
 whose ``p`` answers for a missing or unseen category.
 
-A node searches all its numeric candidate columns in one batch: one stable
-sort of its (columns x rows) block, one (columns x rows x classes) prefix
-sum of class weights, and one matrix of gains from the criterion, so the
-NumPy calls per node do not grow with the number of columns.  Each column's
-cut is chosen under :func:`select`, then the columns compete under it too.
+Many independent trees over shared rows (the fold trees of a
+cross-validation, the trees of a forest) grow in lockstep, and each step
+searches the nodes it takes from all trees together: their numeric columns
+in one batch per chunk of similar-sized nodes, each node's rows padded to
+the chunk's widest with missing values of no weight; one stable sort of the
+(columns x rows) block, one (columns x rows x classes) prefix sum of class
+weights and one matrix of gains from the criterion, so the NumPy calls per
+step do not grow with the number of nodes or columns.  The step's
+categorical columns share one table of class counts per batch.  Each
+column's cut is chosen under :func:`select`, then each node's columns
+compete under it too.
 """
 
 from __future__ import annotations
@@ -128,33 +134,36 @@ def select(gains: np.ndarray) -> int | None:
     return best
 
 
-#: cells (columns x rows x classes) one batch holds; a larger node's columns go in several
+#: cells (columns x rows x classes) of one batch of numeric columns, and rows of one
+#: batch of categorical columns; more go in several batches
 _BATCH_CELLS = 2**14
 
 
-def _best_cuts(values, onehot, min_leaf, criterion):
-    """Best binary cut of every column of a node, all columns at once.
+def _best_cuts(values, rows, onehot, min_leaf, criterion):
+    """Best binary cut of every column of a block, all columns at once.
 
-    ``values`` holds the node's numeric candidate columns as rows and
-    ``onehot`` each node row's weight in the column of its class.  A column's
-    cuts lie between adjacent distinct sorted present values and leave at
-    least ``min_leaf`` rows on each side, and :func:`select` picks among them
-    in sorted order.  Returns per column the gain of its cut (-inf when it
-    has none) and the two adjacent sorted values the cut lies between.
+    ``values`` holds numeric columns of nodes as its rows, ``rows`` the index
+    of each cell's row in ``onehot``, which holds every row's weight in the
+    column of its class.  Padding cells are NaN, so they sort last and count
+    as missing; their row in ``onehot`` has no weight.  A column's cuts lie
+    between adjacent distinct sorted present values and leave at least
+    ``min_leaf`` rows on each side, and :func:`select` picks among them in
+    sorted order.  Returns per column the gain of its cut (-inf when it has
+    none) and the two adjacent sorted values the cut lies between.
     """
     n_cols, n = values.shape
-    step = max(1, _BATCH_CELLS // onehot.size)
+    step = max(1, _BATCH_CELLS // (n * onehot.shape[1]))
     if n_cols > step:  # so a batch's arrays stay near 128 KB each
         batches = [
-            _best_cuts(values[i : i + step], onehot, min_leaf, criterion)
+            _best_cuts(values[i : i + step], rows[i : i + step], onehot, min_leaf, criterion)
             for i in range(0, n_cols, step)
         ]
         return tuple(np.concatenate(parts) for parts in zip(*batches))
-    order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last
-    rows = np.arange(n_cols)
-    v = values[rows[:, None], order]
+    order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last, padding after it
+    cols = np.arange(n_cols)
+    v = values[cols[:, None], order]
     sides = np.empty((2, n_cols, n, onehot.shape[1]))  # class weights left and right of each cut
-    prefix = np.take(onehot, order, axis=0, out=sides[0])
+    prefix = np.take(onehot, rows[cols[:, None], order], axis=0, out=sides[0])
     # a cut after sorted position i leaves i + 1 rows on the left
     first, stop = min_leaf - 1, n - min_leaf
     if np.isnan(v[:, -1]).any():
@@ -176,14 +185,67 @@ def _best_cuts(values, onehot, min_leaf, criterion):
     valid &= np.arange(n - 1) < stop
     valid[h_all == 0.0] = False
     split_gains = np.where(valid, split_gains, -np.inf)
-    top = split_gains.argmax(axis=1)
-    best = split_gains.max(axis=1)
-    near = (split_gains + _MARGIN >= best[:, None]).sum(axis=1) > 1
+    top = _select_rows(split_gains)
+    best = split_gains[cols, top]
+    return np.where(top >= 0, best, -np.inf), v[cols, top], v[cols, top + 1]
+
+
+def _select_rows(gains: np.ndarray) -> np.ndarray:
+    """:func:`select` on every row of a gain matrix, -1 for None.
+
+    A row's -inf entries are never chosen and never change the choice.
+    """
+    top = gains.argmax(axis=1)
+    best = gains.max(axis=1)
+    near = (gains + _MARGIN >= best[:, None]).sum(axis=1) > 1
     for j in np.flatnonzero(near & (best > _MARGIN)):  # replay the scan on near-ties
-        cuts = np.flatnonzero(valid[j])
-        top[j] = cuts[select(split_gains[j, cuts])]
-        best[j] = split_gains[j, top[j]]
-    return np.where(best > _MARGIN, best, -np.inf), v[rows, top], v[rows, top + 1]
+        top[j] = select(gains[j])
+    top[~(best > _MARGIN)] = -1
+    return top
+
+
+def _search(xt, onehot, nodes, min_leaf, criterion):
+    """:func:`_best_cuts` of every node's numeric candidate columns, nodes batched.
+
+    ``nodes`` holds each node as (rows, columns) of ``xt``, whose last row
+    index is padding.  Nodes go in order of row count, in chunks whose
+    widest node has at most twice the rows of its narrowest and whose cells
+    stay within ``_BATCH_CELLS`` (a node over it goes alone); each node's
+    rows are padded to the chunk's width.  Returns the (gains, low, high)
+    rows of all nodes' columns, node after node.
+    """
+    sizes = [rows.size for rows, _ in nodes]
+    widths = np.array([feats.size for _, feats in nodes])
+    starts = np.cumsum(widths) - widths
+    found = np.empty((3, widths.sum()))
+    order = sorted(range(len(nodes)), key=sizes.__getitem__)
+    start = 0
+    while start < len(order):
+        stop, n_cols = start, 0
+        while stop < len(order):
+            size, width = sizes[order[stop]], widths[order[stop]]
+            if stop > start and (
+                size > 2 * sizes[order[start]]
+                or (n_cols + width) * size * onehot.shape[1] > _BATCH_CELLS
+            ):
+                break
+            stop, n_cols = stop + 1, n_cols + width
+        chunk = order[start:stop]
+        lengths = np.array([sizes[i] for i in chunk])
+        padded = np.full((len(chunk), lengths[-1]), xt.shape[1] - 1)
+        padded[np.arange(lengths[-1]) < lengths[:, None]] = np.concatenate(
+            [nodes[i][0] for i in chunk]
+        )
+        block_rows = padded[np.repeat(np.arange(len(chunk)), widths[chunk])]
+        feats = np.concatenate([nodes[i][1] for i in chunk])
+        at = np.arange(n_cols) + np.repeat(
+            starts[chunk] - (np.cumsum(widths[chunk]) - widths[chunk]), widths[chunk]
+        )
+        found[:, at] = _best_cuts(
+            xt[feats[:, None], block_rows], block_rows, onehot, min_leaf, criterion
+        )
+        start = stop
+    return found
 
 
 def _threshold(lo: float, hi: float) -> float:
@@ -192,91 +254,158 @@ def _threshold(lo: float, hi: float) -> float:
     return float(hi) if mid <= lo else mid
 
 
-def _categorical_split(values, labels, weights, n_classes, min_leaf, criterion):
-    """Gain of one child per category, or None if a child is too small."""
-    cats, inverse = np.unique(values, return_inverse=True)
-    if cats.size < 2 or (np.bincount(inverse) < min_leaf).any():
-        return None
-    counts = np.zeros((cats.size, n_classes))
-    np.add.at(counts, (inverse, labels), weights)
-    sizes = counts.sum(axis=1)
-    total = counts.sum(axis=0)
-    n = total.sum()
-    impurity = criterion.impurity(np.vstack([counts, total]))  # the node's is last
-    children = sum((sizes[c] / n) * impurity[c] for c in range(cats.size))
-    return impurity[-1] - children
+def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
+    """Gain of one child per category for each pair of node rows and column of ``xt``.
+
+    Column values are category indices 0, 1, ...; missing rows stay out.  A
+    pair has no split (gain -inf) with fewer than two categories or a
+    category with fewer than ``min_leaf`` rows.  Every sum adds its terms in
+    the order a count table of the pair alone would, so the gains do not
+    depend on the batch.
+    """
+    n_pairs = len(rows)
+    sizes = [r.size for r in rows]
+    if n_pairs > 1 and sum(sizes) > _BATCH_CELLS:  # so a batch's arrays stay near 128 KB each
+        half = n_pairs // 2
+        return np.concatenate([
+            _categorical_gains(xt, y, w, rows[:half], cols[:half], n_classes, min_leaf, criterion),
+            _categorical_gains(xt, y, w, rows[half:], cols[half:], n_classes, min_leaf, criterion),
+        ])
+    members = np.concatenate(rows)
+    values = xt[np.repeat(cols, sizes), members]
+    present = ~np.isnan(values)
+    members = members[present]
+    cats = values[present].astype(np.intp)
+    n_cats = int(cats.max(initial=0)) + 1
+    cell = np.repeat(np.arange(n_pairs) * n_cats, sizes)[present] + cats
+    in_cell = np.bincount(cell, minlength=n_pairs * n_cats).reshape(n_pairs, n_cats)
+    seen = in_cell > 0
+    ok = (seen.sum(axis=1) >= 2) & ~(seen & (in_cell < min_leaf)).any(axis=1)
+    gains = np.full(n_pairs, -np.inf)
+    if not ok.any():
+        return gains
+    counts = np.bincount(
+        cell * n_classes + y[members], weights=w[members], minlength=in_cell.size * n_classes
+    ).reshape(n_pairs, n_cats, n_classes)[ok]
+    seen = seen[ok]
+    total = _sum_left_to_right(np.moveaxis(counts, 1, -1))  # category after category
+    share = _class_sums(counts) / _class_sums(total)[:, None]
+    children = np.zeros(seen.shape)
+    children[seen] = share[seen] * criterion.impurity(counts[seen])
+    gains[ok] = criterion.impurity(total) - _sum_left_to_right(children)
+    return gains
+
+
+def _split_gains(xt, y, w, onehot, nodes, is_categorical, min_leaf, criterion):
+    """Gain of every candidate column of every node, and the values around numeric cuts.
+
+    ``nodes`` holds each node as (rows, candidate columns).  Returns three
+    (nodes x most candidates) matrices: the gains, -inf where a column has
+    no split or a node has fewer candidates, and for a numeric column the
+    two adjacent sorted values its cut lies between.
+    """
+    widths = [feats.size for _, feats in nodes]
+    node = np.repeat(np.arange(len(nodes)), widths)
+    position = np.arange(node.size) - np.repeat(np.cumsum(widths) - widths, widths)
+    feats = np.concatenate([feats for _, feats in nodes])
+    cat = is_categorical[feats]
+    found = np.full((3, len(nodes), max(widths)), -np.inf)
+    if not cat.all():
+        numeric = [(rows, f[~is_categorical[f]]) for rows, f in nodes]
+        found[:, node[~cat], position[~cat]] = _search(
+            xt, onehot, [(rows, f) for rows, f in numeric if f.size], min_leaf, criterion
+        )
+    if cat.any():
+        found[0, node[cat], position[cat]] = _categorical_gains(
+            xt, y, w, [nodes[i][0] for i in node[cat]], feats[cat], onehot.shape[1], min_leaf,
+            criterion,
+        )
+    return found
 
 
 def grow(
-    x, y, w, n_classes, features, *, criterion, categorical=(), min_leaf=1, min_node=1
-) -> dict:
-    """One tree over the rows of ``x`` with labels ``y`` and positive weights ``w``.
+    x, y, w, n_classes, trees, *, criterion, categorical=(), min_leaf=1, min_node=1
+) -> list[dict]:
+    """Independent trees over the rows of ``x`` with labels ``y`` and positive weights ``w``.
 
-    A node with fewer than ``min_node`` rows or a single class is a leaf.
-    Otherwise ``features()`` gives its candidate columns in scan order, and
-    each column's best split (one child per category for ``categorical``
-    columns) competes under :func:`select`.  Nodes expand depth-first, left
+    ``trees`` gives each tree as ``(rows, features)``: the indices of its
+    training rows (repeats allowed) and a callable giving a node's candidate
+    columns.  A node with fewer than ``min_node`` rows or a single class is a
+    leaf.  Otherwise ``features()`` gives its candidate columns in scan
+    order, and each column's best split (one child per category for
+    ``categorical`` columns, which hold category indices) competes under
+    :func:`select`.  Each tree expands depth-first from its own stack, left
     child first, so a ``features`` that draws at random draws in pre-order.
+
+    The trees grow in lockstep: each step takes the next node of every
+    unfinished tree and searches the candidate columns of all of them
+    together (:func:`_split_gains`).  Returns the roots in the order of
+    ``trees``.
     """
-    is_categorical = np.zeros(x.shape[1], dtype=bool)
+    n, n_features = x.shape
+    is_categorical = np.zeros(n_features, dtype=bool)
     is_categorical[list(categorical)] = True
-    onehot = np.zeros((x.shape[0], n_classes))  # each row's weight in its class's column
-    onehot[np.arange(x.shape[0]), y] = w
-    root: dict = {}
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        labels, weights = y[idx], w[idx]
-        counts = np.bincount(labels, weights=weights, minlength=n_classes)
-        dist = (counts / counts.sum()).tolist()
-        k = None
-        if idx.size >= min_node and not np.all(labels == labels[0]):
-            feats = np.asarray(features(), dtype=np.intp)
-            cat = is_categorical[feats]
-            gains = np.full(feats.size, -np.inf)
-            if not cat.all():
-                gains[~cat], lo, hi = _best_cuts(
-                    x.T[feats[~cat, None], idx], onehot[idx], min_leaf, criterion
-                )
-            for j in np.flatnonzero(cat):
-                col = x[idx, feats[j]]
-                present = ~np.isnan(col)
-                if np.count_nonzero(present) >= 2 * min_leaf:
-                    gain = _categorical_split(
-                        col[present], labels[present], weights[present], n_classes, min_leaf,
-                        criterion,
-                    )
-                    if gain is not None:
-                        gains[j] = gain
-            k = select(gains)
-        if k is None:
-            node["p"] = dist
-            continue
-        f = int(feats[k])
-        col = x[idx, f]
-        missing = np.isnan(col)
-        if cat[k]:
-            groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
-            if missing.any():
-                largest = max(groups, key=lambda c: (len(groups[c]), -c))
-                groups[largest] = np.concatenate([groups[largest], idx[missing]])
-            children = {c: {} for c in sorted(groups)}
-            node.update(f=f, c=children, p=dist)
-            stack += [(children[c], groups[c]) for c in reversed(children)]
-            continue
-        j = k - np.count_nonzero(cat[:k])  # the winner's row among the numeric columns
-        threshold = _threshold(lo[j], hi[j])
-        left = ~missing & (col < threshold)
-        right = ~missing & ~left
-        default_left = weights[left].sum() >= weights[right].sum()
-        if missing.any():
-            if default_left:
-                left |= missing
+    xt = np.full((n_features, n + 1), np.nan)  # columns as rows; row n pads short nodes
+    xt[:, :n] = x.T
+    onehot = np.zeros((n + 1, n_classes))  # each row's weight in its class's column
+    onehot[np.arange(n), y] = w
+    roots = [{} for _ in trees]
+    stacks = [[(root, np.asarray(rows, dtype=np.intp))] for root, (rows, _) in zip(roots, trees)]
+    live = list(range(len(trees)))
+    while live:
+        popped = [(t, *stacks[t].pop()) for t in live]
+        sizes = [idx.size for _, _, idx in popped]
+        members = np.concatenate([idx for _, _, idx in popped])
+        counts = np.bincount(
+            np.repeat(np.arange(len(popped)) * n_classes, sizes) + y[members],
+            weights=w[members], minlength=len(popped) * n_classes,
+        ).reshape(-1, n_classes)
+        dists = (counts / counts.sum(axis=1, keepdims=True)).tolist()
+        mixed = np.count_nonzero(counts, axis=1) > 1
+        searched = []  # (tree, node, rows, distribution, candidate columns)
+        for (t, node, idx), dist, size, split in zip(popped, dists, sizes, mixed):
+            if size >= min_node and split:
+                searched.append((t, node, idx, dist, np.asarray(trees[t][1](), dtype=np.intp)))
             else:
-                right |= missing
-        node.update(f=f, t=threshold, d=0 if default_left else 1, l={}, r={})
-        stack += [(node["r"], idx[right]), (node["l"], idx[left])]
-    return root
+                node["p"] = dist
+        if searched:
+            gains, lo, hi = _split_gains(
+                xt, y, w, onehot, [(s[2], s[4]) for s in searched], is_categorical, min_leaf,
+                criterion,
+            )
+            for i, k in enumerate(_select_rows(gains)):
+                t, node, idx, dist, feats = searched[i]
+                if k < 0:
+                    node["p"] = dist
+                    continue
+                f = int(feats[k])
+                col = xt[f, idx]
+                missing = np.isnan(col)
+                if is_categorical[f]:
+                    groups = {
+                        int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])
+                    }
+                    if missing.any():
+                        largest = max(groups, key=lambda c: (len(groups[c]), -c))
+                        groups[largest] = np.concatenate([groups[largest], idx[missing]])
+                    children = {c: {} for c in sorted(groups)}
+                    node.update(f=f, c=children, p=dist)
+                    stacks[t] += [(children[c], groups[c]) for c in reversed(children)]
+                    continue
+                threshold = _threshold(lo[i, k], hi[i, k])
+                left = ~missing & (col < threshold)
+                right = ~missing & ~left
+                weights = w[idx]
+                default_left = weights[left].sum() >= weights[right].sum()
+                if missing.any():
+                    if default_left:
+                        left |= missing
+                    else:
+                        right |= missing
+                node.update(f=f, t=threshold, d=0 if default_left else 1, l={}, r={})
+                stacks[t] += [(node["r"], idx[right]), (node["l"], idx[left])]
+        live = [t for t in live if stacks[t]]
+    return roots
 
 
 def leaf(node: dict, row) -> dict:

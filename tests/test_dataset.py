@@ -268,3 +268,28 @@ def test_dataset_rows_immutable():
     ds = random_dataset(1, n_rows=8)
     with pytest.raises(ValueError):
         ds.rows[0, 0] = 99.0
+
+
+def test_subset_equals_validated_constructor():
+    # a subset skips the per-cell checks, so it must equal what they would build
+    ds = random_dataset(3, n_rows=50, n_continuous=2, n_categorical=2, missing_rate=0.1)
+    rng = np.random.default_rng(0)
+    for trial in range(100):
+        size = int(rng.integers(1, 80))
+        idx = rng.choice(ds.n_rows, size=size, replace=size > ds.n_rows or trial % 2 == 1)
+        if trial % 3 == 0:
+            idx = idx - ds.n_rows  # negative indices count from the end
+        picked = idx.tolist() if trial % 5 == 0 else idx
+        sub = ds.subset(picked)
+        expected = Dataset(ds.name, ds.attributes, ds.class_index, ds.rows[idx])
+        assert sub == expected
+        assert sub.rows.dtype == expected.rows.dtype and sub.rows.shape == expected.rows.shape
+        assert not sub.rows.flags.writeable
+        assert not np.shares_memory(sub.rows, ds.rows)
+    assert ds.subset(range(5, 9)) == Dataset(ds.name, ds.attributes, ds.class_index, ds.rows[5:9])
+    with pytest.raises(ValueError):
+        ds.subset([])
+    with pytest.raises(ValueError):
+        ds.subset(np.array([], dtype=int))
+    with pytest.raises(ValueError):
+        ds.subset(3)  # a single index is not a table

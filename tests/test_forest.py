@@ -1,9 +1,14 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import make_rule_metadb, single_class_fold_metadb
 
 import preprank.forest as forest_mod
+from preprank import tree
 from preprank.forest import (
+    ForestModel,
     ModelError,
     load_model,
     loov_evaluate,
@@ -12,7 +17,7 @@ from preprank.forest import (
     save_model,
     train_forest,
 )
-from preprank.metadb import FEATURE_COLUMNS, MetaDatabase, instance_features
+from preprank.metadb import FEATURE_COLUMNS, MetaDatabase, feature_matrix, instance_features
 
 
 def test_training_set_accuracy_on_separable_rule():
@@ -202,3 +207,47 @@ def test_column_permutation_consistency():
         assert predict_proba(model, features) == predict_proba(
             permuted_model, features[perm]
         )
+
+
+def _array_vote_proba(model, features):
+    """``predict_proba`` as it counted votes before, with ``np.argmax`` over each leaf."""
+    row = np.asarray(features, dtype=float)
+    votes = np.zeros(len(model.class_order))
+    for root in model.trees:
+        votes[int(np.argmax(tree.leaf(root, row)["p"]))] += 1.0
+    proba = votes / len(model.trees)
+    return tuple(float(p) for p in proba)
+
+
+def test_predict_proba_matches_array_vote_count(tree_metadb):
+    model = train_forest(tree_metadb, 30, seed=3)
+    x, _, _ = feature_matrix(tree_metadb)
+    assert np.isnan(x).any()  # NOT_APPLICABLE cells take the default branches
+    for row in x:
+        assert predict_proba(model, row) == _array_vote_proba(model, row)
+    # tied leaves: the first maximum in class order wins, as np.argmax picks it
+    split = {"f": 0, "t": 0.5, "d": 1, "l": {"p": [0.2, 0.4, 0.4]}, "r": {"p": [1 / 3] * 3}}
+    tied = replace(
+        model,
+        trees=({"p": [0.5, 0.5, 0.0]}, split, {"p": [0.0, 0.5, 0.5]}, split),
+        n_trees=4,
+    )
+    for first in (0.0, 1.0, np.nan):
+        row = np.full(len(FEATURE_COLUMNS), np.nan)
+        row[0] = first
+        assert predict_proba(tied, row) == _array_vote_proba(tied, row)
+    assert predict_proba(tied, row) == (0.75, 0.25, 0.0)
+
+
+def test_forest_growth_shares_the_training_matrix(tree_metadb):
+    # the trees grow together; a copy of the training rows per tree would hold
+    # 100 copies of the matrix at once (about 24 MB here)
+    x, _, _ = feature_matrix(tree_metadb)
+    tracemalloc.start()
+    try:
+        model = train_forest(tree_metadb, 100, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(model, ForestModel) and len(model.trees) == 100
+    assert peak < 50 * x.nbytes, (peak, x.nbytes)

@@ -2,9 +2,10 @@
 
 The functions under "oracles" are the base tree (information gain, multiway
 categorical splits) and the meta-forest tree (weighted Gini) as they were
-before both moved onto ``preprank.tree``, and the one-column threshold search
-the shared grower ran before it searched all columns of a node at once, kept
-verbatim.  Scores, forests and split choices must match them bit for bit.
+before both moved onto ``preprank.tree``, the one-column threshold search
+the shared grower ran before it searched all columns of a node at once, and
+the one-tree grower from before trees grew in lockstep, kept verbatim.
+Scores, forests, trees and split choices must match them bit for bit.
 """
 
 import math
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 from conftest import make_rule_metadb
 
-from preprank import tree
+from preprank import classifiers, tree
 from preprank.classifiers import TREE, fit_predict
-from preprank.dataset import Attribute, Dataset
+from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.forest import MIN_NODE_SIZE, train_forest
 from preprank.metadb import RESPONSE_CLASSES, feature_matrix
 from preprank.synthetic import random_dataset
@@ -385,6 +386,153 @@ def _oracle_node_split(block, labels, weights, n_classes, min_leaf, criterion, s
     return None if k is None else (found[k][2], found[k][0], found[k][1])
 
 
+# --- oracles: the one-tree grower ----------------------------------------------------
+#
+# verbatim as ``tree.grow`` and its node search were before trees grew in lockstep,
+# with the names of the unchanged helpers qualified
+
+
+def _oracle_best_cuts(values, onehot, min_leaf, criterion):
+    """Best binary cut of every column of a node, all columns at once.
+
+    ``values`` holds the node's numeric candidate columns as rows and
+    ``onehot`` each node row's weight in the column of its class.  A column's
+    cuts lie between adjacent distinct sorted present values and leave at
+    least ``min_leaf`` rows on each side, and :func:`select` picks among them
+    in sorted order.  Returns per column the gain of its cut (-inf when it
+    has none) and the two adjacent sorted values the cut lies between.
+    """
+    n_cols, n = values.shape
+    step = max(1, tree._BATCH_CELLS // onehot.size)
+    if n_cols > step:  # so a batch's arrays stay near 128 KB each
+        batches = [
+            _oracle_best_cuts(values[i : i + step], onehot, min_leaf, criterion)
+            for i in range(0, n_cols, step)
+        ]
+        return tuple(np.concatenate(parts) for parts in zip(*batches))
+    order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last
+    rows = np.arange(n_cols)
+    v = values[rows[:, None], order]
+    sides = np.empty((2, n_cols, n, onehot.shape[1]))  # class weights left and right of each cut
+    prefix = np.take(onehot, order, axis=0, out=sides[0])
+    # a cut after sorted position i leaves i + 1 rows on the left
+    first, stop = min_leaf - 1, n - min_leaf
+    if np.isnan(v[:, -1]).any():
+        missing = np.isnan(v)
+        present = n - missing.sum(axis=1)
+        stop = (present - min_leaf)[:, None]
+        # a column too sparse to cut keeps its missing rows, so its totals are not all 0
+        missing[present < 2 * min_leaf] = False
+        prefix[missing] = 0.0  # a missing row moves no prefix
+    np.cumsum(prefix, axis=1, out=prefix)
+    total = prefix[:, -1]
+    np.subtract(total[:, None], prefix, out=sides[1])
+    h_all = criterion.impurity(total)
+    split_gains = h_all[:, None] - criterion.children(
+        sides[:, :, :-1], total.sum(axis=1)[:, None]
+    )
+    valid = v[:, 1:] != v[:, :-1]
+    valid[:, :first] = False
+    valid &= np.arange(n - 1) < stop
+    valid[h_all == 0.0] = False
+    split_gains = np.where(valid, split_gains, -np.inf)
+    top = split_gains.argmax(axis=1)
+    best = split_gains.max(axis=1)
+    near = (split_gains + tree._MARGIN >= best[:, None]).sum(axis=1) > 1
+    for j in np.flatnonzero(near & (best > tree._MARGIN)):  # replay the scan on near-ties
+        cuts = np.flatnonzero(valid[j])
+        top[j] = cuts[tree.select(split_gains[j, cuts])]
+        best[j] = split_gains[j, top[j]]
+    return np.where(best > tree._MARGIN, best, -np.inf), v[rows, top], v[rows, top + 1]
+
+
+def _oracle_categorical_split(values, labels, weights, n_classes, min_leaf, criterion):
+    """Gain of one child per category, or None if a child is too small."""
+    cats, inverse = np.unique(values, return_inverse=True)
+    if cats.size < 2 or (np.bincount(inverse) < min_leaf).any():
+        return None
+    counts = np.zeros((cats.size, n_classes))
+    np.add.at(counts, (inverse, labels), weights)
+    sizes = counts.sum(axis=1)
+    total = counts.sum(axis=0)
+    n = total.sum()
+    impurity = criterion.impurity(np.vstack([counts, total]))  # the node's is last
+    children = sum((sizes[c] / n) * impurity[c] for c in range(cats.size))
+    return impurity[-1] - children
+
+
+def _oracle_grow(
+    x, y, w, n_classes, features, *, criterion, categorical=(), min_leaf=1, min_node=1
+) -> dict:
+    """One tree over the rows of ``x`` with labels ``y`` and positive weights ``w``.
+
+    A node with fewer than ``min_node`` rows or a single class is a leaf.
+    Otherwise ``features()`` gives its candidate columns in scan order, and
+    each column's best split (one child per category for ``categorical``
+    columns) competes under :func:`select`.  Nodes expand depth-first, left
+    child first, so a ``features`` that draws at random draws in pre-order.
+    """
+    is_categorical = np.zeros(x.shape[1], dtype=bool)
+    is_categorical[list(categorical)] = True
+    onehot = np.zeros((x.shape[0], n_classes))  # each row's weight in its class's column
+    onehot[np.arange(x.shape[0]), y] = w
+    root: dict = {}
+    stack = [(root, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        labels, weights = y[idx], w[idx]
+        counts = np.bincount(labels, weights=weights, minlength=n_classes)
+        dist = (counts / counts.sum()).tolist()
+        k = None
+        if idx.size >= min_node and not np.all(labels == labels[0]):
+            feats = np.asarray(features(), dtype=np.intp)
+            cat = is_categorical[feats]
+            gains = np.full(feats.size, -np.inf)
+            if not cat.all():
+                gains[~cat], lo, hi = _oracle_best_cuts(
+                    x.T[feats[~cat, None], idx], onehot[idx], min_leaf, criterion
+                )
+            for j in np.flatnonzero(cat):
+                col = x[idx, feats[j]]
+                present = ~np.isnan(col)
+                if np.count_nonzero(present) >= 2 * min_leaf:
+                    gain = _oracle_categorical_split(
+                        col[present], labels[present], weights[present], n_classes, min_leaf,
+                        criterion,
+                    )
+                    if gain is not None:
+                        gains[j] = gain
+            k = tree.select(gains)
+        if k is None:
+            node["p"] = dist
+            continue
+        f = int(feats[k])
+        col = x[idx, f]
+        missing = np.isnan(col)
+        if cat[k]:
+            groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
+            if missing.any():
+                largest = max(groups, key=lambda c: (len(groups[c]), -c))
+                groups[largest] = np.concatenate([groups[largest], idx[missing]])
+            children = {c: {} for c in sorted(groups)}
+            node.update(f=f, c=children, p=dist)
+            stack += [(children[c], groups[c]) for c in reversed(children)]
+            continue
+        j = k - np.count_nonzero(cat[:k])  # the winner's row among the numeric columns
+        threshold = tree._threshold(lo[j], hi[j])
+        left = ~missing & (col < threshold)
+        right = ~missing & ~left
+        default_left = weights[left].sum() >= weights[right].sum()
+        if missing.any():
+            if default_left:
+                left |= missing
+            else:
+                right |= missing
+        node.update(f=f, t=threshold, d=0 if default_left else 1, l={}, r={})
+        stack += [(node["r"], idx[right]), (node["l"], idx[left])]
+    return root
+
+
 # --- the base tree ------------------------------------------------------------------
 
 
@@ -467,8 +615,12 @@ def test_base_tree_matches_oracle_on_mini_corpus(mini_datasets):
 # --- the meta-forest tree ----------------------------------------------------------------
 
 
-def _oracle_forest_trees(db, n_trees, seed):
-    """The per-tree loop of ``train_forest`` around the recursive oracle grower."""
+def _oracle_forest_trees(db, n_trees, seed, grow_one=None):
+    """The per-tree loop of ``train_forest`` around a one-tree oracle grower.
+
+    ``grow_one(x, y, w, rng, n_candidates, n_classes)`` defaults to the recursive grower.
+    """
+    grow_one = grow_one or _grow_tree
     x, y, w = feature_matrix(db)
     n_rows, n_features = x.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -478,7 +630,7 @@ def _oracle_forest_trees(db, n_trees, seed):
         rng = np.random.default_rng(tree_seed)
         sample = rng.choice(n_rows, size=n_rows, replace=True, p=prob)
         trees.append(
-            _grow_tree(x[sample], y[sample], w[sample], rng, n_candidates, len(RESPONSE_CLASSES))
+            grow_one(x[sample], y[sample], w[sample], rng, n_candidates, len(RESPONSE_CLASSES))
         )
     return tuple(trees)
 
@@ -514,7 +666,9 @@ def test_gini_grower_matches_oracle_on_ties_and_missing_values(seed):
     def draw():
         return np.sort(ours_rng.choice(d, size=3, replace=False))
 
-    ours = tree.grow(x, y, w, 3, draw, min_node=MIN_NODE_SIZE, criterion=tree.GINI)
+    [ours] = tree.grow(
+        x, y, w, 3, [(np.arange(n), draw)], min_node=MIN_NODE_SIZE, criterion=tree.GINI
+    )
     assert ours == _grow_tree(x, y, w, oracle_rng, 3, 3)
 
 
@@ -526,8 +680,8 @@ def test_deep_gini_tree_grows_without_recursion_limit(labels):
     n = labels.size
     x = np.arange(n, dtype=float)[:, None]
     rng = np.random.default_rng(0)
-    root = tree.grow(
-        x, labels, np.ones(n), 3, lambda: rng.choice(1, size=1, replace=False),
+    [root] = tree.grow(
+        x, labels, np.ones(n), 3, [(np.arange(n), lambda: rng.choice(1, size=1, replace=False))],
         min_node=MIN_NODE_SIZE, criterion=tree.GINI,
     )
     depth, stack = 0, [(root, 0)]
@@ -571,7 +725,8 @@ def _node_split(block, labels, weights, n_classes, min_leaf, criterion):
     """(column, gain, threshold) of the batched search, as ``grow`` takes it."""
     onehot = np.zeros((labels.size, n_classes))
     onehot[np.arange(labels.size), labels] = weights
-    gains, lo, hi = tree._best_cuts(block, onehot, min_leaf, criterion)
+    rows = np.broadcast_to(np.arange(labels.size), block.shape)
+    gains, lo, hi = tree._best_cuts(block, rows, onehot, min_leaf, criterion)
     k = tree.select(gains)
     if k is None:
         return None
@@ -686,7 +841,151 @@ def test_growth_raises_no_floating_point_warning_on_sparse_columns(name):
     w = 1.0 / rng.integers(1, 5, size=n)
     criterion = getattr(tree, name.upper())
     with np.errstate(all="raise"):
-        root = tree.grow(
-            x, y, w, 3, lambda: range(4), criterion=criterion, categorical={3}, min_leaf=2
+        [root] = tree.grow(
+            x, y, w, 3, [(np.arange(n), lambda: range(4))], criterion=criterion,
+            categorical={3}, min_leaf=2,
         )
     assert "f" in root and root["f"] in (2, 3)
+
+
+# --- lockstep growth ---------------------------------------------------------------------
+
+
+def _shared_rows(rng, n_rows, n_classes):
+    """Rows with NaN cells, categorical columns 0 and 1, and tie-heavy numeric columns."""
+    x = np.round(rng.normal(size=(n_rows, 7)), 1)
+    x[:, 0] = rng.integers(0, 4, size=n_rows)
+    x[:, 1] = rng.integers(0, 2, size=n_rows)
+    x[:, 3] = x[:, 2]  # an exact copy ties every gain of column 2
+    x[:, 4] = np.arange(n_rows) // 3
+    x[rng.random(x.shape) < 0.1] = np.nan
+    signal = (np.nan_to_num(x[:, 2]) > 0).astype(int) + (x[:, 0] == 1)
+    y = np.where(rng.random(n_rows) < 0.6, signal, rng.integers(0, n_classes, size=n_rows))
+    w = np.ones(n_rows) if rng.random() < 0.5 else 1.0 / rng.integers(1, 12, size=n_rows)
+    return x, y, w
+
+
+def _tree_rows(rng, n_rows, n_trees, low, high):
+    """Bootstrap samples (repeats, any order) and sorted subsets, as forests and folds use."""
+    rows = []
+    for t in range(n_trees):
+        size = int(rng.integers(low, high))
+        if t % 2:
+            rows.append(rng.choice(n_rows, size=size, replace=True))
+        else:
+            rows.append(np.sort(rng.choice(n_rows, size=min(size, n_rows), replace=False)))
+    return rows
+
+
+def _lockstep_and_oracle(x, y, w, n_classes, tree_rows, seed, **kwargs):
+    """Lockstep trees and one-tree oracle trees, each tree drawing from its own generator."""
+
+    def drawer(t):
+        rng = np.random.default_rng([seed, t])
+        return lambda: np.sort(rng.choice(x.shape[1], size=4, replace=False))
+
+    ours = tree.grow(
+        x, y, w, n_classes, [(rows, drawer(t)) for t, rows in enumerate(tree_rows)], **kwargs
+    )
+    oracle = [
+        _oracle_grow(x[rows], y[rows], w[rows], n_classes, drawer(t), **kwargs)
+        for t, rows in enumerate(tree_rows)
+    ]
+    return ours, oracle
+
+
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+@pytest.mark.parametrize("min_leaf", [1, 2])
+@pytest.mark.parametrize("min_node", [1, 5])
+def test_lockstep_trees_match_one_tree_oracle(name, min_leaf, min_node):
+    rng = np.random.default_rng([min_leaf, min_node, len(name)])
+    x, y, w = _shared_rows(rng, 300, 3)
+    ours, oracle = _lockstep_and_oracle(
+        x, y, w, 3, _tree_rows(rng, 300, 12, 5, 400), min_leaf + 10 * min_node,
+        criterion=getattr(tree, name.upper()), categorical=(0, 1), min_leaf=min_leaf,
+        min_node=min_node,
+    )
+    assert ours == oracle
+    assert any(map(_has_categorical_split, ours))
+
+
+def _has_categorical_split(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if "c" in node:
+            return True
+        stack += [node[side] for side in ("l", "r") if side in node]
+    return False
+
+
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
+    # 9 classes and 20-3000 rows per tree: one step's nodes differ by more than
+    # twice in rows and hold more cells than one batch, so they go in several
+    # chunks, and their categorical columns hold more rows than one batch
+    rng = np.random.default_rng(len(name))
+    x, y, w = _shared_rows(rng, 3000, 9)
+    searched, padded, categorical = [], [], []
+    search, best_cuts, categorical_gains = tree._search, tree._best_cuts, tree._categorical_gains
+
+    def recording_search(xt, onehot, nodes, min_leaf, criterion):
+        sizes = sorted(rows.size for rows, _ in nodes)
+        cells = sum(feats.size * rows.size for rows, feats in nodes) * onehot.shape[1]
+        searched.append((sizes, cells))
+        return search(xt, onehot, nodes, min_leaf, criterion)
+
+    def recording_best_cuts(values, rows, onehot, min_leaf, criterion):
+        lengths = (rows != x.shape[0]).sum(axis=1)  # each column's rows without padding
+        if lengths.min() < values.shape[1]:
+            padded.append((lengths.min(), lengths.max(), values.size * onehot.shape[1]))
+        return best_cuts(values, rows, onehot, min_leaf, criterion)
+
+    def recording_categorical_gains(xt, y, w, rows, *args):
+        categorical.append(sum(r.size for r in rows))
+        return categorical_gains(xt, y, w, rows, *args)
+
+    monkeypatch.setattr(tree, "_search", recording_search)
+    monkeypatch.setattr(tree, "_best_cuts", recording_best_cuts)
+    monkeypatch.setattr(tree, "_categorical_gains", recording_categorical_gains)
+    ours, oracle = _lockstep_and_oracle(
+        x, y, w, 9, _tree_rows(rng, 3000, 12, 20, 3000), 5,
+        criterion=getattr(tree, name.upper()), categorical=(0, 1), min_leaf=2, min_node=5,
+    )
+    assert ours == oracle
+    assert any(len(sizes) > 1 and sizes[-1] > 2 * sizes[0] for sizes, _ in searched)
+    assert any(len(sizes) > 1 and cells > tree._BATCH_CELLS for sizes, cells in searched)
+    assert padded
+    for shortest, longest, cells in padded:  # a chunk pads at most twice and fits one batch
+        assert longest <= 2 * shortest and cells <= tree._BATCH_CELLS
+    assert max(categorical) > tree._BATCH_CELLS
+
+
+def test_lockstep_tree_cross_validation_matches_base_tree_oracle(mini_datasets):
+    # the ten fold trees of a CV grow together over the dataset's rows
+    extra = [
+        random_dataset(seed, n_rows=150, n_continuous=3, n_categorical=2, missing_rate=0.1)
+        for seed in range(3)
+    ]
+    for ds in [*mini_datasets, *extra]:
+        fold_of_row = np.asarray(stratified_folds(ds, 10, 7).fold_of_row)
+        train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
+        tests = [ds.subset(np.flatnonzero(fold_of_row == f)) for f in range(10)]
+        scores = list(classifiers._fold_scores(TREE, ds, train_rows, tests, 7))
+        assert len(scores) == 10
+        for rows, test, ours in zip(train_rows, tests, scores):
+            assert np.array_equal(ours, _oracle_scores(ds.subset(rows), test))
+
+
+def _one_tree_forest_oracle(x, y, w, rng, n_candidates, n_classes):
+    def draw():
+        return np.sort(rng.choice(x.shape[1], size=n_candidates, replace=False))
+
+    return _oracle_grow(x, y, w, n_classes, draw, criterion=tree.GINI, min_node=MIN_NODE_SIZE)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_lockstep_forest_matches_one_tree_oracle(tree_metadb, seed):
+    # the forest passes its bootstrap rows of one shared matrix, not a copy per tree
+    expected = _oracle_forest_trees(tree_metadb, 10, seed, _one_tree_forest_oracle)
+    assert train_forest(tree_metadb, 10, seed=seed).trees == expected
