@@ -8,22 +8,16 @@ the majority direction.  The tree algorithm itself lives in :mod:`.tree`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tree
-from .metadb import (
-    FEATURE_COLUMNS,
-    MetaDatabase,
-    RESPONSE_CLASSES,
-    exclude_dataset,
-    feature_matrix,
-    instance_features,
-)
+from .metadb import FEATURE_COLUMNS, RESPONSE_CLASSES, MetaDatabase, feature_matrix
 
 MODEL_SCHEMA_VERSION = 1
 DEFAULT_TREES = 100
@@ -58,32 +52,50 @@ def train_forest(
     if not db.rows:
         raise ValueError("empty meta-database")
     x, y, w = feature_matrix(db)
-    if np.unique(y).size < 2:
+    [model] = _train_forests(db, (x, y, w), [np.arange(len(y))], n_trees, seed=seed)
+    if model is None:
         raise ValueError("meta-database holds a single response class")
-    n_rows, n_features = x.shape
+    return model
+
+
+def _train_forests(db, matrix, row_sets, n_trees, *, seed):
+    """Per row set of ``matrix = feature_matrix(db)``, its forest or None for one class.
+
+    Each forest is the one :func:`train_forest` grows on those rows alone:
+    leaving out whole source datasets keeps the other rows' weights 1/|T_d|
+    and their order.  Forests grow in lockstep, one :func:`tree.grow` call
+    per group of at most ``max(n_trees, DEFAULT_TREES)`` trees; to cap
+    memory, a group's forests are yielded before the next group grows.
+    """
+    if n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got {n_trees}")
+    x, y, w = matrix
+    n_features = x.shape[1]
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
-    prob = w / w.sum()
-    bags = []  # per tree: its bootstrap rows of x and its feature draws
-    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(tree_seed)
-        sample = rng.choice(n_rows, size=n_rows, replace=True, p=prob)
-
-        def draw(rng=rng):
-            return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
-
-        bags.append((sample, draw))
-    trees = tree.grow(
-        x, y, w, len(RESPONSE_CLASSES), bags, criterion=tree.GINI, min_node=MIN_NODE_SIZE
+    per_group = max(n_trees, DEFAULT_TREES) // n_trees
+    blank = ForestModel(  # every forest's fields but its trees
+        (), n_trees, FEATURE_COLUMNS, RESPONSE_CLASSES, seed, db.algorithm.name, db.measure
     )
-    return ForestModel(
-        trees=tuple(trees),
-        n_trees=n_trees,
-        feature_ids=FEATURE_COLUMNS,
-        class_order=RESPONSE_CLASSES,
-        seed=seed,
-        algorithm=db.algorithm.name,
-        measure=db.measure,
-    )
+    for start in range(0, len(row_sets), per_group):
+        group = row_sets[start : start + per_group]
+        mixed = [np.unique(y[rows]).size > 1 for rows in group]
+        bags = []  # per tree: its bootstrap rows of x and its feature draws
+        for rows in itertools.compress(group, mixed):
+            prob = w[rows] / w[rows].sum()
+            for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+                rng = np.random.default_rng(tree_seed)
+                sample = rows[rng.choice(rows.size, size=rows.size, replace=True, p=prob)]
+
+                def draw(rng=rng):
+                    return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+
+                bags.append((sample, draw))
+        roots = tree.grow(
+            x, y, w, len(RESPONSE_CLASSES), bags, criterion=tree.GINI, min_node=MIN_NODE_SIZE
+        )
+        forests = (tuple(roots[i : i + n_trees]) for i in range(0, len(roots), n_trees))
+        for split in mixed:
+            yield replace(blank, trees=next(forests)) if split else None
 
 
 def predict_proba(model: ForestModel, features: np.ndarray):
@@ -132,39 +144,28 @@ def loov_evaluate(db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int) 
 
     For each source dataset, a forest is trained on every other dataset's
     rows and scores the held-out rows; no instance of the test dataset ever
-    reaches its own training fold.  A training fold with a single response
-    class trains no forest: its held-out rows get that class with
-    probability 1, and the fold is marked ``single_class``.
+    reaches its own training fold.  All folds' forests grow together from
+    one feature matrix (:func:`_train_forests`).  A training fold with a
+    single response class trains no forest: its held-out rows get that
+    class with probability 1, and the fold is marked ``single_class``.
     """
     names = db.dataset_names()
     if len(names) < 2:
         raise ValueError("leave-one-dataset-out needs at least two source datasets")
+    x, y, w = feature_matrix(db)
+    source = np.array([r.dataset_name for r in db.rows])
+    fold_rows = [np.flatnonzero(source != name) for name in names]
+    forests = _train_forests(db, (x, y, w), fold_rows, n_trees, seed=seed)
     folds = []
-    for name in names:
-        train_db = exclude_dataset(db, name)
-        classes = {r.meta_response_class for r in train_db.rows}
-        if len(classes) == 1:
-            [only] = classes
-            proba = tuple(float(c == only) for c in RESPONSE_CLASSES)
-            predictions = tuple(
-                LoovPrediction(row.transformation, proba, only, row.meta_response_class)
-                for row in db.rows_of(name)
-            )
-            folds.append(LoovFold(name, predictions, single_class=True))
-            continue
-        model = train_forest(train_db, n_trees, seed=seed)
+    for name, rows, model in zip(names, fold_rows, forests):
+        if model is None:  # the training fold holds a single class: predict it for sure
+            fixed = tuple(float(c == y[rows[0]]) for c in range(len(RESPONSE_CLASSES)))
         predictions = []
-        for row in db.rows_of(name):
-            proba = predict_proba(model, instance_features(row))
-            predictions.append(
-                LoovPrediction(
-                    transformation=row.transformation,
-                    probabilities=proba,
-                    predicted_class=predicted_class(model, proba),
-                    true_class=row.meta_response_class,
-                )
-            )
-        folds.append(LoovFold(name, tuple(predictions)))
+        for i in np.flatnonzero(source == name):
+            proba = fixed if model is None else predict_proba(model, x[i])
+            r, cls = db.rows[i], RESPONSE_CLASSES[int(np.argmax(proba))]  # ties in class order
+            predictions.append(LoovPrediction(r.transformation, proba, cls, r.meta_response_class))
+        folds.append(LoovFold(name, tuple(predictions), single_class=model is None))
     return LoovReport(tuple(folds))
 
 
@@ -201,6 +202,8 @@ def load_model(path) -> ForestModel:
             f"schema_version {doc.get('schema_version')} not supported "
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
+    if not doc.get("trees") or len(doc["trees"]) != doc.get("n_trees"):
+        raise ModelError("the model's trees are missing or do not number n_trees")
     return ForestModel(
         trees=tuple(doc["trees"]),
         n_trees=int(doc["n_trees"]),

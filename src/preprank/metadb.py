@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +313,3 @@ def load(path) -> MetaDatabase:
         schema_version=version,
     )
 
-
-def exclude_dataset(db: MetaDatabase, dataset_name: str) -> MetaDatabase:
-    """The database minus every row of one source dataset."""
-    return replace(db, rows=tuple(r for r in db.rows if r.dataset_name != dataset_name))

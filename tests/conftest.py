@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import preprank.forest as forest_mod
 from preprank.classifiers import LOGISTIC, TREE, knn
 from preprank.metadb import MetaDatabase, MetaInstance, build_metadb
 from preprank.metafeatures import MODIFIABLE_IDS
@@ -112,3 +113,53 @@ def single_class_fold_metadb():
     first = next(i for i, r in enumerate(rows) if r.dataset_name == "ds00")
     rows[first] = replace(rows[first], meta_response_class="positive", meta_response_value=0.1)
     return MetaDatabase(db.algorithm, db.measure, tuple(rows))
+
+
+def record_forest_growth(monkeypatch):
+    """Record what every forest grown in the test is trained on.
+
+    Hooks ``forest._train_forests``, the one seam both ``train_forest`` and
+    ``loov_evaluate`` grow forests through, and ``tree.grow`` under it.
+    Returns (calls, bags), filled as forests grow: per call its row sets and
+    tree count, and per tree its bootstrap rows in growth order.
+    """
+    calls, bags = [], []
+    real_train, real_grow = forest_mod._train_forests, forest_mod.tree.grow
+
+    def recording_train(db, matrix, row_sets, n_trees, *, seed):
+        calls.append(([np.array(rows) for rows in row_sets], n_trees))
+        return real_train(db, matrix, row_sets, n_trees, seed=seed)
+
+    def recording_grow(x, y, w, n_classes, trees, **kwargs):
+        bags.extend(np.array(rows) for rows, _ in trees)
+        return real_grow(x, y, w, n_classes, trees, **kwargs)
+
+    monkeypatch.setattr(forest_mod, "_train_forests", recording_train)
+    monkeypatch.setattr(forest_mod.tree, "grow", recording_grow)
+    return calls, bags
+
+
+def loov_training_folds(db, calls, bags):
+    """Held-out dataset of every forest one ``loov_evaluate`` grew, in order.
+
+    Asserts that all folds went to one call, in dataset order, that each
+    fold's row set is exactly the rows of every other dataset, and that each
+    tree of a fold that grows a forest (one with two or more classes)
+    bootstraps as many rows as the fold holds, all from the fold.
+    """
+    source = np.array([r.dataset_name for r in db.rows])
+    y = np.array([r.meta_response_class for r in db.rows])
+    [(row_sets, n_trees)] = calls
+    assert len(row_sets) == len(db.dataset_names())
+    trained, grown = [], iter(bags)
+    for name, rows in zip(db.dataset_names(), row_sets):
+        assert rows.tolist() == np.flatnonzero(source != name).tolist()
+        if len(set(y[rows])) < 2:
+            continue
+        trained.append(name)
+        for _ in range(n_trees):
+            bag = next(grown)
+            assert bag.size == rows.size
+            assert np.isin(bag, rows).all() and name not in set(source[bag])
+    assert next(grown, None) is None
+    return trained

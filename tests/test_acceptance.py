@@ -11,7 +11,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import CORPUS_DIR, SEED, make_rule_metadb, simulate_random_pick
+from conftest import (
+    CORPUS_DIR,
+    SEED,
+    loov_training_folds,
+    make_rule_metadb,
+    record_forest_growth,
+    simulate_random_pick,
+)
 
 import preprank.forest as forest_mod
 from preprank.classifiers import CV_RUNS, TREE, parse_classifier
@@ -216,20 +223,11 @@ def test_criterion_4_no_impact_invariants(mini_datasets, tree_metadb, knn_metadb
 
 
 def test_criterion_5_loov_provenance(tree_metadb, monkeypatch):
-    trained_on = []
-    real_train = forest_mod.train_forest
-
-    def recording_train(sub_db, n_trees, *, seed):
-        trained_on.append(frozenset(r.dataset_name for r in sub_db.rows))
-        return real_train(sub_db, n_trees, seed=seed)
-
-    monkeypatch.setattr(forest_mod, "train_forest", recording_train)
+    calls, bags = record_forest_growth(monkeypatch)
     report_obj = forest_mod.loov_evaluate(tree_metadb, 5, seed=SEED)
     names = tree_metadb.dataset_names()
-    assert len(trained_on) == len(names)
-    for held_out, fold_sources in zip(names, trained_on):
-        assert held_out not in fold_sources
-        assert fold_sources == set(names) - {held_out}
+    # every fold trains on exactly the other datasets' rows, and so does every bootstrap
+    assert loov_training_folds(tree_metadb, calls, bags) == list(names)
     for fold in report_obj.per_dataset:
         assert len(fold.predictions) == len(tree_metadb.rows_of(fold.dataset_name))
     report(5, f"no held-out rows reached training across {len(names)} folds")

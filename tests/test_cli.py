@@ -267,6 +267,21 @@ def test_train_rejects_bad_metadb(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_zero_trees_exit_2_with_one_line(pipeline, tmp_path, capsys, command):
+    db_path, _ = pipeline
+    code = main([
+        command, "--metadb", str(db_path), "--trees", "0", "--seed", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: a forest needs at least one tree, got 0"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

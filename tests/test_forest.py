@@ -1,14 +1,24 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_rule_metadb, single_class_fold_metadb
+from conftest import (
+    loov_training_folds,
+    make_rule_metadb,
+    record_forest_growth,
+    single_class_fold_metadb,
+)
 
 import preprank.forest as forest_mod
 from preprank import tree
 from preprank.forest import (
+    DEFAULT_TREES,
     ForestModel,
+    LoovFold,
+    LoovPrediction,
+    LoovReport,
     ModelError,
     load_model,
     loov_evaluate,
@@ -17,7 +27,13 @@ from preprank.forest import (
     save_model,
     train_forest,
 )
-from preprank.metadb import FEATURE_COLUMNS, MetaDatabase, feature_matrix, instance_features
+from preprank.metadb import (
+    FEATURE_COLUMNS,
+    RESPONSE_CLASSES,
+    MetaDatabase,
+    feature_matrix,
+    instance_features,
+)
 
 
 def test_training_set_accuracy_on_separable_rule():
@@ -95,21 +111,11 @@ def test_out_of_sample_beats_majority():
 
 def test_loov_structure_and_provenance(monkeypatch):
     db = make_rule_metadb(n_datasets=5, seed=8)
-    seen = []
-    real_train = forest_mod.train_forest
-
-    def recording_train(sub_db, n_trees, *, seed):
-        seen.append(set(sub_db.dataset_names()))
-        return real_train(sub_db, n_trees, seed=seed)
-
-    monkeypatch.setattr(forest_mod, "train_forest", recording_train)
+    calls, bags = record_forest_growth(monkeypatch)
     report = forest_mod.loov_evaluate(db, 5, seed=0)
     names = db.dataset_names()
     assert tuple(f.dataset_name for f in report.per_dataset) == names
-    assert len(seen) == len(names)
-    for held_out, trained_on in zip(names, seen):
-        assert held_out not in trained_on
-        assert trained_on == set(names) - {held_out}
+    assert loov_training_folds(db, calls, bags) == list(names)
     for fold in report.per_dataset:
         expected = [r.transformation for r in db.rows_of(fold.dataset_name)]
         assert [p.transformation for p in fold.predictions] == expected
@@ -126,18 +132,11 @@ def test_loov_two_datasets():
 
 def test_loov_single_class_fold_predicts_that_class(monkeypatch):
     db = single_class_fold_metadb()
-    trained = []
-    real_train = forest_mod.train_forest
-
-    def recording_train(sub_db, n_trees, *, seed):
-        trained.append(sub_db.dataset_names())
-        return real_train(sub_db, n_trees, seed=seed)
-
-    monkeypatch.setattr(forest_mod, "train_forest", recording_train)
+    calls, bags = record_forest_growth(monkeypatch)
     report = forest_mod.loov_evaluate(db, 5, seed=0)
     assert [f.dataset_name for f in report.per_dataset] == list(db.dataset_names())
     assert [f.single_class for f in report.per_dataset] == [True, False, False, False]
-    assert len(trained) == 3 and all("ds00" in names for names in trained)
+    assert loov_training_folds(db, calls, bags) == ["ds01", "ds02", "ds03"]
     held_out = report.per_dataset[0]
     assert [p.transformation for p in held_out.predictions] == [
         r.transformation for r in db.rows_of("ds00")
@@ -251,3 +250,128 @@ def test_forest_growth_shares_the_training_matrix(tree_metadb):
         tracemalloc.stop()
     assert isinstance(model, ForestModel) and len(model.trees) == 100
     assert peak < 50 * x.nbytes, (peak, x.nbytes)
+
+
+# --- lockstep leave-one-dataset-out ---------------------------------------------
+
+
+def _oracle_train_forest(db, n_trees, seed):
+    """``train_forest`` as it was before all forests grew through one seam."""
+    x, y, w = feature_matrix(db)
+    n_rows, n_features = x.shape
+    n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
+    prob = w / w.sum()
+    bags = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(tree_seed)
+        sample = rng.choice(n_rows, size=n_rows, replace=True, p=prob)
+
+        def draw(rng=rng):
+            return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+
+        bags.append((sample, draw))
+    trees = tree.grow(
+        x, y, w, len(RESPONSE_CLASSES), bags, criterion=tree.GINI,
+        min_node=forest_mod.MIN_NODE_SIZE,
+    )
+    return ForestModel(
+        trees=tuple(trees),
+        n_trees=n_trees,
+        feature_ids=FEATURE_COLUMNS,
+        class_order=RESPONSE_CLASSES,
+        seed=seed,
+        algorithm=db.algorithm.name,
+        measure=db.measure,
+    )
+
+
+def _oracle_loov_evaluate(db, n_trees, seed):
+    """``loov_evaluate`` as it was: one separately trained forest per fold."""
+    folds = []
+    for name in db.dataset_names():
+        train_db = replace(db, rows=tuple(r for r in db.rows if r.dataset_name != name))
+        classes = {r.meta_response_class for r in train_db.rows}
+        if len(classes) == 1:
+            [only] = classes
+            proba = tuple(float(c == only) for c in RESPONSE_CLASSES)
+            predictions = tuple(
+                LoovPrediction(row.transformation, proba, only, row.meta_response_class)
+                for row in db.rows_of(name)
+            )
+            folds.append(LoovFold(name, predictions, single_class=True))
+            continue
+        model = _oracle_train_forest(train_db, n_trees, seed)
+        predictions = []
+        for row in db.rows_of(name):
+            proba = predict_proba(model, instance_features(row))
+            predictions.append(
+                LoovPrediction(
+                    transformation=row.transformation,
+                    probabilities=proba,
+                    predicted_class=predicted_class(model, proba),
+                    true_class=row.meta_response_class,
+                )
+            )
+        folds.append(LoovFold(name, tuple(predictions)))
+    return LoovReport(tuple(folds))
+
+
+#: (database, seed, trees per fold); 7 and 23 folds are no multiple of the 3, 20
+#: and 100 folds a growth group holds at 30, 5 and 1 trees
+_LOOV_CASES = (
+    [("rule7", seed, n) for seed in (1, 7, 42) for n in (1, 5, 30)]
+    + [("single_class", seed, n) for seed in (1, 7, 42) for n in (1, 5, 30)]
+    + [("rule23", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
+    + [("tree", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
+    + [("tree", 7, 30)]
+)
+
+
+@pytest.mark.parametrize("name, seed, n_trees", _LOOV_CASES)
+def test_lockstep_loov_matches_per_fold_forests(tree_metadb, name, seed, n_trees):
+    db = {
+        "tree": lambda: tree_metadb,
+        "rule7": lambda: make_rule_metadb(n_datasets=7, seed=seed),
+        "rule23": lambda: make_rule_metadb(n_datasets=23, seed=seed),
+        "single_class": single_class_fold_metadb,
+    }[name]()
+    assert loov_evaluate(db, n_trees, seed=seed) == _oracle_loov_evaluate(db, n_trees, seed)
+    if len({r.meta_response_class for r in db.rows}) > 1:
+        assert train_forest(db, n_trees, seed=seed) == _oracle_train_forest(db, n_trees, seed)
+
+
+@pytest.mark.parametrize("n_trees", [0, -3])
+def test_forest_needs_a_tree(n_trees):
+    db = make_rule_metadb(n_datasets=4, seed=13)
+    with pytest.raises(ValueError, match="at least one tree"):
+        train_forest(db, n_trees, seed=0)
+    with pytest.raises(ValueError, match="at least one tree"):
+        loov_evaluate(db, n_trees, seed=0)
+
+
+def test_load_model_rejects_a_tree_count_mismatch(tmp_path):
+    model = train_forest(make_rule_metadb(n_datasets=4, seed=14), 3, seed=0)
+    path = tmp_path / "model.json"
+    for hacked in (replace(model, trees=(), n_trees=0), replace(model, n_trees=4)):
+        save_model(hacked, path)
+        with pytest.raises(ModelError, match="n_trees"):
+            load_model(path)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loov_memory_stays_near_one_forest():
+    # folds grow in groups of at most DEFAULT_TREES trees, each group's forests
+    # handed back before the next grows, so at that forest size one fold's
+    # forest is held at a time instead of every fold's
+    db = make_rule_metadb(n_datasets=4, seed=15)
+    one = _traced_peak(lambda: train_forest(db, DEFAULT_TREES, seed=0))
+    loov = _traced_peak(lambda: loov_evaluate(db, DEFAULT_TREES, seed=0))
+    assert loov <= 1.5 * one, (loov, one)
