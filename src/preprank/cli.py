@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -53,9 +54,9 @@ def _alg_slug(name: str) -> str:
 
 def cmd_featurize(args) -> int:
     ds = load_dataset_file(args.dataset, class_column=args.class_column)
-    vector = compute_meta_features(ds)
-    for fid in FEATURE_IDS:
-        print(f"{fid}\t{_fmt(vector[fid])}")
+    values = compute_meta_features(ds).values.tolist()
+    for fid, value in zip(FEATURE_IDS, values):
+        print(f"{fid}\t{'NA' if math.isnan(value) else repr(value)}")
     return 0
 
 

@@ -8,6 +8,7 @@ cross-validated performance, and the labeled relative impact.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import MEASURES, ClassifierKind, cross_validate, parse_classifier
-from .metafeatures import MODIFIABLE_IDS, compute_meta_features, delta
+from .metafeatures import MODIFIABLE_IDS, MetaFeatureVector, compute_meta_features, delta
 from .transforms import apply, enumerate_applicable
 
 log = logging.getLogger("preprank.metadb")
@@ -56,16 +57,21 @@ def label_response(base: float, after: float, epsilon: float = DEFAULT_EPSILON):
 
 @dataclass(frozen=True)
 class MetaInstance:
-    """One observed (dataset, transformation) outcome."""
+    """One observed (dataset, transformation) outcome.
+
+    ``features`` is its row in FEATURE_COLUMNS order, NaN where a feature
+    is NOT_APPLICABLE.
+    """
 
     dataset_name: str
     transformation: str
-    base_features: dict[str, float | None]
-    delta_features: dict[str, float | None]
-    base_performance: float
+    features: np.ndarray
     meta_response_value: float
     meta_response_class: str
-    measure: str
+
+    @property
+    def base_performance(self) -> float:
+        return float(self.features[-1])
 
 
 @dataclass(frozen=True)
@@ -102,34 +108,18 @@ class MetaDatabase:
 
 
 def feature_vector(
-    base_features: dict[str, float | None],
-    delta_features: dict[str, float | None],
-    base_performance: float,
+    base: MetaFeatureVector, change: MetaFeatureVector, base_performance: float
 ) -> np.ndarray:
-    """Numeric row in FEATURE_COLUMNS order; NOT_APPLICABLE becomes NaN."""
-    out = np.empty(len(FEATURE_COLUMNS))
-    i = 0
-    for fid in MODIFIABLE_IDS:
-        v = base_features[fid]
-        out[i] = np.nan if v is None else v
-        i += 1
-    for fid in MODIFIABLE_IDS:
-        v = delta_features[fid]
-        out[i] = np.nan if v is None else v
-        i += 1
-    out[i] = base_performance
-    return out
-
-
-def instance_features(instance: MetaInstance) -> np.ndarray:
-    return feature_vector(
-        instance.base_features, instance.delta_features, instance.base_performance
-    )
+    """Read-only numeric row in FEATURE_COLUMNS order; NOT_APPLICABLE is NaN."""
+    n = len(MODIFIABLE_IDS)
+    row = np.concatenate([base.values[:n], change.values[:n], [base_performance]])
+    row.flags.writeable = False
+    return row
 
 
 def feature_matrix(db: MetaDatabase):
     """(X, y, w) for meta-learning: features, class index, dataset weights."""
-    x = np.vstack([instance_features(r) for r in db.rows])
+    x = np.vstack([r.features for r in db.rows])
     y = np.array([RESPONSE_CLASSES.index(r.meta_response_class) for r in db.rows])
     return x, y, db.weights()
 
@@ -140,28 +130,14 @@ def _dataset_rows(args):
     try:
         base_mf = compute_meta_features(ds)
         base_pm = cross_validate(algorithm, ds, folds, seed=seed).get(measure)
-        base_mod = base_mf.modifiable()
         rows = []
         for spec in enumerate_applicable(ds):
             transformed = apply(spec, ds)
-            trans_mf = compute_meta_features(transformed.dataset)
-            deltas = delta(base_mf, trans_mf).modifiable()
-            trans_pm = cross_validate(algorithm, transformed.dataset, folds, seed=seed).get(
-                measure
-            )
+            change = delta(base_mf, compute_meta_features(transformed))
+            trans_pm = cross_validate(algorithm, transformed, folds, seed=seed).get(measure)
             value, cls = label_response(base_pm, trans_pm, epsilon)
-            rows.append(
-                MetaInstance(
-                    dataset_name=ds.name,
-                    transformation=spec.text,
-                    base_features=base_mod,
-                    delta_features=deltas,
-                    base_performance=base_pm,
-                    meta_response_value=value,
-                    meta_response_class=cls,
-                    measure=measure,
-                )
-            )
+            features = feature_vector(base_mf, change, base_pm)
+            rows.append(MetaInstance(ds.name, spec.text, features, value, cls))
         return ds.name, rows, None
     except Exception as exc:  # noqa: BLE001 - per-dataset failures are reported, not fatal
         return ds.name, None, f"{type(exc).__name__}: {exc}"
@@ -209,20 +185,14 @@ def build_metadb(
 
 # --- persistence ----------------------------------------------------------
 
-_HEADER = (
-    ("dataset", "transformation")
-    + tuple(f"mf_{fid}" for fid in MODIFIABLE_IDS)
-    + tuple(f"dmf_{fid}" for fid in MODIFIABLE_IDS)
-    + ("base_perf", "response_value", "response_class")
-)
-
-
-def _format(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+_HEADER = ("dataset", "transformation") + FEATURE_COLUMNS + ("response_value", "response_class")
 
 
 def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
-    """Write tab-delimited text: a schema comment, a header, one line per row."""
+    """Write tab-delimited text: a schema comment, a header, one line per row.
+
+    A NOT_APPLICABLE feature is an empty cell.
+    """
     lines = [
         f"# preprank-metadb schema_version={db.schema_version} "
         f"algorithm={db.algorithm.name} measure={db.measure}",
@@ -232,25 +202,31 @@ def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
         lines.insert(1, f"# {header_comment.lstrip('# ')}")
     for row in db.rows:
         cells = [row.dataset_name, row.transformation]
-        cells += [_format(row.base_features[fid]) for fid in MODIFIABLE_IDS]
-        cells += [_format(row.delta_features[fid]) for fid in MODIFIABLE_IDS]
-        cells += [
-            repr(float(row.base_performance)),
-            repr(float(row.meta_response_value)),
-            row.meta_response_class,
-        ]
+        cells += ["" if math.isnan(v) else repr(v) for v in row.features.tolist()]
+        cells += [repr(float(row.meta_response_value)), row.meta_response_class]
         lines.append("\t".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _number(cell: str, lineno: int) -> float:
+    """A finite float cell; anything else is a MetaDbError naming the line."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise MetaDbError(f"line {lineno}: cell {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise MetaDbError(f"line {lineno}: cell {cell!r} is not finite")
+    return value
+
+
 def load(path) -> MetaDatabase:
-    """Inverse of :func:`save`; rejects unknown schema versions."""
+    """Inverse of :func:`save`; rejects unknown schema versions and bad cells."""
     text = Path(path).read_text(encoding="utf-8")
     meta: dict[str, str] = {}
     header = None
     rows: list[MetaInstance] = []
-    n_features = len(MODIFIABLE_IDS)
-    for line in text.splitlines():
+    n_blankable = 2 * len(MODIFIABLE_IDS)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -268,33 +244,16 @@ def load(path) -> MetaDatabase:
         cells = line.split("\t")
         if len(cells) != len(header):
             raise MetaDbError(f"row with {len(cells)} cells, expected {len(header)}")
-        base = {
-            fid: (float(cells[2 + i]) if cells[2 + i] != "" else None)
-            for i, fid in enumerate(MODIFIABLE_IDS)
-        }
-        deltas = {
-            fid: (
-                float(cells[2 + n_features + i])
-                if cells[2 + n_features + i] != ""
-                else None
-            )
-            for i, fid in enumerate(MODIFIABLE_IDS)
-        }
         cls = cells[-1]
         if cls not in RESPONSE_CLASSES:
             raise MetaDbError(f"unknown response class {cls!r}")
-        rows.append(
-            MetaInstance(
-                dataset_name=cells[0],
-                transformation=cells[1],
-                base_features=base,
-                delta_features=deltas,
-                base_performance=float(cells[-3]),
-                meta_response_value=float(cells[-2]),
-                meta_response_class=cls,
-                measure=meta.get("measure", ""),
-            )
-        )
+        *features, value = [
+            math.nan if i < n_blankable and cell == "" else _number(cell, lineno)
+            for i, cell in enumerate(cells[2:-1])
+        ]
+        features = np.array(features)
+        features.flags.writeable = False
+        rows.append(MetaInstance(cells[0], cells[1], features, value, cls))
     if "schema_version" not in meta or "algorithm" not in meta or "measure" not in meta:
         raise MetaDbError("missing metadata comment line")
     version = int(meta["schema_version"])

@@ -2,10 +2,11 @@
 
 The vector has 61 entries: a continuous-statistics group, a categorical
 information-theoretic group, generic size/missingness counts and a class
-group.  Group entries are NOT_APPLICABLE (``None``) when the dataset has no
-attribute of the group's type; counts and percentages are plain zeros
-instead.  All statistics are computed over predictors only, while percentage
-denominators count every attribute including the class.
+group.  It is one read-only float64 array in FEATURE_IDS order.  Group
+entries are NOT_APPLICABLE (NaN) when the dataset has no attribute of the
+group's type; counts and percentages are plain zeros instead.  All
+statistics are computed over predictors only, while percentage denominators
+count every attribute including the class.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .dataset import Dataset
 from .tree import entropy
 
-NOT_APPLICABLE = None
+NOT_APPLICABLE = math.nan
 
 _CONT_STATS = ("Means", "Std", "Kurtosis", "Skewness")
 
@@ -78,43 +79,16 @@ assert len(FEATURE_IDS) == 61
 #: features a transformation can change; the class group stays constant
 MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
 
-_CONTINUOUS_GROUP = frozenset(FEATURE_IDS[2:26])
-_CATEGORICAL_GROUP = frozenset(FEATURE_IDS[30:48])
 
 
 @dataclass(frozen=True)
 class MetaFeatureVector:
-    """All 61 characteristics of one dataset; ``None`` marks NOT_APPLICABLE."""
+    """All 61 characteristics of one dataset, or their deltas, in FEATURE_IDS order."""
 
-    values: dict[str, float | None]
+    values: np.ndarray
 
-    def __post_init__(self):
-        if tuple(self.values) != FEATURE_IDS:
-            raise ValueError("meta-feature vector must hold exactly the 61 known ids in order")
-
-    def __getitem__(self, feature_id: str) -> float | None:
-        return self.values[feature_id]
-
-    def modifiable(self) -> dict[str, float | None]:
-        """The 55 transformation-sensitive entries, in table order."""
-        return {fid: self.values[fid] for fid in MODIFIABLE_IDS}
-
-
-@dataclass(frozen=True)
-class DeltaVector:
-    """Per-feature change (after minus before); ``None`` where either side is."""
-
-    deltas: dict[str, float | None]
-
-    def __post_init__(self):
-        if tuple(self.deltas) != FEATURE_IDS:
-            raise ValueError("delta vector must hold exactly the 61 known ids in order")
-
-    def __getitem__(self, feature_id: str) -> float | None:
-        return self.deltas[feature_id]
-
-    def modifiable(self) -> dict[str, float | None]:
-        return {fid: self.deltas[fid] for fid in MODIFIABLE_IDS}
+    def __getitem__(self, feature_id: str) -> float:
+        return float(self.values[FEATURE_IDS.index(feature_id)])
 
 
 def attribute_entropy(ds: Dataset, attr: int) -> float:
@@ -155,72 +129,62 @@ def mutual_information(ds: Dataset, attr: int) -> float:
     return max(0.0, info)
 
 
-def derived_information_features(ds: Dataset):
-    """Equivalent number of attributes and noise-to-signal ratio.
-
-    Both are NOT_APPLICABLE when the mean mutual information is zero.
-    """
-    cat = ds.categorical_predictors
-    if not cat:
-        raise ValueError("dataset has no categorical predictors")
-    mean_mi = float(np.mean([mutual_information(ds, j) for j in cat]))
-    if mean_mi == 0.0:
-        return NOT_APPLICABLE, NOT_APPLICABLE
-    mean_entropy = float(np.mean([attribute_entropy(ds, j) for j in cat]))
-    class_entropy = entropy(np.bincount(ds.class_labels))
-    ena = class_entropy / mean_mi
-    nsr = (mean_entropy - mean_mi) / mean_mi
-    return ena, nsr
-
-
 def _sample_std(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(np.std(values, ddof=1))
 
 
-def _skewness(values: np.ndarray) -> float:
-    # adjusted Fisher-Pearson; 0 whenever the estimator's denominator vanishes
-    n = values.size
-    if n < 3:
-        return 0.0
-    m = values.mean()
-    m2 = float(((values - m) ** 2).mean())
-    if m2 == 0.0:
-        return 0.0
-    m3 = float(((values - m) ** 3).mean())
-    g1 = m3 / m2**1.5
-    return float(g1 * math.sqrt(n * (n - 1)) / (n - 2))
+def _shape(values: np.ndarray) -> tuple[float, float]:
+    """Excess kurtosis and adjusted Fisher-Pearson skewness.
 
-
-def _excess_kurtosis(values: np.ndarray) -> float:
+    Each is 0 whenever its estimator's denominator vanishes.
+    """
     n = values.size
     if n < 2:
-        return 0.0
-    m = values.mean()
-    m2 = float(((values - m) ** 2).mean())
+        return 0.0, 0.0
+    dev = values - values.mean()
+    m2 = float((dev**2).mean())
     if m2 == 0.0:
-        return 0.0
-    m4 = float(((values - m) ** 4).mean())
-    return float(m4 / m2**2 - 3.0)
+        return 0.0, 0.0
+    kurtosis = float((dev**4).mean()) / m2**2 - 3.0
+    if n < 3:
+        return kurtosis, 0.0
+    return kurtosis, float((dev**3).mean()) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def _present(col: np.ndarray) -> np.ndarray:
     return col[~np.isnan(col)]
 
 
-def _spread(values: list[float], prefix: str, suffix: str, out: dict) -> None:
-    arr = np.asarray(values, dtype=float)
-    out[f"Min{prefix}{suffix}"] = float(arr.min())
-    out[f"Mean{prefix}{suffix}"] = float(arr.mean())
-    out[f"Max{prefix}{suffix}"] = float(arr.max())
+def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
+    """Mean, sample std, excess kurtosis and skewness of one continuous attribute.
+
+    Raises ValueError naming the attribute when a moment leaves the float
+    range, so that NaN in the vector only ever means NOT_APPLICABLE.
+    """
+    vals = _present(ds.column(attr))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = (float(vals.mean()) if vals.size else 0.0, _sample_std(vals), *_shape(vals))
+    except (OverflowError, ZeroDivisionError):  # a power of m2 overflowed or underflowed to 0
+        stats = (math.inf,)
+    if not all(map(math.isfinite, stats)):
+        raise ValueError(
+            f"attribute {ds.attributes[attr].name!r}: its statistics leave the float range"
+        )
+    return stats
 
 
-def _quartiles(values: list[float], prefix: str, suffix: str, out: dict) -> None:
-    q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
-    out[f"Quartile1{prefix}{suffix}"] = float(q1)
-    out[f"Quartile2{prefix}{suffix}"] = float(q2)
-    out[f"Quartile3{prefix}{suffix}"] = float(q3)
+def _summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min, mean and max, and quartiles 1-3, of each row of a (stats x columns) block.
+
+    Both results are (3, stats).  The block is made C-ordered so that each
+    row's mean sums pairwise exactly as the mean of that row alone would.
+    """
+    block = np.ascontiguousarray(block)
+    spread = np.stack([block.min(axis=1), block.mean(axis=1), block.max(axis=1)])
+    return spread, np.percentile(block, [25, 50, 75], axis=1)
 
 
 def compute_meta_features(ds: Dataset) -> MetaFeatureVector:
@@ -229,84 +193,70 @@ def compute_meta_features(ds: Dataset) -> MetaFeatureVector:
     Degenerate inputs stay defined: constant or near-empty continuous
     attributes get std/skewness/kurtosis 0, an attribute with no observed
     cells contributes zeros, quartiles use linear interpolation between
-    order statistics.
+    order statistics.  Equivalent number of attributes and noise-to-signal
+    ratio are NOT_APPLICABLE when the mean mutual information is zero.
     """
     n, m = ds.rows.shape
     cont = ds.continuous_predictors
     cat = ds.categorical_predictors
-    values: dict[str, float | None] = {}
+    values = np.full(len(FEATURE_IDS), NOT_APPLICABLE)
 
-    values["NumberOfContinuousAttributes"] = float(len(cont))
-    values["PercentageOfContinuousAttributes"] = 100.0 * len(cont) / m
+    values[0:2] = len(cont), 100.0 * len(cont) / m
     if cont:
-        stats = {"Means": [], "Std": [], "Kurtosis": [], "Skewness": []}
-        for j in cont:
-            vals = _present(ds.column(j))
-            stats["Means"].append(float(vals.mean()) if vals.size else 0.0)
-            stats["Std"].append(_sample_std(vals))
-            stats["Kurtosis"].append(_excess_kurtosis(vals))
-            stats["Skewness"].append(_skewness(vals))
-        for stat in _CONT_STATS:
-            _spread(stats[stat], stat, "OfContinuousAttributes", values)
-        for stat in _CONT_STATS:
-            _quartiles(stats[stat], stat, "OfContinuousAttributes", values)
-    else:
-        for fid in FEATURE_IDS[2:26]:
-            values[fid] = NOT_APPLICABLE
-
-    binary = [j for j in cat if len(ds.attributes[j].categories) == 2]
-    values["NumberOfCategoricalAttributes"] = float(len(cat))
-    values["NumberOfBinaryAttributes"] = float(len(binary))
-    values["PercentageOfCategoricalAttributes"] = 100.0 * len(cat) / m
-    values["PercentageOfBinaryAttributes"] = 100.0 * len(binary) / m
-    if cat:
-        entropies = [attribute_entropy(ds, j) for j in cat]
-        infos = [mutual_information(ds, j) for j in cat]
-        distinct = [
-            float(np.unique(_present(ds.column(j))).size) for j in cat
-        ]
-        _spread(entropies, "", "AttributeEntropy", values)
-        _quartiles(entropies, "", "AttributeEntropy", values)
-        _spread(infos, "", "MutualInformation", values)
-        _quartiles(infos, "", "MutualInformation", values)
-        ena, nsr = derived_information_features(ds)
-        values["EquivalentNumberOfAttributes"] = ena
-        values["NoiseToSignalRatio"] = nsr
-        _spread(distinct, "", "AttributeDistinctValues", values)
-        values["StdAttributeDistinctValues"] = _sample_std(np.asarray(distinct))
-    else:
-        for fid in FEATURE_IDS[30:48]:
-            values[fid] = NOT_APPLICABLE
-
-    values["NumberOfInstances"] = float(n)
-    values["NumberOfAttributes"] = float(m)
-    values["Dimensionality"] = m / n
-    missing_mask = np.isnan(ds.rows)
-    values["NumberOfMissingValues"] = float(missing_mask.sum())
-    values["PercentageOfMissingValues"] = 100.0 * missing_mask.sum() / (n * m)
-    rows_with_missing = int(missing_mask.any(axis=1).sum())
-    values["NumberOfInstancesWithMissingValues"] = float(rows_with_missing)
-    values["PercentageOfInstancesWithMissingValues"] = 100.0 * rows_with_missing / n
+        spread, quartiles = _summary(np.array([_continuous_stats(ds, j) for j in cont]).T)
+        values[2:14] = spread.ravel()
+        values[14:26] = quartiles.T.ravel()
 
     class_counts = np.bincount(ds.class_labels)
     class_counts = class_counts[class_counts > 0]
-    values["NumberOfClasses"] = float(class_counts.size)
-    values["ClassEntropy"] = entropy(class_counts)
-    values["MinorityClassSize"] = float(class_counts.min())
-    values["MajorityClassSize"] = float(class_counts.max())
-    values["MinorityClassPercentage"] = 100.0 * class_counts.min() / n
-    values["MajorityClassPercentage"] = 100.0 * class_counts.max() / n
+    class_entropy = entropy(class_counts)
 
-    ordered = {fid: values[fid] for fid in FEATURE_IDS}
-    return MetaFeatureVector(ordered)
+    binary = sum(len(ds.attributes[j].categories) == 2 for j in cat)
+    values[26:30] = len(cat), binary, 100.0 * len(cat) / m, 100.0 * binary / m
+    if cat:
+        block = np.array(
+            [
+                [attribute_entropy(ds, j) for j in cat],
+                [mutual_information(ds, j) for j in cat],
+                [np.unique(_present(ds.column(j))).size for j in cat],
+            ],
+            dtype=float,
+        )
+        spread, quartiles = _summary(block)
+        values[30:42] = np.vstack([spread[:, :2], quartiles[:, :2]]).T.ravel()
+        mean_entropy, mean_info = spread[1, :2]
+        if mean_info != 0.0:
+            values[42] = class_entropy / mean_info  # equivalent number of attributes
+            values[43] = (mean_entropy - mean_info) / mean_info  # noise-to-signal ratio
+        values[44:47] = spread[:, 2]
+        values[47] = _sample_std(block[2])
+
+    missing = np.isnan(ds.rows)
+    n_missing = missing.sum()
+    rows_with_missing = int(missing.any(axis=1).sum())
+    values[48:55] = (
+        n,
+        m,
+        m / n,
+        n_missing,
+        100.0 * n_missing / (n * m),
+        rows_with_missing,
+        100.0 * rows_with_missing / n,
+    )
+    values[55:61] = (
+        class_counts.size,
+        class_entropy,
+        class_counts.min(),
+        class_counts.max(),
+        100.0 * class_counts.min() / n,
+        100.0 * class_counts.max() / n,
+    )
+    values.flags.writeable = False
+    return MetaFeatureVector(values)
 
 
-def delta(before: MetaFeatureVector, after: MetaFeatureVector) -> DeltaVector:
+def delta(before: MetaFeatureVector, after: MetaFeatureVector) -> MetaFeatureVector:
     """Per-feature ``after - before``; NOT_APPLICABLE wherever either side is."""
-    if tuple(before.values) != tuple(after.values):
-        raise ValueError("meta-feature vectors have different key sets")
-    out: dict[str, float | None] = {}
-    for fid in FEATURE_IDS:
-        b, a = before.values[fid], after.values[fid]
-        out[fid] = a - b if (a is not None and b is not None) else NOT_APPLICABLE
-    return DeltaVector(out)
+    change = after.values - before.values
+    change.flags.writeable = False
+    return MetaFeatureVector(change)

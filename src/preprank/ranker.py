@@ -133,14 +133,11 @@ def rank_transformations(
         )
     base_mf = compute_meta_features(ds)
     base_pm = cross_validate(algorithm, ds, folds, seed=seed).get(model.measure or "acc")
-    base_mod = base_mf.modifiable()
     candidates = prune(rules, algorithm, enumerate_applicable(ds))
     scored = []
     for spec in candidates:
-        transformed = apply(spec, ds)
-        trans_mf = compute_meta_features(transformed.dataset)
-        deltas = delta(base_mf, trans_mf).modifiable()
-        proba = predict_proba(model, feature_vector(base_mod, deltas, base_pm))
+        change = delta(base_mf, compute_meta_features(apply(spec, ds)))
+        proba = predict_proba(model, feature_vector(base_mf, change, base_pm))
         scored.append((spec, proba))
     scored.sort(key=lambda item: (-item[1][0], item[0].text))
     out = []

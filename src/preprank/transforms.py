@@ -162,15 +162,6 @@ def spec_kind(text: str) -> str:
     return text.split("(", 1)[0]
 
 
-@dataclass(frozen=True)
-class TransformedDataset:
-    """Result of applying one transformation, plus its provenance."""
-
-    dataset: Dataset
-    source_name: str
-    transformation: TransformationSpec
-
-
 def _compatible(ds: Dataset, kind: str) -> tuple[int, ...]:
     wanted = _INPUT_KIND[kind]
     if wanted == CONTINUOUS:
@@ -209,8 +200,8 @@ def enumerate_applicable(ds: Dataset) -> list[TransformationSpec]:
     return specs
 
 
-def apply(spec: TransformationSpec, ds: Dataset) -> TransformedDataset:
-    """Apply one transformation, returning a fresh dataset plus provenance."""
+def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
+    """Apply one transformation, returning a fresh dataset."""
     compatible = _compatible(ds, spec.kind)
     if spec.scope == SCOPE_LOCAL:
         if spec.attribute not in compatible:
@@ -244,7 +235,7 @@ def apply(spec: TransformationSpec, ds: Dataset) -> TransformedDataset:
         out = _principal_components(ds, targets, spec.param("var"))
     else:  # pragma: no cover - kinds above are exhaustive
         raise TransformError(f"unhandled kind {spec.kind!r}")
-    return TransformedDataset(out, ds.name, spec)
+    return out
 
 
 def _rebuild(ds: Dataset, per_attr: list[list[tuple[Attribute, np.ndarray]]]) -> Dataset:

@@ -95,12 +95,9 @@ def make_rule_metadb(n_datasets=30, seed=0, with_zero_band=True):
                 MetaInstance(
                     dataset_name=f"ds{d:02d}",
                     transformation=f"discretize_unsup(attr={i},bins=10)",
-                    base_features=base,
-                    delta_features=deltas,
-                    base_performance=base_perf,
+                    features=np.array([*base.values(), *deltas.values(), base_perf]),
                     meta_response_value=value,
                     meta_response_class=cls,
-                    measure="acc",
                 )
             )
     return MetaDatabase(TREE, "acc", tuple(rows))

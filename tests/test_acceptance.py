@@ -186,7 +186,7 @@ def test_criterion_3_reference_values():
     before = compute_meta_features(ds)
     assert before["NumberOfContinuousAttributes"] == 5.0
     transformed = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
-    after = compute_meta_features(transformed.dataset)
+    after = compute_meta_features(transformed)
     d = delta(before, after)
     assert d["NumberOfContinuousAttributes"] == -1.0
     report(3, "distribution distances 57.15 / 14.73 and the -1 delta reproduce")

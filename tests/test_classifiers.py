@@ -189,14 +189,14 @@ def test_tree_invariant_under_scaling():
     ds = random_dataset(13, n_rows=60, n_continuous=3, n_categorical=1, missing_rate=0.05)
     base = cross_validate(TREE, ds, 10, seed=5)
     for kind in ("normalize", "standardize"):
-        scaled = apply(TransformationSpec(kind, "global"), ds).dataset
+        scaled = apply(TransformationSpec(kind, "global"), ds)
         assert cross_validate(TREE, scaled, 10, seed=5) == base
 
 
 def test_knn_invariant_under_external_normalization():
     ds = random_dataset(14, n_rows=60, n_continuous=3, n_categorical=1)
     base = cross_validate(knn(1), ds, 10, seed=5)
-    scaled = apply(TransformationSpec("normalize", "global"), ds).dataset
+    scaled = apply(TransformationSpec("normalize", "global"), ds)
     assert cross_validate(knn(1), scaled, 10, seed=5) == base
 
 

@@ -515,9 +515,9 @@ def test_distribution_distance_monotone_near_uniform():
 
 
 def _db_from_classes(rows):
-    base = {fid: 0.0 for fid in MODIFIABLE_IDS}
+    features = np.append(np.zeros(2 * len(MODIFIABLE_IDS)), 0.5)
     instances = tuple(
-        MetaInstance(name, text, base, dict(base), 0.5, value, cls, "acc")
+        MetaInstance(name, text, features, value, cls)
         for name, text, cls, value in rows
     )
     return MetaDatabase(TREE, "acc", instances)

@@ -32,7 +32,6 @@ from preprank.metadb import (
     RESPONSE_CLASSES,
     MetaDatabase,
     feature_matrix,
-    instance_features,
 )
 
 
@@ -41,7 +40,7 @@ def test_training_set_accuracy_on_separable_rule():
     model = train_forest(db, 100, seed=5)
     hits = 0
     for row in db.rows:
-        proba = predict_proba(model, instance_features(row))
+        proba = predict_proba(model, row.features)
         hits += predicted_class(model, proba) == row.meta_response_class
     assert hits == len(db.rows)
 
@@ -51,10 +50,10 @@ def test_determinism_and_tree_count_effect():
     a = train_forest(db, 20, seed=9)
     b = train_forest(db, 20, seed=9)
     assert a == b
-    row = instance_features(db.rows[0])
+    row = db.rows[0].features
     assert predict_proba(a, row) == predict_proba(b, row)
     small = train_forest(db, 1, seed=9)
-    rows = [instance_features(r) for r in db.rows[:20]]
+    rows = [r.features for r in db.rows[:20]]
     assert any(predict_proba(small, r) != predict_proba(a, r) for r in rows)
 
 
@@ -62,7 +61,7 @@ def test_probabilities_sum_to_one():
     db = make_rule_metadb(n_datasets=6, seed=3)
     model = train_forest(db, 33, seed=1)
     for row in db.rows[:25]:
-        proba = predict_proba(model, instance_features(row))
+        proba = predict_proba(model, row.features)
         assert sum(proba) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0 for p in proba)
 
@@ -155,7 +154,7 @@ def test_model_round_trip(tmp_path):
     again = load_model(path)
     assert again == model
     for row in db.rows[:10]:
-        features = instance_features(row)
+        features = row.features
         assert predict_proba(again, features) == predict_proba(model, features)
 
 
@@ -202,7 +201,7 @@ def test_column_permutation_consistency():
         seed=model.seed,
     )
     for row in db.rows[:15]:
-        features = instance_features(row)
+        features = row.features
         assert predict_proba(model, features) == predict_proba(
             permuted_model, features[perm]
         )
@@ -303,7 +302,7 @@ def _oracle_loov_evaluate(db, n_trees, seed):
         model = _oracle_train_forest(train_db, n_trees, seed)
         predictions = []
         for row in db.rows_of(name):
-            proba = predict_proba(model, instance_features(row))
+            proba = predict_proba(model, row.features)
             predictions.append(
                 LoovPrediction(
                     transformation=row.transformation,

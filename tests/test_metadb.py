@@ -7,7 +7,6 @@ from preprank.metadb import (
     MetaDbError,
     build_metadb,
     feature_matrix,
-    instance_features,
     label_response,
     load,
     save,
@@ -78,7 +77,7 @@ def test_rows_match_independent_recomputation():
     for row in db.rows:
         ds = by_name[row.dataset_name]
         base = cross_validate(knn(1), ds, 10, seed=7).auc
-        transformed = apply(parse_spec_text(row.transformation), ds).dataset
+        transformed = apply(parse_spec_text(row.transformation), ds)
         after = cross_validate(knn(1), transformed, 10, seed=7).auc
         expected_value, expected_class = label_response(base, after)
         assert row.base_performance == base
@@ -114,7 +113,24 @@ def test_save_load_round_trip(tmp_path):
     db = build_metadb(toy_corpus(2), TREE, "prec", seed=11)
     path = tmp_path / "db.tsv"
     save(db, path)
-    assert load(path) == db
+    again = load(path)
+    save(again, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+    assert (again.algorithm, again.measure, again.schema_version) == (
+        db.algorithm,
+        db.measure,
+        db.schema_version,
+    )
+    labels = [
+        (r.dataset_name, r.transformation, r.meta_response_value, r.meta_response_class)
+        for r in db.rows
+    ]
+    assert [
+        (r.dataset_name, r.transformation, r.meta_response_value, r.meta_response_class)
+        for r in again.rows
+    ] == labels
+    for loaded, built in zip(feature_matrix(again), feature_matrix(db)):
+        np.testing.assert_array_equal(loaded, built)  # NaN cells compare equal
 
 
 def test_rebuild_is_byte_identical(tmp_path):
@@ -141,12 +157,27 @@ def test_file_shape_and_version_check(tmp_path):
         load(tmp_path / "junk.tsv")
 
 
+@pytest.mark.parametrize("column", ["mf_MeanStdOfContinuousAttributes", "base_perf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
+def test_load_rejects_bad_cells(tmp_path, column, cell):
+    db = build_metadb(toy_corpus(1), TREE, "acc", seed=2)
+    path = tmp_path / "db.tsv"
+    save(db, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split("\t")
+    cells[lines[1].split("\t").index(column)] = cell
+    lines[2] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MetaDbError, match=f"^line 3: cell '{cell}' is not"):
+        load(path)
+
+
 def test_feature_columns_and_nan_encoding():
     assert len(FEATURE_COLUMNS) == 2 * len(MODIFIABLE_IDS) + 1
     assert FEATURE_COLUMNS[-1] == "base_perf"
     ds = random_dataset(8, n_rows=30, n_continuous=0, n_categorical=2, name="nc")
     db = build_metadb([ds], TREE, "acc", seed=4)
-    row = instance_features(db.rows[0])
+    row = db.rows[0].features
     assert row.shape == (len(FEATURE_COLUMNS),)
     idx = FEATURE_COLUMNS.index("mf_MeanKurtosisOfContinuousAttributes")
     assert np.isnan(row[idx])

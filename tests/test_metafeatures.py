@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preprank.dataset import Attribute, Dataset
+from preprank.classifiers import TREE
+from preprank.cli import main
+from preprank.dataset import Attribute, Dataset, serialize_arff
+from preprank.metadb import build_metadb
 from preprank.metafeatures import (
     FEATURE_IDS,
     MODIFIABLE_IDS,
     attribute_entropy,
     compute_meta_features,
     delta,
-    derived_information_features,
     mutual_information,
 )
 from preprank.synthetic import random_dataset
-from preprank.transforms import TransformationSpec, apply
+from preprank.transforms import TransformationSpec, apply, enumerate_applicable
+from preprank.tree import entropy
 
 
 def cat(name, n, values):
@@ -142,10 +145,9 @@ def test_mutual_information_pairwise_deletion():
 def test_derived_information_features_guard():
     # two categories split independently of a 2x2 class grid: zero mean MI
     ds = build([cat("a", 2, [0, 0, 1, 1])], [0, 1, 0, 1])
-    assert derived_information_features(ds) == (None, None)
     mf = compute_meta_features(ds)
-    assert mf["EquivalentNumberOfAttributes"] is None
-    assert mf["NoiseToSignalRatio"] is None
+    assert math.isnan(mf["EquivalentNumberOfAttributes"])
+    assert math.isnan(mf["NoiseToSignalRatio"])
 
 
 def test_derived_information_compositional_oracle():
@@ -157,7 +159,8 @@ def test_derived_information_compositional_oracle():
     counts = np.bincount(labels)[np.bincount(labels) > 0]
     p = counts / counts.sum()
     class_entropy = -(p * np.log2(p)).sum()
-    ena, nsr = derived_information_features(ds)
+    mf = compute_meta_features(ds)
+    ena, nsr = mf["EquivalentNumberOfAttributes"], mf["NoiseToSignalRatio"]
     assert ena == pytest.approx(class_entropy / mean_mi, rel=1e-12)
     assert nsr == pytest.approx((mean_h - mean_mi) / mean_mi, rel=1e-12)
 
@@ -165,22 +168,22 @@ def test_derived_information_compositional_oracle():
 def test_not_applicable_groups():
     only_cont = random_dataset(3, n_continuous=2, n_categorical=0)
     mf = compute_meta_features(only_cont)
-    assert mf["MeanAttributeEntropy"] is None
-    assert mf["Quartile2MutualInformation"] is None
-    assert mf["StdAttributeDistinctValues"] is None
+    assert math.isnan(mf["MeanAttributeEntropy"])
+    assert math.isnan(mf["Quartile2MutualInformation"])
+    assert math.isnan(mf["StdAttributeDistinctValues"])
     assert mf["NumberOfCategoricalAttributes"] == 0.0
     assert mf["PercentageOfBinaryAttributes"] == 0.0
 
     only_cat = random_dataset(4, n_continuous=0, n_categorical=2)
     mf = compute_meta_features(only_cat)
-    assert mf["MinMeansOfContinuousAttributes"] is None
-    assert mf["Quartile3SkewnessOfContinuousAttributes"] is None
+    assert math.isnan(mf["MinMeansOfContinuousAttributes"])
+    assert math.isnan(mf["Quartile3SkewnessOfContinuousAttributes"])
     assert mf["NumberOfContinuousAttributes"] == 0.0
     # every entry outside the continuous group is numeric
     for fid in FEATURE_IDS[26:]:
         if fid in ("EquivalentNumberOfAttributes", "NoiseToSignalRatio"):
             continue
-        assert mf[fid] is not None, fid
+        assert not math.isnan(mf[fid]), fid
 
 
 def test_constant_attribute_degenerate_stats():
@@ -234,8 +237,8 @@ def assert_vectors_match(a, b):
     """Equal up to summation-order float noise; counts must match exactly."""
     for fid in FEATURE_IDS:
         va, vb = a[fid], b[fid]
-        if va is None or vb is None:
-            assert va == vb, fid
+        if math.isnan(va) or math.isnan(vb):
+            assert math.isnan(va) and math.isnan(vb), fid
         elif fid.startswith(("Number", "Percentage")):
             assert va == vb, fid
         else:
@@ -263,7 +266,7 @@ def test_delta_discretization_example():
     before = compute_meta_features(ds)
     assert before["NumberOfContinuousAttributes"] == 5.0
     out = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
-    after = compute_meta_features(out.dataset)
+    after = compute_meta_features(out)
     assert after["NumberOfContinuousAttributes"] == 4.0
     assert delta(before, after)["NumberOfContinuousAttributes"] == -1.0
 
@@ -273,8 +276,8 @@ def test_delta_identity_is_zero():
     mf = compute_meta_features(ds)
     d = delta(mf, mf)
     for fid in FEATURE_IDS:
-        if mf[fid] is None:
-            assert d[fid] is None
+        if math.isnan(mf[fid]):
+            assert math.isnan(d[fid])
         else:
             assert d[fid] == 0.0
 
@@ -283,7 +286,7 @@ def test_delta_not_applicable_propagates():
     no_cont = compute_meta_features(random_dataset(3, n_continuous=0, n_categorical=2))
     with_cont = compute_meta_features(random_dataset(3, n_continuous=2, n_categorical=2))
     d = delta(no_cont, with_cont)
-    assert d["MeanKurtosisOfContinuousAttributes"] is None
+    assert math.isnan(d["MeanKurtosisOfContinuousAttributes"])
     assert d["NumberOfContinuousAttributes"] == 2.0
 
 
@@ -301,7 +304,7 @@ def test_percentages_and_counts_in_range(seed):
     mf = compute_meta_features(ds)
     for fid in FEATURE_IDS:
         value = mf[fid]
-        if value is None:
+        if math.isnan(value):
             continue
         if "Percentage" in fid:
             assert 0.0 <= value <= 100.0, fid
@@ -309,3 +312,239 @@ def test_percentages_and_counts_in_range(seed):
             assert value >= 0 and value == int(value), fid
         if "Entropy" in fid and "Class" not in fid:
             assert value >= 0.0, fid
+
+
+# --- oracle: the dict-based meta-features as computed before the array form ------
+
+
+def _oracle_sample_std(values):
+    if values.size < 2:
+        return 0.0
+    return float(np.std(values, ddof=1))
+
+
+def _oracle_skewness(values):
+    n = values.size
+    if n < 3:
+        return 0.0
+    m = values.mean()
+    m2 = float(((values - m) ** 2).mean())
+    if m2 == 0.0:
+        return 0.0
+    m3 = float(((values - m) ** 3).mean())
+    g1 = m3 / m2**1.5
+    return float(g1 * math.sqrt(n * (n - 1)) / (n - 2))
+
+
+def _oracle_excess_kurtosis(values):
+    n = values.size
+    if n < 2:
+        return 0.0
+    m = values.mean()
+    m2 = float(((values - m) ** 2).mean())
+    if m2 == 0.0:
+        return 0.0
+    m4 = float(((values - m) ** 4).mean())
+    return float(m4 / m2**2 - 3.0)
+
+
+def _oracle_present(col):
+    return col[~np.isnan(col)]
+
+
+def _oracle_spread(values, prefix, suffix, out):
+    arr = np.asarray(values, dtype=float)
+    out[f"Min{prefix}{suffix}"] = float(arr.min())
+    out[f"Mean{prefix}{suffix}"] = float(arr.mean())
+    out[f"Max{prefix}{suffix}"] = float(arr.max())
+
+
+def _oracle_quartiles(values, prefix, suffix, out):
+    q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
+    out[f"Quartile1{prefix}{suffix}"] = float(q1)
+    out[f"Quartile2{prefix}{suffix}"] = float(q2)
+    out[f"Quartile3{prefix}{suffix}"] = float(q3)
+
+
+def _oracle_derived_information_features(ds):
+    cat = ds.categorical_predictors
+    mean_mi = float(np.mean([mutual_information(ds, j) for j in cat]))
+    if mean_mi == 0.0:
+        return None, None
+    mean_entropy = float(np.mean([attribute_entropy(ds, j) for j in cat]))
+    class_entropy = entropy(np.bincount(ds.class_labels))
+    return class_entropy / mean_mi, (mean_entropy - mean_mi) / mean_mi
+
+
+def _oracle_compute_meta_features(ds):
+    """Feature id -> value, None where NOT_APPLICABLE."""
+    n, m = ds.rows.shape
+    cont = ds.continuous_predictors
+    cat = ds.categorical_predictors
+    values = {}
+
+    values["NumberOfContinuousAttributes"] = float(len(cont))
+    values["PercentageOfContinuousAttributes"] = 100.0 * len(cont) / m
+    if cont:
+        stats = {"Means": [], "Std": [], "Kurtosis": [], "Skewness": []}
+        for j in cont:
+            vals = _oracle_present(ds.column(j))
+            stats["Means"].append(float(vals.mean()) if vals.size else 0.0)
+            stats["Std"].append(_oracle_sample_std(vals))
+            stats["Kurtosis"].append(_oracle_excess_kurtosis(vals))
+            stats["Skewness"].append(_oracle_skewness(vals))
+        for stat in stats:
+            _oracle_spread(stats[stat], stat, "OfContinuousAttributes", values)
+        for stat in stats:
+            _oracle_quartiles(stats[stat], stat, "OfContinuousAttributes", values)
+    else:
+        for fid in FEATURE_IDS[2:26]:
+            values[fid] = None
+
+    binary = [j for j in cat if len(ds.attributes[j].categories) == 2]
+    values["NumberOfCategoricalAttributes"] = float(len(cat))
+    values["NumberOfBinaryAttributes"] = float(len(binary))
+    values["PercentageOfCategoricalAttributes"] = 100.0 * len(cat) / m
+    values["PercentageOfBinaryAttributes"] = 100.0 * len(binary) / m
+    if cat:
+        entropies = [attribute_entropy(ds, j) for j in cat]
+        infos = [mutual_information(ds, j) for j in cat]
+        distinct = [float(np.unique(_oracle_present(ds.column(j))).size) for j in cat]
+        _oracle_spread(entropies, "", "AttributeEntropy", values)
+        _oracle_quartiles(entropies, "", "AttributeEntropy", values)
+        _oracle_spread(infos, "", "MutualInformation", values)
+        _oracle_quartiles(infos, "", "MutualInformation", values)
+        ena, nsr = _oracle_derived_information_features(ds)
+        values["EquivalentNumberOfAttributes"] = ena
+        values["NoiseToSignalRatio"] = nsr
+        _oracle_spread(distinct, "", "AttributeDistinctValues", values)
+        values["StdAttributeDistinctValues"] = _oracle_sample_std(np.asarray(distinct))
+    else:
+        for fid in FEATURE_IDS[30:48]:
+            values[fid] = None
+
+    values["NumberOfInstances"] = float(n)
+    values["NumberOfAttributes"] = float(m)
+    values["Dimensionality"] = m / n
+    missing_mask = np.isnan(ds.rows)
+    values["NumberOfMissingValues"] = float(missing_mask.sum())
+    values["PercentageOfMissingValues"] = 100.0 * missing_mask.sum() / (n * m)
+    rows_with_missing = int(missing_mask.any(axis=1).sum())
+    values["NumberOfInstancesWithMissingValues"] = float(rows_with_missing)
+    values["PercentageOfInstancesWithMissingValues"] = 100.0 * rows_with_missing / n
+
+    class_counts = np.bincount(ds.class_labels)
+    class_counts = class_counts[class_counts > 0]
+    values["NumberOfClasses"] = float(class_counts.size)
+    values["ClassEntropy"] = entropy(class_counts)
+    values["MinorityClassSize"] = float(class_counts.min())
+    values["MajorityClassSize"] = float(class_counts.max())
+    values["MinorityClassPercentage"] = 100.0 * class_counts.min() / n
+    values["MajorityClassPercentage"] = 100.0 * class_counts.max() / n
+    assert set(values) == set(FEATURE_IDS)
+    return {fid: values[fid] for fid in FEATURE_IDS}
+
+
+def _oracle_delta(before, after):
+    return {
+        fid: (after[fid] - before[fid] if None not in (before[fid], after[fid]) else None)
+        for fid in FEATURE_IDS
+    }
+
+
+def _as_array(values):
+    return np.array([np.nan if v is None else v for v in values.values()])
+
+
+def _checked_against_oracle(ds):
+    """The vector, equal to the dict oracle's with NaN for None; None if the oracle fails.
+
+    The oracle divides by zero when m2**2 underflows; the array form then
+    raises a ValueError that names the attribute.
+    """
+    try:
+        old = _oracle_compute_meta_features(ds)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="statistics leave the float range"):
+            compute_meta_features(ds)
+        return None
+    new = compute_meta_features(ds)
+    assert new.values.dtype == np.float64 and not new.values.flags.writeable
+    np.testing.assert_array_equal(new.values, _as_array(old))
+    return new, old
+
+
+def assert_matches_oracle(before, after):
+    """Both vectors and their delta equal the dict oracle's exactly."""
+    checked = [_checked_against_oracle(ds) for ds in (before, after)]
+    if None in checked:
+        return
+    (new_before, old_before), (new_after, old_after) = checked
+    change = delta(new_before, new_after)
+    assert not change.values.flags.writeable
+    np.testing.assert_array_equal(change.values, _as_array(_oracle_delta(old_before, old_after)))
+
+
+def test_mini_corpus_matches_dict_oracle(mini_datasets):
+    checked = 0
+    for ds in mini_datasets:
+        for spec in enumerate_applicable(ds):
+            assert_matches_oracle(ds, apply(spec, ds))
+            checked += 1
+    assert (len(mini_datasets), checked) == (24, 273)
+
+
+@st.composite
+def edge_datasets(draw):
+    """Small datasets with missing cells, constant and all-missing columns, down to one row."""
+    n = draw(st.integers(1, 12))
+    n_cont = draw(st.integers(0, 9))
+    n_cat = draw(st.integers(0 if n_cont else 1, 9))
+    attrs, cols = [], []
+    for j in range(n_cont + n_cat):
+        if j < n_cont:
+            attrs.append(Attribute(f"a{j}", "continuous"))
+            cell = st.floats(-1e6, 1e6, allow_nan=False)
+        else:
+            k = draw(st.integers(1, 4))
+            attrs.append(Attribute(f"a{j}", "categorical", tuple(f"v{i}" for i in range(k))))
+            cell = st.integers(0, k - 1).map(float)
+        shape = draw(st.sampled_from(["free", "constant", "missing"]))
+        if shape == "missing":
+            cols.append([math.nan] * n)
+        elif shape == "constant":
+            cols.append([draw(cell)] * n)
+        else:
+            cols.append(draw(st.lists(cell | st.just(math.nan), min_size=n, max_size=n)))
+    attrs.append(Attribute("class", "categorical", ("c0", "c1", "c2")))
+    cols.append(draw(st.lists(st.integers(0, 2).map(float), min_size=n, max_size=n)))
+    return Dataset("fuzz", tuple(attrs), len(attrs) - 1, np.array(cols).T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_datasets(), edge_datasets())
+def test_edge_datasets_match_dict_oracle(before, after):
+    assert_matches_oracle(before, after)
+
+
+@pytest.mark.parametrize("magnitude", [1e80, 1e200, 1e-140])
+def test_out_of_range_statistics_name_the_attribute(tmp_path, capsys, magnitude):
+    good = random_dataset(5, n_rows=30, n_continuous=1, n_categorical=0, name="good")
+    rows = good.rows.copy()
+    rows[:, 0] *= magnitude
+    huge = Dataset("huge", good.attributes, good.class_index, rows)
+    message = f"attribute {good.attributes[0].name!r}: its statistics leave the float range"
+    with pytest.raises(ValueError) as info:
+        compute_meta_features(huge)
+    assert str(info.value) == message
+
+    db = build_metadb([huge, good], TREE, "acc", seed=1)
+    assert db.dataset_names() == ("good",)
+    assert db.skipped == (("huge", f"ValueError: {message}"),)
+
+    path = tmp_path / "huge.arff"
+    path.write_text(serialize_arff(huge), encoding="utf-8")
+    assert main(["featurize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]

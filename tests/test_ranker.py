@@ -108,11 +108,9 @@ def test_rank_matches_independent_recomputation(tree_model):
     base_pm = cross_validate(TREE, ds, 10, seed=9).get("acc")
     expected = []
     for spec in prune(DEFAULT_RULES, TREE, enumerate_applicable(ds)):
-        trans = apply(spec, ds).dataset
-        deltas = delta(base_mf, compute_meta_features(trans)).modifiable()
-        proba = predict_proba(
-            tree_model, feature_vector(base_mf.modifiable(), deltas, base_pm)
-        )
+        trans = apply(spec, ds)
+        change = delta(base_mf, compute_meta_features(trans))
+        proba = predict_proba(tree_model, feature_vector(base_mf, change, base_pm))
         expected.append((spec.text, proba))
     expected.sort(key=lambda item: (-item[1][0], item[0]))
     assert [(r.spec.text, (r.p_positive, r.p_negative, r.p_zero)) for r in out] == expected

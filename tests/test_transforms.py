@@ -81,32 +81,32 @@ def test_enumeration_order_is_canonical():
 
 def test_normalize_forced_values():
     ds = one_column([2.0, 4.0, 6.0], labels=[0, 1, 0])
-    out = apply(TransformationSpec("normalize", "global"), ds).dataset
+    out = apply(TransformationSpec("normalize", "global"), ds)
     assert list(out.rows[:, 0]) == [0.0, 0.5, 1.0]
 
 
 def test_normalize_constant_maps_to_zero():
     ds = one_column([3.0, 3.0, 3.0], labels=[0, 1, 0])
-    out = apply(TransformationSpec("normalize", "global"), ds).dataset
+    out = apply(TransformationSpec("normalize", "global"), ds)
     assert list(out.rows[:, 0]) == [0.0, 0.0, 0.0]
 
 
 def test_standardize_forced_values():
     ds = one_column([2.0, 4.0, 6.0], labels=[0, 1, 0])
-    out = apply(TransformationSpec("standardize", "global"), ds).dataset
+    out = apply(TransformationSpec("standardize", "global"), ds)
     assert list(out.rows[:, 0]) == [-1.0, 0.0, 1.0]
 
 
 def test_scaling_preserves_missing():
     ds = one_column([2.0, np.nan, 6.0, 4.0], labels=[0, 1, 0, 1])
     for kind in ("normalize", "standardize"):
-        out = apply(TransformationSpec(kind, "global"), ds).dataset
+        out = apply(TransformationSpec(kind, "global"), ds)
         assert math.isnan(out.rows[1, 0])
 
 
 def test_equal_width_discretization():
     ds = one_column(np.arange(10.0))
-    out = apply(TransformationSpec("discretize_unsup", "local", 0, (("bins", 2),)), ds).dataset
+    out = apply(TransformationSpec("discretize_unsup", "local", 0, (("bins", 2),)), ds)
     assert out.attributes[0].is_categorical
     assert out.attributes[0].categories == ("bin0", "bin1")
     assert list(out.rows[:5, 0]) == [0.0] * 5
@@ -117,7 +117,7 @@ def test_supervised_discretization_perfect_threshold():
     values = [1.0, 2.0, 3.0, 4.0, 10.0, 11.0, 12.0, 13.0]
     labels = [0, 0, 0, 0, 1, 1, 1, 1]
     ds = one_column(values, labels=labels)
-    out = apply(TransformationSpec("discretize_sup", "local", 0), ds).dataset
+    out = apply(TransformationSpec("discretize_sup", "local", 0), ds)
     assert out.attributes[0].categories == ("bin0", "bin1")
     assert list(out.rows[:, 0]) == [0.0] * 4 + [1.0] * 4
     assert _mdl_cuts(np.array(values), np.array(labels)) == [7.0]
@@ -128,7 +128,7 @@ def test_supervised_discretization_no_signal_single_bin():
     values = rng.normal(size=12)
     labels = rng.integers(0, 2, size=12)
     ds = one_column(values, labels=labels)
-    out = apply(TransformationSpec("discretize_sup", "local", 0), ds).dataset
+    out = apply(TransformationSpec("discretize_sup", "local", 0), ds)
     assert out.attributes[0].is_categorical
     # few noisy points: the MDL criterion rejects every cut
     assert out.attributes[0].categories == ("bin0",)
@@ -349,14 +349,14 @@ def test_nominal_to_binary_unsupervised_shapes():
     )
     rows = np.array([[0, 0, 0], [1, 1, 1], [2, 0, 0], [np.nan, 1, 1]], dtype=float)
     ds = Dataset("t", attrs, 2, rows)
-    out = apply(TransformationSpec("nom2bin_unsup", "local", 0), ds).dataset
+    out = apply(TransformationSpec("nom2bin_unsup", "local", 0), ds)
     names = [a.name for a in out.attributes]
     assert names == ["c3=a", "c3=b", "c3=c", "c2", "class"]
     assert all(out.attributes[i].is_continuous for i in range(3))
     assert list(out.rows[0, :3]) == [1.0, 0.0, 0.0]
     assert all(math.isnan(v) for v in out.rows[3, :3])
 
-    out2 = apply(TransformationSpec("nom2bin_unsup", "local", 1), ds).dataset
+    out2 = apply(TransformationSpec("nom2bin_unsup", "local", 1), ds)
     assert [a.name for a in out2.attributes] == ["c3", "c2=v", "class"]
     assert list(out2.rows[:, 1]) == [0.0, 1.0, 0.0, 1.0]
 
@@ -371,7 +371,7 @@ def test_nominal_to_binary_supervised_cumulative():
         [[0, 1], [0, 1], [1, 0], [1, 0], [2, 0], [2, 1]], dtype=float
     )
     ds = Dataset("t", attrs, 1, rows)
-    out = apply(TransformationSpec("nom2bin_sup", "global"), ds).dataset
+    out = apply(TransformationSpec("nom2bin_sup", "global"), ds)
     assert [a.name for a in out.attributes] == ["g>b", "g>c", "class"]
     # a -> (1,1), b -> (0,0), c -> (1,0)
     assert list(out.rows[0, :2]) == [1.0, 1.0]
@@ -389,14 +389,14 @@ def test_imputations():
         [[1.0, 0, 0], [np.nan, 1, 1], [3.0, np.nan, 0], [4.0, 1, 1]], dtype=float
     )
     ds = Dataset("t", attrs, 2, rows)
-    cont = apply(TransformationSpec("impute_cont", "global"), ds).dataset
+    cont = apply(TransformationSpec("impute_cont", "global"), ds)
     assert cont.rows[1, 0] == pytest.approx((1 + 3 + 4) / 3)
-    cat = apply(TransformationSpec("impute_cat", "global"), ds).dataset
+    cat = apply(TransformationSpec("impute_cat", "global"), ds)
     assert cat.rows[2, 1] == 1.0  # mode of {a:1, b:2}
     # ties go to the lowest category index
     rows2 = np.array([[1.0, 0, 0], [1.0, 1, 1], [1.0, np.nan, 0], [1.0, np.nan, 1]])
     tie = Dataset("t", attrs, 2, rows2)
-    out = apply(TransformationSpec("impute_cat", "global"), tie).dataset
+    out = apply(TransformationSpec("impute_cat", "global"), tie)
     assert out.rows[2, 1] == 0.0
 
 
@@ -409,13 +409,13 @@ def test_pca_rank_one():
     )
     rows = np.column_stack([x, 3.0 * x + 1.0, (x % 2).astype(float)])
     ds = Dataset("t", attrs, 2, rows)
-    out = apply(TransformationSpec("pca", "global", params=(("var", 1.0),)), ds).dataset
+    out = apply(TransformationSpec("pca", "global", params=(("var", 1.0),)), ds)
     assert [a.name for a in out.attributes] == ["PC1", "class"]
 
 
 def test_pca_orthonormal_and_coverage():
     ds = random_dataset(17, n_rows=60, n_continuous=5, n_categorical=1, missing_rate=0.05)
-    out = apply(TransformationSpec("pca", "global"), ds).dataset
+    out = apply(TransformationSpec("pca", "global"), ds)
     pcs = [j for j, a in enumerate(out.attributes) if a.name.startswith("PC")]
     scores = out.rows[:, pcs]
     cov = np.cov(scores, rowvar=False, ddof=1).reshape(len(pcs), len(pcs))
@@ -457,7 +457,7 @@ def every_spec_dataset():
 def test_class_column_and_row_count_invariance():
     ds, specs = every_spec_dataset()
     for spec in specs:
-        out = apply(spec, ds).dataset
+        out = apply(spec, ds)
         assert out.n_rows == ds.n_rows, spec.text
         assert out.class_attribute == ds.class_attribute, spec.text
         assert np.array_equal(out.class_labels, ds.class_labels), spec.text
@@ -466,7 +466,7 @@ def test_class_column_and_row_count_invariance():
 def test_output_types_follow_catalog():
     ds, specs = every_spec_dataset()
     for spec in specs:
-        out = apply(spec, ds).dataset
+        out = apply(spec, ds)
         if spec.kind.startswith("discretize"):
             targets = [spec.attribute] if spec.scope == "local" else ds.continuous_predictors
             for name in (ds.attributes[j].name for j in targets):
@@ -490,8 +490,8 @@ def test_unsupervised_kinds_never_read_class():
     for spec in enumerate_applicable(ds):
         if spec.kind in ("discretize_sup", "nom2bin_sup"):
             continue
-        a = apply(spec, ds).dataset
-        b = apply(spec, flipped).dataset
+        a = apply(spec, ds)
+        b = apply(spec, flipped)
         pred_a = np.delete(a.rows, a.class_index, axis=1)
         pred_b = np.delete(b.rows, b.class_index, axis=1)
         assert np.array_equal(pred_a, pred_b, equal_nan=True), spec.text
@@ -500,12 +500,12 @@ def test_unsupervised_kinds_never_read_class():
 def test_scaling_idempotence():
     ds = random_dataset(51, n_rows=30, n_continuous=3, n_categorical=0)
     normalize = TransformationSpec("normalize", "global")
-    once = apply(normalize, ds).dataset
-    twice = apply(normalize, once).dataset
+    once = apply(normalize, ds)
+    twice = apply(normalize, once)
     assert np.array_equal(once.rows, twice.rows, equal_nan=True)
     standardize = TransformationSpec("standardize", "global")
-    s_once = apply(standardize, ds).dataset
-    s_twice = apply(standardize, s_once).dataset
+    s_once = apply(standardize, ds)
+    s_twice = apply(standardize, s_once)
     assert np.abs(s_twice.rows[:, :3] - s_once.rows[:, :3]).max() < 1e-9
 
 
