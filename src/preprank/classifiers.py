@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 from scipy.stats import rankdata
 
 from . import tree
@@ -298,39 +298,113 @@ def _logistic_apply(builders, ds: Dataset) -> np.ndarray:
     return np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
 
 
+def _logistic_objective(x: np.ndarray, y: np.ndarray, n_classes: int):
+    """``objective(params) -> (loss, gradient)`` of the ridge multinomial model.
+
+    ``params`` holds the (d, n_classes) weights row by row, then the
+    n_classes intercepts; the loss is the mean log-loss over the rows of
+    ``x`` plus ``_LOGISTIC_L2 / 2`` times the squared weights.  Every call
+    writes its gradient into the same buffer and returns that buffer.
+    """
+    n, d = x.shape
+    n_weights = d * n_classes
+    rows = np.arange(n)
+    onehot = np.zeros((n, n_classes))
+    onehot[rows, y] = 1.0
+    xt = x.T
+    proba = np.empty((n, n_classes))
+    squares = np.empty((d, n_classes))
+    gradient = np.empty(n_weights + n_classes)
+    grad_w = gradient[:n_weights].reshape(d, n_classes)
+    grad_b = gradient[n_weights:]
+
+    def objective(params):
+        w = params[:n_weights].reshape(d, n_classes)
+        np.matmul(x, w, out=proba)
+        np.add(proba, params[n_weights:], out=proba)
+        np.subtract(proba, np.maximum.reduce(proba, axis=1, keepdims=True), out=proba)
+        np.exp(proba, out=proba)
+        np.divide(proba, np.add.reduce(proba, axis=1, keepdims=True), out=proba)
+        picked = np.maximum(proba[rows, y], 1e-300)
+        loss = -(np.add.reduce(np.log(picked, out=picked)) / n)
+        np.multiply(w, w, out=squares)
+        loss += 0.5 * _LOGISTIC_L2 * float(np.add.reduce(squares, axis=None))
+        np.subtract(proba, onehot, out=proba)  # n times the loss gradient per logit
+        np.divide(proba, n, out=proba)
+        np.matmul(xt, proba, out=grad_w)
+        np.add(grad_w, _LOGISTIC_L2 * w, out=grad_w)
+        np.add.reduce(proba, axis=0, out=grad_b)
+        return loss, gradient
+
+    return objective
+
+
+# L-BFGS-B settings: those of ``scipy.optimize.minimize(method="L-BFGS-B")``
+# with options maxiter=1000, gtol=1e-6 and ftol=1e-14
+_LBFGSB_MEMORY = 10
+_LBFGSB_FACTR = 1e-14 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-6
+_LBFGSB_MAX_LINE_SEARCH = 20
+_LBFGSB_MAX_ITERATIONS = 1000
+_LBFGSB_MAX_EVALUATIONS = 15000
+# setulb's task codes
+_FG, _NEW_X, _STOP = 3, 1, 5
+
+
+def _lbfgsb(objective, n_params: int):
+    """Minimize ``objective(x) -> (f, gradient)`` from zeros by L-BFGS-B.
+
+    The unbounded L-BFGS-B of Zhu et al. (1997, Algorithm 778) through
+    SciPy's ``setulb``, in the loop of ``scipy.optimize``'s
+    ``_minimize_lbfgsb`` with the same settings and workspaces, so the
+    returned point is the one ``minimize`` returns, bit for bit.  It stops
+    on convergence or a warning, after ``_LBFGSB_MAX_ITERATIONS``
+    iterations, or at the end of the first iteration past
+    ``_LBFGSB_MAX_EVALUATIONS`` evaluations.  ``minimize`` would not count
+    an evaluation at the point evaluated last; L-BFGS-B never asks for one.
+    """
+    m, n = _LBFGSB_MEMORY, n_params
+    x = np.zeros(n)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    bound = np.zeros(n)  # unused: every bound type is 0, unbounded
+    bound_type = np.zeros(n, dtype=np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    iterations = evaluations = 0
+    while True:
+        setulb(
+            m, x, bound, bound, bound_type, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task,
+        )
+        if task[0] == _FG:
+            f, g = objective(x)
+            evaluations += 1
+        elif task[0] == _NEW_X:
+            iterations += 1
+            if iterations >= _LBFGSB_MAX_ITERATIONS:
+                task[:] = _STOP, 504  # iteration limit
+            elif evaluations > _LBFGSB_MAX_EVALUATIONS:
+                task[:] = _STOP, 502  # evaluation limit
+        else:
+            return x
+
+
 def _learner_logistic(kind, train, test, seed):
     n_classes = len(train.class_attribute.categories)
     builders = _logistic_design(train)
     x = _logistic_apply(builders, train)
-    y = train.class_labels
-    n, d = x.shape
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-
-    def objective(flat):
-        w = flat[: d * n_classes].reshape(d, n_classes)
-        b = flat[d * n_classes :]
-        logits = x @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        proba = exp / exp.sum(axis=1, keepdims=True)
-        loss = -np.mean(np.log(np.maximum(proba[np.arange(n), y], 1e-300)))
-        loss += 0.5 * _LOGISTIC_L2 * float((w * w).sum())
-        grad_logits = (proba - onehot) / n
-        grad_w = x.T @ grad_logits + _LOGISTIC_L2 * w
-        grad_b = grad_logits.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
-
-    start = np.zeros(d * n_classes + n_classes)
-    result = minimize(
-        objective,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 1000, "gtol": 1e-6, "ftol": 1e-14},
+    d = x.shape[1]
+    params = _lbfgsb(
+        _logistic_objective(x, train.class_labels, n_classes), (d + 1) * n_classes
     )
-    w = result.x[: d * n_classes].reshape(d, n_classes)
-    b = result.x[d * n_classes :]
+    w = params[: d * n_classes].reshape(d, n_classes)
+    b = params[d * n_classes :]
     xt = _logistic_apply(builders, test)
     logits = xt @ w + b
     logits -= logits.max(axis=1, keepdims=True)

@@ -154,7 +154,7 @@ def cmd_evaluate(args) -> int:
     matrix = evaluation.lk_matrix(records)
     rate = db.positive_rate()
     significance = evaluation.significance_matrix(records, rate)
-    gains = evaluation.gain_report(records, top_k=args.top or 1)
+    gains = evaluation.gain_report(records, top_k=args.top)
 
     measure_lines = [header, "dataset\tPA\tPr\tOR\tG"]
     for record in records:
@@ -333,6 +333,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if hasattr(args, "seed"):
         print(f"seed: {args.seed}", file=sys.stderr)
+    for flag in ("top", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (

@@ -55,12 +55,13 @@ def label_response(base: float, after: float, epsilon: float = DEFAULT_EPSILON):
     return value, POSITIVE if value > 0 else NEGATIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaInstance:
     """One observed (dataset, transformation) outcome.
 
     ``features`` is its row in FEATURE_COLUMNS order, NaN where a feature
-    is NOT_APPLICABLE.
+    is NOT_APPLICABLE.  Two instances are equal when every field is, NaN
+    features equal to NaN.
     """
 
     dataset_name: str
@@ -72,6 +73,19 @@ class MetaInstance:
     @property
     def base_performance(self) -> float:
         return float(self.features[-1])
+
+    def __eq__(self, other):
+        if not isinstance(other, MetaInstance):
+            return NotImplemented
+        return (
+            self.dataset_name == other.dataset_name
+            and self.transformation == other.transformation
+            and self.meta_response_value == other.meta_response_value
+            and self.meta_response_class == other.meta_response_class
+            and np.array_equal(self.features, other.features, equal_nan=True)
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)

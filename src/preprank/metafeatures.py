@@ -81,14 +81,24 @@ MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
 
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaFeatureVector:
-    """All 61 characteristics of one dataset, or their deltas, in FEATURE_IDS order."""
+    """All 61 characteristics of one dataset, or their deltas, in FEATURE_IDS order.
+
+    Two vectors are equal when their values are, NaN equal to NaN.
+    """
 
     values: np.ndarray
 
     def __getitem__(self, feature_id: str) -> float:
         return float(self.values[FEATURE_IDS.index(feature_id)])
+
+    def __eq__(self, other):
+        if not isinstance(other, MetaFeatureVector):
+            return NotImplemented
+        return np.array_equal(self.values, other.values, equal_nan=True)
+
+    __hash__ = None
 
 
 def attribute_entropy(ds: Dataset, attr: int) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import preprank.classifiers as classifiers_mod
 from preprank.classifiers import (
@@ -19,7 +20,7 @@ from preprank.classifiers import (
 )
 from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.synthetic import random_dataset
-from preprank.transforms import TransformationSpec, apply
+from preprank.transforms import TransformationSpec, apply, enumerate_applicable
 
 
 def small_dataset(rows, n_classes=2, kinds=("continuous",)):
@@ -344,3 +345,129 @@ def test_knn_block_size_does_not_change_scores(monkeypatch, k):
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
     one_block = classifiers_mod._learner_knn(knn(k), train, test, 0)
     assert np.array_equal(one_row, one_block)
+
+
+# --- the L-BFGS-B driver against scipy.optimize.minimize ------------------------
+#
+# ``classifiers._lbfgsb`` calls SciPy's private ``setulb`` directly; these tests
+# are the first to fail if a SciPy release changes it.
+
+
+def _minimize_objective(x, y, n_classes):
+    """The objective that ``_learner_logistic`` handed to ``minimize``, unchanged."""
+    n, d = x.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    def objective(flat):
+        w = flat[: d * n_classes].reshape(d, n_classes)
+        b = flat[d * n_classes :]
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        proba = exp / exp.sum(axis=1, keepdims=True)
+        loss = -np.mean(np.log(np.maximum(proba[np.arange(n), y], 1e-300)))
+        loss += 0.5 * classifiers_mod._LOGISTIC_L2 * float((w * w).sum())
+        grad_logits = (proba - onehot) / n
+        grad_w = x.T @ grad_logits + classifiers_mod._LOGISTIC_L2 * w
+        grad_b = grad_logits.sum(axis=0)
+        return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+    return objective
+
+
+def _logistic_problem(train):
+    """The design matrix, labels and class count of a logistic fit on ``train``."""
+    x = classifiers_mod._logistic_apply(classifiers_mod._logistic_design(train), train)
+    return x, train.class_labels, len(train.class_attribute.categories)
+
+
+def _assert_driver_matches_minimize(x, y, n_classes):
+    """The driver's point equals ``minimize``'s bit for bit, after as many evaluations."""
+    n_params = (x.shape[1] + 1) * n_classes
+    objective = classifiers_mod._logistic_objective(x, y, n_classes)
+    evaluations = 0
+
+    def counted(params):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(params)
+
+    found = classifiers_mod._lbfgsb(counted, n_params)
+    expected = minimize(
+        _minimize_objective(x, y, n_classes), np.zeros(n_params), jac=True,
+        method="L-BFGS-B",
+        options={
+            "maxiter": classifiers_mod._LBFGSB_MAX_ITERATIONS, "gtol": 1e-6, "ftol": 1e-14,
+        },
+    )
+    assert np.array_equal(found, expected.x)
+    assert evaluations == expected.nfev
+    return expected
+
+
+def _discretized(ds):
+    """``ds`` after its all-attributes (else its one) ``discretize_unsup``, or None."""
+    specs = [s for s in enumerate_applicable(ds) if s.kind == "discretize_unsup"]
+    return apply(specs[-1], ds) if specs else None
+
+
+def test_lbfgsb_matches_minimize_on_every_mini_corpus_fold(mini_datasets):
+    datasets = list(mini_datasets)
+    datasets += [t for t in map(_discretized, mini_datasets) if t is not None]
+    widest = 0
+    for ds in datasets:
+        fold_of_row = np.asarray(stratified_folds(ds, 10, 42).fold_of_row)
+        for fold in range(10):
+            x, y, n_classes = _logistic_problem(ds.subset(np.flatnonzero(fold_of_row != fold)))
+            widest = max(widest, (x.shape[1] + 1) * n_classes)
+            _assert_driver_matches_minimize(x, y, n_classes)
+    assert len(datasets) > len(mini_datasets)
+    assert widest == 122  # the one-hot designs of the discretized datasets
+
+
+def test_lbfgsb_matches_minimize_when_a_class_is_missing():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(30, 2))
+    labels = np.arange(30) % 2  # class c2 never occurs in training
+    train = small_dataset(np.column_stack([values, labels]), 3, ("continuous",) * 2)
+    _assert_driver_matches_minimize(*_logistic_problem(train))
+
+
+def test_lbfgsb_matches_minimize_with_constant_and_missing_columns():
+    rng = np.random.default_rng(5)
+    n = 40
+    rows = np.column_stack([
+        rng.normal(size=n),
+        np.full(n, 3.0),  # constant: a zero design column
+        np.full(n, np.nan),  # all missing: a zero design column
+        np.where(rng.random(n) < 0.3, np.nan, rng.integers(0, 2, n)),
+        rng.integers(0, 3, n),
+    ])
+    train = small_dataset(rows, 3, ("continuous", "continuous", "continuous", "categorical"))
+    x, y, n_classes = _logistic_problem(train)
+    assert not x[:, 1].any() and not x[:, 2].any()
+    _assert_driver_matches_minimize(x, y, n_classes)
+
+
+def test_lbfgsb_iteration_cap_stops_where_minimize_stops(mini_datasets, monkeypatch):
+    monkeypatch.setattr(classifiers_mod, "_LBFGSB_MAX_ITERATIONS", 3)
+    x, y, n_classes = _logistic_problem(mini_datasets[0])
+    result = _assert_driver_matches_minimize(x, y, n_classes)
+    assert result.nit == 3 and result.status == 1
+    assert "ITERATIONS REACHED LIMIT" in result.message
+
+
+def test_logistic_objective_matches_minimize_objective_bit_for_bit(mini_datasets):
+    rng = np.random.default_rng(11)
+    for ds in (mini_datasets[0], mini_datasets[5], _discretized(mini_datasets[1])):
+        x, y, n_classes = _logistic_problem(ds)
+        new = classifiers_mod._logistic_objective(x, y, n_classes)
+        old = _minimize_objective(x, y, n_classes)
+        for scale in (0.0, 1e-3, 1.0, 50.0, 1e4):  # 1e4 drives probabilities to the 1e-300 floor
+            for _ in range(5):
+                params = rng.normal(scale=scale, size=(x.shape[1] + 1) * n_classes)
+                loss, gradient = new(params)
+                expected_loss, expected_gradient = old(params.copy())
+                assert loss == expected_loss
+                assert np.array_equal(gradient, expected_gradient)

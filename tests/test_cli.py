@@ -282,6 +282,39 @@ def test_zero_trees_exit_2_with_one_line(pipeline, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("recommend", "--top", "-1"),
+        ("recommend", "--top", "0"),
+        ("evaluate", "--top", "-3"),
+        ("evaluate", "--top", "0"),
+        ("build-metadb", "--jobs", "0"),
+        ("impact-scan", "--jobs", "-2"),
+    ],
+)
+def test_counts_below_one_exit_2_with_one_line(
+    pipeline, small_manifest, tmp_path, capsys, command, flag, value
+):
+    db_path, model_path = pipeline
+    argv = {
+        "recommend": ["--dataset", str(CORPUS_DIR / "mini" / "syn06.arff"),
+                      "--algorithm", "tree", "--model", str(model_path)],
+        "evaluate": ["--metadb", str(db_path), "--trees", "3", "--out", str(tmp_path / "out")],
+        "build-metadb": ["--datasets", str(small_manifest), "--algorithm", "tree",
+                         "--out", str(tmp_path / "out")],
+        "impact-scan": ["--datasets", str(small_manifest), "--algorithm", "tree",
+                        "--out", str(tmp_path / "out")],
+    }[command]
+    code = main([command, *argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {flag} must be at least 1, got {value}"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

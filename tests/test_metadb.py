@@ -4,14 +4,16 @@ import pytest
 from preprank.classifiers import TREE, cross_validate, knn
 from preprank.metadb import (
     FEATURE_COLUMNS,
+    MetaDatabase,
     MetaDbError,
+    MetaInstance,
     build_metadb,
     feature_matrix,
     label_response,
     load,
     save,
 )
-from preprank.metafeatures import MODIFIABLE_IDS
+from preprank.metafeatures import MODIFIABLE_IDS, MetaFeatureVector
 from preprank.synthetic import random_dataset
 from preprank.transforms import apply, enumerate_applicable, parse_spec_text
 
@@ -131,6 +133,37 @@ def test_save_load_round_trip(tmp_path):
     ] == labels
     for loaded, built in zip(feature_matrix(again), feature_matrix(db)):
         np.testing.assert_array_equal(loaded, built)  # NaN cells compare equal
+
+
+def test_load_of_save_equals_the_mini_tree_metadb(tree_metadb, tmp_path):
+    path = tmp_path / "db.tsv"
+    save(tree_metadb, path)
+    again = load(path)
+    assert any(np.isnan(row.features).any() for row in again.rows)
+    assert again == tree_metadb
+    assert not again != tree_metadb
+
+
+def test_equality_is_nan_aware_and_exact():
+    features = np.array([1.0, np.nan, 0.5])
+    one_ulp_up = features.copy()
+    one_ulp_up[0] = np.nextafter(1.0, 2.0)
+    number_for_nan = np.array([1.0, 0.0, 0.5])
+
+    def instance(values):
+        return MetaInstance("d", "t", values, 0.25, "positive")
+
+    def database(values):
+        return MetaDatabase(TREE, "acc", (instance(values),))
+
+    for make in (MetaFeatureVector, instance, database):
+        assert make(features) == make(features.copy())
+        assert make(features) != make(one_ulp_up)
+        assert make(features) != make(number_for_nan)
+    assert instance(features) != MetaInstance("d", "t", features, 0.25, "zero")
+    for value in (MetaFeatureVector(features), instance(features)):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_rebuild_is_byte_identical(tmp_path):
