@@ -49,10 +49,10 @@ def knn(k: int = 1) -> ClassifierKind:
 def parse_classifier(name: str) -> ClassifierKind:
     """Parse a canonical classifier name: ``tree``, ``nb``, ``knn:k``, ``logistic``."""
     name = name.strip()
-    if name.startswith("knn"):
-        _, _, rest = name.partition(":")
-        return ClassifierKind("knn", int(rest) if rest else 1)
-    if name not in _LEARNERS:
+    family, colon, k = name.partition(":")
+    if family == "knn" and (not colon or k.isdecimal()):
+        return ClassifierKind("knn", int(k) if colon else 1)
+    if colon or name not in _LEARNERS:
         raise ValueError(f"unknown classifier {name!r}")
     return ClassifierKind(name)
 

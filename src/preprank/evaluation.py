@@ -221,14 +221,6 @@ class LKCell:
 class LKMatrix:
     cells: dict[tuple[int, int], LKCell]
     weighted_average: dict[int, float]
-    k_max: int
-
-
-def _position_outcomes(record: DatasetEvalRecord):
-    ordering = evaluation_ordering(record)
-    pred_pos = [e.predicted_class == POSITIVE for e in ordering]
-    real_pos = [e.real_class == POSITIVE for e in ordering]
-    return pred_pos, real_pos
 
 
 def _cell_successes(pred_pos, real_pos, l_total: int, k: int) -> tuple[int, int]:
@@ -246,7 +238,18 @@ def _cell_successes(pred_pos, real_pos, l_total: int, k: int) -> tuple[int, int]
     return hits, k - l_total
 
 
-def lk_matrix(records, k_max: int | None = None) -> LKMatrix:
+def _record_cells(records):
+    """(record, L, K, successes, trials) of every dataset at every depth K <= T."""
+    for record in records:
+        ordering = evaluation_ordering(record)
+        pred_pos = [e.predicted_class == POSITIVE for e in ordering]
+        real_pos = [e.real_class == POSITIVE for e in ordering]
+        l_total = record.real_positives
+        for k in range(1, record.total + 1):
+            yield (record, l_total, k, *_cell_successes(pred_pos, real_pos, l_total, k))
+
+
+def lk_matrix(records) -> LKMatrix:
     """Aggregate position accuracies into the L-by-K matrix.
 
     At or below the diagonal (K <= L) cells pool true positives over the top
@@ -254,20 +257,13 @@ def lk_matrix(records, k_max: int | None = None) -> LKMatrix:
     Counts are pooled across datasets; the per-dataset mean ratio is kept
     alongside.  The weighted-average row weights cells by dataset count.
     """
-    records = list(records)
-    if k_max is None:
-        k_max = max((r.total for r in records), default=0)
     acc: dict[tuple[int, int], list] = {}
-    for record in records:
-        pred_pos, real_pos = _position_outcomes(record)
-        l_total = record.real_positives
-        for k in range(1, min(record.total, k_max) + 1):
-            hits, trials = _cell_successes(pred_pos, real_pos, l_total, k)
-            bucket = acc.setdefault((l_total, k), [0, 0, [], 0])
-            bucket[0] += hits
-            bucket[1] += trials
-            bucket[2].append(hits / trials if trials else 0.0)
-            bucket[3] += 1
+    for _, l_total, k, hits, trials in _record_cells(records):
+        bucket = acc.setdefault((l_total, k), [0, 0, [], 0])
+        bucket[0] += hits
+        bucket[1] += trials
+        bucket[2].append(hits / trials if trials else 0.0)
+        bucket[3] += 1
     cells = {
         key: LKCell(
             accuracy=hits / trials if trials else 0.0,
@@ -279,12 +275,11 @@ def lk_matrix(records, k_max: int | None = None) -> LKMatrix:
         for key, (hits, trials, ratios, count) in sorted(acc.items())
     }
     weighted = {}
-    for k in range(1, k_max + 1):
+    for k in sorted({k for _, k in cells}):
         members = [(cell.accuracy, cell.dataset_count) for (l, kk), cell in cells.items() if kk == k]
-        if members:
-            total = sum(count for _, count in members)
-            weighted[k] = sum(a * count for a, count in members) / total
-    return LKMatrix(cells=cells, weighted_average=weighted, k_max=k_max)
+        total = sum(count for _, count in members)
+        weighted[k] = sum(a * count for a, count in members) / total
+    return LKMatrix(cells=cells, weighted_average=weighted)
 
 
 def random_pick_probability(t: int, l_real: int, k: int, p_positive_rate: float) -> float:
@@ -358,27 +353,20 @@ class SignificanceCell:
         return self.p_value <= 0.001
 
 
-def significance_matrix(records, p_positive_rate: float, k_max: int | None = None):
+def significance_matrix(records, p_positive_rate: float):
     """Binomial test of each L-K cell against the random-pick baseline.
 
     The baseline probability of a cell averages the per-dataset random-pick
     probability over its member datasets (their totals differ).
     """
-    records = list(records)
-    if k_max is None:
-        k_max = max((r.total for r in records), default=0)
     buckets: dict[tuple[int, int], list] = {}
-    for record in records:
-        pred_pos, real_pos = _position_outcomes(record)
-        l_total = record.real_positives
-        for k in range(1, min(record.total, k_max) + 1):
-            hits, trials = _cell_successes(pred_pos, real_pos, l_total, k)
-            p0 = random_pick_probability(record.total, l_total, k, p_positive_rate)
-            bucket = buckets.setdefault((l_total, k), [0, 0, [], 0])
-            bucket[0] += hits
-            bucket[1] += trials
-            bucket[2].append(p0)
-            bucket[3] += 1
+    for record, l_total, k, hits, trials in _record_cells(records):
+        p0 = random_pick_probability(record.total, l_total, k, p_positive_rate)
+        bucket = buckets.setdefault((l_total, k), [0, 0, [], 0])
+        bucket[0] += hits
+        bucket[1] += trials
+        bucket[2].append(p0)
+        bucket[3] += 1
     out = {}
     for key, (hits, trials, p0s, count) in sorted(buckets.items()):
         p0 = float(np.mean(p0s))

@@ -195,17 +195,27 @@ def load_model(path) -> ForestModel:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
-    if doc.get("format") != "preprank-forest":
+    if not isinstance(doc, dict) or doc.get("format") != "preprank-forest":
         raise ModelError("not a forest model file")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ModelError(
             f"schema_version {doc.get('schema_version')} not supported "
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
-    if not doc.get("trees") or len(doc["trees"]) != doc.get("n_trees"):
+    missing = [k for k in ("n_trees", "seed", "feature_ids", "class_order") if k not in doc]
+    if missing:
+        raise ModelError(f"the model lacks {', '.join(missing)}")
+    trees = doc.get("trees")
+    if not trees or not isinstance(trees, list) or len(trees) != doc["n_trees"]:
         raise ModelError("the model's trees are missing or do not number n_trees")
+    # rank_transformations builds rows in FEATURE_COLUMNS order and reads
+    # p_positive from the first class, so a model must use both orders as they are
+    if doc["feature_ids"] != list(FEATURE_COLUMNS):
+        raise ModelError("the model's feature_ids are not this version's FEATURE_COLUMNS")
+    if doc["class_order"] != list(RESPONSE_CLASSES):
+        raise ModelError(f"the model's class_order is not {list(RESPONSE_CLASSES)}")
     return ForestModel(
-        trees=tuple(doc["trees"]),
+        trees=tuple(trees),
         n_trees=int(doc["n_trees"]),
         feature_ids=tuple(doc["feature_ids"]),
         class_order=tuple(doc["class_order"]),

@@ -140,16 +140,16 @@ def feature_matrix(db: MetaDatabase):
 
 def _dataset_rows(args):
     """Worker: all meta-instances of one dataset, or a failure reason."""
-    ds, algorithm, measure, seed, folds, epsilon = args
+    ds, algorithm, measure, seed = args
     try:
         base_mf = compute_meta_features(ds)
-        base_pm = cross_validate(algorithm, ds, folds, seed=seed).get(measure)
+        base_pm = cross_validate(algorithm, ds, seed=seed).get(measure)
         rows = []
         for spec in enumerate_applicable(ds):
             transformed = apply(spec, ds)
             change = delta(base_mf, compute_meta_features(transformed))
-            trans_pm = cross_validate(algorithm, transformed, folds, seed=seed).get(measure)
-            value, cls = label_response(base_pm, trans_pm, epsilon)
+            trans_pm = cross_validate(algorithm, transformed, seed=seed).get(measure)
+            value, cls = label_response(base_pm, trans_pm)
             features = feature_vector(base_mf, change, base_pm)
             rows.append(MetaInstance(ds.name, spec.text, features, value, cls))
         return ds.name, rows, None
@@ -163,8 +163,6 @@ def build_metadb(
     measure: str,
     seed: int,
     *,
-    folds: int = 10,
-    epsilon: float = DEFAULT_EPSILON,
     jobs: int = 1,
 ) -> MetaDatabase:
     """Measure every applicable transformation on every dataset.
@@ -178,7 +176,7 @@ def build_metadb(
         raise ValueError(f"unknown measure {measure!r}")
     if not datasets:
         raise ValueError("empty corpus")
-    tasks = [(ds, algorithm, measure, seed, folds, epsilon) for ds in datasets]
+    tasks = [(ds, algorithm, measure, seed) for ds in datasets]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_dataset_rows, tasks))
@@ -270,7 +268,10 @@ def load(path) -> MetaDatabase:
         rows.append(MetaInstance(cells[0], cells[1], features, value, cls))
     if "schema_version" not in meta or "algorithm" not in meta or "measure" not in meta:
         raise MetaDbError("missing metadata comment line")
-    version = int(meta["schema_version"])
+    try:
+        version = int(meta["schema_version"])
+    except ValueError:
+        raise MetaDbError(f"schema_version {meta['schema_version']!r} is not an integer") from None
     if version != SCHEMA_VERSION:
         raise MetaDbError(
             f"schema_version {version} not supported (expected {SCHEMA_VERSION})"

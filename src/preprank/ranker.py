@@ -38,12 +38,9 @@ class ExpertRule:
 
     algorithm: str
     transformation_kind: str
-    action: str = EXCLUDE
     note: str = ""
 
     def __post_init__(self):
-        if self.action != EXCLUDE:
-            raise ValueError(f"unsupported rule action {self.action!r}")
         if self.transformation_kind not in KIND_ORDER:
             raise ValueError(f"unknown transformation kind {self.transformation_kind!r}")
 
@@ -92,7 +89,7 @@ def parse_rules(text: str) -> tuple[ExpertRule, ...]:
 
 def format_rules(rules) -> str:
     lines = [
-        f"{r.action} {r.algorithm} {r.transformation_kind}"
+        f"{EXCLUDE} {r.algorithm} {r.transformation_kind}"
         + (f"  # {r.note}" if r.note else "")
         for r in rules
     ]
@@ -119,8 +116,6 @@ def rank_transformations(
     algorithm: ClassifierKind,
     ds: Dataset,
     seed: int,
-    *,
-    folds: int = 10,
 ) -> list[Recommendation]:
     """Rank the applicable transformations by predicted probability of helping.
 
@@ -132,7 +127,7 @@ def rank_transformations(
             f"model was trained for {model.algorithm!r}, not {algorithm.name!r}"
         )
     base_mf = compute_meta_features(ds)
-    base_pm = cross_validate(algorithm, ds, folds, seed=seed).get(model.measure or "acc")
+    base_pm = cross_validate(algorithm, ds, seed=seed).get(model.measure or "acc")
     candidates = prune(rules, algorithm, enumerate_applicable(ds))
     scored = []
     for spec in candidates:

@@ -200,8 +200,17 @@ def enumerate_applicable(ds: Dataset) -> list[TransformationSpec]:
     return specs
 
 
+#: replacement (attribute, column) pairs for one source attribute
+_Columns = list[tuple[Attribute, np.ndarray]]
+
+
 def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
-    """Apply one transformation, returning a fresh dataset."""
+    """Apply one transformation, returning a fresh dataset.
+
+    Each target is replaced by the columns that its kind's entry in
+    ``_COLUMN_REWRITES`` returns for it.  PCA replaces its targets together:
+    the components take the place of the first target.
+    """
     compatible = _compatible(ds, spec.kind)
     if spec.scope == SCOPE_LOCAL:
         if spec.attribute not in compatible:
@@ -215,30 +224,19 @@ def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
             raise TransformError(f"{spec.kind} has no compatible predictor in {ds.name!r}")
         targets = compatible
 
-    if spec.kind == NORMALIZE:
-        out = _scale(ds, targets, _minmax_column)
-    elif spec.kind == STANDARDIZE:
-        out = _scale(ds, targets, _zscore_column)
-    elif spec.kind == DISCRETIZE_UNSUPERVISED:
-        out = _discretize_equal_width(ds, targets, int(spec.param("bins")))
-    elif spec.kind == DISCRETIZE_SUPERVISED:
-        out = _discretize_mdl(ds, targets)
-    elif spec.kind == NOMINAL_TO_BINARY_UNSUPERVISED:
-        out = _nominal_to_binary_plain(ds, targets)
-    elif spec.kind == NOMINAL_TO_BINARY_SUPERVISED:
-        out = _nominal_to_binary_ordered(ds, targets)
-    elif spec.kind == IMPUTE_CONTINUOUS:
-        out = _impute_mean(ds, targets)
-    elif spec.kind == IMPUTE_CATEGORICAL:
-        out = _impute_mode(ds, targets)
-    elif spec.kind == PRINCIPAL_COMPONENTS:
-        out = _principal_components(ds, targets, spec.param("var"))
-    else:  # pragma: no cover - kinds above are exhaustive
-        raise TransformError(f"unhandled kind {spec.kind!r}")
-    return out
+    columns = [[(attr, ds.column(j))] for j, attr in enumerate(ds.attributes)]
+    if spec.kind == PRINCIPAL_COMPONENTS:
+        for j in targets:
+            columns[j] = []
+        columns[targets[0]] = _principal_components(ds, targets, spec)
+    else:
+        rewrite = _COLUMN_REWRITES[spec.kind]
+        for j in targets:
+            columns[j] = rewrite(ds, j, spec)
+    return _rebuild(ds, columns)
 
 
-def _rebuild(ds: Dataset, per_attr: list[list[tuple[Attribute, np.ndarray]]]) -> Dataset:
+def _rebuild(ds: Dataset, per_attr: list[_Columns]) -> Dataset:
     """Assemble a dataset from per-source-attribute replacement column lists."""
     attrs: list[Attribute] = []
     cols: list[np.ndarray] = []
@@ -259,80 +257,54 @@ def _rebuild(ds: Dataset, per_attr: list[list[tuple[Attribute, np.ndarray]]]) ->
     return Dataset(ds.name, tuple(attrs), class_index, np.column_stack(cols))
 
 
-def _identity_plan(ds: Dataset) -> list[list[tuple[Attribute, np.ndarray]]]:
-    return [[(a, np.array(ds.column(j)))] for j, a in enumerate(ds.attributes)]
-
-
-def _minmax_column(col: np.ndarray) -> np.ndarray:
-    out = np.array(col)
+def _normalize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    """Min-max scaling of the present cells to [0, 1]; a constant column becomes 0."""
+    out = np.array(ds.column(j))
     present = ~np.isnan(out)
     vals = out[present]
-    if vals.size == 0:
-        return out
-    lo, hi = vals.min(), vals.max()
-    out[present] = 0.0 if hi == lo else (vals - lo) / (hi - lo)
-    return out
+    if vals.size:
+        lo, hi = vals.min(), vals.max()
+        out[present] = 0.0 if hi == lo else (vals - lo) / (hi - lo)
+    return [(ds.attributes[j], out)]
 
 
-def _zscore_column(col: np.ndarray) -> np.ndarray:
-    out = np.array(col)
+def _standardize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    """Z-scores over the sample standard deviation; a constant column becomes 0."""
+    out = np.array(ds.column(j))
     present = ~np.isnan(out)
     vals = out[present]
-    if vals.size == 0:
-        return out
-    std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-    out[present] = 0.0 if std == 0.0 else (vals - vals.mean()) / std
-    return out
+    if vals.size:
+        std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
+        out[present] = 0.0 if std == 0.0 else (vals - vals.mean()) / std
+    return [(ds.attributes[j], out)]
 
 
-def _scale(ds: Dataset, targets, fn) -> Dataset:
-    plan = _identity_plan(ds)
-    for j in targets:
-        plan[j] = [(ds.attributes[j], fn(ds.column(j)))]
-    return _rebuild(ds, plan)
+def _discretize_equal_width(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    bins = int(spec.param("bins"))
+    col = ds.column(j)
+    vals = col[~np.isnan(col)]
+    idx = np.zeros(vals.size)
+    if vals.size:
+        lo, hi = vals.min(), vals.max()
+        width = (hi - lo) / bins
+        if width != 0.0:
+            idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1)
+    return _binned(ds, j, idx, bins)
 
 
-def _discretize_equal_width(ds: Dataset, targets, bins: int) -> Dataset:
-    plan = _identity_plan(ds)
-    for j in targets:
-        col = ds.column(j)
-        out = np.array(col)
-        present = ~np.isnan(col)
-        vals = col[present]
-        if vals.size:
-            lo, hi = vals.min(), vals.max()
-            width = (hi - lo) / bins
-            if width == 0.0:
-                idx = np.zeros(vals.size)
-            else:
-                idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1)
-            out[present] = idx
-        attr = Attribute(
-            ds.attributes[j].name, CATEGORICAL, tuple(f"bin{i}" for i in range(bins))
-        )
-        plan[j] = [(attr, out)]
-    return _rebuild(ds, plan)
+def _discretize_mdl(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    col = ds.column(j)
+    present = ~np.isnan(col)
+    cuts = np.asarray(_mdl_cuts(col[present], ds.class_labels[present]))
+    return _binned(ds, j, np.searchsorted(cuts, col[present], side="left"), cuts.size + 1)
 
 
-def _discretize_mdl(ds: Dataset, targets) -> Dataset:
-    plan = _identity_plan(ds)
-    labels = ds.class_labels
-    for j in targets:
-        col = ds.column(j)
-        present = ~np.isnan(col)
-        cuts = _mdl_cuts(col[present], labels[present])
-        out = np.array(col)
-        if cuts:
-            out[present] = np.searchsorted(np.asarray(cuts), col[present], side="left")
-        else:
-            out[present] = 0.0
-        attr = Attribute(
-            ds.attributes[j].name,
-            CATEGORICAL,
-            tuple(f"bin{i}" for i in range(len(cuts) + 1)),
-        )
-        plan[j] = [(attr, out)]
-    return _rebuild(ds, plan)
+def _binned(ds: Dataset, j: int, bin_of_present: np.ndarray, n_bins: int) -> _Columns:
+    """Attribute ``j`` as categories ``bin0..`` holding each present cell's bin index."""
+    out = np.array(ds.column(j))
+    out[~np.isnan(out)] = bin_of_present
+    attr = Attribute(ds.attributes[j].name, CATEGORICAL, tuple(f"bin{i}" for i in range(n_bins)))
+    return [(attr, out)]
 
 
 def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
@@ -416,26 +388,23 @@ def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:
     return gain > threshold
 
 
-def _nominal_to_binary_plain(ds: Dataset, targets) -> Dataset:
+def _nominal_to_binary_plain(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     """One 0/1 indicator per category; two-category attributes get a single one."""
-    plan = _identity_plan(ds)
-    for j in targets:
-        col = ds.column(j)
-        cats = ds.attributes[j].categories
-        name = ds.attributes[j].name
-        if len(cats) == 2:
-            wanted = [(1, cats[1])]
-        else:
-            wanted = list(enumerate(cats))
-        replacements = []
-        for idx, cat in wanted:
-            out = np.where(np.isnan(col), np.nan, (col == idx).astype(float))
-            replacements.append((Attribute(f"{name}={cat}", CONTINUOUS), out))
-        plan[j] = replacements
-    return _rebuild(ds, plan)
+    col = ds.column(j)
+    cats = ds.attributes[j].categories
+    name = ds.attributes[j].name
+    if len(cats) == 2:
+        wanted = [(1, cats[1])]
+    else:
+        wanted = list(enumerate(cats))
+    replacements = []
+    for idx, cat in wanted:
+        out = np.where(np.isnan(col), np.nan, (col == idx).astype(float))
+        replacements.append((Attribute(f"{name}={cat}", CONTINUOUS), out))
+    return replacements
 
 
-def _nominal_to_binary_ordered(ds: Dataset, targets) -> Dataset:
+def _nominal_to_binary_ordered(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     """Cumulative indicator coding with categories ordered by mean class rank.
 
     Classes are ranked by their category index; each category gets the mean
@@ -443,82 +412,65 @@ def _nominal_to_binary_ordered(ds: Dataset, targets) -> Dataset:
     "comes after position j" in that order.  Single-category attributes
     collapse to one all-zero indicator.
     """
-    plan = _identity_plan(ds)
-    labels = ds.class_labels
-    for j in targets:
-        col = ds.column(j)
-        cats = ds.attributes[j].categories
-        name = ds.attributes[j].name
-        present = ~np.isnan(col)
-        scores = []
-        for idx in range(len(cats)):
-            mask = present & (col == idx)
-            mean_rank = float(labels[mask].mean()) if mask.any() else math.inf
-            scores.append((mean_rank, idx))
-        order = [idx for _, idx in sorted(scores)]
-        position = {idx: p for p, idx in enumerate(order)}
-        pos_col = np.where(np.isnan(col), np.nan, col)
-        for idx, p in position.items():
-            pos_col = np.where(col == idx, float(p), pos_col)
-        replacements = []
-        if len(cats) == 1:
-            out = np.where(np.isnan(col), np.nan, 0.0)
-            replacements.append((Attribute(f"{name}>none", CONTINUOUS), out))
+    col = ds.column(j)
+    cats = ds.attributes[j].categories
+    name = ds.attributes[j].name
+    present = ~np.isnan(col)
+    if len(cats) == 1:
+        return [(Attribute(f"{name}>none", CONTINUOUS), np.where(present, 0.0, np.nan))]
+    codes = col[present].astype(int)
+    counts = np.bincount(codes, minlength=len(cats))
+    # label sums are integers, so they are exact in any order of addition
+    sums = np.bincount(codes, weights=ds.class_labels[present], minlength=len(cats))
+    mean_rank = np.where(counts > 0, sums / np.maximum(counts, 1), math.inf)
+    order = np.argsort(mean_rank, kind="stable")  # equal ranks keep category order
+    position = np.empty(len(cats))
+    position[order] = np.arange(len(cats))
+    pos_col = position[np.nan_to_num(col).astype(int)]  # missing cells are masked below
+    return [
+        (
+            Attribute(f"{name}>{cats[order[p]]}", CONTINUOUS),
+            np.where(present, (pos_col > p).astype(float), np.nan),
+        )
+        for p in range(len(cats) - 1)
+    ]
+
+
+def _impute_mean(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    col = np.array(ds.column(j))
+    missing = np.isnan(col)
+    if missing.any():
+        vals = col[~missing]
+        col[missing] = float(vals.mean()) if vals.size else 0.0
+    return [(ds.attributes[j], col)]
+
+
+def _impute_mode(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+    col = np.array(ds.column(j))
+    missing = np.isnan(col)
+    if missing.any():
+        vals = col[~missing].astype(int)
+        if vals.size:
+            counts = np.bincount(vals, minlength=len(ds.attributes[j].categories))
+            mode = int(np.argmax(counts))  # argmax takes the lowest index on ties
         else:
-            for p in range(len(cats) - 1):
-                out = np.where(np.isnan(pos_col), np.nan, (pos_col > p).astype(float))
-                replacements.append(
-                    (Attribute(f"{name}>{cats[order[p]]}", CONTINUOUS), out)
-                )
-        plan[j] = replacements
-    return _rebuild(ds, plan)
+            mode = 0
+        col[missing] = float(mode)
+    return [(ds.attributes[j], col)]
 
 
-def _impute_mean(ds: Dataset, targets) -> Dataset:
-    plan = _identity_plan(ds)
-    for j in targets:
-        col = np.array(ds.column(j))
-        missing = np.isnan(col)
-        if missing.any():
-            vals = col[~missing]
-            col[missing] = float(vals.mean()) if vals.size else 0.0
-        plan[j] = [(ds.attributes[j], col)]
-    return _rebuild(ds, plan)
-
-
-def _impute_mode(ds: Dataset, targets) -> Dataset:
-    plan = _identity_plan(ds)
-    for j in targets:
-        col = np.array(ds.column(j))
-        missing = np.isnan(col)
-        if missing.any():
-            vals = col[~missing].astype(int)
-            if vals.size:
-                counts = np.bincount(vals, minlength=len(ds.attributes[j].categories))
-                mode = int(np.argmax(counts))  # argmax takes the lowest index on ties
-            else:
-                mode = 0
-            col[missing] = float(mode)
-        plan[j] = [(ds.attributes[j], col)]
-    return _rebuild(ds, plan)
-
-
-def _principal_components(ds: Dataset, targets, coverage: float) -> Dataset:
-    """Replace continuous predictors with scores on the leading components.
+def _principal_components(ds: Dataset, targets, spec: TransformationSpec) -> _Columns:
+    """Scores ``PC1..PCk`` of the continuous predictors ``targets``.
 
     Columns are mean-imputed, centered and scaled to unit sample variance
     (constant columns stay zero), then projected onto the smallest set of
-    covariance eigenvectors covering ``coverage`` of the total variance.
+    covariance eigenvectors covering the ``var`` share of the total variance.
     Eigenvector signs are fixed so the largest-magnitude loading is positive.
     """
     n = ds.n_rows
-    x = np.array(ds.rows[:, list(targets)])
-    for c in range(x.shape[1]):
-        col = x[:, c]
-        miss = np.isnan(col)
-        if miss.any():
-            vals = col[~miss]
-            col[miss] = float(vals.mean()) if vals.size else 0.0
+    # (rows x targets) in Fortran order: the per-column sums of mean, std and
+    # cov below add in that layout's order, so the layout is part of the output
+    x = np.array([_impute_mean(ds, j, spec)[0][1] for j in targets]).T
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1) if n > 1 else np.zeros(x.shape[1])
     x = x - means
@@ -526,21 +478,16 @@ def _principal_components(ds: Dataset, targets, coverage: float) -> Dataset:
     x[:, nonzero] /= stds[nonzero]
     x[:, ~nonzero] = 0.0
 
-    if n < 2:
-        scores = np.zeros((n, 1))
-        n_comp = 1
-    else:
+    scores = np.zeros((n, 1))
+    if n > 1:
         cov = np.cov(x, rowvar=False, ddof=1).reshape(len(targets), len(targets))
         evals, evecs = np.linalg.eigh(cov)
         evals = np.clip(evals[::-1], 0.0, None)
         evecs = evecs[:, ::-1]
         total = evals.sum()
-        if total == 0.0:
-            scores = np.zeros((n, 1))
-            n_comp = 1
-        else:
+        if total != 0.0:
             ratios = np.cumsum(evals) / total
-            n_comp = int(np.searchsorted(ratios, coverage - 1e-12) + 1)
+            n_comp = int(np.searchsorted(ratios, spec.param("var") - 1e-12) + 1)
             n_comp = min(n_comp, len(targets))
             basis = evecs[:, :n_comp].copy()
             for c in range(n_comp):
@@ -548,12 +495,20 @@ def _principal_components(ds: Dataset, targets, coverage: float) -> Dataset:
                 if basis[lead, c] < 0:
                     basis[:, c] = -basis[:, c]
             scores = x @ basis
-
-    plan = _identity_plan(ds)
-    first = targets[0]
-    for j in targets:
-        plan[j] = []
-    plan[first] = [
+    return [
         (Attribute(f"PC{i + 1}", CONTINUOUS), scores[:, i]) for i in range(scores.shape[1])
     ]
-    return _rebuild(ds, plan)
+
+
+#: how each kind but PCA rewrites one target attribute ``j``:
+#: ``(ds, j, spec) -> [(Attribute, column), ...]`` replacing it in place
+_COLUMN_REWRITES = {
+    DISCRETIZE_SUPERVISED: _discretize_mdl,
+    DISCRETIZE_UNSUPERVISED: _discretize_equal_width,
+    NOMINAL_TO_BINARY_SUPERVISED: _nominal_to_binary_ordered,
+    NOMINAL_TO_BINARY_UNSUPERVISED: _nominal_to_binary_plain,
+    NORMALIZE: _normalize,
+    STANDARDIZE: _standardize,
+    IMPUTE_CONTINUOUS: _impute_mean,
+    IMPUTE_CATEGORICAL: _impute_mode,
+}

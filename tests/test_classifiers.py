@@ -39,8 +39,9 @@ def test_parse_classifier_names():
     assert parse_classifier("knn:5") == ClassifierKind("knn", 5)
     assert parse_classifier("knn") == knn(1)
     assert parse_classifier("knn:3").name == "knn:3"
-    with pytest.raises(ValueError):
-        parse_classifier("svm")
+    for name in ("svm", "knn5", "knnx", "knn:", "knn:abc", "knn:-1", "tree:3"):
+        with pytest.raises(ValueError, match="unknown classifier"):
+            parse_classifier(name)
     with pytest.raises(ValueError):
         ClassifierKind("knn", 0)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -173,6 +174,25 @@ def test_model_version_and_format_checks(tmp_path):
     (tmp_path / "noise.json").write_text("not json")
     with pytest.raises(ModelError):
         load_model(tmp_path / "noise.json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(ModelError, match="not a forest model file"):
+        load_model(tmp_path / "list.json")
+    doc = json.loads(path.read_text())
+    for key in ("n_trees", "seed", "feature_ids", "class_order", "trees"):
+        damaged = {k: v for k, v in doc.items() if k != key}
+        (tmp_path / "damaged.json").write_text(json.dumps(damaged))
+        with pytest.raises(ModelError):
+            load_model(tmp_path / "damaged.json")
+    for key, value in (
+        ("feature_ids", doc["feature_ids"][::-1]),
+        ("feature_ids", doc["feature_ids"][:-1]),
+        ("class_order", ["negative", "positive", "zero"]),
+        ("trees", {"p": [1.0, 0.0, 0.0]}),
+    ):
+        (tmp_path / "damaged.json").write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ModelError):
+            load_model(tmp_path / "damaged.json")
+    assert load_model(path) == model
 
 
 def _remap_tree(node, mapping):

@@ -185,6 +185,10 @@ def test_file_shape_and_version_check(tmp_path):
     (tmp_path / "bad.tsv").write_text(hacked)
     with pytest.raises(MetaDbError):
         load(tmp_path / "bad.tsv")
+    hacked = path.read_text().replace("schema_version=1", "schema_version=x")
+    (tmp_path / "bad.tsv").write_text(hacked)
+    with pytest.raises(MetaDbError, match="schema_version 'x' is not an integer"):
+        load(tmp_path / "bad.tsv")
     (tmp_path / "junk.tsv").write_text("not a metadb\n")
     with pytest.raises((MetaDbError, ValueError)):
         load(tmp_path / "junk.tsv")

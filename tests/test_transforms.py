@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preprank.dataset import Attribute, Dataset
+from preprank.dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
 from preprank.synthetic import random_dataset
 from preprank.transforms import (
+    _COLUMN_REWRITES,
     KIND_ORDER,
+    PRINCIPAL_COMPONENTS,
     TransformError,
     TransformationSpec,
     apply,
@@ -553,3 +555,324 @@ def test_spec_text_round_trip_property(seed):
     )
     for spec in enumerate_applicable(ds):
         assert parse_spec_text(spec.text) == spec
+
+
+
+# --- the operator functions before the column-rewrite table, kept as an oracle ---
+
+def _old_rebuild(ds: Dataset, per_attr: list[list[tuple[Attribute, np.ndarray]]]) -> Dataset:
+    """Assemble a dataset from per-source-attribute replacement column lists."""
+    attrs: list[Attribute] = []
+    cols: list[np.ndarray] = []
+    taken = set()
+    class_index = None
+    for j, replacements in enumerate(per_attr):
+        for attr, col in replacements:
+            name = attr.name
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            if j == ds.class_index:
+                class_index = len(attrs)
+            attrs.append(
+                attr if name == attr.name else Attribute(name, attr.kind, attr.categories)
+            )
+            cols.append(col)
+    return Dataset(ds.name, tuple(attrs), class_index, np.column_stack(cols))
+
+
+def _old_identity_plan(ds: Dataset) -> list[list[tuple[Attribute, np.ndarray]]]:
+    return [[(a, np.array(ds.column(j)))] for j, a in enumerate(ds.attributes)]
+
+
+def _old_minmax_column(col: np.ndarray) -> np.ndarray:
+    out = np.array(col)
+    present = ~np.isnan(out)
+    vals = out[present]
+    if vals.size == 0:
+        return out
+    lo, hi = vals.min(), vals.max()
+    out[present] = 0.0 if hi == lo else (vals - lo) / (hi - lo)
+    return out
+
+
+def _old_zscore_column(col: np.ndarray) -> np.ndarray:
+    out = np.array(col)
+    present = ~np.isnan(out)
+    vals = out[present]
+    if vals.size == 0:
+        return out
+    std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
+    out[present] = 0.0 if std == 0.0 else (vals - vals.mean()) / std
+    return out
+
+
+def _old_scale(ds: Dataset, targets, fn) -> Dataset:
+    plan = _old_identity_plan(ds)
+    for j in targets:
+        plan[j] = [(ds.attributes[j], fn(ds.column(j)))]
+    return _old_rebuild(ds, plan)
+
+
+def _old_discretize_equal_width(ds: Dataset, targets, bins: int) -> Dataset:
+    plan = _old_identity_plan(ds)
+    for j in targets:
+        col = ds.column(j)
+        out = np.array(col)
+        present = ~np.isnan(col)
+        vals = col[present]
+        if vals.size:
+            lo, hi = vals.min(), vals.max()
+            width = (hi - lo) / bins
+            if width == 0.0:
+                idx = np.zeros(vals.size)
+            else:
+                idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1)
+            out[present] = idx
+        attr = Attribute(
+            ds.attributes[j].name, CATEGORICAL, tuple(f"bin{i}" for i in range(bins))
+        )
+        plan[j] = [(attr, out)]
+    return _old_rebuild(ds, plan)
+
+
+def _old_discretize_mdl(ds: Dataset, targets) -> Dataset:
+    plan = _old_identity_plan(ds)
+    labels = ds.class_labels
+    for j in targets:
+        col = ds.column(j)
+        present = ~np.isnan(col)
+        cuts = _mdl_cuts(col[present], labels[present])
+        out = np.array(col)
+        if cuts:
+            out[present] = np.searchsorted(np.asarray(cuts), col[present], side="left")
+        else:
+            out[present] = 0.0
+        attr = Attribute(
+            ds.attributes[j].name,
+            CATEGORICAL,
+            tuple(f"bin{i}" for i in range(len(cuts) + 1)),
+        )
+        plan[j] = [(attr, out)]
+    return _old_rebuild(ds, plan)
+
+def _old_nominal_to_binary_plain(ds: Dataset, targets) -> Dataset:
+    """One 0/1 indicator per category; two-category attributes get a single one."""
+    plan = _old_identity_plan(ds)
+    for j in targets:
+        col = ds.column(j)
+        cats = ds.attributes[j].categories
+        name = ds.attributes[j].name
+        if len(cats) == 2:
+            wanted = [(1, cats[1])]
+        else:
+            wanted = list(enumerate(cats))
+        replacements = []
+        for idx, cat in wanted:
+            out = np.where(np.isnan(col), np.nan, (col == idx).astype(float))
+            replacements.append((Attribute(f"{name}={cat}", CONTINUOUS), out))
+        plan[j] = replacements
+    return _old_rebuild(ds, plan)
+
+
+def _old_nominal_to_binary_ordered(ds: Dataset, targets) -> Dataset:
+    """Cumulative indicator coding with categories ordered by mean class rank.
+
+    Classes are ranked by their category index; each category gets the mean
+    rank of its rows, categories are sorted by it, and k-1 indicators encode
+    "comes after position j" in that order.  Single-category attributes
+    collapse to one all-zero indicator.
+    """
+    plan = _old_identity_plan(ds)
+    labels = ds.class_labels
+    for j in targets:
+        col = ds.column(j)
+        cats = ds.attributes[j].categories
+        name = ds.attributes[j].name
+        present = ~np.isnan(col)
+        scores = []
+        for idx in range(len(cats)):
+            mask = present & (col == idx)
+            mean_rank = float(labels[mask].mean()) if mask.any() else math.inf
+            scores.append((mean_rank, idx))
+        order = [idx for _, idx in sorted(scores)]
+        position = {idx: p for p, idx in enumerate(order)}
+        pos_col = np.where(np.isnan(col), np.nan, col)
+        for idx, p in position.items():
+            pos_col = np.where(col == idx, float(p), pos_col)
+        replacements = []
+        if len(cats) == 1:
+            out = np.where(np.isnan(col), np.nan, 0.0)
+            replacements.append((Attribute(f"{name}>none", CONTINUOUS), out))
+        else:
+            for p in range(len(cats) - 1):
+                out = np.where(np.isnan(pos_col), np.nan, (pos_col > p).astype(float))
+                replacements.append(
+                    (Attribute(f"{name}>{cats[order[p]]}", CONTINUOUS), out)
+                )
+        plan[j] = replacements
+    return _old_rebuild(ds, plan)
+
+
+def _old_impute_mean(ds: Dataset, targets) -> Dataset:
+    plan = _old_identity_plan(ds)
+    for j in targets:
+        col = np.array(ds.column(j))
+        missing = np.isnan(col)
+        if missing.any():
+            vals = col[~missing]
+            col[missing] = float(vals.mean()) if vals.size else 0.0
+        plan[j] = [(ds.attributes[j], col)]
+    return _old_rebuild(ds, plan)
+
+
+def _old_impute_mode(ds: Dataset, targets) -> Dataset:
+    plan = _old_identity_plan(ds)
+    for j in targets:
+        col = np.array(ds.column(j))
+        missing = np.isnan(col)
+        if missing.any():
+            vals = col[~missing].astype(int)
+            if vals.size:
+                counts = np.bincount(vals, minlength=len(ds.attributes[j].categories))
+                mode = int(np.argmax(counts))  # argmax takes the lowest index on ties
+            else:
+                mode = 0
+            col[missing] = float(mode)
+        plan[j] = [(ds.attributes[j], col)]
+    return _old_rebuild(ds, plan)
+
+
+def _old_principal_components(ds: Dataset, targets, coverage: float) -> Dataset:
+    """Replace continuous predictors with scores on the leading components.
+
+    Columns are mean-imputed, centered and scaled to unit sample variance
+    (constant columns stay zero), then projected onto the smallest set of
+    covariance eigenvectors covering ``coverage`` of the total variance.
+    Eigenvector signs are fixed so the largest-magnitude loading is positive.
+    """
+    n = ds.n_rows
+    x = np.array(ds.rows[:, list(targets)])
+    for c in range(x.shape[1]):
+        col = x[:, c]
+        miss = np.isnan(col)
+        if miss.any():
+            vals = col[~miss]
+            col[miss] = float(vals.mean()) if vals.size else 0.0
+    means = x.mean(axis=0)
+    stds = x.std(axis=0, ddof=1) if n > 1 else np.zeros(x.shape[1])
+    x = x - means
+    nonzero = stds > 0
+    x[:, nonzero] /= stds[nonzero]
+    x[:, ~nonzero] = 0.0
+
+    if n < 2:
+        scores = np.zeros((n, 1))
+        n_comp = 1
+    else:
+        cov = np.cov(x, rowvar=False, ddof=1).reshape(len(targets), len(targets))
+        evals, evecs = np.linalg.eigh(cov)
+        evals = np.clip(evals[::-1], 0.0, None)
+        evecs = evecs[:, ::-1]
+        total = evals.sum()
+        if total == 0.0:
+            scores = np.zeros((n, 1))
+            n_comp = 1
+        else:
+            ratios = np.cumsum(evals) / total
+            n_comp = int(np.searchsorted(ratios, coverage - 1e-12) + 1)
+            n_comp = min(n_comp, len(targets))
+            basis = evecs[:, :n_comp].copy()
+            for c in range(n_comp):
+                lead = np.argmax(np.abs(basis[:, c]))
+                if basis[lead, c] < 0:
+                    basis[:, c] = -basis[:, c]
+            scores = x @ basis
+
+    plan = _old_identity_plan(ds)
+    first = targets[0]
+    for j in targets:
+        plan[j] = []
+    plan[first] = [
+        (Attribute(f"PC{i + 1}", CONTINUOUS), scores[:, i]) for i in range(scores.shape[1])
+    ]
+    return _old_rebuild(ds, plan)
+
+
+_OLD_OPERATORS = {
+    "normalize": lambda ds, targets, spec: _old_scale(ds, targets, _old_minmax_column),
+    "standardize": lambda ds, targets, spec: _old_scale(ds, targets, _old_zscore_column),
+    "discretize_unsup": lambda ds, targets, spec: _old_discretize_equal_width(
+        ds, targets, int(spec.param("bins"))
+    ),
+    "discretize_sup": lambda ds, targets, spec: _old_discretize_mdl(ds, targets),
+    "nom2bin_unsup": lambda ds, targets, spec: _old_nominal_to_binary_plain(ds, targets),
+    "nom2bin_sup": lambda ds, targets, spec: _old_nominal_to_binary_ordered(ds, targets),
+    "impute_cont": lambda ds, targets, spec: _old_impute_mean(ds, targets),
+    "impute_cat": lambda ds, targets, spec: _old_impute_mode(ds, targets),
+    "pca": lambda ds, targets, spec: _old_principal_components(ds, targets, spec.param("var")),
+}
+
+
+def _old_apply(spec, ds):
+    if spec.scope == "local":
+        targets = (spec.attribute,)
+    elif spec.kind in ("nom2bin_sup", "nom2bin_unsup", "impute_cat"):
+        targets = ds.categorical_predictors
+    else:
+        targets = ds.continuous_predictors
+    return _OLD_OPERATORS[spec.kind](ds, targets, spec)
+
+
+def assert_apply_matches_oracle(ds):
+    specs = enumerate_applicable(ds)
+    for spec in specs:
+        ours, oracle = apply(spec, ds), _old_apply(spec, ds)
+        assert ours == oracle, spec.text
+        assert ours.rows.tobytes() == oracle.rows.tobytes(), spec.text
+    return len(specs)
+
+
+def test_rewrite_table_and_pca_cover_the_catalog():
+    assert sorted([*_COLUMN_REWRITES, PRINCIPAL_COMPONENTS]) == sorted(KIND_ORDER)
+
+
+def test_mini_corpus_apply_matches_oracle(mini_datasets):
+    checked = sum(assert_apply_matches_oracle(ds) for ds in mini_datasets)
+    assert (len(mini_datasets), checked) == (24, 273)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mixed_missing_apply_matches_oracle(seed):
+    ds = random_dataset(
+        seed, n_rows=300, n_continuous=4, n_categorical=3, n_classes=3, missing_rate=0.1
+    )
+    assert assert_apply_matches_oracle(ds) == 20
+
+
+def test_degenerate_columns_apply_matches_oracle():
+    nan = np.nan
+    attrs = (
+        Attribute("c", CONTINUOUS),  # constant
+        Attribute("class", CATEGORICAL, ("a", "b")),
+        Attribute("s", CATEGORICAL, ("only",)),  # one category
+        Attribute("m", CONTINUOUS),  # every cell missing
+        Attribute("t", CATEGORICAL, ("p", "q", "r")),  # "q" never occurs
+        Attribute("t=p", CONTINUOUS),  # names the rewrites of t and PCA produce
+        Attribute("PC1", CONTINUOUS),
+        Attribute("b", CATEGORICAL, ("no", "yes")),
+    )
+    rows = np.array(
+        [
+            [2.0, 0, 0, nan, 0, 1.0, -3.0, 1],
+            [2.0, 1, 0, nan, 2, nan, 0.5, 0],
+            [2.0, 0, nan, nan, 0, 4.0, 0.5, nan],
+            [2.0, 1, 0, nan, nan, 2.5, 7.0, 1],
+            [2.0, 1, 0, nan, 2, 0.0, nan, 1],
+            [2.0, 0, 0, nan, 0, 3.0, 1.0, 0],
+        ]
+    )
+    ds = Dataset("degenerate", attrs, 1, rows)
+    assert assert_apply_matches_oracle(ds) == 20
+    one_row = Dataset("one-row", attrs, 1, rows[:1])
+    assert assert_apply_matches_oracle(one_row) == 19
