@@ -280,7 +280,8 @@ def _logistic_design(train: Dataset):
     return builders
 
 
-def _logistic_apply(builders, ds: Dataset) -> np.ndarray:
+def _logistic_apply(builders, ds: Dataset, out=None) -> np.ndarray:
+    """The design matrix of ``ds``, written into ``out`` when given."""
     cols = []
     for builder in builders:
         if builder[0] == "num":
@@ -295,46 +296,55 @@ def _logistic_apply(builders, ds: Dataset) -> np.ndarray:
             onehot = np.zeros((ds.n_rows, k))
             onehot[np.arange(ds.n_rows), filled] = 1.0
             cols.append(onehot)
-    return np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
+    return np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols], axis=1, out=out)
 
 
 def _logistic_objective(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """``objective(params) -> (loss, gradient)`` of the ridge multinomial model.
+    """``objective(params) -> (losses, gradients)`` of the ridge multinomial model, per fold.
 
-    ``params`` holds the (d, n_classes) weights row by row, then the
-    n_classes intercepts; the loss is the mean log-loss over the rows of
-    ``x`` plus ``_LOGISTIC_L2 / 2`` times the squared weights.  Every call
-    writes its gradient into the same buffer and returns that buffer.
+    ``x`` stacks the folds' (n, d) designs and ``y`` their labels.  Row i of
+    ``params`` holds fold i's (d, n_classes) weights row by row, then its
+    n_classes intercepts; its loss is the mean log-loss over the rows of
+    ``x[i]`` plus ``_LOGISTIC_L2 / 2`` times the squared weights.  A fold's
+    loss and gradient are those of its 2-D arithmetic alone, bit for bit:
+    stacked ``matmul`` makes one gemm per fold and each sum runs along the
+    same axis.  Every call writes into the same buffers and returns them.
     """
-    n, d = x.shape
+    n_folds, n, d = x.shape
     n_weights = d * n_classes
-    rows = np.arange(n)
-    onehot = np.zeros((n, n_classes))
-    onehot[rows, y] = 1.0
-    xt = x.T
-    proba = np.empty((n, n_classes))
-    squares = np.empty((d, n_classes))
-    gradient = np.empty(n_weights + n_classes)
-    grad_w = gradient[:n_weights].reshape(d, n_classes)
-    grad_b = gradient[n_weights:]
+    folds, rows = np.ogrid[:n_folds, :n]
+    onehot = np.zeros((n_folds, n, n_classes))
+    onehot[folds, rows, y] = 1.0
+    xt = x.transpose(0, 2, 1)
+    proba = np.empty((n_folds, n, n_classes))
+    squares = np.empty((n_folds, n_weights))
+    losses = np.empty(n_folds)
+    gradients = np.empty((n_folds, n_weights + n_classes))
+    grad_w = gradients[:, :n_weights].reshape(n_folds, d, n_classes)
+    grad_b = gradients[:, n_weights:]
 
     def objective(params):
-        w = params[:n_weights].reshape(d, n_classes)
+        flat_w = params[:, :n_weights]
+        w = flat_w.reshape(n_folds, d, n_classes)
         np.matmul(x, w, out=proba)
-        np.add(proba, params[n_weights:], out=proba)
-        np.subtract(proba, np.maximum.reduce(proba, axis=1, keepdims=True), out=proba)
+        np.add(proba, params[:, None, n_weights:], out=proba)
+        top = proba[:, :, 0].copy()
+        for c in range(1, n_classes):  # row maxima, exact in any order
+            np.maximum(top, proba[:, :, c], out=top)
+        np.subtract(proba, top[:, :, None], out=proba)
         np.exp(proba, out=proba)
-        np.divide(proba, np.add.reduce(proba, axis=1, keepdims=True), out=proba)
-        picked = np.maximum(proba[rows, y], 1e-300)
-        loss = -(np.add.reduce(np.log(picked, out=picked)) / n)
-        np.multiply(w, w, out=squares)
-        loss += 0.5 * _LOGISTIC_L2 * float(np.add.reduce(squares, axis=None))
+        np.divide(proba, np.add.reduce(proba, axis=2, keepdims=True), out=proba)
+        picked = np.maximum(proba[folds, rows, y], 1e-300)
+        np.add.reduce(np.log(picked, out=picked), axis=1, out=losses)
+        np.divide(losses, -n, out=losses)  # -(sum / n), bit for bit
+        np.multiply(flat_w, flat_w, out=squares)
+        np.add(losses, 0.5 * _LOGISTIC_L2 * np.add.reduce(squares, axis=1), out=losses)
         np.subtract(proba, onehot, out=proba)  # n times the loss gradient per logit
         np.divide(proba, n, out=proba)
         np.matmul(xt, proba, out=grad_w)
         np.add(grad_w, _LOGISTIC_L2 * w, out=grad_w)
-        np.add.reduce(proba, axis=0, out=grad_b)
-        return loss, gradient
+        np.add.reduce(proba, axis=1, out=grad_b)
+        return losses, gradients
 
     return objective
 
@@ -351,65 +361,89 @@ _LBFGSB_MAX_EVALUATIONS = 15000
 _FG, _NEW_X, _STOP = 3, 1, 5
 
 
-def _lbfgsb(objective, n_params: int):
-    """Minimize ``objective(x) -> (f, gradient)`` from zeros by L-BFGS-B.
+def _lbfgsb(objective, n_folds: int, n_params: int):
+    """Minimize each fold's loss from zeros by L-BFGS-B, the folds in lockstep.
 
-    The unbounded L-BFGS-B of Zhu et al. (1997, Algorithm 778) through
-    SciPy's ``setulb``, in the loop of ``scipy.optimize``'s
-    ``_minimize_lbfgsb`` with the same settings and workspaces, so the
-    returned point is the one ``minimize`` returns, bit for bit.  It stops
-    on convergence or a warning, after ``_LBFGSB_MAX_ITERATIONS``
+    ``objective(params) -> (losses, gradients)`` evaluates every fold, row
+    i being fold i's.  Each fold runs the unbounded L-BFGS-B of Zhu et al.
+    (1997, Algorithm 778) through SciPy's ``setulb`` with its own
+    workspaces, in the loop of ``scipy.optimize``'s ``_minimize_lbfgsb``
+    with the same settings, so its point is ``minimize``'s, bit for bit.  A
+    fold stops on convergence or a warning, after ``_LBFGSB_MAX_ITERATIONS``
     iterations, or at the end of the first iteration past
-    ``_LBFGSB_MAX_EVALUATIONS`` evaluations.  ``minimize`` would not count
-    an evaluation at the point evaluated last; L-BFGS-B never asks for one.
+    ``_LBFGSB_MAX_EVALUATIONS`` evaluations (``minimize`` would not count
+    one at the point evaluated last; L-BFGS-B never asks for it).  Each step
+    runs every running fold's ``setulb`` until it asks for f and g, then
+    evaluates all folds.  Returns the points and each fold's evaluations.
     """
     m, n = _LBFGSB_MEMORY, n_params
-    x = np.zeros(n)
-    f = np.array(0.0)
-    g = np.zeros(n)
+    params = np.zeros((n_folds, n))  # setulb moves fold i's point, row i, in place
+    losses, gradients = np.zeros(n_folds), np.zeros((n_folds, n))
     bound = np.zeros(n)  # unused: every bound type is 0, unbounded
     bound_type = np.zeros(n, dtype=np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task = np.zeros(2, dtype=np.int32)
-    ln_task = np.zeros(2, dtype=np.int32)
-    lsave = np.zeros(4, dtype=np.int32)
-    isave = np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29)
-    iterations = evaluations = 0
-    while True:
-        setulb(
-            m, x, bound, bound, bound_type, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
-            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task,
-        )
-        if task[0] == _FG:
-            f, g = objective(x)
-            evaluations += 1
-        elif task[0] == _NEW_X:
-            iterations += 1
-            if iterations >= _LBFGSB_MAX_ITERATIONS:
+    workspaces = [  # per fold: wa, iwa, task, ln_task, lsave, isave, dsave
+        (np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, dtype=np.int32),
+         *(np.zeros(k, dtype=np.int32) for k in (2, 2, 4, 44)), np.zeros(29))
+        for _ in range(n_folds)
+    ]
+    iterations, evaluations = [0] * n_folds, np.zeros(n_folds, dtype=int)
+
+    def asks_for_fg(i):
+        wa, iwa, task, ln_task, lsave, isave, dsave = workspaces[i]
+        while True:
+            setulb(
+                m, params[i], bound, bound, bound_type, losses[i], gradients[i],
+                _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task, lsave, isave, dsave,
+                _LBFGSB_MAX_LINE_SEARCH, ln_task,
+            )
+            if task[0] != _NEW_X:
+                return task[0] == _FG
+            iterations[i] += 1
+            if iterations[i] >= _LBFGSB_MAX_ITERATIONS:
                 task[:] = _STOP, 504  # iteration limit
-            elif evaluations > _LBFGSB_MAX_EVALUATIONS:
+            elif evaluations[i] > _LBFGSB_MAX_EVALUATIONS:
                 task[:] = _STOP, 502  # evaluation limit
-        else:
-            return x
+
+    running = range(n_folds)
+    while running := [i for i in running if asks_for_fg(i)]:
+        losses, gradients = objective(params)
+        evaluations[running] += 1
+    return params, evaluations
 
 
-def _learner_logistic(kind, train, test, seed):
-    n_classes = len(train.class_attribute.categories)
-    builders = _logistic_design(train)
-    x = _logistic_apply(builders, train)
-    d = x.shape[1]
-    params = _lbfgsb(
-        _logistic_objective(x, train.class_labels, n_classes), (d + 1) * n_classes
-    )
-    w = params[: d * n_classes].reshape(d, n_classes)
-    b = params[d * n_classes :]
-    xt = _logistic_apply(builders, test)
-    logits = xt @ w + b
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    return exp / exp.sum(axis=1, keepdims=True)
+#: design cells (folds x rows x columns) of one stack of folds; a fold over it goes alone
+_LOGISTIC_BATCH_CELLS = 2**18
+
+
+def _learner_logistic(kind, ds, train_rows, tests, seed):
+    """Ridge multinomial logistic regression, solved for folds together.
+
+    Folds whose design matrices have the same shape go in stacks of at most
+    ``_LOGISTIC_BATCH_CELLS`` cells, each solved by one :func:`_lbfgsb` run.
+    """
+    n_classes = len(ds.class_attribute.categories)
+    builders = [_logistic_design(ds.subset(rows)) for rows in train_rows]
+    shapes = {}
+    for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
+        d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
+        shapes.setdefault((len(rows), d), []).append(i)
+    params = {}
+    for (n, d), folds in shapes.items():
+        step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
+        for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
+            x = np.empty((len(chunk), n, d))
+            for slot, i in zip(x, chunk):
+                _logistic_apply(builders[i], ds.subset(train_rows[i]), out=slot)
+            y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
+            objective = _logistic_objective(x, y, n_classes)
+            params.update(zip(chunk, _lbfgsb(objective, len(chunk), (d + 1) * n_classes)[0]))
+            del x, objective  # so the next stack is not allocated beside this one
+    for i, test in enumerate(tests):
+        w = params[i][:-n_classes].reshape(-1, n_classes)
+        logits = _logistic_apply(builders[i], test) @ w + params[i][-n_classes:]
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        yield exp / exp.sum(axis=1, keepdims=True)
 
 
 # --- dispatch and cross-validation -------------------------------------------
@@ -435,7 +469,7 @@ _LEARNERS = {
     "tree": _learner_tree,
     "nb": _one_fold_at_a_time(_learner_nb),
     "knn": _one_fold_at_a_time(_learner_knn),
-    "logistic": _one_fold_at_a_time(_learner_logistic),
+    "logistic": _learner_logistic,
 }
 
 

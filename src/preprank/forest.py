@@ -205,9 +205,15 @@ def load_model(path) -> ForestModel:
     missing = [k for k in ("n_trees", "seed", "feature_ids", "class_order") if k not in doc]
     if missing:
         raise ModelError(f"the model lacks {', '.join(missing)}")
+    if any(type(doc[k]) is not int for k in ("n_trees", "seed")):  # a bool is no int here
+        raise ModelError("the model's n_trees and seed must be integers")
+    if any(not isinstance(doc.get(k, ""), str) for k in ("algorithm", "measure")):
+        raise ModelError("the model's algorithm and measure must be strings")
     trees = doc.get("trees")
     if not trees or not isinstance(trees, list) or len(trees) != doc["n_trees"]:
         raise ModelError("the model's trees are missing or do not number n_trees")
+    if not all(isinstance(t, dict) for t in trees):
+        raise ModelError("the model's trees must be objects")
     # rank_transformations builds rows in FEATURE_COLUMNS order and reads
     # p_positive from the first class, so a model must use both orders as they are
     if doc["feature_ids"] != list(FEATURE_COLUMNS):
@@ -216,10 +222,10 @@ def load_model(path) -> ForestModel:
         raise ModelError(f"the model's class_order is not {list(RESPONSE_CLASSES)}")
     return ForestModel(
         trees=tuple(trees),
-        n_trees=int(doc["n_trees"]),
+        n_trees=doc["n_trees"],
         feature_ids=tuple(doc["feature_ids"]),
         class_order=tuple(doc["class_order"]),
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         algorithm=doc.get("algorithm", ""),
         measure=doc.get("measure", ""),
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,27 +384,34 @@ def _logistic_problem(train):
     return x, train.class_labels, len(train.class_attribute.categories)
 
 
-def _assert_driver_matches_minimize(x, y, n_classes):
-    """The driver's point equals ``minimize``'s bit for bit, after as many evaluations."""
-    n_params = (x.shape[1] + 1) * n_classes
-    objective = classifiers_mod._logistic_objective(x, y, n_classes)
-    evaluations = 0
-
-    def counted(params):
-        nonlocal evaluations
-        evaluations += 1
-        return objective(params)
-
-    found = classifiers_mod._lbfgsb(counted, n_params)
-    expected = minimize(
-        _minimize_objective(x, y, n_classes), np.zeros(n_params), jac=True,
-        method="L-BFGS-B",
+def _minimize(x, y, n_classes):
+    """``minimize``'s L-BFGS-B fit of one fold, with the driver's settings."""
+    return minimize(
+        _minimize_objective(x, y, n_classes), np.zeros((x.shape[1] + 1) * n_classes),
+        jac=True, method="L-BFGS-B",
         options={
             "maxiter": classifiers_mod._LBFGSB_MAX_ITERATIONS, "gtol": 1e-6, "ftol": 1e-14,
         },
     )
-    assert np.array_equal(found, expected.x)
-    assert evaluations == expected.nfev
+
+
+def _assert_driver_matches_minimize(problems, expected=None):
+    """One lockstep driver run over ``problems``, (x, y, n_classes) folds of one shape.
+
+    Each fold's point equals ``minimize``'s bit for bit (``expected``, else
+    computed here), after as many evaluations of that fold.
+    """
+    xs, ys, classes = zip(*problems)
+    x, y, n_classes = np.stack(xs), np.stack(ys), classes[0]
+    objective = classifiers_mod._logistic_objective(x, y, n_classes)
+    found, evaluations = classifiers_mod._lbfgsb(
+        objective, len(problems), (x.shape[2] + 1) * n_classes
+    )
+    expected = expected or [_minimize(*problem) for problem in problems]
+    assert len(found) == len(evaluations) == len(expected) == len(problems)
+    for point, count, result in zip(found, evaluations, expected):
+        assert np.array_equal(point, result.x)
+        assert count == result.nfev
     return expected
 
 
@@ -413,18 +421,95 @@ def _discretized(ds):
     return apply(specs[-1], ds) if specs else None
 
 
-def test_lbfgsb_matches_minimize_on_every_mini_corpus_fold(mini_datasets):
+def _fold_problems(ds, seed=42):
+    """The logistic problem of each of ``ds``'s 10 CV folds, in fold order."""
+    fold_of_row = np.asarray(stratified_folds(ds, 10, seed).fold_of_row)
+    return [
+        _logistic_problem(ds.subset(np.flatnonzero(fold_of_row != fold))) for fold in range(10)
+    ]
+
+
+@pytest.fixture(scope="module")
+def mini_corpus_folds(mini_datasets):
+    """Each mini dataset and discretized mini dataset with its folds' problems and fits."""
     datasets = list(mini_datasets)
     datasets += [t for t in map(_discretized, mini_datasets) if t is not None]
-    widest = 0
-    for ds in datasets:
-        fold_of_row = np.asarray(stratified_folds(ds, 10, 42).fold_of_row)
-        for fold in range(10):
-            x, y, n_classes = _logistic_problem(ds.subset(np.flatnonzero(fold_of_row != fold)))
-            widest = max(widest, (x.shape[1] + 1) * n_classes)
-            _assert_driver_matches_minimize(x, y, n_classes)
     assert len(datasets) > len(mini_datasets)
+    return [
+        (ds, problems, [_minimize(*problem) for problem in problems])
+        for ds, problems in ((ds, _fold_problems(ds)) for ds in datasets)
+    ]
+
+
+def _shape_groups(problems):
+    """Fold indices grouped by design shape, as ``_learner_logistic`` stacks them."""
+    groups = {}
+    for i, (x, _, _) in enumerate(problems):
+        groups.setdefault(x.shape, []).append(i)
+    return list(groups.values())
+
+
+def test_lbfgsb_matches_minimize_on_every_mini_corpus_fold(mini_corpus_folds):
+    widest = 0
+    for _, problems, expected in mini_corpus_folds:
+        for problem, result in zip(problems, expected):
+            x, _, n_classes = problem
+            widest = max(widest, (x.shape[1] + 1) * n_classes)
+            _assert_driver_matches_minimize([problem], [result])
     assert widest == 122  # the one-hot designs of the discretized datasets
+
+
+def test_lbfgsb_lockstep_matches_minimize_on_every_mini_corpus_cv(mini_corpus_folds):
+    stop_apart = 0
+    for _, problems, expected in mini_corpus_folds:
+        for group in _shape_groups(problems):
+            _assert_driver_matches_minimize(
+                [problems[i] for i in group], [expected[i] for i in group]
+            )
+            stop_apart += len({expected[i].nit for i in group}) > 1
+    assert stop_apart > 0  # folds of one group stop at different iterations
+
+
+def test_logistic_learner_scores_match_minimize_fits(mini_corpus_folds):
+    for ds, _, expected in mini_corpus_folds:
+        _assert_learner_matches_minimize(ds, 42, expected)
+
+
+def _minimize_scores(builders, test, params):
+    """The class scores of ``test``: softmax of its design times the weights, plus intercepts."""
+    n_classes = len(test.class_attribute.categories)
+    xt = classifiers_mod._logistic_apply(builders, test)
+    d = xt.shape[1]
+    logits = xt @ params[: d * n_classes].reshape(d, n_classes) + params[d * n_classes :]
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _assert_learner_matches_minimize(ds, seed, expected):
+    """The logistic learner scores each CV fold as ``minimize``'s fit of it does."""
+    fold_of_row = np.asarray(stratified_folds(ds, 10, seed).fold_of_row)
+    train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
+    tests = [ds.subset(np.flatnonzero(fold_of_row == f)) for f in range(10)]
+    found = list(classifiers_mod._fold_scores(LOGISTIC, ds, train_rows, iter(tests), 0))
+    assert len(found) == len(expected) == 10
+    for rows, test, scores, result in zip(train_rows, tests, found, expected):
+        builders = classifiers_mod._logistic_design(ds.subset(rows))
+        assert np.array_equal(scores, _minimize_scores(builders, test, result.x))
+
+
+def test_logistic_folds_of_two_shapes_match_minimize_fits():
+    # 95 rows make training folds of 85 and 86 rows: two stacks of one CV
+    ds = random_dataset(13, n_rows=95, n_continuous=2, n_categorical=2, n_classes=3)
+    problems = _fold_problems(ds, seed=3)
+    groups = _shape_groups(problems)
+    assert len(groups) == 2
+    expected = [_minimize(*problem) for problem in problems]
+    for group in groups:
+        _assert_driver_matches_minimize(
+            [problems[i] for i in group], [expected[i] for i in group]
+        )
+    _assert_learner_matches_minimize(ds, 3, expected)
 
 
 def test_lbfgsb_matches_minimize_when_a_class_is_missing():
@@ -432,7 +517,7 @@ def test_lbfgsb_matches_minimize_when_a_class_is_missing():
     values = rng.normal(size=(30, 2))
     labels = np.arange(30) % 2  # class c2 never occurs in training
     train = small_dataset(np.column_stack([values, labels]), 3, ("continuous",) * 2)
-    _assert_driver_matches_minimize(*_logistic_problem(train))
+    _assert_driver_matches_minimize([_logistic_problem(train)])
 
 
 def test_lbfgsb_matches_minimize_with_constant_and_missing_columns():
@@ -448,27 +533,80 @@ def test_lbfgsb_matches_minimize_with_constant_and_missing_columns():
     train = small_dataset(rows, 3, ("continuous", "continuous", "continuous", "categorical"))
     x, y, n_classes = _logistic_problem(train)
     assert not x[:, 1].any() and not x[:, 2].any()
-    _assert_driver_matches_minimize(x, y, n_classes)
+    _assert_driver_matches_minimize([(x, y, n_classes)])
 
 
 def test_lbfgsb_iteration_cap_stops_where_minimize_stops(mini_datasets, monkeypatch):
     monkeypatch.setattr(classifiers_mod, "_LBFGSB_MAX_ITERATIONS", 3)
     x, y, n_classes = _logistic_problem(mini_datasets[0])
-    result = _assert_driver_matches_minimize(x, y, n_classes)
+    [result] = _assert_driver_matches_minimize([(x, y, n_classes)])
     assert result.nit == 3 and result.status == 1
     assert "ITERATIONS REACHED LIMIT" in result.message
+
+
+def test_lbfgsb_iteration_cap_stops_every_fold_of_a_group(mini_datasets, monkeypatch):
+    monkeypatch.setattr(classifiers_mod, "_LBFGSB_MAX_ITERATIONS", 3)
+    problems = _fold_problems(_discretized(mini_datasets[1]))
+    for group in _shape_groups(problems):
+        expected = _assert_driver_matches_minimize([problems[i] for i in group])
+        for result in expected:
+            assert result.nit == 3 and result.status == 1
+            assert "ITERATIONS REACHED LIMIT" in result.message
 
 
 def test_logistic_objective_matches_minimize_objective_bit_for_bit(mini_datasets):
     rng = np.random.default_rng(11)
     for ds in (mini_datasets[0], mini_datasets[5], _discretized(mini_datasets[1])):
         x, y, n_classes = _logistic_problem(ds)
-        new = classifiers_mod._logistic_objective(x, y, n_classes)
+        new = classifiers_mod._logistic_objective(x[None], y[None], n_classes)
         old = _minimize_objective(x, y, n_classes)
         for scale in (0.0, 1e-3, 1.0, 50.0, 1e4):  # 1e4 drives probabilities to the 1e-300 floor
             for _ in range(5):
                 params = rng.normal(scale=scale, size=(x.shape[1] + 1) * n_classes)
-                loss, gradient = new(params)
+                [loss], [gradient] = new(params[None])
                 expected_loss, expected_gradient = old(params.copy())
                 assert loss == expected_loss
                 assert np.array_equal(gradient, expected_gradient)
+
+
+@pytest.mark.parametrize(
+    "n_folds, n, d, n_classes", [(10, 90, 60, 2), (10, 85, 7, 3), (5, 86, 7, 3), (2, 3600, 40, 3)]
+)
+def test_stacked_matmul_equals_matmul_per_fold(n_folds, n, d, n_classes):
+    # the logistic objective's exactness rests on stacked matmul making one gemm per fold
+    rng = np.random.default_rng(n * d)
+    x = rng.normal(size=(n_folds, n, d))
+    params = rng.normal(size=(n_folds, (d + 1) * n_classes))
+    w = params[:, : d * n_classes].reshape(n_folds, d, n_classes)
+    logits = np.matmul(x, w)
+    grad_w = np.empty((n_folds, (d + 1) * n_classes))[:, : d * n_classes].reshape(w.shape)
+    np.matmul(x.transpose(0, 2, 1), logits, out=grad_w)
+    for i in range(n_folds):
+        assert np.array_equal(logits[i], x[i] @ params[i, : d * n_classes].reshape(d, n_classes))
+        assert np.array_equal(grad_w[i], x[i].T @ logits[i].copy())
+
+
+def test_logistic_cv_holds_one_fold_design_at_a_time(monkeypatch):
+    # the ten 3600 x 120 fold designs are not stacked together
+    rng = np.random.default_rng(0)
+    n, n_cols, n_cats = 4000, 8, 15
+    labels = rng.integers(0, 3, n)
+    cols = [
+        np.where(rng.random(n) < 0.5, labels * 4, rng.integers(0, n_cats, n))
+        for _ in range(n_cols)
+    ]
+    cats = tuple(f"v{v}" for v in range(n_cats))
+    attrs = tuple(Attribute(f"g{j}", "categorical", cats) for j in range(n_cols))
+    attrs += (Attribute("class", "categorical", ("a", "b", "c")),)
+    ds = Dataset("wide", attrs, n_cols, np.column_stack([*cols, labels]).astype(float))
+    fold_design_bytes = 3600 * n_cols * n_cats * 8
+    assert 3600 * n_cols * n_cats > classifiers_mod._LOGISTIC_BATCH_CELLS  # each fold alone
+    monkeypatch.setattr(classifiers_mod, "_LBFGSB_MAX_ITERATIONS", 2)  # the peak comes first
+    tracemalloc.start()
+    try:
+        cross_validate(LOGISTIC, ds, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one fold's design, its columns while they are copied in, and small arrays
+    assert peak < 4 * fold_design_bytes

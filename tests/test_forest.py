@@ -188,6 +188,15 @@ def test_model_version_and_format_checks(tmp_path):
         ("feature_ids", doc["feature_ids"][:-1]),
         ("class_order", ["negative", "positive", "zero"]),
         ("trees", {"p": [1.0, 0.0, 0.0]}),
+        ("seed", "x"),
+        ("seed", 4.0),
+        ("seed", True),
+        ("n_trees", "4"),
+        ("n_trees", 4.0),
+        ("algorithm", 5),
+        ("measure", None),
+        ("trees", [*doc["trees"][:-1], 7]),
+        ("trees", [*doc["trees"][:-1], [1.0, 0.0, 0.0]]),
     ):
         (tmp_path / "damaged.json").write_text(json.dumps({**doc, key: value}))
         with pytest.raises(ModelError):
