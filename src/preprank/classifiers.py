@@ -481,6 +481,11 @@ def register_learner(family: str, fn) -> None:
     _LEARNERS[family] = _one_fold_at_a_time(fn)
 
 
+def learner_families() -> tuple[str, ...]:
+    """Every learner family with a registered learner, in registration order."""
+    return tuple(_LEARNERS)
+
+
 def _fold_scores(kind: ClassifierKind, ds: Dataset, train_rows, tests, seed: int):
     """Each fold's class scores from the learner of ``kind``; see :func:`_one_fold_at_a_time`."""
     learner = _LEARNERS.get(kind.family)

@@ -11,6 +11,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import evaluation, forest, metadb, openml, ranker
@@ -19,6 +20,8 @@ from .dataset import DatasetError, load_dataset_file
 from .metafeatures import FEATURE_IDS, compute_meta_features
 
 DEFAULT_SEED = 42
+#: report names of the fields of ``evaluation.DatasetMeasures``, in order
+_MEASURE_NAMES = ("PA", "Pr", "OR", "G")
 
 
 def _config_line(command: str, args: argparse.Namespace, keys) -> str:
@@ -32,6 +35,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _row(*cells) -> str:
+    """One report line: the cells' :func:`_fmt` text, tab-separated."""
+    return "\t".join(_fmt(cell) for cell in cells)
 
 
 def _write(path: Path, lines) -> None:
@@ -61,16 +69,15 @@ def cmd_featurize(args) -> int:
 
 
 def _distribution_lines(db, header: str) -> list[str]:
-    lines = [header, "group\tn\tpct_positive\tpct_negative\tpct_zero\tdistance\trgb"]
-    for group_by in (evaluation.GROUP_BY_ALGORITHM, evaluation.GROUP_BY_KIND):
-        for rec in evaluation.impact_distribution(db, group_by):
-            rgb = f"{rec.rgb[0]},{rec.rgb[1]},{rec.rgb[2]}"
-            lines.append(
-                f"{rec.group}\t{rec.n_rows}\t{_fmt(rec.pct_positive)}\t"
-                f"{_fmt(rec.pct_negative)}\t{_fmt(rec.pct_zero)}\t"
-                f"{_fmt(rec.distance)}\t{rgb}"
-            )
-    return lines
+    return [
+        header,
+        _row("group", "n", "pct_positive", "pct_negative", "pct_zero", "distance", "rgb"),
+        *(
+            _row(*astuple(rec)[:-1], ",".join(map(str, rec.rgb)))  # rgb, the last field, as r,g,b
+            for group_by in (evaluation.GROUP_BY_ALGORITHM, evaluation.GROUP_BY_KIND)
+            for rec in evaluation.impact_distribution(db, group_by)
+        ),
+    ]
 
 
 def cmd_impact_scan(args) -> int:
@@ -79,18 +86,17 @@ def cmd_impact_scan(args) -> int:
     header = _config_line(
         "impact-scan", args, ["datasets", "measure", "seed", "jobs"]
     )
-    skipped: dict[str, str] = {}
+    skipped = []  # one (dataset, reason) per dataset and learner
     for name in args.algorithm:
         kind = parse_classifier(name)
         db = metadb.build_metadb(
             corpus.datasets, kind, args.measure, args.seed, jobs=args.jobs
         )
-        for name, reason in db.skipped:
-            skipped[name] = f"{reason} ({kind.name})"
+        skipped += [(dataset, f"{reason} ({kind.name})") for dataset, reason in db.skipped]
         lines = _distribution_lines(db, header + f" algorithm={kind.name}")
         _write(out_dir / f"impact_{_alg_slug(kind.name)}.tsv", lines)
         print(f"wrote impact report for {kind.name}", file=sys.stderr)
-    return _failures_exit(args, tuple(corpus.failures) + tuple(skipped.items()))
+    return _failures_exit(args, [*corpus.failures, *skipped])
 
 
 def cmd_build_metadb(args) -> int:
@@ -156,92 +162,76 @@ def cmd_evaluate(args) -> int:
     significance = evaluation.significance_matrix(records, rate)
     gains = evaluation.gain_report(records, top_k=args.top)
 
-    measure_lines = [header, "dataset\tPA\tPr\tOR\tG"]
-    for record in records:
-        m = evaluation.dataset_measures(record)
-        measure_lines.append(
-            f"{record.dataset_name}\t{_fmt(m.pa)}\t{_fmt(m.pr)}\t"
-            f"{_fmt(m.overall_recall)}\t{_fmt(m.g)}"
-        )
-    _write(out_dir / "measures.tsv", measure_lines)
-
-    lk_lines = [header, "L\tK\taccuracy\tmean_ratio\tsuccesses\ttrials\tdatasets"]
-    for (l_real, k), cell in matrix.cells.items():
-        lk_lines.append(
-            f"{l_real}\t{k}\t{_fmt(cell.accuracy)}\t{_fmt(cell.mean_ratio)}\t"
-            f"{cell.successes}\t{cell.trials}\t{cell.dataset_count}"
-        )
-    lk_lines.append("")
-    lk_lines.append("K\tweighted_average")
-    for k, value in sorted(matrix.weighted_average.items()):
-        lk_lines.append(f"{k}\t{_fmt(value)}")
-    _write(out_dir / "lk_matrix.tsv", lk_lines)
-
-    sig_lines = [
-        header,
-        "L\tK\taccuracy\trandom\tsuccesses\ttrials\tp_value\tsignificant",
-    ]
-    for (l_real, k), cell in significance.items():
-        sig_lines.append(
-            f"{l_real}\t{k}\t{_fmt(cell.accuracy)}\t{_fmt(cell.random_probability)}\t"
-            f"{cell.successes}\t{cell.trials}\t{_fmt(cell.p_value)}\t"
-            f"{'yes' if cell.significant else 'no'}"
-        )
-    _write(out_dir / "significance.tsv", sig_lines)
-
-    ndcg_lines = [
-        header,
-        "algorithm\tndcg_all\tndcg_top\tdatasets_considered",
-        f"{db.algorithm.name}\t{_fmt(gains.mean_ndcg)}\t{_fmt(gains.mean_ndcg_top)}\t"
-        f"{gains.considered}",
-        "",
-        "dataset\tdcg_recommended\tdcg_best\tdcg_worst\tndcg\tndcg_top",
-    ]
-    for row in gains.rows:
-        ndcg_lines.append(
-            f"{row.dataset_name}\t{_fmt(row.dcg_recommended)}\t{_fmt(row.dcg_best)}\t"
-            f"{_fmt(row.dcg_worst)}\t{_fmt(row.ndcg)}\t{_fmt(row.ndcg_top)}"
-        )
-    _write(out_dir / "ndcg.tsv", ndcg_lines)
+    _write(
+        out_dir / "measures.tsv",
+        [
+            header,
+            _row("dataset", *_MEASURE_NAMES),
+            *(_row(r.dataset_name, *astuple(evaluation.dataset_measures(r))) for r in records),
+        ],
+    )
+    _write(
+        out_dir / "lk_matrix.tsv",
+        [
+            header,
+            _row("L", "K", "accuracy", "mean_ratio", "successes", "trials", "datasets"),
+            *(_row(*key, *astuple(cell)) for key, cell in matrix.cells.items()),
+            "",
+            _row("K", "weighted_average"),
+            *(_row(k, value) for k, value in sorted(matrix.weighted_average.items())),
+        ],
+    )
+    _write(
+        out_dir / "significance.tsv",
+        [
+            header,
+            _row("L", "K", "accuracy", "random", "successes", "trials", "p_value", "significant"),
+            *(
+                _row(
+                    l_real, k, cell.accuracy, cell.random_probability, cell.successes,
+                    cell.trials, cell.p_value, "yes" if cell.significant else "no",
+                )
+                for (l_real, k), cell in significance.items()
+            ),
+        ],
+    )
+    _write(
+        out_dir / "ndcg.tsv",
+        [
+            header,
+            _row("algorithm", "ndcg_all", "ndcg_top", "datasets_considered"),
+            _row(db.algorithm.name, gains.mean_ndcg, gains.mean_ndcg_top, gains.considered),
+            "",
+            _row("dataset", "dcg_recommended", "dcg_best", "dcg_worst", "ndcg", "ndcg_top"),
+            *(_row(*astuple(row)) for row in gains.rows),
+        ],
+    )
     _write(out_dir / "distribution.tsv", _distribution_lines(db, header))
 
+    cells = " ".join(f"{f.name}={_fmt(getattr(confusion, f.name))}" for f in fields(confusion))
     summary = [
         header,
-        f"algorithm\t{db.algorithm.name}",
-        f"measure\t{db.measure}",
-        f"datasets\t{len(records)}",
-        f"meta_instances\t{len(db.rows)}",
-        f"positive_rate\t{_fmt(rate)}",
-        f"mean_PA\t{_fmt(corpus_m.pa)} (over {corpus_m.counts['pa']} datasets)",
-        f"mean_Pr\t{_fmt(corpus_m.pr)} (over {corpus_m.counts['pr']} datasets)",
-        f"mean_OR\t{_fmt(corpus_m.overall_recall)} "
-        f"(over {corpus_m.counts['overall_recall']} datasets)",
-        f"mean_G\t{_fmt(corpus_m.g)} (over {corpus_m.counts['g']} datasets)",
-        f"mean_nDCG\t{_fmt(gains.mean_ndcg)}",
-        f"mean_nDCG_top{gains.top_k}\t{_fmt(gains.mean_ndcg_top)}",
-        "confusion\tTP={0} FP_N={1} FP_0={2} FN_P={3} TN={4} FN_0={5} "
-        "F0_P={6} F0_N={7} T0={8}".format(
-            *[
-                _fmt(getattr(confusion, f))
-                for f in (
-                    "TP",
-                    "FP_N",
-                    "FP_0",
-                    "FN_P",
-                    "TN",
-                    "FN_0",
-                    "F0_P",
-                    "F0_N",
-                    "T0",
-                )
-            ]
+        _row("algorithm", db.algorithm.name),
+        _row("measure", db.measure),
+        _row("datasets", len(records)),
+        _row("meta_instances", len(db.rows)),
+        _row("positive_rate", rate),
+        *(
+            _row(f"mean_{name}", getattr(corpus_m, f.name))
+            + f" (over {corpus_m.counts[f.name]} datasets)"
+            for name, f in zip(_MEASURE_NAMES, fields(evaluation.DatasetMeasures))
         ),
+        _row("mean_nDCG", gains.mean_ndcg),
+        _row(f"mean_nDCG_top{gains.top_k}", gains.mean_ndcg_top),
+        _row("confusion", cells),
     ]
-    single = [f.dataset_name for f in report.per_dataset if f.single_class]
-    if single:
+    if report.single_class:
         summary.append(
-            f"single_class_folds\t{','.join(single)} (training fold held one "
-            "response class; predicted with probability 1)"
+            _row(
+                "single_class_folds",
+                f"{','.join(report.single_class)} (training fold held one "
+                "response class; predicted with probability 1)",
+            )
         )
     _write(out_dir / "summary.txt", summary)
     print(f"evaluation reports -> {out_dir}", file=sys.stderr)

@@ -6,12 +6,13 @@ cumulative gain, and impact-distribution summaries.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .metadb import MetaDatabase, NEGATIVE, POSITIVE, ZERO
+from .metadb import MetaDatabase, NEGATIVE, POSITIVE, RESPONSE_CLASSES, ZERO
 from .forest import LoovReport
 from .transforms import spec_kind
 
@@ -51,24 +52,23 @@ class DatasetEvalRecord:
 
 
 def records_from_loov(db: MetaDatabase, report: LoovReport) -> list[DatasetEvalRecord]:
-    """Join held-out predictions with the measured impacts they were blind to."""
-    values = {
-        (r.dataset_name, r.transformation): r.meta_response_value for r in db.rows
-    }
-    records = []
-    for fold in report.per_dataset:
-        entries = tuple(
+    """Each row's held-out prediction beside the measured impact it was blind to.
+
+    Records follow ``db.dataset_names()``; each keeps its dataset's rows in
+    order.  The predicted class is the first most probable one.
+    """
+    entries = {name: [] for name in db.dataset_names()}
+    for row, proba in zip(db.rows, report.probabilities.tolist(), strict=True):
+        entries[row.dataset_name].append(
             EvalEntry(
-                transformation=p.transformation,
-                p_positive=p.probabilities[0],
-                predicted_class=p.predicted_class,
-                real_class=p.true_class,
-                real_value=values[(fold.dataset_name, p.transformation)],
+                transformation=row.transformation,
+                p_positive=proba[0],
+                predicted_class=RESPONSE_CLASSES[proba.index(max(proba))],
+                real_class=row.meta_response_class,
+                real_value=row.meta_response_value,
             )
-            for p in fold.predictions
         )
-        records.append(DatasetEvalRecord(fold.dataset_name, entries))
-    return records
+    return [DatasetEvalRecord(name, tuple(e)) for name, e in entries.items()]
 
 
 # --- tri-class confusion ----------------------------------------------------
@@ -76,7 +76,10 @@ def records_from_loov(db: MetaDatabase, report: LoovReport) -> list[DatasetEvalR
 
 @dataclass(frozen=True)
 class TriClassConfusion:
-    """Weighted predicted-vs-real cells; first letters name the prediction."""
+    """Weighted predicted-vs-real cells; first letters name the prediction.
+
+    Fields run over (predicted, real) pairs in ``RESPONSE_CLASSES`` order.
+    """
 
     TP: float = 0.0
     FP_N: float = 0.0
@@ -89,30 +92,22 @@ class TriClassConfusion:
     T0: float = 0.0
 
 
-_CELL_OF = {
-    (POSITIVE, POSITIVE): "TP",
-    (POSITIVE, NEGATIVE): "FP_N",
-    (POSITIVE, ZERO): "FP_0",
-    (NEGATIVE, POSITIVE): "FN_P",
-    (NEGATIVE, NEGATIVE): "TN",
-    (NEGATIVE, ZERO): "FN_0",
-    (ZERO, POSITIVE): "F0_P",
-    (ZERO, NEGATIVE): "F0_N",
-    (ZERO, ZERO): "T0",
-}
-
-
 def triclass_confusion(records) -> TriClassConfusion:
-    """Sum the per-dataset matrices; every dataset contributes total weight 1."""
+    """Sum the per-dataset matrices; every dataset contributes total weight 1.
+
+    Cell ``3 * predicted + real``, both positions in ``RESPONSE_CLASSES``,
+    is the matching field of :class:`TriClassConfusion`.
+    """
     records = list(records)
     if not records:
         raise ValueError("no evaluation records")
-    cells = {name: 0.0 for name in _CELL_OF.values()}
+    cells = [0.0] * len(RESPONSE_CLASSES) ** 2
     for record in records:
         w = 1.0 / record.total
         for e in record.entries:
-            cells[_CELL_OF[(e.predicted_class, e.real_class)]] += w
-    return TriClassConfusion(**cells)
+            predicted = RESPONSE_CLASSES.index(e.predicted_class)
+            cells[len(RESPONSE_CLASSES) * predicted + RESPONSE_CLASSES.index(e.real_class)] += w
+    return TriClassConfusion(*cells)
 
 
 @dataclass(frozen=True)
@@ -153,11 +148,8 @@ def dataset_measures(record: DatasetEvalRecord) -> DatasetMeasures:
 
 
 @dataclass(frozen=True)
-class CorpusMeasures:
-    pa: float | None
-    pr: float | None
-    overall_recall: float | None
-    g: float | None
+class CorpusMeasures(DatasetMeasures):
+    #: per measure, the number of datasets where it is defined
     counts: dict[str, int]
 
 
@@ -166,10 +158,10 @@ def corpus_measures(records) -> CorpusMeasures:
     per = [dataset_measures(r) for r in records]
     out = {}
     counts = {}
-    for field in ("pa", "pr", "overall_recall", "g"):
-        vals = [getattr(m, field) for m in per if getattr(m, field) is not None]
-        counts[field] = len(vals)
-        out[field] = float(np.mean(vals)) if vals else None
+    for field in fields(DatasetMeasures):
+        vals = [getattr(m, field.name) for m in per if getattr(m, field.name) is not None]
+        counts[field.name] = len(vals)
+        out[field.name] = float(np.mean(vals)) if vals else None
     return CorpusMeasures(counts=counts, **out)
 
 
@@ -183,27 +175,12 @@ def evaluation_ordering(record: DatasetEvalRecord) -> list[EvalEntry]:
     any remaining real positives until position L, then everything else by
     probability.  Ties always break on the transformation text.
     """
-    key = lambda e: (-e.p_positive, e.transformation)  # noqa: E731
-    predicted = sorted(
-        (e for e in record.entries if e.predicted_class == POSITIVE), key=key
-    )
-    taken = set(id(e) for e in predicted)
-    ordering = list(predicted)
-    l_total = record.real_positives
-    if len(ordering) < l_total:
-        leftovers = sorted(
-            (
-                e
-                for e in record.entries
-                if e.real_class == POSITIVE and id(e) not in taken
-            ),
-            key=key,
-        )
-        ordering.extend(leftovers[: l_total - len(ordering)])
-        taken.update(id(e) for e in ordering)
-    rest = sorted((e for e in record.entries if id(e) not in taken), key=key)
-    ordering.extend(rest)
-    return ordering
+    ranked = sorted(record.entries, key=lambda e: (-e.p_positive, e.transformation))
+    head = [e for e in ranked if e.predicted_class == POSITIVE]
+    leftovers = [e for e in ranked if e.real_class == POSITIVE and e.predicted_class != POSITIVE]
+    head += leftovers[: max(0, record.real_positives - len(head))]
+    taken = {id(e) for e in head}
+    return head + [e for e in ranked if id(e) not in taken]
 
 
 @dataclass(frozen=True)
@@ -223,30 +200,29 @@ class LKMatrix:
     weighted_average: dict[int, float]
 
 
-def _cell_successes(pred_pos, real_pos, l_total: int, k: int) -> tuple[int, int]:
-    """(successes, trials) for one dataset at one cell."""
-    if k <= l_total:
-        hits = sum(
-            1 for c in range(k) if pred_pos[c] and real_pos[c]
-        )
-        return hits, k
-    hits = sum(
-        1
-        for c in range(l_total, k)
-        if not pred_pos[c] and not real_pos[c]
-    )
-    return hits, k - l_total
+def _lk_cells(records, per_dataset):
+    """Per (L, K) cell in sorted order: pooled (successes, trials, values).
 
-
-def _record_cells(records):
-    """(record, L, K, successes, trials) of every dataset at every depth K <= T."""
+    ``values`` holds ``per_dataset(record, L, K, successes, trials)`` of each
+    member dataset, one per dataset at every depth K <= T; see :func:`lk_matrix`.
+    A dataset's trials are K at or below the diagonal and K - L above it,
+    so never 0.
+    """
+    cells: dict[tuple[int, int], list] = {}
     for record in records:
         ordering = evaluation_ordering(record)
-        pred_pos = [e.predicted_class == POSITIVE for e in ordering]
-        real_pos = [e.real_class == POSITIVE for e in ordering]
+        flags = [(e.predicted_class == POSITIVE, e.real_class == POSITIVE) for e in ordering]
+        # true positives and true non-positives among the first c positions, per c
+        tp = list(itertools.accumulate((p and r for p, r in flags), initial=0))
+        tn = list(itertools.accumulate((not (p or r) for p, r in flags), initial=0))
         l_total = record.real_positives
         for k in range(1, record.total + 1):
-            yield (record, l_total, k, *_cell_successes(pred_pos, real_pos, l_total, k))
+            hits, trials = (tp[k], k) if k <= l_total else (tn[k] - tn[l_total], k - l_total)
+            cell = cells.setdefault((l_total, k), [0, 0, []])
+            cell[0] += hits
+            cell[1] += trials
+            cell[2].append(per_dataset(record, l_total, k, hits, trials))
+    return sorted(cells.items())
 
 
 def lk_matrix(records) -> LKMatrix:
@@ -257,22 +233,19 @@ def lk_matrix(records) -> LKMatrix:
     Counts are pooled across datasets; the per-dataset mean ratio is kept
     alongside.  The weighted-average row weights cells by dataset count.
     """
-    acc: dict[tuple[int, int], list] = {}
-    for _, l_total, k, hits, trials in _record_cells(records):
-        bucket = acc.setdefault((l_total, k), [0, 0, [], 0])
-        bucket[0] += hits
-        bucket[1] += trials
-        bucket[2].append(hits / trials if trials else 0.0)
-        bucket[3] += 1
+
+    def ratio(record, l_total, k, hits, trials):
+        return hits / trials
+
     cells = {
         key: LKCell(
-            accuracy=hits / trials if trials else 0.0,
-            mean_ratio=float(np.mean(ratios)) if ratios else 0.0,
+            accuracy=hits / trials,
+            mean_ratio=float(np.mean(ratios)),
             successes=hits,
             trials=trials,
-            dataset_count=count,
+            dataset_count=len(ratios),
         )
-        for key, (hits, trials, ratios, count) in sorted(acc.items())
+        for key, (hits, trials, ratios) in _lk_cells(records, ratio)
     }
     weighted = {}
     for k in sorted({k for _, k in cells}):
@@ -359,24 +332,20 @@ def significance_matrix(records, p_positive_rate: float):
     The baseline probability of a cell averages the per-dataset random-pick
     probability over its member datasets (their totals differ).
     """
-    buckets: dict[tuple[int, int], list] = {}
-    for record, l_total, k, hits, trials in _record_cells(records):
-        p0 = random_pick_probability(record.total, l_total, k, p_positive_rate)
-        bucket = buckets.setdefault((l_total, k), [0, 0, [], 0])
-        bucket[0] += hits
-        bucket[1] += trials
-        bucket[2].append(p0)
-        bucket[3] += 1
+
+    def baseline(record, l_total, k, hits, trials):
+        return random_pick_probability(record.total, l_total, k, p_positive_rate)
+
     out = {}
-    for key, (hits, trials, p0s, count) in sorted(buckets.items()):
+    for key, (hits, trials, p0s) in _lk_cells(records, baseline):
         p0 = float(np.mean(p0s))
         out[key] = SignificanceCell(
             successes=hits,
             trials=trials,
-            accuracy=hits / trials if trials else 0.0,
+            accuracy=hits / trials,
             random_probability=p0,
-            p_value=binomial_significance(hits, trials, p0) if trials else 1.0,
-            dataset_count=count,
+            p_value=binomial_significance(hits, trials, p0),
+            dataset_count=len(p0s),
         )
     return out
 
@@ -391,6 +360,19 @@ def dcg(gains_in_rank_order) -> float:
     )
 
 
+def _dcgs(record: DatasetEvalRecord, top_k: int | None = None):
+    """DCG of the recommended, best and worst orderings cut to ``top_k``, and their nDCG."""
+    if not record.has_relevant:
+        raise ValueError(f"dataset {record.dataset_name!r} has no relevant transformation")
+    ranked = sorted(record.entries, key=lambda e: (-e.p_positive, e.transformation))
+    gains = [e.real_value for e in ranked]
+    recommended, best, worst = (
+        dcg(g[:top_k]) for g in (gains, sorted(gains, reverse=True), sorted(gains))
+    )
+    normalized = None if best == worst else (recommended - worst) / (best - worst)
+    return recommended, best, worst, normalized
+
+
 def ndcg(record: DatasetEvalRecord, top_k: int | None = None) -> float | None:
     """Worst-to-best normalized DCG of the production ranking.
 
@@ -399,21 +381,7 @@ def ndcg(record: DatasetEvalRecord, top_k: int | None = None) -> float | None:
     dataset is excluded from averages).  ``top_k`` truncates the recommended,
     best and worst orderings alike before summation.
     """
-    if not record.has_relevant:
-        raise ValueError(f"dataset {record.dataset_name!r} has no relevant transformation")
-    ranked = sorted(record.entries, key=lambda e: (-e.p_positive, e.transformation))
-    gains_rec = [e.real_value for e in ranked]
-    gains_best = sorted(gains_rec, reverse=True)
-    gains_worst = sorted(gains_rec)
-    if top_k is not None:
-        gains_rec = gains_rec[:top_k]
-        gains_best = gains_best[:top_k]
-        gains_worst = gains_worst[:top_k]
-    best = dcg(gains_best)
-    worst = dcg(gains_worst)
-    if best == worst:
-        return None
-    return (dcg(gains_rec) - worst) / (best - worst)
+    return _dcgs(record, top_k)[3]
 
 
 @dataclass(frozen=True)
@@ -441,37 +409,18 @@ def gain_report(records, top_k: int = 1) -> GainReport:
     Only datasets with at least one relevant transformation participate;
     degenerate (all-equal-gain) datasets are reported but excluded from means.
     """
-    rows = []
-    full_vals = []
-    top_vals = []
-    considered = 0
-    for record in records:
-        if not record.has_relevant:
-            continue
-        considered += 1
-        ranked = sorted(record.entries, key=lambda e: (-e.p_positive, e.transformation))
-        gains = [e.real_value for e in ranked]
-        value = ndcg(record)
-        value_top = ndcg(record, top_k=top_k)
-        rows.append(
-            GainRow(
-                dataset_name=record.dataset_name,
-                dcg_recommended=dcg(gains),
-                dcg_best=dcg(sorted(gains, reverse=True)),
-                dcg_worst=dcg(sorted(gains)),
-                ndcg=value,
-                ndcg_top=value_top,
-            )
-        )
-        if value is not None:
-            full_vals.append(value)
-        if value_top is not None:
-            top_vals.append(value_top)
+    rows = tuple(
+        GainRow(r.dataset_name, *_dcgs(r), _dcgs(r, top_k)[3])
+        for r in records
+        if r.has_relevant
+    )
+    full = [row.ndcg for row in rows if row.ndcg is not None]
+    top = [row.ndcg_top for row in rows if row.ndcg_top is not None]
     return GainReport(
-        rows=tuple(rows),
-        mean_ndcg=float(np.mean(full_vals)) if full_vals else None,
-        mean_ndcg_top=float(np.mean(top_vals)) if top_vals else None,
-        considered=considered,
+        rows=rows,
+        mean_ndcg=float(np.mean(full)) if full else None,
+        mean_ndcg_top=float(np.mean(top)) if top else None,
+        considered=len(rows),
         top_k=top_k,
     )
 

@@ -119,35 +119,22 @@ def predicted_class(model: ForestModel, proba) -> str:
 
 
 @dataclass(frozen=True)
-class LoovPrediction:
-    transformation: str
-    probabilities: tuple[float, float, float]
-    predicted_class: str
-    true_class: str
-
-
-@dataclass(frozen=True)
-class LoovFold:
-    dataset_name: str
-    predictions: tuple[LoovPrediction, ...]
-    #: the training fold held one response class, predicted with probability 1
-    single_class: bool = False
-
-
-@dataclass(frozen=True)
 class LoovReport:
-    per_dataset: tuple[LoovFold, ...]
+    #: (n_rows, 3) held-out class probabilities, one row per meta-database row
+    probabilities: np.ndarray
+    #: folds whose training rows held one response class, predicted with probability 1
+    single_class: tuple[str, ...]
 
 
 def loov_evaluate(db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int) -> LoovReport:
-    """Leave-one-dataset-out predictions for every meta-instance.
+    """Leave-one-dataset-out class probabilities for every meta-instance.
 
     For each source dataset, a forest is trained on every other dataset's
     rows and scores the held-out rows; no instance of the test dataset ever
     reaches its own training fold.  All folds' forests grow together from
     one feature matrix (:func:`_train_forests`).  A training fold with a
     single response class trains no forest: its held-out rows get that
-    class with probability 1, and the fold is marked ``single_class``.
+    class with probability 1, and the fold is named in ``single_class``.
     """
     names = db.dataset_names()
     if len(names) < 2:
@@ -156,17 +143,16 @@ def loov_evaluate(db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int) 
     source = np.array([r.dataset_name for r in db.rows])
     fold_rows = [np.flatnonzero(source != name) for name in names]
     forests = _train_forests(db, (x, y, w), fold_rows, n_trees, seed=seed)
-    folds = []
+    probabilities = np.empty((len(y), len(RESPONSE_CLASSES)))
+    single_class = []
     for name, rows, model in zip(names, fold_rows, forests):
+        held_out = np.flatnonzero(source == name)
         if model is None:  # the training fold holds a single class: predict it for sure
-            fixed = tuple(float(c == y[rows[0]]) for c in range(len(RESPONSE_CLASSES)))
-        predictions = []
-        for i in np.flatnonzero(source == name):
-            proba = fixed if model is None else predict_proba(model, x[i])
-            r, cls = db.rows[i], RESPONSE_CLASSES[int(np.argmax(proba))]  # ties in class order
-            predictions.append(LoovPrediction(r.transformation, proba, cls, r.meta_response_class))
-        folds.append(LoovFold(name, tuple(predictions), single_class=model is None))
-    return LoovReport(tuple(folds))
+            probabilities[held_out] = np.arange(len(RESPONSE_CLASSES)) == y[rows[0]]
+            single_class.append(name)
+        else:
+            probabilities[held_out] = [predict_proba(model, x[i]) for i in held_out]
+    return LoovReport(probabilities, tuple(single_class))
 
 
 # --- persistence ----------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classifiers import ClassifierKind, cross_validate
+from .classifiers import ClassifierKind, cross_validate, learner_families
 from .dataset import Dataset
 from .forest import ForestModel, predict_proba, predicted_class
 from .metadb import feature_vector
@@ -34,7 +34,7 @@ class RulesError(Exception):
 
 @dataclass(frozen=True)
 class ExpertRule:
-    """Declarative filter: exclude one transformation kind for one algorithm family."""
+    """Declarative filter: exclude one transformation kind for one learner family or any."""
 
     algorithm: str
     transformation_kind: str
@@ -43,6 +43,8 @@ class ExpertRule:
     def __post_init__(self):
         if self.transformation_kind not in KIND_ORDER:
             raise ValueError(f"unknown transformation kind {self.transformation_kind!r}")
+        if self.algorithm not in (ANY_ALGORITHM, *learner_families()):
+            raise ValueError(f"unknown learner family {self.algorithm!r}")
 
     def matches(self, algorithm: ClassifierKind, spec: TransformationSpec) -> bool:
         if self.transformation_kind != spec.kind:

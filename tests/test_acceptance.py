@@ -228,8 +228,9 @@ def test_criterion_5_loov_provenance(tree_metadb, monkeypatch):
     names = tree_metadb.dataset_names()
     # every fold trains on exactly the other datasets' rows, and so does every bootstrap
     assert loov_training_folds(tree_metadb, calls, bags) == list(names)
-    for fold in report_obj.per_dataset:
-        assert len(fold.predictions) == len(tree_metadb.rows_of(fold.dataset_name))
+    # one held-out class distribution per meta-instance, in row order
+    assert report_obj.probabilities.shape == (len(tree_metadb.rows), 3)
+    assert np.allclose(report_obj.probabilities.sum(axis=1), 1.0)
     report(5, f"no held-out rows reached training across {len(names)} folds")
 
 

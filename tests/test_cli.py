@@ -145,6 +145,8 @@ def test_evaluate_report_suite(pipeline, tmp_path):
     ):
         assert (out_dir / name).exists()
         assert (out_dir / name).read_text().startswith("# preprank evaluate")
+    for path in out_dir.iterdir():
+        assert "np." not in path.read_text(), path.name  # no NumPy scalar repr in a report
 
 
 def test_evaluate_survives_single_class_fold(tmp_path):
@@ -248,13 +250,18 @@ def test_impact_scan_reports_failure_reason(small_manifest, tmp_path, capsys, fa
     args = [
         "impact-scan",
         "--datasets", str(small_manifest),
+        "--algorithm", "tree",
         "--algorithm", "nb",
         "--seed", "1",
         "--out", str(tmp_path / "impact"),
     ]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert "failed: syn01: ArithmeticError: no meta-features for syn01 (nb)\n" in err
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed:")]
+    # one line per learner the dataset failed under, not only the last learner's
+    assert failed == [
+        f"failed: syn01: ArithmeticError: no meta-features for syn01 ({learner})"
+        for learner in ("tree", "nb")
+    ]
 
 
 def test_train_rejects_bad_metadb(tmp_path, capsys):

@@ -21,10 +21,12 @@ from preprank.evaluation import (
     lk_matrix,
     ndcg,
     random_pick_probability,
+    records_from_loov,
     significance_matrix,
     triclass_confusion,
 )
-from preprank.metadb import MetaDatabase, MetaInstance
+from preprank.forest import LoovReport
+from preprank.metadb import FEATURE_COLUMNS, MetaDatabase, MetaInstance
 from preprank.classifiers import TREE
 from preprank.metafeatures import MODIFIABLE_IDS
 
@@ -58,6 +60,53 @@ def random_record(rng, name="r", n=None, with_values=True):
             value = 0.0
         rows.append((pred, real, float(rng.random()), value))
     return record(name, rows)
+
+
+# --- held-out records -------------------------------------------------------
+
+
+def test_records_from_loov_reads_each_rows_own_impact():
+    def row(dataset, transformation, value, cls):
+        return MetaInstance(dataset, transformation, np.zeros(len(FEATURE_COLUMNS)), value, cls)
+
+    db = MetaDatabase(
+        TREE,
+        "acc",
+        (
+            row("a", "normalize(global)", 0.25, "positive"),
+            row("b", "pca(var=0.95)", -0.5, "negative"),  # the datasets' rows interleave
+            row("a", "normalize(global)", 0.0, "zero"),  # a repeated pair keeps its own value
+            row("b", "normalize(global)", 0.125, "positive"),
+            row("a", "pca(var=0.95)", -0.75, "negative"),
+        ),
+    )
+    probabilities = np.array(
+        [
+            [0.2, 0.4, 0.4],  # a tie predicts the first tied class in RESPONSE_CLASSES
+            [1 / 3, 1 / 3, 1 / 3],
+            [0.5, 0.5, 0.0],
+            [0.0, 0.4, 0.6],
+            [0.1, 0.6, 0.3],
+        ]
+    )
+    a, b = records_from_loov(db, LoovReport(probabilities, ()))
+    assert a == DatasetEvalRecord(
+        "a",
+        (
+            EvalEntry("normalize(global)", 0.2, "negative", "positive", 0.25),
+            EvalEntry("normalize(global)", 0.5, "positive", "zero", 0.0),
+            EvalEntry("pca(var=0.95)", 0.1, "negative", "negative", -0.75),
+        ),
+    )
+    assert b == DatasetEvalRecord(
+        "b",
+        (
+            EvalEntry("pca(var=0.95)", 1 / 3, "positive", "negative", -0.5),
+            EvalEntry("normalize(global)", 0.0, "zero", "positive", 0.125),
+        ),
+    )
+    # plain floats: a NumPy scalar would print as np.float64(...) in the reports
+    assert {type(e.p_positive) for e in a.entries + b.entries} == {float}
 
 
 # --- confusion --------------------------------------------------------------

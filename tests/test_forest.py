@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,8 +18,6 @@ from preprank import tree
 from preprank.forest import (
     DEFAULT_TREES,
     ForestModel,
-    LoovFold,
-    LoovPrediction,
     LoovReport,
     ModelError,
     load_model,
@@ -98,12 +97,8 @@ def test_schema_mismatch_rejected():
 def test_out_of_sample_beats_majority():
     db = make_rule_metadb(n_datasets=20, seed=7)
     report = loov_evaluate(db, 40, seed=3)
-    truths = {
-        (fold.dataset_name, p.transformation): p.true_class == p.predicted_class
-        for fold in report.per_dataset
-        for p in fold.predictions
-    }
-    accuracy = np.mean(list(truths.values()))
+    predicted = [RESPONSE_CLASSES[i] for i in report.probabilities.argmax(axis=1)]
+    accuracy = np.mean([p == r.meta_response_class for p, r in zip(predicted, db.rows)])
     share = [r.meta_response_class for r in db.rows]
     majority = max(share.count(c) for c in set(share)) / len(share)
     assert accuracy > majority + 0.1
@@ -113,18 +108,17 @@ def test_loov_structure_and_provenance(monkeypatch):
     db = make_rule_metadb(n_datasets=5, seed=8)
     calls, bags = record_forest_growth(monkeypatch)
     report = forest_mod.loov_evaluate(db, 5, seed=0)
-    names = db.dataset_names()
-    assert tuple(f.dataset_name for f in report.per_dataset) == names
-    assert loov_training_folds(db, calls, bags) == list(names)
-    for fold in report.per_dataset:
-        expected = [r.transformation for r in db.rows_of(fold.dataset_name)]
-        assert [p.transformation for p in fold.predictions] == expected
+    assert loov_training_folds(db, calls, bags) == list(db.dataset_names())
+    assert report.single_class == ()
+    # one probability row per meta-database row, each a distribution over the classes
+    assert report.probabilities.shape == (len(db.rows), len(RESPONSE_CLASSES))
+    assert np.allclose(report.probabilities.sum(axis=1), 1.0)
 
 
 def test_loov_two_datasets():
     db = make_rule_metadb(n_datasets=2, seed=9)
     report = loov_evaluate(db, 5, seed=0)
-    assert len(report.per_dataset) == 2
+    assert report.probabilities.shape == (len(db.rows), len(RESPONSE_CLASSES))
     single = MetaDatabase(db.algorithm, db.measure, db.rows_of(db.dataset_names()[0]))
     with pytest.raises(ValueError):
         loov_evaluate(single, 5, seed=0)
@@ -134,17 +128,11 @@ def test_loov_single_class_fold_predicts_that_class(monkeypatch):
     db = single_class_fold_metadb()
     calls, bags = record_forest_growth(monkeypatch)
     report = forest_mod.loov_evaluate(db, 5, seed=0)
-    assert [f.dataset_name for f in report.per_dataset] == list(db.dataset_names())
-    assert [f.single_class for f in report.per_dataset] == [True, False, False, False]
+    assert report.single_class == ("ds00",)
     assert loov_training_folds(db, calls, bags) == ["ds01", "ds02", "ds03"]
-    held_out = report.per_dataset[0]
-    assert [p.transformation for p in held_out.predictions] == [
-        r.transformation for r in db.rows_of("ds00")
-    ]
-    for p in held_out.predictions:
-        assert p.probabilities == (0.0, 0.0, 1.0)
-        assert p.predicted_class == "zero"
-    assert [p.true_class for p in held_out.predictions].count("positive") == 1
+    held_out = [i for i, r in enumerate(db.rows) if r.dataset_name == "ds00"]
+    assert report.probabilities[held_out].tolist() == [[0.0, 0.0, 1.0]] * len(held_out)
+    assert [db.rows[i].meta_response_class for i in held_out].count("positive") == 1
 
 
 def test_model_round_trip(tmp_path):
@@ -315,33 +303,29 @@ def _oracle_train_forest(db, n_trees, seed):
 
 def _oracle_loov_evaluate(db, n_trees, seed):
     """``loov_evaluate`` as it was: one separately trained forest per fold."""
-    folds = []
+    probabilities = np.full((len(db.rows), len(RESPONSE_CLASSES)), np.nan)
+    single_class = []
     for name in db.dataset_names():
         train_db = replace(db, rows=tuple(r for r in db.rows if r.dataset_name != name))
+        held_out = [i for i, r in enumerate(db.rows) if r.dataset_name == name]
         classes = {r.meta_response_class for r in train_db.rows}
         if len(classes) == 1:
             [only] = classes
-            proba = tuple(float(c == only) for c in RESPONSE_CLASSES)
-            predictions = tuple(
-                LoovPrediction(row.transformation, proba, only, row.meta_response_class)
-                for row in db.rows_of(name)
-            )
-            folds.append(LoovFold(name, predictions, single_class=True))
+            probabilities[held_out] = [float(c == only) for c in RESPONSE_CLASSES]
+            single_class.append(name)
             continue
         model = _oracle_train_forest(train_db, n_trees, seed)
-        predictions = []
-        for row in db.rows_of(name):
-            proba = predict_proba(model, row.features)
-            predictions.append(
-                LoovPrediction(
-                    transformation=row.transformation,
-                    probabilities=proba,
-                    predicted_class=predicted_class(model, proba),
-                    true_class=row.meta_response_class,
-                )
-            )
-        folds.append(LoovFold(name, tuple(predictions)))
-    return LoovReport(tuple(folds))
+        for i in held_out:
+            probabilities[i] = predict_proba(model, db.rows[i].features)
+    return LoovReport(probabilities, tuple(single_class))
+
+
+def _interleaved_rule_metadb(seed):
+    """A rule meta-database whose datasets' rows take turns instead of running in blocks."""
+    db = make_rule_metadb(n_datasets=7, seed=seed)
+    blocks = [db.rows_of(name) for name in db.dataset_names()]
+    turns = itertools.zip_longest(*blocks)
+    return replace(db, rows=tuple(r for turn in turns for r in turn if r is not None))
 
 
 #: (database, seed, trees per fold); 7 and 23 folds are no multiple of the 3, 20
@@ -352,6 +336,7 @@ _LOOV_CASES = (
     + [("rule23", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
     + [("tree", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
     + [("tree", 7, 30)]
+    + [("interleaved", seed, 5) for seed in (1, 7)]
 )
 
 
@@ -362,8 +347,12 @@ def test_lockstep_loov_matches_per_fold_forests(tree_metadb, name, seed, n_trees
         "rule7": lambda: make_rule_metadb(n_datasets=7, seed=seed),
         "rule23": lambda: make_rule_metadb(n_datasets=23, seed=seed),
         "single_class": single_class_fold_metadb,
+        "interleaved": lambda: _interleaved_rule_metadb(seed),
     }[name]()
-    assert loov_evaluate(db, n_trees, seed=seed) == _oracle_loov_evaluate(db, n_trees, seed)
+    report, oracle = loov_evaluate(db, n_trees, seed=seed), _oracle_loov_evaluate(db, n_trees, seed)
+    assert report.single_class == oracle.single_class
+    assert report.probabilities.shape == oracle.probabilities.shape
+    assert report.probabilities.tobytes() == oracle.probabilities.tobytes()
     if len({r.meta_response_class for r in db.rows}) > 1:
         assert train_forest(db, n_trees, seed=seed) == _oracle_train_forest(db, n_trees, seed)
 

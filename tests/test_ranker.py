@@ -69,6 +69,23 @@ def test_rules_parse_errors():
     assert parse_rules("# only a comment\n\n") == ()
 
 
+@pytest.mark.parametrize(
+    "text, lineno, algorithm",
+    [
+        ("exclude knn:3 normalize\n", 1, "knn:3"),  # a learner name, not its family
+        ("exclude any pca\nexclude tre standardize\n", 2, "tre"),
+    ],
+)
+def test_rules_reject_an_unknown_learner_family(text, lineno, algorithm):
+    # such a rule never matches any learner, so it would silently prune nothing
+    with pytest.raises(RulesError, match=f"^line {lineno}: unknown learner family '{algorithm}'$"):
+        parse_rules(text)
+    with pytest.raises(ValueError, match="unknown learner family"):
+        ExpertRule(algorithm, "normalize")
+    for family in ("any", "tree", "nb", "knn", "logistic"):
+        assert ExpertRule(family, "normalize").algorithm == family
+
+
 @pytest.fixture(scope="module")
 def tree_model():
     return train_forest(make_rule_metadb(n_datasets=10, seed=3), 30, seed=1)
