@@ -9,7 +9,7 @@ L2-penalized multinomial logistic regression.  More can be plugged in through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
@@ -77,7 +77,7 @@ class PerformanceMeasures:
 
 
 class CallCounter:
-    """Counts cross-validation runs, for cost assertions."""
+    """Counts datasets cross-validated, for cost assertions."""
 
     def __init__(self):
         self.value = 0
@@ -89,26 +89,44 @@ class CallCounter:
         self.value = 0
 
 
-#: incremented on every cross_validate call
+#: incremented once per dataset that cross_validate measures
 CV_RUNS = CallCounter()
 
 
 # --- decision tree --------------------------------------------------------
 
 
-def _learner_tree(kind, ds, train_rows, tests, seed):
-    """Information-gain trees, one per fold, grown together over the rows of ``ds``.
+#: cells (rows x stacked columns) of datasets whose fold trees grow together
+_TREE_BATCH_CELLS = 2**18
 
-    Leaves hold at least 2 rows; a categorical split has one child per category.
+
+def _learner_tree(kind, datasets, train_rows, test_rows, seed):
+    """Information-gain trees; the fold trees of several datasets grow together.
+
+    Consecutive datasets of at most ``_TREE_BATCH_CELLS`` cells (one over it
+    alone) share a :func:`tree.grow` over their columns side by side.  Leaves
+    hold at least 2 rows; a categorical split has one child per category.
     """
-    predictors = np.asarray(ds.predictor_indices)
-    roots = tree.grow(
-        ds.rows, ds.class_labels, np.ones(ds.n_rows), len(ds.class_attribute.categories),
-        [(rows, lambda: predictors) for rows in train_rows],
-        criterion=tree.ENTROPY, categorical=frozenset(ds.categorical_predictors), min_leaf=2,
-    )
-    for root, test in zip(roots, tests):
-        yield np.vstack([tree.leaf(root, row)["p"] for row in test.rows])
+    groups = [[]]
+    for ds in datasets:
+        if groups[-1] and sum(d.rows.size for d in groups[-1]) + ds.rows.size > _TREE_BATCH_CELLS:
+            groups.append([])
+        groups[-1].append(ds)
+    for group in groups:
+        x = np.hstack([ds.rows for ds in group])
+        trees, categorical, offset = [], [], 0
+        for ds in group:
+            predictors = offset + np.asarray(ds.predictor_indices)
+            trees += [(rows, lambda p=predictors: p) for rows in train_rows]  # its own columns
+            categorical += [offset + j for j in ds.categorical_predictors]
+            offset += ds.n_attributes
+        roots = tree.grow(  # every dataset has the rows and class column of the last
+            x, ds.class_labels, np.ones(ds.n_rows), len(ds.class_attribute.categories), trees,
+            criterion=tree.ENTROPY, categorical=frozenset(categorical), min_leaf=2,
+        )
+        tests = [x[rows] for rows in test_rows] * len(group)
+        scores = [np.vstack([tree.leaf(r, t)["p"] for t in test]) for r, test in zip(roots, tests)]
+        yield from (scores[i : i + len(test_rows)] for i in range(0, len(scores), len(test_rows)))
 
 
 # --- naive Bayes -----------------------------------------------------------
@@ -415,35 +433,39 @@ def _lbfgsb(objective, n_folds: int, n_params: int):
 _LOGISTIC_BATCH_CELLS = 2**18
 
 
-def _learner_logistic(kind, ds, train_rows, tests, seed):
-    """Ridge multinomial logistic regression, solved for folds together.
+def _learner_logistic(kind, datasets, train_rows, test_rows, seed):
+    """Ridge multinomial logistic regression, a dataset's folds solved together.
 
     Folds whose design matrices have the same shape go in stacks of at most
     ``_LOGISTIC_BATCH_CELLS`` cells, each solved by one :func:`_lbfgsb` run.
     """
-    n_classes = len(ds.class_attribute.categories)
-    builders = [_logistic_design(ds.subset(rows)) for rows in train_rows]
-    shapes = {}
-    for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
-        d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
-        shapes.setdefault((len(rows), d), []).append(i)
-    params = {}
-    for (n, d), folds in shapes.items():
-        step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
-        for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
-            x = np.empty((len(chunk), n, d))
-            for slot, i in zip(x, chunk):
-                _logistic_apply(builders[i], ds.subset(train_rows[i]), out=slot)
-            y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
-            objective = _logistic_objective(x, y, n_classes)
-            params.update(zip(chunk, _lbfgsb(objective, len(chunk), (d + 1) * n_classes)[0]))
-            del x, objective  # so the next stack is not allocated beside this one
-    for i, test in enumerate(tests):
-        w = params[i][:-n_classes].reshape(-1, n_classes)
-        logits = _logistic_apply(builders[i], test) @ w + params[i][-n_classes:]
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        yield exp / exp.sum(axis=1, keepdims=True)
+    for ds in datasets:
+        n_classes = len(ds.class_attribute.categories)
+        builders = [_logistic_design(ds.subset(rows)) for rows in train_rows]
+        shapes = {}
+        for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
+            d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
+            shapes.setdefault((len(rows), d), []).append(i)
+        params = {}
+        for (n, d), folds in shapes.items():
+            step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
+            for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
+                x = np.empty((len(chunk), n, d))
+                for slot, i in zip(x, chunk):
+                    _logistic_apply(builders[i], ds.subset(train_rows[i]), out=slot)
+                y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
+                objective = _logistic_objective(x, y, n_classes)
+                fits, _ = _lbfgsb(objective, len(chunk), (d + 1) * n_classes)
+                params.update(zip(chunk, fits))
+                del x, objective  # so the next stack is not allocated beside this one
+        scores = []
+        for i, rows in enumerate(test_rows):
+            w = params[i][:-n_classes].reshape(-1, n_classes)
+            logits = _logistic_apply(builders[i], ds.subset(rows)) @ w + params[i][-n_classes:]
+            logits -= logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            scores.append(exp / exp.sum(axis=1, keepdims=True))
+        yield scores
 
 
 # --- dispatch and cross-validation -------------------------------------------
@@ -452,15 +474,16 @@ def _learner_logistic(kind, ds, train_rows, tests, seed):
 def _one_fold_at_a_time(fn):
     """The learner protocol around ``fn(kind, train, test, seed) -> scores``.
 
-    A learner takes ``(kind, ds, train_rows, tests, seed)``: per fold the
-    indices of its training rows in ``ds`` and its test dataset, ``tests``
-    an iterable read once.  It yields each fold's (n_test, n_classes) class
-    scores in fold order.  This one trains ``fn`` on one fold at a time.
+    A learner takes ``(kind, datasets, train_rows, test_rows, seed)``: a list
+    of datasets with shared rows and class column, and each fold's training
+    and test row indices.  It yields per dataset its folds' (n_test, n_classes)
+    class scores.  This one trains ``fn`` on one fold of one dataset at a time.
     """
 
-    def learner(kind, ds, train_rows, tests, seed):
-        for rows, test in zip(train_rows, tests):
-            yield fn(kind, ds.subset(rows), test, seed)
+    def learner(kind, datasets, train_rows, test_rows, seed):
+        for ds in datasets:
+            folds = zip(train_rows, test_rows)
+            yield [fn(kind, ds.subset(a), ds.subset(b), seed) for a, b in folds]
 
     return learner
 
@@ -486,15 +509,15 @@ def learner_families() -> tuple[str, ...]:
     return tuple(_LEARNERS)
 
 
-def _fold_scores(kind: ClassifierKind, ds: Dataset, train_rows, tests, seed: int):
-    """Each fold's class scores from the learner of ``kind``; see :func:`_one_fold_at_a_time`."""
+def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows, seed: int):
+    """Each dataset's fold scores from ``kind``'s learner; see :func:`_one_fold_at_a_time`."""
     learner = _LEARNERS.get(kind.family)
     if learner is None:
         raise ValueError(f"no learner registered for {kind.family!r}")
     if any(len(rows) == 0 for rows in train_rows):
         raise ValueError("empty training split")
-    for scores in learner(kind, ds, train_rows, tests, seed):
-        yield np.asarray(scores, dtype=float)
+    for folds in learner(kind, datasets, train_rows, test_rows, seed):
+        yield [np.asarray(scores, dtype=float) for scores in folds]
 
 
 def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset, seed: int):
@@ -505,30 +528,38 @@ def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset, seed: int):
     """
     if train.attributes != test.attributes or train.class_index != test.class_index:
         raise ValueError("train and test datasets have different schemas")
-    [scores] = _fold_scores(kind, train, [np.arange(train.n_rows)], [test], seed)
+    both, n = replace(train, rows=np.vstack([train.rows, test.rows])), train.n_rows
+    [[scores]] = _fold_scores(kind, [both], [np.arange(n)], [np.arange(n, both.n_rows)], seed)
     preds = scores.argmax(axis=1)
     return [(int(p), scores[i]) for i, p in enumerate(preds)]
 
 
 def cross_validate(
-    kind: ClassifierKind, ds: Dataset, k: int = 10, *, seed: int
-) -> PerformanceMeasures:
-    """Stratified k-fold cross-validation with predictions pooled across folds."""
-    CV_RUNS.increment()
-    assignment = stratified_folds(ds, k, seed)
-    fold_of_row = np.asarray(assignment.fold_of_row)
+    kind: ClassifierKind, datasets, k: int = 10, *, seed: int
+) -> list[PerformanceMeasures]:
+    """Stratified k-fold cross-validation with predictions pooled across folds.
+
+    ``datasets`` holds a dataset, then versions of it with its rows and class
+    column, all measured on the first's folds: one result and ``CV_RUNS`` each.
+    """
+    datasets = list(datasets)
+    first, y = datasets[0], datasets[0].class_labels
+    for i, ds in enumerate(datasets):
+        if ds.class_attribute != first.class_attribute or not np.array_equal(ds.class_labels, y):
+            raise ValueError(f"dataset {i} ({ds.name!r}) has other rows or class than the first")
+        CV_RUNS.increment()
+    fold_of_row = np.asarray(stratified_folds(first, k, seed).fold_of_row)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
-    tests = (ds.subset(rows) for rows in test_rows)  # one test copy at a time
-    preds = np.empty(ds.n_rows, dtype=int)
-    scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
-    for test_idx, fold_scores in zip(test_rows, _fold_scores(kind, ds, train_rows, tests, seed)):
-        preds[test_idx] = fold_scores.argmax(axis=1)
-        scores[test_idx] = fold_scores
-    return _pooled_measures(ds.class_labels, preds, scores)
+    order = np.argsort(np.concatenate(test_rows))  # the folds' test rows back in row order
+    return [
+        _pooled_measures(y, np.vstack(folds)[order])
+        for folds in _fold_scores(kind, datasets, train_rows, test_rows, seed)
+    ]
 
 
-def _pooled_measures(true, preds, scores) -> PerformanceMeasures:
+def _pooled_measures(true, scores) -> PerformanceMeasures:
+    preds = scores.argmax(axis=1)
     n = true.size
     n_classes = scores.shape[1]
     accuracy = float((preds == true).mean())

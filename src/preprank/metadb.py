@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,8 +95,8 @@ class MetaDatabase:
     measure: str
     rows: tuple[MetaInstance, ...]
     schema_version: int = SCHEMA_VERSION
-    #: (dataset name, "Type: message") per dataset that failed during
-    #: measurement; kept in memory only, never saved
+    #: (dataset name, "Type: message [file.py:line]") per dataset that failed
+    #: during measurement; kept in memory only, never saved
     skipped: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def dataset_names(self) -> tuple[str, ...]:
@@ -143,18 +144,23 @@ def _dataset_rows(args):
     ds, algorithm, measure, seed = args
     try:
         base_mf = compute_meta_features(ds)
-        base_pm = cross_validate(algorithm, ds, seed=seed).get(measure)
+        specs, versions, changes = enumerate_applicable(ds), [], []
+        for spec in specs:
+            versions.append(apply(spec, ds))
+            changes.append(delta(base_mf, compute_meta_features(versions[-1])))
+        measured = cross_validate(algorithm, [ds, *versions], seed=seed)
+        base_pm, *trans_pms = [pm.get(measure) for pm in measured]
         rows = []
-        for spec in enumerate_applicable(ds):
-            transformed = apply(spec, ds)
-            change = delta(base_mf, compute_meta_features(transformed))
-            trans_pm = cross_validate(algorithm, transformed, seed=seed).get(measure)
+        for spec, change, trans_pm in zip(specs, changes, trans_pms):
             value, cls = label_response(base_pm, trans_pm)
             features = feature_vector(base_mf, change, base_pm)
             rows.append(MetaInstance(ds.name, spec.text, features, value, cls))
         return ds.name, rows, None
     except Exception as exc:  # noqa: BLE001 - per-dataset failures are reported, not fatal
-        return ds.name, None, f"{type(exc).__name__}: {exc}"
+        frames = traceback.extract_tb(exc.__traceback__)
+        *_, at = (f for f in frames if Path(f.filename).parent == Path(__file__).parent)
+        where = f"{Path(at.filename).name}:{at.lineno}"  # the innermost frame in this package
+        return ds.name, None, f"{type(exc).__name__}: {exc} [{where}]"
 
 
 def build_metadb(
@@ -203,7 +209,8 @@ _HEADER = ("dataset", "transformation") + FEATURE_COLUMNS + ("response_value", "
 def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     """Write tab-delimited text: a schema comment, a header, one line per row.
 
-    A NOT_APPLICABLE feature is an empty cell.
+    A NOT_APPLICABLE feature is an empty cell.  A dataset name holding a tab,
+    CR or LF is a MetaDbError, and nothing is written.
     """
     lines = [
         f"# preprank-metadb schema_version={db.schema_version} "
@@ -213,6 +220,8 @@ def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     if header_comment:
         lines.insert(1, f"# {header_comment.lstrip('# ')}")
     for row in db.rows:
+        if {"\t", "\r", "\n"} & set(row.dataset_name):
+            raise MetaDbError(f"dataset name {row.dataset_name!r} holds a tab, CR or LF")
         cells = [row.dataset_name, row.transformation]
         cells += ["" if math.isnan(v) else repr(v) for v in row.features.tolist()]
         cells += [repr(float(row.meta_response_value)), row.meta_response_class]
@@ -238,10 +247,10 @@ def load(path) -> MetaDatabase:
     header = None
     rows: list[MetaInstance] = []
     n_blankable = 2 * len(MODIFIABLE_IDS)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):  # LF only, as save writes
         if not line.strip():
             continue
-        if line.startswith("#"):
+        if line.startswith("#") and header is None:  # a row's name may start with "#"
             if "preprank-metadb" in line:
                 for token in line.lstrip("# ").split():
                     if "=" in token:
@@ -255,7 +264,7 @@ def load(path) -> MetaDatabase:
             continue
         cells = line.split("\t")
         if len(cells) != len(header):
-            raise MetaDbError(f"row with {len(cells)} cells, expected {len(header)}")
+            raise MetaDbError(f"line {lineno}: row with {len(cells)} cells, expected {len(header)}")
         cls = cells[-1]
         if cls not in RESPONSE_CLASSES:
             raise MetaDbError(f"unknown response class {cls!r}")

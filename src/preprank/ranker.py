@@ -129,7 +129,7 @@ def rank_transformations(
             f"model was trained for {model.algorithm!r}, not {algorithm.name!r}"
         )
     base_mf = compute_meta_features(ds)
-    base_pm = cross_validate(algorithm, ds, seed=seed).get(model.measure or "acc")
+    base_pm = cross_validate(algorithm, [ds], seed=seed)[0].get(model.measure or "acc")
     candidates = prune(rules, algorithm, enumerate_applicable(ds))
     scored = []
     for spec in candidates:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 import preprank.classifiers as classifiers_mod
@@ -19,6 +20,7 @@ from preprank.classifiers import (
     parse_classifier,
     register_learner,
 )
+from preprank import tree
 from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.synthetic import random_dataset
 from preprank.transforms import TransformationSpec, apply, enumerate_applicable
@@ -102,7 +104,7 @@ def test_naive_bayes_skips_missing_factors():
 
 def test_logistic_learns_separable_data():
     ds = random_dataset(6, n_rows=60, n_continuous=2, n_categorical=0, class_sep=6.0)
-    pm = cross_validate(LOGISTIC, ds, 10, seed=1)
+    [pm] = cross_validate(LOGISTIC, [ds], 10, seed=1)
     assert pm.accuracy > 0.9
 
 
@@ -129,7 +131,7 @@ def test_pluggable_learner_and_trivial_measures():
     rows = np.array(ds.rows)
     rows[:, ds.class_index] = np.arange(40) % 2
     balanced = Dataset(ds.name, ds.attributes, ds.class_index, rows)
-    pm = cross_validate(ClassifierKind("majority"), balanced, 10, seed=0)
+    [pm] = cross_validate(ClassifierKind("majority"), [balanced], 10, seed=0)
     assert pm.accuracy == 0.5
     assert pm.recall == 0.5  # macro: 1.0 for the predicted class, 0.0 for the other
     assert pm.auc == 0.5  # constant scores rank everything equally
@@ -144,13 +146,13 @@ def test_perfect_classifier_all_ones():
 
     register_learner("oracle", oracle_learner)
     ds = random_dataset(10, n_rows=30, n_continuous=2, n_classes=3)
-    pm = cross_validate(ClassifierKind("oracle"), ds, 10, seed=0)
+    [pm] = cross_validate(ClassifierKind("oracle"), [ds], 10, seed=0)
     assert pm == PerformanceMeasures(1.0, 1.0, 1.0, 1.0)
 
 
 def test_cross_validate_matches_brute_force_1nn():
     ds = random_dataset(11, n_rows=30, n_continuous=2, n_categorical=1, n_classes=2)
-    pm = cross_validate(knn(1), ds, 10, seed=3)
+    [pm] = cross_validate(knn(1), [ds], 10, seed=3)
 
     # independent recomputation: explicit fold loop and a from-scratch 1-NN
     assignment = stratified_folds(ds, 10, 3)
@@ -185,22 +187,22 @@ def test_cross_validate_matches_brute_force_1nn():
 def test_determinism():
     ds = random_dataset(12, n_rows=50, n_continuous=3, n_categorical=1, missing_rate=0.1)
     for kind in (TREE, NAIVE_BAYES, knn(3), LOGISTIC):
-        assert cross_validate(kind, ds, 10, seed=7) == cross_validate(kind, ds, 10, seed=7)
+        assert cross_validate(kind, [ds], 10, seed=7)[0] == cross_validate(kind, [ds], 10, seed=7)[0]
 
 
 def test_tree_invariant_under_scaling():
     ds = random_dataset(13, n_rows=60, n_continuous=3, n_categorical=1, missing_rate=0.05)
-    base = cross_validate(TREE, ds, 10, seed=5)
+    [base] = cross_validate(TREE, [ds], 10, seed=5)
     for kind in ("normalize", "standardize"):
         scaled = apply(TransformationSpec(kind, "global"), ds)
-        assert cross_validate(TREE, scaled, 10, seed=5) == base
+        assert cross_validate(TREE, [scaled], 10, seed=5)[0] == base
 
 
 def test_knn_invariant_under_external_normalization():
     ds = random_dataset(14, n_rows=60, n_continuous=3, n_categorical=1)
-    base = cross_validate(knn(1), ds, 10, seed=5)
+    [base] = cross_validate(knn(1), [ds], 10, seed=5)
     scaled = apply(TransformationSpec("normalize", "global"), ds)
-    assert cross_validate(knn(1), scaled, 10, seed=5) == base
+    assert cross_validate(knn(1), [scaled], 10, seed=5)[0] == base
 
 
 def test_random_scorer_auc_near_half():
@@ -214,22 +216,25 @@ def test_random_scorer_auc_near_half():
     rows = np.array(ds.rows)
     rows[:, ds.class_index] = np.arange(1000) % 2
     balanced = Dataset(ds.name, ds.attributes, ds.class_index, rows)
-    pm = cross_validate(ClassifierKind("coin"), balanced, 10, seed=99)
+    [pm] = cross_validate(ClassifierKind("coin"), [balanced], 10, seed=99)
     assert pm.auc == pytest.approx(0.5, abs=0.05)
 
 
 def test_cv_run_counter():
     ds = random_dataset(16, n_rows=20, n_continuous=1)
     CV_RUNS.reset()
-    cross_validate(TREE, ds, 5, seed=0)
-    cross_validate(TREE, ds, 5, seed=1)
+    cross_validate(TREE, [ds], 5, seed=0)
+    cross_validate(TREE, [ds], 5, seed=1)
     assert CV_RUNS.value == 2
+    versions = [apply(spec, ds) for spec in enumerate_applicable(ds)]
+    cross_validate(TREE, [ds, *versions], 5, seed=0)
+    assert CV_RUNS.value == 3 + len(versions)  # one run per dataset measured
 
 
 def test_k_larger_than_rows_rejected():
     ds = random_dataset(17, n_rows=8)
     with pytest.raises(ValueError):
-        cross_validate(TREE, ds, 9, seed=0)
+        cross_validate(TREE, [ds], 9, seed=0)
 
 
 def test_measure_lookup():
@@ -490,8 +495,9 @@ def _assert_learner_matches_minimize(ds, seed, expected):
     """The logistic learner scores each CV fold as ``minimize``'s fit of it does."""
     fold_of_row = np.asarray(stratified_folds(ds, 10, seed).fold_of_row)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
-    tests = [ds.subset(np.flatnonzero(fold_of_row == f)) for f in range(10)]
-    found = list(classifiers_mod._fold_scores(LOGISTIC, ds, train_rows, iter(tests), 0))
+    test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+    tests = [ds.subset(rows) for rows in test_rows]
+    [found] = classifiers_mod._fold_scores(LOGISTIC, [ds], train_rows, test_rows, 0)
     assert len(found) == len(expected) == 10
     for rows, test, scores, result in zip(train_rows, tests, found, expected):
         builders = classifiers_mod._logistic_design(ds.subset(rows))
@@ -604,9 +610,158 @@ def test_logistic_cv_holds_one_fold_design_at_a_time(monkeypatch):
     monkeypatch.setattr(classifiers_mod, "_LBFGSB_MAX_ITERATIONS", 2)  # the peak comes first
     tracemalloc.start()
     try:
-        cross_validate(LOGISTIC, ds, 10, seed=0)
+        cross_validate(LOGISTIC, [ds], 10, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one fold's design, its columns while they are copied in, and small arrays
     assert peak < 4 * fold_design_bytes
+
+
+# --- a dataset and its operator versions in one cross-validation ------------------
+
+
+def _one_dataset_tree_cv(ds, seed, k=10):
+    """Oracle: the fold scores and measures of ``ds`` cross-validated alone.
+
+    One ``tree.grow`` takes the dataset's own k fold trees, over its own
+    rows, and each fold's test rows are a subset of the dataset.
+    """
+    fold_of_row = np.asarray(stratified_folds(ds, k, seed).fold_of_row)
+    train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
+    test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
+    predictors = np.asarray(ds.predictor_indices)
+    roots = tree.grow(
+        ds.rows, ds.class_labels, np.ones(ds.n_rows), len(ds.class_attribute.categories),
+        [(rows, lambda: predictors) for rows in train_rows],
+        criterion=tree.ENTROPY, categorical=frozenset(ds.categorical_predictors), min_leaf=2,
+    )
+    folds = [
+        np.vstack([tree.leaf(root, row)["p"] for row in ds.subset(rows).rows])
+        for root, rows in zip(roots, test_rows)
+    ]
+    scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
+    for rows, fold_scores in zip(test_rows, folds):
+        scores[rows] = fold_scores
+    return folds, classifiers_mod._pooled_measures(ds.class_labels, scores)
+
+
+def _with_versions(ds):
+    return [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]
+
+
+def _assert_catalog_matches_oracle(datasets, seed, k=10):
+    """Every fold score array and every measure equal the oracle's, byte for byte."""
+    fold_of_row = np.asarray(stratified_folds(datasets[0], k, seed).fold_of_row)
+    train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
+    test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
+    found = list(classifiers_mod._fold_scores(TREE, datasets, train_rows, test_rows, seed))
+    measures = cross_validate(TREE, datasets, k, seed=seed)
+    assert len(found) == len(measures) == len(datasets)
+    for ds, folds, pm in zip(datasets, found, measures):
+        oracle_folds, oracle_pm = _one_dataset_tree_cv(ds, seed, k)
+        assert len(folds) == k
+        for ours, theirs in zip(folds, oracle_folds):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert pm == oracle_pm
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_catalog_tree_cv_matches_one_dataset_oracle_on_mini_corpus(mini_datasets, seed):
+    for ds in mini_datasets:
+        _assert_catalog_matches_oracle(_with_versions(ds), seed)
+
+
+@st.composite
+def _fuzz_datasets(draw):
+    """20-60 rows with missing cells, constant and all-missing columns, one-category attributes."""
+    n = draw(st.integers(20, 60))
+    attrs, cols = [], []
+    for j in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            attrs.append(Attribute(f"a{j}", "continuous"))
+            cell = st.floats(-1e3, 1e3, allow_nan=False)
+        else:
+            k = draw(st.integers(1, 3))
+            attrs.append(Attribute(f"a{j}", "categorical", tuple(f"v{i}" for i in range(k))))
+            cell = st.integers(0, k - 1).map(float)
+        shape = draw(st.sampled_from(["free", "constant", "missing"]))
+        if shape == "missing":
+            cols.append([math.nan] * n)
+        elif shape == "constant":
+            cols.append([draw(cell)] * n)
+        else:
+            cols.append(draw(st.lists(cell | st.just(math.nan), min_size=n, max_size=n)))
+    attrs.append(Attribute("class", "categorical", ("c0", "c1", "c2")))
+    cols.append(draw(st.lists(st.integers(0, 2).map(float), min_size=n, max_size=n)))
+    return Dataset("fuzz", tuple(attrs), len(attrs) - 1, np.array(cols).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fuzz_datasets(), st.integers(0, 1000))
+def test_catalog_tree_cv_matches_one_dataset_oracle_on_fuzzed_datasets(ds, seed):
+    _assert_catalog_matches_oracle(_with_versions(ds), seed)
+
+
+@pytest.mark.parametrize("cells", ["one", "two"])
+def test_tree_batch_budget_does_not_change_scores(mini_datasets, monkeypatch, cells):
+    datasets = _with_versions(mini_datasets[15])
+    widest = max(ds.rows.size for ds in datasets)
+    expected = cross_validate(TREE, datasets, 10, seed=7)
+    # one: every dataset grows alone; two: at most two datasets grow together
+    monkeypatch.setattr(classifiers_mod, "_TREE_BATCH_CELLS", 1 if cells == "one" else 2 * widest)
+    assert cross_validate(TREE, datasets, 10, seed=7) == expected
+    _assert_catalog_matches_oracle(datasets, 7)
+
+
+def test_tree_batches_stay_within_the_cells_budget(monkeypatch):
+    base = random_dataset(21, n_rows=120, n_continuous=4, n_categorical=0, missing_rate=0.05)
+    cats = Attribute("g", "categorical", tuple(f"v{i}" for i in range(12)))
+    ds = Dataset(
+        "wide", (*base.attributes[:-1], cats, base.class_attribute), 5,
+        np.column_stack([base.rows[:, :-1], np.arange(120) % 12, base.class_labels]),
+    )
+    datasets = _with_versions(ds)
+    budget = 15 * ds.n_rows  # two 6-column datasets fit, not three
+    assert any(v.rows.size > budget for v in datasets)  # the one-hot version of g
+    grown = []
+    real_grow = tree.grow
+
+    def recording_grow(x, *args, **kwargs):
+        grown.append(x.shape)
+        return real_grow(x, *args, **kwargs)
+
+    monkeypatch.setattr(classifiers_mod, "_TREE_BATCH_CELLS", budget)
+    monkeypatch.setattr(tree, "grow", recording_grow)
+    cross_validate(TREE, datasets, 10, seed=7)
+    assert 1 < len(grown) < len(datasets)  # several groups, some of several datasets
+    assert [n for n, _ in grown] == [ds.n_rows] * len(grown)
+    over = [v.rows.shape for v in datasets if v.rows.size > budget]
+    assert all(n * m <= budget or (n, m) in over for n, m in grown)
+    assert sum(m for _, m in grown) == sum(v.n_attributes for v in datasets)  # each grown once
+    monkeypatch.undo()
+    monkeypatch.setattr(classifiers_mod, "_TREE_BATCH_CELLS", budget)
+    _assert_catalog_matches_oracle(datasets, 7)
+
+
+def test_catalog_cv_reads_its_iterable_once_and_equals_one_cv_per_dataset():
+    ds = random_dataset(22, n_rows=40, n_continuous=2, n_categorical=1, missing_rate=0.1)
+    datasets = _with_versions(ds)
+    for kind in (TREE, NAIVE_BAYES, knn(1), LOGISTIC):
+        measures = cross_validate(kind, iter(datasets), 10, seed=3)
+        assert measures == [cross_validate(kind, [d], 10, seed=3)[0] for d in datasets]
+
+
+def test_catalog_cv_rejects_datasets_with_other_rows_or_class_column():
+    ds = random_dataset(23, n_rows=40, n_continuous=2, n_classes=2)
+    shorter = ds.subset(np.arange(39)).renamed("shorter")
+    rows = np.array(ds.rows)
+    rows[:, ds.class_index] = 1 - rows[:, ds.class_index]
+    flipped = Dataset("flipped", ds.attributes, ds.class_index, rows)
+    attrs = list(ds.attributes)
+    attrs[ds.class_index] = Attribute("class", "categorical", ("p", "q"))
+    renamed_class = Dataset("renamed_class", tuple(attrs), ds.class_index, ds.rows)
+    for odd in (shorter, flipped, renamed_class):
+        for kind in (TREE, NAIVE_BAYES):
+            with pytest.raises(ValueError, match=f"dataset 1 \\('{odd.name}'\\)"):
+                cross_validate(kind, [ds, odd], 10, seed=0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from conftest import CORPUS_DIR, single_class_fold_metadb
 
@@ -232,6 +234,16 @@ def failing_syn01(monkeypatch):
     monkeypatch.setattr(metadb_mod, "compute_meta_features", compute)
 
 
+def _syn01_frame():
+    """`` [metadb.py:line]``: where ``_dataset_rows`` calls the patched ``compute_meta_features``."""
+    path = Path(metadb_mod.__file__)
+    [lineno] = [
+        i for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "base_mf = compute_meta_features(ds)" in line
+    ]
+    return f" [{path.name}:{lineno}]"
+
+
 def test_build_metadb_reports_failure_reason(small_manifest, tmp_path, capsys, failing_syn01):
     args = [
         "build-metadb",
@@ -242,7 +254,7 @@ def test_build_metadb_reports_failure_reason(small_manifest, tmp_path, capsys, f
     ]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "failed: syn01: ArithmeticError: no meta-features for syn01\n" in err
+    assert f"failed: syn01: ArithmeticError: no meta-features for syn01{_syn01_frame()}\n" in err
     assert main(args + ["--allow-partial"]) == 0
 
 
@@ -259,7 +271,7 @@ def test_impact_scan_reports_failure_reason(small_manifest, tmp_path, capsys, fa
     failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed:")]
     # one line per learner the dataset failed under, not only the last learner's
     assert failed == [
-        f"failed: syn01: ArithmeticError: no meta-features for syn01 ({learner})"
+        f"failed: syn01: ArithmeticError: no meta-features for syn01{_syn01_frame()} ({learner})"
         for learner in ("tree", "nb")
     ]
 

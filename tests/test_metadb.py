@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from preprank.classifiers import TREE, cross_validate, knn
+from preprank.classifiers import CV_RUNS, TREE, cross_validate, knn
+from preprank.cli import main
+from preprank.dataset import serialize_arff
 from preprank.metadb import (
     FEATURE_COLUMNS,
     MetaDatabase,
@@ -78,13 +82,20 @@ def test_rows_match_independent_recomputation():
     by_name = {ds.name: ds for ds in corpus}
     for row in db.rows:
         ds = by_name[row.dataset_name]
-        base = cross_validate(knn(1), ds, 10, seed=7).auc
+        base = cross_validate(knn(1), [ds], 10, seed=7)[0].auc
         transformed = apply(parse_spec_text(row.transformation), ds)
-        after = cross_validate(knn(1), transformed, 10, seed=7).auc
+        after = cross_validate(knn(1), [transformed], 10, seed=7)[0].auc
         expected_value, expected_class = label_response(base, after)
         assert row.base_performance == base
         assert row.meta_response_value == expected_value
         assert row.meta_response_class == expected_class
+
+
+def test_build_counts_one_cv_run_per_dataset_and_version():
+    corpus = toy_corpus(3)
+    CV_RUNS.reset()
+    db = build_metadb(corpus, knn(1), "acc", seed=7)
+    assert CV_RUNS.value == len(corpus) + len(db.rows)
 
 
 def test_failed_datasets_are_skipped(caplog):
@@ -206,6 +217,60 @@ def test_load_rejects_bad_cells(tmp_path, column, cell):
     lines[2] = "\t".join(cells)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(MetaDbError, match=f"^line 3: cell '{cell}' is not"):
+        load(path)
+
+
+@pytest.mark.parametrize("odd", ["\t", "\r", "\n", "\r\n"])
+def test_save_rejects_a_dataset_name_that_breaks_the_file(tmp_path, odd):
+    ds = random_dataset(31, n_rows=30, n_continuous=1, name=f"my{odd}data")
+    db = build_metadb([ds], TREE, "acc", seed=2)
+    path = tmp_path / "db.tsv"
+    with pytest.raises(MetaDbError, match=f"^dataset name {re.escape(repr(ds.name))} holds a tab"):
+        save(db, path)
+    assert not path.exists()
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(MetaDbError):
+        save(db, path)
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("name", [f"my{c}data" for c in "\x0b\x0c\x1c\x85\u2028"] + ["#data"])
+def test_names_with_other_line_separators_or_a_hash_round_trip(tmp_path, name):
+    # str.splitlines would break a line at each of these; load splits at LF only,
+    # and only lines before the header are comments
+    ds = random_dataset(33, n_rows=30, n_continuous=1, name=name)
+    db = build_metadb([ds, random_dataset(34, n_rows=30, name="plain")], TREE, "acc", seed=2)
+    save(db, tmp_path / "db.tsv")
+    assert load(tmp_path / "db.tsv") == db
+
+
+def test_build_metadb_cli_rejects_a_relation_name_holding_a_tab(tmp_path, capsys):
+    arff = tmp_path / "tab.arff"
+    arff.write_text(
+        serialize_arff(random_dataset(32, n_rows=30, n_continuous=1)).replace(
+            "@relation", "@relation 'my\tdata' %", 1
+        ),
+        encoding="utf-8",
+    )
+    manifest = tmp_path / "tab.manifest"
+    manifest.write_text(f"{arff}\n", encoding="utf-8")
+    out = tmp_path / "db.tsv"
+    args = ["build-metadb", "--datasets", str(manifest), "--algorithm", "nb", "--seed", "1"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: dataset name 'my\\tdata' holds a tab, CR or LF"
+    )
+    assert not out.exists()
+
+
+def test_load_names_the_line_of_a_row_with_too_many_cells(tmp_path):
+    path = tmp_path / "db.tsv"
+    save(build_metadb(toy_corpus(1), TREE, "acc", seed=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = "my\t" + lines[3]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    n = len(lines[1].split("\t"))
+    with pytest.raises(MetaDbError, match=f"^line 4: row with {n + 1} cells, expected {n}$"):
         load(path)
 
 

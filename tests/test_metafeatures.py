@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,7 +541,9 @@ def test_out_of_range_statistics_name_the_attribute(tmp_path, capsys, magnitude)
 
     db = build_metadb([huge, good], TREE, "acc", seed=1)
     assert db.dataset_names() == ("good",)
-    assert db.skipped == (("huge", f"ValueError: {message}"),)
+    raised = info.traceback[-1]  # the innermost frame, in metafeatures.py
+    frame = f" [{Path(str(raised.path)).name}:{raised.lineno + 1}]"
+    assert db.skipped == (("huge", f"ValueError: {message}{frame}"),)
 
     path = tmp_path / "huge.arff"
     path.write_text(serialize_arff(huge), encoding="utf-8")

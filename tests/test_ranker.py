@@ -122,7 +122,7 @@ def test_rank_matches_independent_recomputation(tree_model):
     out = rank_transformations(tree_model, DEFAULT_RULES, TREE, ds, seed=9)
 
     base_mf = compute_meta_features(ds)
-    base_pm = cross_validate(TREE, ds, 10, seed=9).get("acc")
+    base_pm = cross_validate(TREE, [ds], 10, seed=9)[0].get("acc")
     expected = []
     for spec in prune(DEFAULT_RULES, TREE, enumerate_applicable(ds)):
         trans = apply(spec, ds)

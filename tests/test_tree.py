@@ -970,8 +970,9 @@ def test_lockstep_tree_cross_validation_matches_base_tree_oracle(mini_datasets):
     for ds in [*mini_datasets, *extra]:
         fold_of_row = np.asarray(stratified_folds(ds, 10, 7).fold_of_row)
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
-        tests = [ds.subset(np.flatnonzero(fold_of_row == f)) for f in range(10)]
-        scores = list(classifiers._fold_scores(TREE, ds, train_rows, tests, 7))
+        test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+        tests = [ds.subset(rows) for rows in test_rows]
+        [scores] = classifiers._fold_scores(TREE, [ds], train_rows, test_rows, 7)
         assert len(scores) == 10
         for rows, test, ours in zip(train_rows, tests, scores):
             assert np.array_equal(ours, _oracle_scores(ds.subset(rows), test))
