@@ -3,7 +3,6 @@
 from .dataset import (
     Attribute,
     Dataset,
-    FoldAssignment,
     parse_arff,
     parse_csv,
     serialize_arff,
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_RULES",
     "ExpertRule",
     "FEATURE_IDS",
-    "FoldAssignment",
     "ForestModel",
     "MetaDatabase",
     "MetaFeatureVector",

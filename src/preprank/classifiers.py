@@ -548,7 +548,7 @@ def cross_validate(
         if ds.class_attribute != first.class_attribute or not np.array_equal(ds.class_labels, y):
             raise ValueError(f"dataset {i} ({ds.name!r}) has other rows or class than the first")
         CV_RUNS.increment()
-    fold_of_row = np.asarray(stratified_folds(first, k, seed).fold_of_row)
+    fold_of_row = stratified_folds(first, k, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
     order = np.argsort(np.concatenate(test_rows))  # the folds' test rows back in row order

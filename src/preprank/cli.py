@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="print a dataset's characteristics")
     p.add_argument("dataset")
-    p.add_argument("--class-column", default=None)
+    p.add_argument("--class-column", default=None, help="class column of a .csv file")
     p.set_defaults(fn=cmd_featurize)
 
     p = sub.add_parser("impact-scan", help="measure per-operator impact shares")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--class-column", default=None)
+    p.add_argument("--class-column", default=None, help="class column of a .csv file")
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="leave-one-dataset-out report suite")

@@ -191,17 +191,8 @@ class Dataset:
         return replace(self, name=name)
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Row-to-fold map produced by :func:`stratified_folds`."""
-
-    fold_of_row: tuple[int, ...]
-    k: int
-    seed: int
-
-
-def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Assign rows to ``k`` folds, spreading every class as evenly as possible.
+def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
+    """Read-only fold index of every row, spreading every class over ``k`` folds.
 
     The assignment depends only on the class labels, ``k`` and ``seed``, so a
     transformed dataset keeps the folds of its source (predictor edits never
@@ -224,7 +215,8 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
         for i, row in enumerate(members):
             fold_of_row[row] = (cursor + i) % k
         cursor += members.size
-    return FoldAssignment(tuple(int(f) for f in fold_of_row), k, seed)
+    fold_of_row.flags.writeable = False
+    return fold_of_row
 
 
 # --- ARFF ---------------------------------------------------------------
@@ -458,13 +450,13 @@ def serialize_arff(ds: Dataset) -> str:
 _CSV_MISSING = {"", "NA", "?"}
 
 
-def parse_csv(source, class_column, type_hints=None, name: str = "dataset") -> Dataset:
+def parse_csv(source, class_column, name: str = "dataset") -> Dataset:
     """Parse header-ful CSV; empty cells, ``NA`` and ``?`` are missing.
 
-    ``class_column`` is a header name or 0-based index.  Untyped columns are
+    ``class_column`` is a header name or 0-based index.  Predictor types are
     inferred: continuous only when every non-missing cell parses as a finite
-    number, else categorical with categories in first-appearance order.
-    ``type_hints`` maps column names to 'continuous'/'categorical'.
+    number, else categorical.  Categorical columns, the class among them,
+    list their categories in first-appearance order.
     """
     text = _read_text(source)
     reader = _csvmod.reader(StringIO(text))
@@ -486,63 +478,27 @@ def parse_csv(source, class_column, type_hints=None, name: str = "dataset") -> D
     for i, rec in enumerate(records, start=2):
         if len(rec) != len(header):
             raise CsvFormatError(f"row {i} has {len(rec)} cells, expected {len(header)}")
-    hints = dict(type_hints or {})
     attrs = []
     columns = []
     for j, col_name in enumerate(header):
         raw = [rec[j].strip() for rec in records]
         missing = [v in _CSV_MISSING for v in raw]
-        if j == class_idx:
-            if any(missing):
-                raise CsvFormatError("class column contains missing cells")
-            cats: list[str] = []
-            lookup: dict[str, int] = {}
-            vals = []
-            for v in raw:
-                if v not in lookup:
-                    lookup[v] = len(cats)
-                    cats.append(v)
-                vals.append(float(lookup[v]))
-            if len(cats) < 2:
-                raise CsvFormatError("class column needs at least two distinct values")
-            attrs.append(Attribute(col_name, CATEGORICAL, tuple(cats)))
-            columns.append(vals)
-            continue
-        kind = hints.get(col_name)
-        if kind is None:
-            kind = CONTINUOUS if _all_numeric(raw, missing) else CATEGORICAL
-        if kind == CONTINUOUS:
-            vals = []
-            for v, miss in zip(raw, missing):
-                if miss:
-                    vals.append(float("nan"))
-                    continue
-                try:
-                    num = float(v)
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"column {col_name!r} hinted continuous but holds {v!r}"
-                    ) from exc
-                if not math.isfinite(num):
-                    raise CsvFormatError(f"non-finite value in column {col_name!r}")
-                vals.append(num)
+        if j == class_idx and any(missing):
+            raise CsvFormatError("class column contains missing cells")
+        if j != class_idx and _all_numeric(raw, missing):
             attrs.append(Attribute(col_name, CONTINUOUS))
-        else:
-            cats = []
-            lookup = {}
-            vals = []
-            for v, miss in zip(raw, missing):
-                if miss:
-                    vals.append(float("nan"))
-                    continue
-                if v not in lookup:
-                    lookup[v] = len(cats)
-                    cats.append(v)
-                vals.append(float(lookup[v]))
-            if not cats:
-                cats = ["_empty"]
-            attrs.append(Attribute(col_name, CATEGORICAL, tuple(cats)))
-        columns.append(vals)
+            columns.append([math.nan if miss else float(v) for v, miss in zip(raw, missing)])
+            continue
+        codes: dict[str, int] = {}  # category -> index, in first-appearance order
+        columns.append(
+            [
+                math.nan if miss else float(codes.setdefault(v, len(codes)))
+                for v, miss in zip(raw, missing)
+            ]
+        )
+        if j == class_idx and len(codes) < 2:
+            raise CsvFormatError("class column needs at least two distinct values")
+        attrs.append(Attribute(col_name, CATEGORICAL, tuple(codes) or ("_empty",)))
     rows = np.array(columns, dtype=float).T
     try:
         return Dataset(name, tuple(attrs), class_idx, rows)
@@ -586,11 +542,15 @@ def load_dataset_file(path, class_column=None) -> Dataset:
     """Load ``.arff`` or ``.csv`` by extension.
 
     For CSV the class column defaults to a header named ``class``
-    (case-insensitive), else the last column.
+    (case-insensitive), else the last column.  ARFF files find their own
+    class column, so naming one for them is an error.
     """
     p = Path(path)
+    is_csv = p.suffix.lower() == ".csv"
+    if class_column is not None and not is_csv:
+        raise DatasetError("--class-column applies to .csv files only")
     text = p.read_text(encoding="utf-8")
-    if p.suffix.lower() == ".csv":
+    if is_csv:
         if class_column is None:
             header = next(_csvmod.reader(StringIO(text)), [])
             names = [h.strip() for h in header]

@@ -42,10 +42,6 @@ class DatasetEvalRecord:
         return sum(e.real_class == POSITIVE for e in self.entries)
 
     @property
-    def predicted_positives(self) -> int:
-        return sum(e.predicted_class == POSITIVE for e in self.entries)
-
-    @property
     def has_relevant(self) -> bool:
         """True when at least one transformation has non-zero real impact."""
         return any(e.real_class != ZERO for e in self.entries)
@@ -278,11 +274,6 @@ def random_pick_probability(t: int, l_real: int, k: int, p_positive_rate: float)
         # which also covers the degenerate T == L denominator by its limit
         tail = max(0.0, k - l_real) * (1.0 - y / t)
     return (head + tail) / k
-
-
-def expected_cell_counts(t: int, l_real: int, k: int) -> tuple[float, float]:
-    """Expected true positives and true non-positives of the random picker."""
-    return k * l_real / t, k * (t - l_real) / t
 
 
 def binomial_significance(successes: int, trials: int, p0: float) -> float:

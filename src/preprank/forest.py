@@ -30,12 +30,9 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class ForestModel:
-    """Trained forest; trees are nested node dicts over feature columns."""
+    """Trained forest: nested node dicts over FEATURE_COLUMNS, voting for RESPONSE_CLASSES."""
 
     trees: tuple[dict, ...]
-    n_trees: int
-    feature_ids: tuple[str, ...]
-    class_order: tuple[str, ...]
     seed: int
     algorithm: str = ""
     measure: str = ""
@@ -73,9 +70,7 @@ def _train_forests(db, matrix, row_sets, n_trees, *, seed):
     n_features = x.shape[1]
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
     per_group = max(n_trees, DEFAULT_TREES) // n_trees
-    blank = ForestModel(  # every forest's fields but its trees
-        (), n_trees, FEATURE_COLUMNS, RESPONSE_CLASSES, seed, db.algorithm.name, db.measure
-    )
+    blank = ForestModel((), seed, db.algorithm.name, db.measure)  # all fields but the trees
     for start in range(0, len(row_sets), per_group):
         group = row_sets[start : start + per_group]
         mixed = [np.unique(y[rows]).size > 1 for rows in group]
@@ -99,23 +94,23 @@ def _train_forests(db, matrix, row_sets, n_trees, *, seed):
 
 
 def predict_proba(model: ForestModel, features: np.ndarray):
-    """Fraction of trees voting each class, in the model's class order."""
+    """Fraction of trees voting each class, in RESPONSE_CLASSES order."""
     row = np.asarray(features, dtype=float)
-    if row.shape != (len(model.feature_ids),):
+    if row.shape != (len(FEATURE_COLUMNS),):
         raise ValueError(
-            f"feature row has shape {row.shape}, expected ({len(model.feature_ids)},)"
+            f"feature row has shape {row.shape}, expected ({len(FEATURE_COLUMNS)},)"
         )
     row = row.tolist()
-    votes = [0] * len(model.class_order)
+    votes = [0] * len(RESPONSE_CLASSES)
     for root in model.trees:
         p = tree.leaf(root, row)["p"]
         votes[p.index(max(p))] += 1  # the first maximum: ties go in class order
     return tuple(v / len(model.trees) for v in votes)
 
 
-def predicted_class(model: ForestModel, proba) -> str:
-    """The most probable class; ties go to the earliest in the class order."""
-    return model.class_order[int(np.argmax(proba))]
+def predicted_class(proba) -> str:
+    """The most probable class; ties go to the earliest in RESPONSE_CLASSES."""
+    return RESPONSE_CLASSES[int(np.argmax(proba))]
 
 
 @dataclass(frozen=True)
@@ -163,12 +158,12 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
     doc = {
         "format": "preprank-forest",
         "schema_version": MODEL_SCHEMA_VERSION,
-        "n_trees": model.n_trees,
+        "n_trees": len(model.trees),
         "seed": model.seed,
         "algorithm": model.algorithm,
         "measure": model.measure,
-        "class_order": list(model.class_order),
-        "feature_ids": list(model.feature_ids),
+        "class_order": list(RESPONSE_CLASSES),
+        "feature_ids": list(FEATURE_COLUMNS),
         "trees": list(model.trees),
     }
     if extra:
@@ -206,12 +201,4 @@ def load_model(path) -> ForestModel:
         raise ModelError("the model's feature_ids are not this version's FEATURE_COLUMNS")
     if doc["class_order"] != list(RESPONSE_CLASSES):
         raise ModelError(f"the model's class_order is not {list(RESPONSE_CLASSES)}")
-    return ForestModel(
-        trees=tuple(trees),
-        n_trees=doc["n_trees"],
-        feature_ids=tuple(doc["feature_ids"]),
-        class_order=tuple(doc["class_order"]),
-        seed=doc["seed"],
-        algorithm=doc.get("algorithm", ""),
-        measure=doc.get("measure", ""),
-    )
+    return ForestModel(tuple(trees), doc["seed"], doc.get("algorithm", ""), doc.get("measure", ""))

@@ -43,15 +43,14 @@ class MetaDbError(Exception):
     """Meta-database construction or serialization failure."""
 
 
-def label_response(base: float, after: float, epsilon: float = DEFAULT_EPSILON):
+def label_response(base: float, after: float):
     """Signed relative performance change and its three-way class.
 
     The change is relative to ``base`` when positive, absolute otherwise.
-    ``zero`` means the magnitude is within ``epsilon`` (exact CV ties by
-    default).
+    ``zero`` means the magnitude is within ``DEFAULT_EPSILON``: exact CV ties.
     """
     value = (after - base) / base if base > 0 else after - base
-    if abs(value) <= epsilon:
+    if abs(value) <= DEFAULT_EPSILON:
         return value, ZERO
     return value, POSITIVE if value > 0 else NEGATIVE
 
@@ -94,7 +93,6 @@ class MetaDatabase:
     algorithm: ClassifierKind
     measure: str
     rows: tuple[MetaInstance, ...]
-    schema_version: int = SCHEMA_VERSION
     #: (dataset name, "Type: message [file.py:line]") per dataset that failed
     #: during measurement; kept in memory only, never saved
     skipped: tuple[tuple[str, str], ...] = field(default=(), compare=False)
@@ -213,7 +211,7 @@ def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     CR or LF is a MetaDbError, and nothing is written.
     """
     lines = [
-        f"# preprank-metadb schema_version={db.schema_version} "
+        f"# preprank-metadb schema_version={SCHEMA_VERSION} "
         f"algorithm={db.algorithm.name} measure={db.measure}",
         "\t".join(_HEADER),
     ]
@@ -289,10 +287,5 @@ def load(path) -> MetaDatabase:
         raise MetaDbError(f"unknown measure {meta['measure']!r}")
     if header is None or not rows:
         raise MetaDbError("file holds no meta-instances")
-    return MetaDatabase(
-        algorithm=parse_classifier(meta["algorithm"]),
-        measure=meta["measure"],
-        rows=tuple(rows),
-        schema_version=version,
-    )
+    return MetaDatabase(parse_classifier(meta["algorithm"]), meta["measure"], tuple(rows))
 

@@ -38,7 +38,6 @@ class ExpertRule:
 
     algorithm: str
     transformation_kind: str
-    note: str = ""
 
     def __post_init__(self):
         if self.transformation_kind not in KIND_ORDER:
@@ -54,7 +53,7 @@ class ExpertRule:
 
 #: shipped defaults: scaling operators cannot change these learners' decisions
 DEFAULT_RULES: tuple[ExpertRule, ...] = tuple(
-    ExpertRule(family, kind, note="scaling does not change this learner's decisions")
+    ExpertRule(family, kind)
     for family in ("knn", "logistic", "tree")
     for kind in (NORMALIZE, STANDARDIZE)
 )
@@ -72,30 +71,20 @@ def prune(
 
 
 def parse_rules(text: str) -> tuple[ExpertRule, ...]:
-    """Parse a rules file: ``exclude <algorithm|any> <transformation-kind> # note``."""
+    """Parse a rules file: ``exclude <algorithm|any> <kind>`` lines and ``#`` comments."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line, _, comment = raw.partition("#")
-        line = line.strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] != EXCLUDE:
             raise RulesError(f"line {lineno}: expected 'exclude <algorithm|any> <kind>'")
         try:
-            rules.append(ExpertRule(parts[1], parts[2], note=comment.strip()))
+            rules.append(ExpertRule(parts[1], parts[2]))
         except ValueError as exc:
             raise RulesError(f"line {lineno}: {exc}") from exc
     return tuple(rules)
-
-
-def format_rules(rules) -> str:
-    lines = [
-        f"{EXCLUDE} {r.algorithm} {r.transformation_kind}"
-        + (f"  # {r.note}" if r.note else "")
-        for r in rules
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def load_rules(path) -> tuple[ExpertRule, ...]:
@@ -145,7 +134,7 @@ def rank_transformations(
                 p_positive=proba[0],
                 p_negative=proba[1],
                 p_zero=proba[2],
-                predicted_class=predicted_class(model, proba),
+                predicted_class=predicted_class(proba),
                 rank=rank,
             )
         )

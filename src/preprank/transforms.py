@@ -55,12 +55,10 @@ _INPUT_KIND = {
     PRINCIPAL_COMPONENTS: CONTINUOUS,
 }
 
-_DEFAULT_PARAMS = {
-    DISCRETIZE_UNSUPERVISED: (("bins", 10.0),),
-    PRINCIPAL_COMPONENTS: (("var", 0.95),),
-}
-
-_INT_PARAMS = {"bins"}
+#: equal-width discretization's bin count
+_BINS = 10
+#: share of the total variance that PCA's components cover
+_PCA_VARIANCE = 0.95
 
 SCOPE_GLOBAL = "global"
 SCOPE_LOCAL = "local"
@@ -68,17 +66,16 @@ SCOPE_ALL = "all"
 
 
 class TransformError(Exception):
-    """Illegal spec/dataset pairing or unparsable spec text."""
+    """Illegal spec/dataset pairing."""
 
 
 @dataclass(frozen=True)
 class TransformationSpec:
-    """One concrete pre-processing action: kind + scope + parameters."""
+    """One concrete pre-processing action: kind + scope (+ target attribute)."""
 
     kind: str
     scope: str
     attribute: int | None = None
-    params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.kind not in KIND_ORDER:
@@ -95,18 +92,6 @@ class TransformationSpec:
                 raise ValueError("local scope needs a target attribute index")
         elif self.attribute is not None:
             raise ValueError(f"scope {self.scope!r} does not take an attribute")
-        merged = dict(_DEFAULT_PARAMS.get(self.kind, ()))
-        for key, value in self.params:
-            if key not in merged:
-                raise ValueError(f"{self.kind} does not take parameter {key!r}")
-            merged[key] = float(value)
-        object.__setattr__(self, "params", tuple(sorted(merged.items())))
-
-    def param(self, key: str) -> float:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
 
     @property
     def text(self) -> str:
@@ -116,45 +101,14 @@ class TransformationSpec:
             parts.append(f"attr={self.attribute}")
         elif self.scope == SCOPE_ALL:
             parts.append("all")
-        elif not self.params:
-            parts.append("global")
-        for k, v in self.params:
-            parts.append(f"{k}={int(v) if k in _INT_PARAMS else repr(v)}")
-        return f"{self.kind}({','.join(parts)})"
+        if self.kind == DISCRETIZE_UNSUPERVISED:
+            parts.append(f"bins={_BINS}")
+        elif self.kind == PRINCIPAL_COMPONENTS:
+            parts.append(f"var={_PCA_VARIANCE!r}")
+        return f"{self.kind}({','.join(parts) or SCOPE_GLOBAL})"
 
     def __str__(self) -> str:
         return self.text
-
-
-def parse_spec_text(text: str) -> TransformationSpec:
-    """Inverse of :attr:`TransformationSpec.text`."""
-    text = text.strip()
-    if not text.endswith(")") or "(" not in text:
-        raise TransformError(f"malformed transformation text {text!r}")
-    kind, arg_text = text[:-1].split("(", 1)
-    if kind not in KIND_ORDER:
-        raise TransformError(f"unknown transformation kind {kind!r}")
-    scope = SCOPE_GLOBAL
-    attribute = None
-    params = []
-    for part in filter(None, (p.strip() for p in arg_text.split(","))):
-        if part == "global":
-            scope = SCOPE_GLOBAL
-        elif part == "all":
-            scope = SCOPE_ALL
-        elif "=" in part:
-            key, value = part.split("=", 1)
-            if key == "attr":
-                scope = SCOPE_LOCAL
-                attribute = int(value)
-            else:
-                params.append((key, float(value)))
-        else:
-            raise TransformError(f"malformed argument {part!r} in {text!r}")
-    try:
-        return TransformationSpec(kind, scope, attribute, tuple(params))
-    except ValueError as exc:
-        raise TransformError(str(exc)) from exc
 
 
 def spec_kind(text: str) -> str:
@@ -228,11 +182,11 @@ def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
     if spec.kind == PRINCIPAL_COMPONENTS:
         for j in targets:
             columns[j] = []
-        columns[targets[0]] = _principal_components(ds, targets, spec)
+        columns[targets[0]] = _principal_components(ds, targets)
     else:
         rewrite = _COLUMN_REWRITES[spec.kind]
         for j in targets:
-            columns[j] = rewrite(ds, j, spec)
+            columns[j] = rewrite(ds, j)
     return _rebuild(ds, columns)
 
 
@@ -257,7 +211,7 @@ def _rebuild(ds: Dataset, per_attr: list[_Columns]) -> Dataset:
     return Dataset(ds.name, tuple(attrs), class_index, np.column_stack(cols))
 
 
-def _normalize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _normalize(ds: Dataset, j: int) -> _Columns:
     """Min-max scaling of the present cells to [0, 1]; a constant column becomes 0."""
     out = np.array(ds.column(j))
     present = ~np.isnan(out)
@@ -268,7 +222,7 @@ def _normalize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     return [(ds.attributes[j], out)]
 
 
-def _standardize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _standardize(ds: Dataset, j: int) -> _Columns:
     """Z-scores over the sample standard deviation; a constant column becomes 0."""
     out = np.array(ds.column(j))
     present = ~np.isnan(out)
@@ -279,20 +233,19 @@ def _standardize(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     return [(ds.attributes[j], out)]
 
 
-def _discretize_equal_width(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
-    bins = int(spec.param("bins"))
+def _discretize_equal_width(ds: Dataset, j: int) -> _Columns:
     col = ds.column(j)
     vals = col[~np.isnan(col)]
     idx = np.zeros(vals.size)
     if vals.size:
         lo, hi = vals.min(), vals.max()
-        width = (hi - lo) / bins
+        width = (hi - lo) / _BINS
         if width != 0.0:
-            idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1)
-    return _binned(ds, j, idx, bins)
+            idx = np.clip(np.floor((vals - lo) / width), 0, _BINS - 1)
+    return _binned(ds, j, idx, _BINS)
 
 
-def _discretize_mdl(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _discretize_mdl(ds: Dataset, j: int) -> _Columns:
     col = ds.column(j)
     present = ~np.isnan(col)
     cuts = np.asarray(_mdl_cuts(col[present], ds.class_labels[present]))
@@ -388,7 +341,7 @@ def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:
     return gain > threshold
 
 
-def _nominal_to_binary_plain(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _nominal_to_binary_plain(ds: Dataset, j: int) -> _Columns:
     """One 0/1 indicator per category; two-category attributes get a single one."""
     col = ds.column(j)
     cats = ds.attributes[j].categories
@@ -404,7 +357,7 @@ def _nominal_to_binary_plain(ds: Dataset, j: int, spec: TransformationSpec) -> _
     return replacements
 
 
-def _nominal_to_binary_ordered(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _nominal_to_binary_ordered(ds: Dataset, j: int) -> _Columns:
     """Cumulative indicator coding with categories ordered by mean class rank.
 
     Classes are ranked by their category index; each category gets the mean
@@ -436,7 +389,7 @@ def _nominal_to_binary_ordered(ds: Dataset, j: int, spec: TransformationSpec) ->
     ]
 
 
-def _impute_mean(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _impute_mean(ds: Dataset, j: int) -> _Columns:
     col = np.array(ds.column(j))
     missing = np.isnan(col)
     if missing.any():
@@ -445,7 +398,7 @@ def _impute_mean(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     return [(ds.attributes[j], col)]
 
 
-def _impute_mode(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
+def _impute_mode(ds: Dataset, j: int) -> _Columns:
     col = np.array(ds.column(j))
     missing = np.isnan(col)
     if missing.any():
@@ -459,18 +412,18 @@ def _impute_mode(ds: Dataset, j: int, spec: TransformationSpec) -> _Columns:
     return [(ds.attributes[j], col)]
 
 
-def _principal_components(ds: Dataset, targets, spec: TransformationSpec) -> _Columns:
+def _principal_components(ds: Dataset, targets) -> _Columns:
     """Scores ``PC1..PCk`` of the continuous predictors ``targets``.
 
     Columns are mean-imputed, centered and scaled to unit sample variance
     (constant columns stay zero), then projected onto the smallest set of
-    covariance eigenvectors covering the ``var`` share of the total variance.
+    covariance eigenvectors covering ``_PCA_VARIANCE`` of the total variance.
     Eigenvector signs are fixed so the largest-magnitude loading is positive.
     """
     n = ds.n_rows
     # (rows x targets) in Fortran order: the per-column sums of mean, std and
     # cov below add in that layout's order, so the layout is part of the output
-    x = np.array([_impute_mean(ds, j, spec)[0][1] for j in targets]).T
+    x = np.array([_impute_mean(ds, j)[0][1] for j in targets]).T
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1) if n > 1 else np.zeros(x.shape[1])
     x = x - means
@@ -487,7 +440,7 @@ def _principal_components(ds: Dataset, targets, spec: TransformationSpec) -> _Co
         total = evals.sum()
         if total != 0.0:
             ratios = np.cumsum(evals) / total
-            n_comp = int(np.searchsorted(ratios, spec.param("var") - 1e-12) + 1)
+            n_comp = int(np.searchsorted(ratios, _PCA_VARIANCE - 1e-12) + 1)
             n_comp = min(n_comp, len(targets))
             basis = evecs[:, :n_comp].copy()
             for c in range(n_comp):
@@ -501,7 +454,7 @@ def _principal_components(ds: Dataset, targets, spec: TransformationSpec) -> _Co
 
 
 #: how each kind but PCA rewrites one target attribute ``j``:
-#: ``(ds, j, spec) -> [(Attribute, column), ...]`` replacing it in place
+#: ``(ds, j) -> [(Attribute, column), ...]`` replacing it in place
 _COLUMN_REWRITES = {
     DISCRETIZE_SUPERVISED: _discretize_mdl,
     DISCRETIZE_UNSUPERVISED: _discretize_equal_width,

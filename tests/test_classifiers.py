@@ -155,8 +155,7 @@ def test_cross_validate_matches_brute_force_1nn():
     [pm] = cross_validate(knn(1), [ds], 10, seed=3)
 
     # independent recomputation: explicit fold loop and a from-scratch 1-NN
-    assignment = stratified_folds(ds, 10, 3)
-    folds = np.asarray(assignment.fold_of_row)
+    folds = stratified_folds(ds, 10, 3)
     correct = 0
     for f in range(10):
         test_idx = np.flatnonzero(folds == f)
@@ -428,7 +427,7 @@ def _discretized(ds):
 
 def _fold_problems(ds, seed=42):
     """The logistic problem of each of ``ds``'s 10 CV folds, in fold order."""
-    fold_of_row = np.asarray(stratified_folds(ds, 10, seed).fold_of_row)
+    fold_of_row = stratified_folds(ds, 10, seed)
     return [
         _logistic_problem(ds.subset(np.flatnonzero(fold_of_row != fold))) for fold in range(10)
     ]
@@ -493,7 +492,7 @@ def _minimize_scores(builders, test, params):
 
 def _assert_learner_matches_minimize(ds, seed, expected):
     """The logistic learner scores each CV fold as ``minimize``'s fit of it does."""
-    fold_of_row = np.asarray(stratified_folds(ds, 10, seed).fold_of_row)
+    fold_of_row = stratified_folds(ds, 10, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
     tests = [ds.subset(rows) for rows in test_rows]
@@ -627,7 +626,7 @@ def _one_dataset_tree_cv(ds, seed, k=10):
     One ``tree.grow`` takes the dataset's own k fold trees, over its own
     rows, and each fold's test rows are a subset of the dataset.
     """
-    fold_of_row = np.asarray(stratified_folds(ds, k, seed).fold_of_row)
+    fold_of_row = stratified_folds(ds, k, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
     predictors = np.asarray(ds.predictor_indices)
@@ -652,7 +651,7 @@ def _with_versions(ds):
 
 def _assert_catalog_matches_oracle(datasets, seed, k=10):
     """Every fold score array and every measure equal the oracle's, byte for byte."""
-    fold_of_row = np.asarray(stratified_folds(datasets[0], k, seed).fold_of_row)
+    fold_of_row = stratified_folds(datasets[0], k, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
     found = list(classifiers_mod._fold_scores(TREE, datasets, train_rows, test_rows, seed))

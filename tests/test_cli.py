@@ -74,6 +74,25 @@ def test_featurize_csv_input(tmp_path, capsys):
     assert len(lines) == 61
 
 
+ARFF = str(CORPUS_DIR / "mini" / "syn00.arff")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["featurize", ARFF],
+        ["recommend", "--dataset", ARFF, "--algorithm", "tree", "--model", "unused.json"],
+    ],
+)
+def test_class_column_on_arff_exits_2_with_one_line(argv, capsys):
+    code = main([*argv, "--class-column", "foo"])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: --class-column applies to .csv files only"]
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_recommend_top_1(pipeline, capsys):
     _, model_path = pipeline
     code = main([

@@ -6,12 +6,14 @@ from preprank.dataset import (
     ArffError,
     CsvFormatError,
     Dataset,
+    DatasetError,
     Attribute,
     MalformedHeaderError,
     RowArityError,
     SparseArffError,
     UndeclaredNominalValueError,
     UnknownAttributeTypeError,
+    load_dataset_file,
     parse_arff,
     parse_csv,
     serialize_arff,
@@ -153,6 +155,32 @@ def test_csv_mixed_column_is_categorical():
     assert len(ds.attributes[0].categories) == 3
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+def test_csv_non_finite_number_makes_the_column_categorical(cell):
+    ds = parse_csv(f"x,class\n1,yes\n{cell},no\n2,yes\n1,no\n", "class")
+    assert ds.attributes[0].categories == ("1", cell, "2")
+    assert list(ds.rows[:, 0]) == [0.0, 1.0, 2.0, 0.0]
+
+
+def test_csv_categorical_columns_code_in_first_appearance_order():
+    ds = parse_csv("g,x,class\nb,NA,3\n?,,1\na,?,3\nb,,2\n", "class")
+    assert ds.attributes[0].categories == ("b", "a")
+    assert np.array_equal(ds.rows[:, 0], [0.0, np.nan, 1.0, 0.0], equal_nan=True)
+    assert ds.attributes[1].categories == ("_empty",)  # no present cell
+    assert ds.class_attribute.categories == ("3", "1", "2")  # numeric, yet categorical
+    assert list(ds.class_labels) == [0, 1, 0, 2]
+    with pytest.raises(CsvFormatError, match="at least two distinct values"):
+        parse_csv("x,class\n1,yes\n2,yes\n", "class")
+
+
+def test_class_column_is_rejected_for_arff(tmp_path):
+    path = tmp_path / "d.arff"
+    path.write_text(serialize_arff(random_dataset(3, n_rows=10)), encoding="utf-8")
+    assert load_dataset_file(path).n_rows == 10
+    with pytest.raises(DatasetError, match="--class-column applies to .csv files only"):
+        load_dataset_file(path, class_column="class")
+
+
 def test_csv_class_missing_cell_rejected():
     with pytest.raises(CsvFormatError):
         parse_csv("x,class\n1,yes\n2,\n", "class")
@@ -195,9 +223,9 @@ def test_stratified_folds_forced_balance():
         1,
         rows,
     )
-    fa = stratified_folds(ds, 5, seed=3)
+    fold_of_row = stratified_folds(ds, 5, seed=3)
     per_fold = np.zeros((5, 2), dtype=int)
-    for row, fold in enumerate(fa.fold_of_row):
+    for row, fold in enumerate(fold_of_row):
         per_fold[fold, labels[row]] += 1
     assert (per_fold == 1).all()
 
@@ -206,18 +234,17 @@ def test_stratified_folds_deterministic():
     ds = random_dataset(9, n_rows=30)
     a = stratified_folds(ds, 2, seed=11)
     b = stratified_folds(ds, 2, seed=11)
-    assert a == b
-    assert stratified_folds(ds, 2, seed=12) != a
+    assert np.array_equal(a, b)
+    assert not np.array_equal(stratified_folds(ds, 2, seed=12), a)
+    assert not a.flags.writeable
 
 
 def test_stratified_folds_counting_oracle():
     ds = random_dataset(123, n_rows=100, n_continuous=2, n_classes=3)
-    fa = stratified_folds(ds, 10, seed=0)
+    fold_of_row = stratified_folds(ds, 10, seed=0)
     labels = ds.class_labels
     for c in np.unique(labels):
-        counts = np.bincount(
-            [fa.fold_of_row[i] for i in np.flatnonzero(labels == c)], minlength=10
-        )
+        counts = np.bincount(fold_of_row[labels == c], minlength=10)
         assert counts.max() - counts.min() <= 1
 
 
@@ -227,13 +254,11 @@ def test_stratified_folds_bound_property(shape, k, seed):
     ds = random_dataset(**shape)
     if k > ds.n_rows:
         return
-    fa = stratified_folds(ds, k, seed)
+    fold_of_row = stratified_folds(ds, k, seed)
     labels = ds.class_labels
     total = np.zeros(k, dtype=int)
     for c in np.unique(labels):
-        counts = np.bincount(
-            [fa.fold_of_row[i] for i in np.flatnonzero(labels == c)], minlength=k
-        )
+        counts = np.bincount(fold_of_row[labels == c], minlength=k)
         total += counts
         assert counts.max() - counts.min() <= 1
     assert total.min() >= 0 and total.sum() == ds.n_rows
@@ -249,7 +274,7 @@ def test_folds_ignore_predictor_content():
     # transformed datasets must keep their source's folds
     ds = random_dataset(77, n_rows=40, n_continuous=2, n_categorical=0)
     scaled = Dataset(ds.name, ds.attributes, ds.class_index, ds.rows * [2.0, 2.0, 1.0])
-    assert stratified_folds(ds, 10, seed=5) == stratified_folds(scaled, 10, seed=5)
+    assert np.array_equal(stratified_folds(ds, 10, seed=5), stratified_folds(scaled, 10, seed=5))
 
 
 def test_dataset_invariants():

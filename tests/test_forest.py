@@ -41,7 +41,7 @@ def test_training_set_accuracy_on_separable_rule():
     hits = 0
     for row in db.rows:
         proba = predict_proba(model, row.features)
-        hits += predicted_class(model, proba) == row.meta_response_class
+        hits += predicted_class(proba) == row.meta_response_class
     assert hits == len(db.rows)
 
 
@@ -67,11 +67,9 @@ def test_probabilities_sum_to_one():
 
 
 def test_tie_breaking_prefers_class_order():
-    db = make_rule_metadb(n_datasets=6, seed=4)
-    model = train_forest(db, 3, seed=2)
     # fabricate a perfectly tied vote and check the argmax convention
-    assert predicted_class(model, (1 / 3, 1 / 3, 1 / 3)) == "positive"
-    assert predicted_class(model, (0.2, 0.4, 0.4)) == "negative"
+    assert predicted_class((1 / 3, 1 / 3, 1 / 3)) == "positive"
+    assert predicted_class((0.2, 0.4, 0.4)) == "negative"
 
 
 def test_single_class_db_rejected():
@@ -212,9 +210,6 @@ def test_column_permutation_consistency():
     inverse = np.argsort(perm)
     permuted_model = forest_mod.ForestModel(
         trees=tuple(_remap_tree(t, {old: int(inverse[old]) for old in range(len(perm))}) for t in model.trees),
-        n_trees=model.n_trees,
-        feature_ids=tuple(FEATURE_COLUMNS[j] for j in perm),
-        class_order=model.class_order,
         seed=model.seed,
     )
     for row in db.rows[:15]:
@@ -227,7 +222,7 @@ def test_column_permutation_consistency():
 def _array_vote_proba(model, features):
     """``predict_proba`` as it counted votes before, with ``np.argmax`` over each leaf."""
     row = np.asarray(features, dtype=float)
-    votes = np.zeros(len(model.class_order))
+    votes = np.zeros(len(RESPONSE_CLASSES))
     for root in model.trees:
         votes[int(np.argmax(tree.leaf(root, row)["p"]))] += 1.0
     proba = votes / len(model.trees)
@@ -245,7 +240,6 @@ def test_predict_proba_matches_array_vote_count(tree_metadb):
     tied = replace(
         model,
         trees=({"p": [0.5, 0.5, 0.0]}, split, {"p": [0.0, 0.5, 0.5]}, split),
-        n_trees=4,
     )
     for first in (0.0, 1.0, np.nan):
         row = np.full(len(FEATURE_COLUMNS), np.nan)
@@ -292,9 +286,6 @@ def _oracle_train_forest(db, n_trees, seed):
     )
     return ForestModel(
         trees=tuple(trees),
-        n_trees=n_trees,
-        feature_ids=FEATURE_COLUMNS,
-        class_order=RESPONSE_CLASSES,
         seed=seed,
         algorithm=db.algorithm.name,
         measure=db.measure,
@@ -369,10 +360,13 @@ def test_forest_needs_a_tree(n_trees):
 def test_load_model_rejects_a_tree_count_mismatch(tmp_path):
     model = train_forest(make_rule_metadb(n_datasets=4, seed=14), 3, seed=0)
     path = tmp_path / "model.json"
-    for hacked in (replace(model, trees=(), n_trees=0), replace(model, n_trees=4)):
-        save_model(hacked, path)
-        with pytest.raises(ModelError, match="n_trees"):
-            load_model(path)
+    save_model(replace(model, trees=()), path)
+    with pytest.raises(ModelError, match="n_trees"):
+        load_model(path)
+    save_model(model, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n_trees": 4}))
+    with pytest.raises(ModelError, match="n_trees"):
+        load_model(path)
 
 
 def _traced_peak(fn):

@@ -19,7 +19,7 @@ from preprank.metadb import (
 )
 from preprank.metafeatures import MODIFIABLE_IDS, MetaFeatureVector
 from preprank.synthetic import random_dataset
-from preprank.transforms import apply, enumerate_applicable, parse_spec_text
+from preprank.transforms import apply, enumerate_applicable
 
 
 def toy_corpus(n=3, seed=100):
@@ -46,8 +46,6 @@ def test_label_response_zero_base_falls_back_to_difference():
 
 def test_label_response_epsilon_band():
     assert label_response(0.5, 0.5 + 1e-12)[1] == "zero"
-    assert label_response(0.5, 0.51, epsilon=0.05)[1] == "zero"
-    assert label_response(0.5, 0.6, epsilon=0.05)[1] == "positive"
 
 
 def test_build_counts_and_weights():
@@ -83,7 +81,8 @@ def test_rows_match_independent_recomputation():
     for row in db.rows:
         ds = by_name[row.dataset_name]
         base = cross_validate(knn(1), [ds], 10, seed=7)[0].auc
-        transformed = apply(parse_spec_text(row.transformation), ds)
+        [spec] = [s for s in enumerate_applicable(ds) if s.text == row.transformation]
+        transformed = apply(spec, ds)
         after = cross_validate(knn(1), [transformed], 10, seed=7)[0].auc
         expected_value, expected_class = label_response(base, after)
         assert row.base_performance == base
@@ -129,11 +128,7 @@ def test_save_load_round_trip(tmp_path):
     again = load(path)
     save(again, tmp_path / "again.tsv")
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
-    assert (again.algorithm, again.measure, again.schema_version) == (
-        db.algorithm,
-        db.measure,
-        db.schema_version,
-    )
+    assert (again.algorithm, again.measure) == (db.algorithm, db.measure)
     labels = [
         (r.dataset_name, r.transformation, r.meta_response_value, r.meta_response_class)
         for r in db.rows

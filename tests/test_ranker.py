@@ -9,34 +9,31 @@ from preprank.ranker import (
     DEFAULT_RULES,
     ExpertRule,
     RulesError,
-    format_rules,
     parse_rules,
     prune,
     rank_transformations,
 )
 from preprank.synthetic import random_dataset
-from preprank.transforms import apply, enumerate_applicable
+from preprank.transforms import TransformationSpec, apply, enumerate_applicable
 
-
-def specs(*texts):
-    from preprank.transforms import parse_spec_text
-
-    return [parse_spec_text(t) for t in texts]
+NORMALIZE = TransformationSpec("normalize", "global")
+STANDARDIZE = TransformationSpec("standardize", "global")
+PCA = TransformationSpec("pca", "global")
 
 
 def test_default_rules_prune_scaling_for_tree():
-    candidates = specs("normalize(global)", "standardize(global)", "discretize_sup(attr=2)")
+    candidates = [NORMALIZE, STANDARDIZE, TransformationSpec("discretize_sup", "local", 2)]
     kept = prune(DEFAULT_RULES, TREE, candidates)
     assert [s.text for s in kept] == ["discretize_sup(attr=2)"]
 
 
 def test_empty_ruleset_is_identity():
-    candidates = specs("normalize(global)", "pca(var=0.95)")
+    candidates = [NORMALIZE, PCA]
     assert prune((), TREE, candidates) == candidates
 
 
 def test_rules_scope_to_algorithm():
-    candidates = specs("normalize(global)")
+    candidates = [NORMALIZE]
     assert prune(DEFAULT_RULES, NAIVE_BAYES, candidates) == candidates
     assert prune(DEFAULT_RULES, knn(5), candidates) == []
     assert prune(DEFAULT_RULES, LOGISTIC, candidates) == []
@@ -44,7 +41,7 @@ def test_rules_scope_to_algorithm():
 
 def test_any_algorithm_rule():
     rules = (ExpertRule("any", "pca"),)
-    candidates = specs("pca(var=0.95)", "normalize(global)")
+    candidates = [PCA, NORMALIZE]
     assert [s.text for s in prune(rules, NAIVE_BAYES, candidates)] == ["normalize(global)"]
 
 
@@ -56,9 +53,14 @@ def test_prune_idempotent():
 
 
 def test_rules_text_round_trip():
-    text = format_rules(DEFAULT_RULES)
+    # the shipped rules, written as a rules file, parse back to DEFAULT_RULES
+    text = "".join(
+        f"exclude {family} {kind}  # scaling does not change {family}'s decisions\n"
+        for family in ("knn", "logistic", "tree")
+        for kind in ("normalize", "standardize")
+    )
     assert parse_rules(text) == DEFAULT_RULES
-    assert "exclude knn normalize" in text
+    assert ExpertRule("knn", "normalize") in DEFAULT_RULES
 
 
 def test_rules_parse_errors():

@@ -15,7 +15,6 @@ from preprank.transforms import (
     TransformationSpec,
     apply,
     enumerate_applicable,
-    parse_spec_text,
 )
 from preprank.transforms import _best_cut, _mdl_accepts, _mdl_cuts  # white-box oracle targets
 
@@ -107,12 +106,11 @@ def test_scaling_preserves_missing():
 
 
 def test_equal_width_discretization():
-    ds = one_column(np.arange(10.0))
-    out = apply(TransformationSpec("discretize_unsup", "local", 0, (("bins", 2),)), ds)
+    ds = one_column(np.arange(20.0))
+    out = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
     assert out.attributes[0].is_categorical
-    assert out.attributes[0].categories == ("bin0", "bin1")
-    assert list(out.rows[:5, 0]) == [0.0] * 5
-    assert list(out.rows[5:, 0]) == [1.0] * 5
+    assert out.attributes[0].categories == tuple(f"bin{i}" for i in range(10))
+    assert list(out.rows[:, 0]) == [float(i // 2) for i in range(20)]
 
 
 def test_supervised_discretization_perfect_threshold():
@@ -411,7 +409,7 @@ def test_pca_rank_one():
     )
     rows = np.column_stack([x, 3.0 * x + 1.0, (x % 2).astype(float)])
     ds = Dataset("t", attrs, 2, rows)
-    out = apply(TransformationSpec("pca", "global", params=(("var", 1.0),)), ds)
+    out = apply(TransformationSpec("pca", "global"), ds)
     assert [a.name for a in out.attributes] == ["PC1", "class"]
 
 
@@ -524,38 +522,56 @@ def test_spec_validation():
         TransformationSpec("normalize", "local", 0)  # global kind
     with pytest.raises(ValueError):
         TransformationSpec("discretize_sup", "global")  # local kind
-    with pytest.raises(ValueError):
-        TransformationSpec("normalize", "global", params=(("bins", 3),))
-    assert TransformationSpec("discretize_unsup", "all").param("bins") == 10.0
 
 
-def test_spec_text_round_trip_examples():
-    examples = [
-        "discretize_sup(attr=3)",
-        "discretize_sup(all)",
-        "discretize_unsup(attr=0,bins=10)",
-        "nom2bin_sup(global)",
-        "normalize(global)",
-        "pca(var=0.95)",
-        "impute_cont(global)",
-    ]
-    for text in examples:
-        assert parse_spec_text(text).text == text
+def _oracle_text(spec):
+    """``spec.text`` by its rule from when operators took parameters, copied."""
+    params = {"discretize_unsup": (("bins", 10.0),), "pca": (("var", 0.95),)}.get(spec.kind, ())
+    parts = []
+    if spec.scope == "local":
+        parts.append(f"attr={spec.attribute}")
+    elif spec.scope == "all":
+        parts.append("all")
+    elif not params:
+        parts.append("global")
+    for k, v in params:
+        parts.append(f"{k}={int(v) if k == 'bins' else repr(v)}")
+    return f"{spec.kind}({','.join(parts)})"
+
+
+def test_spec_text_matches_oracle_on_mini_corpus(mini_datasets):
+    specs = [spec for ds in mini_datasets for spec in enumerate_applicable(ds)]
+    assert (len(mini_datasets), len(specs)) == (24, 273)
+    for spec in specs:
+        assert spec.text == _oracle_text(spec)
+    assert {s.kind for s in specs} == set(KIND_ORDER)
+    examples = {
+        TransformationSpec("discretize_unsup", "local", 3): "discretize_unsup(attr=3,bins=10)",
+        TransformationSpec("discretize_unsup", "all"): "discretize_unsup(all,bins=10)",
+        TransformationSpec("pca", "global"): "pca(var=0.95)",
+        TransformationSpec("normalize", "global"): "normalize(global)",
+    }
+    for spec, text in examples.items():
+        assert spec.text == _oracle_text(spec) == text
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_spec_text_round_trip_property(seed):
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([0.05, 0.2, 0.5]),
+)
+def test_spec_text_matches_oracle_on_fuzzed_datasets(seed, n_continuous, n_categorical, rate):
     ds = random_dataset(
-        seed % 97,
+        seed,
         n_rows=20,
-        n_continuous=seed % 3,
-        n_categorical=(seed // 3) % 3 if seed % 3 else 1 + (seed // 3) % 2,
-        missing_rate=0.1 if seed % 2 else 0.0,
+        n_continuous=n_continuous or (n_categorical == 0),
+        n_categorical=n_categorical,
+        missing_rate=rate,
     )
     for spec in enumerate_applicable(ds):
-        assert parse_spec_text(spec.text) == spec
-
+        assert spec.text == _oracle_text(spec)
 
 
 # --- the operator functions before the column-rewrite table, kept as an oracle ---
@@ -803,14 +819,14 @@ _OLD_OPERATORS = {
     "normalize": lambda ds, targets, spec: _old_scale(ds, targets, _old_minmax_column),
     "standardize": lambda ds, targets, spec: _old_scale(ds, targets, _old_zscore_column),
     "discretize_unsup": lambda ds, targets, spec: _old_discretize_equal_width(
-        ds, targets, int(spec.param("bins"))
+        ds, targets, 10
     ),
     "discretize_sup": lambda ds, targets, spec: _old_discretize_mdl(ds, targets),
     "nom2bin_unsup": lambda ds, targets, spec: _old_nominal_to_binary_plain(ds, targets),
     "nom2bin_sup": lambda ds, targets, spec: _old_nominal_to_binary_ordered(ds, targets),
     "impute_cont": lambda ds, targets, spec: _old_impute_mean(ds, targets),
     "impute_cat": lambda ds, targets, spec: _old_impute_mode(ds, targets),
-    "pca": lambda ds, targets, spec: _old_principal_components(ds, targets, spec.param("var")),
+    "pca": lambda ds, targets, spec: _old_principal_components(ds, targets, 0.95),
 }
 
 

@@ -968,7 +968,7 @@ def test_lockstep_tree_cross_validation_matches_base_tree_oracle(mini_datasets):
         for seed in range(3)
     ]
     for ds in [*mini_datasets, *extra]:
-        fold_of_row = np.asarray(stratified_folds(ds, 10, 7).fold_of_row)
+        fold_of_row = stratified_folds(ds, 10, 7)
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
         test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
         tests = [ds.subset(rows) for rows in test_rows]
