@@ -11,7 +11,6 @@ from .dataset import (
 from .metafeatures import (
     FEATURE_IDS,
     MODIFIABLE_IDS,
-    MetaFeatureVector,
     compute_meta_features,
     delta,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "FEATURE_IDS",
     "ForestModel",
     "MetaDatabase",
-    "MetaFeatureVector",
     "MetaInstance",
     "MODIFIABLE_IDS",
     "Recommendation",

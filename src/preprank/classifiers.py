@@ -2,14 +2,14 @@
 
 Four learners ship: an information-gain decision tree, Gaussian/Laplace naive
 Bayes, k-nearest-neighbour with internally min-max normalized distances, and
-L2-penalized multinomial logistic regression.  More can be plugged in through
-:func:`register_learner`.
+L2-penalized multinomial logistic regression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
@@ -20,6 +20,9 @@ from .dataset import Dataset, stratified_folds
 
 MEASURES = ("acc", "prec", "rec", "auc")
 
+#: the learner families, one learner each
+FAMILIES = ("tree", "nb", "knn", "logistic")
+
 
 @dataclass(frozen=True)
 class ClassifierKind:
@@ -29,6 +32,8 @@ class ClassifierKind:
     k: int = 1
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown classifier family {self.family!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -52,7 +57,7 @@ def parse_classifier(name: str) -> ClassifierKind:
     family, colon, k = name.partition(":")
     if family == "knn" and (not colon or k.isdecimal()):
         return ClassifierKind("knn", int(k) if colon else 1)
-    if colon or name not in _LEARNERS:
+    if colon:
         raise ValueError(f"unknown classifier {name!r}")
     return ClassifierKind(name)
 
@@ -100,7 +105,7 @@ CV_RUNS = CallCounter()
 _TREE_BATCH_CELLS = 2**18
 
 
-def _learner_tree(kind, datasets, train_rows, test_rows, seed):
+def _learner_tree(datasets, train_rows, test_rows):
     """Information-gain trees; the fold trees of several datasets grow together.
 
     Consecutive datasets of at most ``_TREE_BATCH_CELLS`` cells (one over it
@@ -134,59 +139,50 @@ def _learner_tree(kind, datasets, train_rows, test_rows, seed):
 _NB_VAR_FLOOR = 1e-9
 
 
-def _learner_nb(kind, train, test, seed):
+def _learner_nb(train, test):
+    """Gaussian (continuous) and Laplace-smoothed (categorical) class posteriors.
+
+    A missing cell adds no factor, nor does a continuous predictor to a class
+    with no value of it in training; a class absent from training gets
+    posterior 0.  Each test row adds its factors to the log prior in
+    predictor order, continuous predictors first.
+    """
     n_classes = len(train.class_attribute.categories)
     y = train.class_labels
     counts = np.bincount(y, minlength=n_classes).astype(float)
     log_prior = np.full(n_classes, -np.inf)
     observed = counts > 0
     log_prior[observed] = np.log(counts[observed] / counts.sum())
+    logp = np.tile(log_prior, (test.n_rows, 1))
 
-    cont = train.continuous_predictors
-    cat = train.categorical_predictors
-    gauss = {}
-    for j in cont:
-        col = train.column(j)
+    for j in train.continuous_predictors:
+        col, v = train.column(j), test.column(j)
+        present = ~np.isnan(v)
         for c in range(n_classes):
             vals = col[(y == c) & ~np.isnan(col)]
             if vals.size == 0:
                 continue  # factor skipped for this class
             mean = float(vals.mean())
-            var = float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0
-            gauss[(j, c)] = (mean, max(var, _NB_VAR_FLOOR))
-    tables = {}
-    for j in cat:
-        col = train.column(j)
-        k = len(train.attributes[j].categories)
-        table = np.ones((n_classes, k))  # Laplace +1
-        present = ~np.isnan(col)
-        np.add.at(table, (y[present], col[present].astype(int)), 1.0)
-        tables[j] = np.log(table / table.sum(axis=1, keepdims=True))
+            var = max(float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0, _NB_VAR_FLOOR)
+            d = v[present] - mean
+            # libm pow, rounding as Python's ``**`` does; an exponent of scalar 2 squares
+            square = np.float_power(d, np.full_like(d, 2.0))
+            logp[present, c] += -0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var)
+    for j in train.categorical_predictors:
+        col, v = train.column(j), test.column(j)
+        table = np.ones((n_classes, len(train.attributes[j].categories)))  # Laplace +1
+        known = ~np.isnan(col)
+        np.add.at(table, (y[known], col[known].astype(int)), 1.0)
+        log_table = np.log(table / table.sum(axis=1, keepdims=True))
+        present = ~np.isnan(v)
+        logp[present] += log_table[:, v[present].astype(int)].T
 
-    scores = np.zeros((test.n_rows, n_classes))
-    for i, row in enumerate(test.rows):
-        logp = log_prior.copy()
-        for j in cont:
-            v = row[j]
-            if math.isnan(v):
-                continue
-            for c in range(n_classes):
-                params = gauss.get((j, c))
-                if params is None:
-                    continue
-                mean, var = params
-                logp[c] += -0.5 * math.log(2.0 * math.pi * var) - (v - mean) ** 2 / (
-                    2.0 * var
-                )
-        for j in cat:
-            v = row[j]
-            if math.isnan(v):
-                continue
-            logp += tables[j][:, int(v)]
-        shifted = np.exp(logp - logp[np.isfinite(logp)].max())
-        shifted[~np.isfinite(shifted)] = 0.0
-        scores[i] = shifted / shifted.sum()
-    return scores
+    finite = np.isfinite(logp)
+    if not finite.any(axis=1).all():
+        raise ValueError("a test row has no finite class log-likelihood")
+    shifted = np.exp(logp - logp.max(axis=1, keepdims=True, where=finite, initial=-np.inf))
+    shifted[~np.isfinite(shifted)] = 0.0
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 # --- k nearest neighbours ----------------------------------------------------
@@ -196,7 +192,7 @@ def _learner_nb(kind, train, test, seed):
 _KNN_BLOCK_ROWS = 64
 
 
-def _learner_knn(kind, train, test, seed):
+def _learner_knn(kind, train, test):
     """Vote shares of the k nearest training rows.
 
     The squared distance adds, per predictor, the squared difference of
@@ -433,7 +429,7 @@ def _lbfgsb(objective, n_folds: int, n_params: int):
 _LOGISTIC_BATCH_CELLS = 2**18
 
 
-def _learner_logistic(kind, datasets, train_rows, test_rows, seed):
+def _learner_logistic(datasets, train_rows, test_rows):
     """Ridge multinomial logistic regression, a dataset's folds solved together.
 
     Folds whose design matrices have the same shape go in stacks of at most
@@ -472,64 +468,43 @@ def _learner_logistic(kind, datasets, train_rows, test_rows, seed):
 
 
 def _one_fold_at_a_time(fn):
-    """The learner protocol around ``fn(kind, train, test, seed) -> scores``.
+    """A learner that trains ``fn(train, test) -> scores`` on one fold of one dataset at a time."""
 
-    A learner takes ``(kind, datasets, train_rows, test_rows, seed)``: a list
-    of datasets with shared rows and class column, and each fold's training
-    and test row indices.  It yields per dataset its folds' (n_test, n_classes)
-    class scores.  This one trains ``fn`` on one fold of one dataset at a time.
-    """
-
-    def learner(kind, datasets, train_rows, test_rows, seed):
+    def learner(datasets, train_rows, test_rows):
         for ds in datasets:
-            folds = zip(train_rows, test_rows)
-            yield [fn(kind, ds.subset(a), ds.subset(b), seed) for a, b in folds]
+            yield [fn(ds.subset(a), ds.subset(b)) for a, b in zip(train_rows, test_rows)]
 
     return learner
 
 
-_LEARNERS = {
-    "tree": _learner_tree,
-    "nb": _one_fold_at_a_time(_learner_nb),
-    "knn": _one_fold_at_a_time(_learner_knn),
-    "logistic": _learner_logistic,
-}
+def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows):
+    """Each dataset's list of fold scores from ``kind``'s learner.
 
-
-def register_learner(family: str, fn) -> None:
-    """Register a learner callable ``fn(kind, train, test, seed) -> scores``.
-
-    ``scores`` must be an (n_test, n_classes) array of class scores.
+    ``datasets`` share their rows and class column; ``train_rows`` and
+    ``test_rows`` hold each fold's row indices.  A fold's scores are an
+    (n_test, n_classes) array of class scores.
     """
-    _LEARNERS[family] = _one_fold_at_a_time(fn)
-
-
-def learner_families() -> tuple[str, ...]:
-    """Every learner family with a registered learner, in registration order."""
-    return tuple(_LEARNERS)
-
-
-def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows, seed: int):
-    """Each dataset's fold scores from ``kind``'s learner; see :func:`_one_fold_at_a_time`."""
-    learner = _LEARNERS.get(kind.family)
-    if learner is None:
-        raise ValueError(f"no learner registered for {kind.family!r}")
     if any(len(rows) == 0 for rows in train_rows):
         raise ValueError("empty training split")
-    for folds in learner(kind, datasets, train_rows, test_rows, seed):
-        yield [np.asarray(scores, dtype=float) for scores in folds]
+    learners = {
+        "tree": _learner_tree,
+        "nb": _one_fold_at_a_time(_learner_nb),
+        "knn": _one_fold_at_a_time(partial(_learner_knn, kind)),
+        "logistic": _learner_logistic,
+    }
+    return learners[kind.family](datasets, train_rows, test_rows)
 
 
-def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset, seed: int):
+def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset):
     """Train on ``train`` and score ``test``; returns [(class index, scores), ...].
 
     The predicted class is the argmax of the score vector, ties going to the
-    lowest class index.  Deterministic given the seed.
+    lowest class index.
     """
     if train.attributes != test.attributes or train.class_index != test.class_index:
         raise ValueError("train and test datasets have different schemas")
     both, n = replace(train, rows=np.vstack([train.rows, test.rows])), train.n_rows
-    [[scores]] = _fold_scores(kind, [both], [np.arange(n)], [np.arange(n, both.n_rows)], seed)
+    [[scores]] = _fold_scores(kind, [both], [np.arange(n)], [np.arange(n, both.n_rows)])
     preds = scores.argmax(axis=1)
     return [(int(p), scores[i]) for i, p in enumerate(preds)]
 
@@ -554,7 +529,7 @@ def cross_validate(
     order = np.argsort(np.concatenate(test_rows))  # the folds' test rows back in row order
     return [
         _pooled_measures(y, np.vstack(folds)[order])
-        for folds in _fold_scores(kind, datasets, train_rows, test_rows, seed)
+        for folds in _fold_scores(kind, datasets, train_rows, test_rows)
     ]
 
 

@@ -62,7 +62,7 @@ def _alg_slug(name: str) -> str:
 
 def cmd_featurize(args) -> int:
     ds = load_dataset_file(args.dataset, class_column=args.class_column)
-    values = compute_meta_features(ds).values.tolist()
+    values = compute_meta_features(ds).tolist()
     for fid, value in zip(FEATURE_IDS, values):
         print(f"{fid}\t{'NA' if math.isnan(value) else repr(value)}")
     return 0
@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="print a dataset's characteristics")
     p.add_argument("dataset")
-    p.add_argument("--class-column", default=None, help="class column of a .csv file")
+    p.add_argument(
+        "--class-column", default=None, help="header name of a .csv file's class column"
+    )
     p.set_defaults(fn=cmd_featurize)
 
     p = sub.add_parser("impact-scan", help="measure per-operator impact shares")
@@ -304,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--class-column", default=None, help="class column of a .csv file")
+    p.add_argument(
+        "--class-column", default=None, help="header name of a .csv file's class column"
+    )
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="leave-one-dataset-out report suite")

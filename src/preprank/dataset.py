@@ -224,17 +224,6 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
 _NUMERIC_TYPES = {"numeric", "real", "integer"}
 
 
-def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[str]:
     """Split on ``sep`` honoring single/double quotes and backslash escapes."""
     out = []
@@ -289,14 +278,13 @@ def _take_token(text: str, lineno: int) -> tuple[str, str]:
     return parts[0], parts[1] if len(parts) > 1 else ""
 
 
-def parse_arff(source) -> Dataset:
+def parse_arff(text: str) -> Dataset:
     """Parse dense ARFF (numeric/real/integer and nominal attributes only).
 
     The class column is the attribute literally named ``class``
     (case-insensitive) if present, otherwise the last nominal attribute.
     ``?`` marks a missing cell.  Sparse ``{...}`` data rows are rejected.
     """
-    text = _read_text(source)
     relation = None
     attrs: list[Attribute] = []
     in_data = False
@@ -450,31 +438,24 @@ def serialize_arff(ds: Dataset) -> str:
 _CSV_MISSING = {"", "NA", "?"}
 
 
-def parse_csv(source, class_column, name: str = "dataset") -> Dataset:
+def parse_csv(text: str, class_column: str, name: str = "dataset") -> Dataset:
     """Parse header-ful CSV; empty cells, ``NA`` and ``?`` are missing.
 
-    ``class_column`` is a header name or 0-based index.  Predictor types are
-    inferred: continuous only when every non-missing cell parses as a finite
-    number, else categorical.  Categorical columns, the class among them,
-    list their categories in first-appearance order.
+    ``class_column`` is a header name.  Predictor types are inferred:
+    continuous only when every non-missing cell parses as a finite number,
+    else categorical.  Categorical columns, the class among them, list their
+    categories in first-appearance order.
     """
-    text = _read_text(source)
-    reader = _csvmod.reader(StringIO(text))
-    table = [row for row in reader if row]
+    table = [row for row in _csvmod.reader(StringIO(text)) if row]
     if not table:
         raise CsvFormatError("empty file")
     header = [h.strip() for h in table[0]]
     records = table[1:]
     if not records:
         raise CsvFormatError("no data rows")
-    if isinstance(class_column, int):
-        if not 0 <= class_column < len(header):
-            raise CsvFormatError(f"class column index {class_column} out of range")
-        class_idx = class_column
-    else:
-        if class_column not in header:
-            raise CsvFormatError(f"missing class column {class_column!r}")
-        class_idx = header.index(class_column)
+    if class_column not in header:
+        raise CsvFormatError(f"missing class column {class_column!r}")
+    class_idx = header.index(class_column)
     for i, rec in enumerate(records, start=2):
         if len(rec) != len(header):
             raise CsvFormatError(f"row {i} has {len(rec)} cells, expected {len(header)}")
@@ -520,29 +501,11 @@ def _all_numeric(raw, missing) -> bool:
     return seen
 
 
-def write_csv(ds: Dataset) -> str:
-    """Render as CSV with header; missing cells become empty fields."""
-    buf = StringIO()
-    writer = _csvmod.writer(buf, lineterminator="\n")
-    writer.writerow([a.name for a in ds.attributes])
-    for row in ds.rows:
-        cells = []
-        for j, v in enumerate(row):
-            if math.isnan(v):
-                cells.append("")
-            elif ds.attributes[j].is_continuous:
-                cells.append(repr(float(v)))
-            else:
-                cells.append(ds.attributes[j].categories[int(v)])
-        writer.writerow(cells)
-    return buf.getvalue()
-
-
 def load_dataset_file(path, class_column=None) -> Dataset:
     """Load ``.arff`` or ``.csv`` by extension.
 
     For CSV the class column defaults to a header named ``class``
-    (case-insensitive), else the last column.  ARFF files find their own
+    (case-insensitive), else the last header.  ARFF files find their own
     class column, so naming one for them is an error.
     """
     p = Path(path)
@@ -552,9 +515,8 @@ def load_dataset_file(path, class_column=None) -> Dataset:
     text = p.read_text(encoding="utf-8")
     if is_csv:
         if class_column is None:
-            header = next(_csvmod.reader(StringIO(text)), [])
-            names = [h.strip() for h in header]
-            matches = [h for h in names if h.lower() == "class"]
-            class_column = matches[0] if matches else len(names) - 1
+            header = next((row for row in _csvmod.reader(StringIO(text)) if row), [])
+            names = [h.strip() for h in header] or [""]  # no header: parse_csv rejects the file
+            class_column = next((h for h in names if h.lower() == "class"), names[-1])
         return parse_csv(text, class_column, name=p.stem)
     return parse_arff(text)

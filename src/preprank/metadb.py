@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import MEASURES, ClassifierKind, cross_validate, parse_classifier
-from .metafeatures import MODIFIABLE_IDS, MetaFeatureVector, compute_meta_features, delta
+from .metafeatures import MODIFIABLE_IDS, compute_meta_features, delta
 from .transforms import apply, enumerate_applicable
 
 log = logging.getLogger("preprank.metadb")
@@ -120,12 +120,10 @@ class MetaDatabase:
         return sum(r.meta_response_class == POSITIVE for r in self.rows) / len(self.rows)
 
 
-def feature_vector(
-    base: MetaFeatureVector, change: MetaFeatureVector, base_performance: float
-) -> np.ndarray:
+def feature_vector(base: np.ndarray, change: np.ndarray, base_performance: float) -> np.ndarray:
     """Read-only numeric row in FEATURE_COLUMNS order; NOT_APPLICABLE is NaN."""
     n = len(MODIFIABLE_IDS)
-    row = np.concatenate([base.values[:n], change.values[:n], [base_performance]])
+    row = np.concatenate([base[:n], change[:n], [base_performance]])
     row.flags.writeable = False
     return row
 

@@ -12,7 +12,6 @@ count every attribute including the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,27 +77,6 @@ assert len(FEATURE_IDS) == 61
 
 #: features a transformation can change; the class group stays constant
 MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
-
-
-
-@dataclass(frozen=True, eq=False)
-class MetaFeatureVector:
-    """All 61 characteristics of one dataset, or their deltas, in FEATURE_IDS order.
-
-    Two vectors are equal when their values are, NaN equal to NaN.
-    """
-
-    values: np.ndarray
-
-    def __getitem__(self, feature_id: str) -> float:
-        return float(self.values[FEATURE_IDS.index(feature_id)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MetaFeatureVector):
-            return NotImplemented
-        return np.array_equal(self.values, other.values, equal_nan=True)
-
-    __hash__ = None
 
 
 def attribute_entropy(ds: Dataset, attr: int) -> float:
@@ -197,8 +175,8 @@ def _summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spread, np.percentile(block, [25, 50, 75], axis=1)
 
 
-def compute_meta_features(ds: Dataset) -> MetaFeatureVector:
-    """Compute all 61 characteristics of a dataset.
+def compute_meta_features(ds: Dataset) -> np.ndarray:
+    """All 61 characteristics of a dataset, a read-only array in FEATURE_IDS order.
 
     Degenerate inputs stay defined: constant or near-empty continuous
     attributes get std/skewness/kurtosis 0, an attribute with no observed
@@ -262,11 +240,11 @@ def compute_meta_features(ds: Dataset) -> MetaFeatureVector:
         100.0 * class_counts.max() / n,
     )
     values.flags.writeable = False
-    return MetaFeatureVector(values)
+    return values
 
 
-def delta(before: MetaFeatureVector, after: MetaFeatureVector) -> MetaFeatureVector:
-    """Per-feature ``after - before``; NOT_APPLICABLE wherever either side is."""
-    change = after.values - before.values
+def delta(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Per-feature ``after - before``, read-only; NOT_APPLICABLE wherever either side is."""
+    change = after - before
     change.flags.writeable = False
-    return MetaFeatureVector(change)
+    return change

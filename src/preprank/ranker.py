@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classifiers import ClassifierKind, cross_validate, learner_families
+from .classifiers import FAMILIES, ClassifierKind, cross_validate
 from .dataset import Dataset
 from .forest import ForestModel, predict_proba, predicted_class
 from .metadb import feature_vector
@@ -42,7 +42,7 @@ class ExpertRule:
     def __post_init__(self):
         if self.transformation_kind not in KIND_ORDER:
             raise ValueError(f"unknown transformation kind {self.transformation_kind!r}")
-        if self.algorithm not in (ANY_ALGORITHM, *learner_families()):
+        if self.algorithm not in (ANY_ALGORITHM, *FAMILIES):
             raise ValueError(f"unknown learner family {self.algorithm!r}")
 
     def matches(self, algorithm: ClassifierKind, spec: TransformationSpec) -> bool:

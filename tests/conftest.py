@@ -7,7 +7,7 @@ import pytest
 import preprank.forest as forest_mod
 from preprank.classifiers import LOGISTIC, TREE, knn
 from preprank.metadb import MetaDatabase, MetaInstance, build_metadb
-from preprank.metafeatures import MODIFIABLE_IDS
+from preprank.metafeatures import FEATURE_IDS, MODIFIABLE_IDS
 from preprank.openml import load_corpus, read_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,6 +15,12 @@ CORPUS_DIR = ROOT / "corpus"
 MINI_MANIFEST = CORPUS_DIR / "mini.manifest"
 
 SEED = 42
+
+
+
+def feature(values, feature_id):
+    """The entry named ``feature_id`` of a meta-feature array in FEATURE_IDS order."""
+    return float(values[FEATURE_IDS.index(feature_id)])
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from preprank.classifiers import (
     fit_predict,
     knn,
     parse_classifier,
-    register_learner,
 )
 from preprank import tree
 from preprank.dataset import Attribute, Dataset, stratified_folds
@@ -52,7 +51,7 @@ def test_parse_classifier_names():
 def test_1nn_zero_distance_wins():
     train = small_dataset([[1.0, 0], [5.0, 1], [9.0, 0]])
     test = small_dataset([[5.0, 0]])  # identical to train row 1
-    [(pred, scores)] = fit_predict(knn(1), train, test, seed=0)
+    [(pred, scores)] = fit_predict(knn(1), train, test)
     assert pred == 1
     assert scores[1] == 1.0
 
@@ -60,7 +59,7 @@ def test_1nn_zero_distance_wins():
 def test_knn_distance_ties_take_lowest_row_index():
     train = small_dataset([[0.0, 0], [2.0, 1]])
     test = small_dataset([[1.0, 0]])  # equidistant from both
-    [(pred, _)] = fit_predict(knn(1), train, test, seed=0)
+    [(pred, _)] = fit_predict(knn(1), train, test)
     assert pred == 0
 
 
@@ -68,7 +67,7 @@ def test_tree_perfectly_separable():
     ds = random_dataset(5, n_rows=40, n_continuous=1, n_categorical=0, class_sep=50.0)
     train = ds.subset(range(0, 30))
     test = ds.subset(range(30, 40))
-    out = fit_predict(TREE, train, test, seed=0)
+    out = fit_predict(TREE, train, test)
     assert [p for p, _ in out] == list(test.class_labels)
 
 
@@ -78,7 +77,7 @@ def test_naive_bayes_hand_posteriors():
         kinds=("continuous", "categorical"),
     )
     test = small_dataset([[2.5, 0, 0]], kinds=("continuous", "categorical"))
-    [(pred, scores)] = fit_predict(NAIVE_BAYES, train, test, seed=0)
+    [(pred, scores)] = fit_predict(NAIVE_BAYES, train, test)
 
     def gauss(x, mean, var):
         return math.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
@@ -97,7 +96,7 @@ def test_naive_bayes_skips_missing_factors():
         kinds=("continuous", "categorical"),
     )
     test = small_dataset([[np.nan, 0, 0]], kinds=("continuous", "categorical"))
-    [(pred, scores)] = fit_predict(NAIVE_BAYES, train, test, seed=0)
+    [(pred, scores)] = fit_predict(NAIVE_BAYES, train, test)
     # only prior and the categorical factor remain
     assert scores[0] == pytest.approx(0.75, rel=1e-9)
 
@@ -112,11 +111,21 @@ def test_schema_mismatch_rejected():
     a = small_dataset([[1.0, 0], [2.0, 1]])
     b = small_dataset([[1.0, 0, 0], [2.0, 1, 1]], kinds=("continuous", "categorical"))
     with pytest.raises(ValueError):
-        fit_predict(TREE, a, b, seed=0)
+        fit_predict(TREE, a, b)
 
 
-def test_pluggable_learner_and_trivial_measures():
-    def majority_learner(kind, train, test, seed):
+def _pooled_scores(fn, ds, seed, k=10):
+    """Row-ordered scores of ``fn(train, test)`` on each of ``ds``'s stratified folds."""
+    fold_of_row = stratified_folds(ds, k, seed)
+    scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
+    for f in range(k):
+        rows = np.flatnonzero(fold_of_row == f)
+        scores[rows] = fn(ds.subset(np.flatnonzero(fold_of_row != f)), ds.subset(rows))
+    return scores
+
+
+def test_trivial_measures_of_a_majority_scorer():
+    def majority_learner(train, test):
         counts = np.bincount(
             train.class_labels, minlength=len(train.class_attribute.categories)
         )
@@ -125,29 +134,39 @@ def test_pluggable_learner_and_trivial_measures():
         scores[:, winner] = 1.0
         return scores
 
-    register_learner("majority", majority_learner)
     ds = random_dataset(9, n_rows=40, n_continuous=1, n_classes=2)
     # force an exactly balanced binary dataset
     rows = np.array(ds.rows)
     rows[:, ds.class_index] = np.arange(40) % 2
     balanced = Dataset(ds.name, ds.attributes, ds.class_index, rows)
-    [pm] = cross_validate(ClassifierKind("majority"), [balanced], 10, seed=0)
+    scores = _pooled_scores(majority_learner, balanced, 0)
+    pm = classifiers_mod._pooled_measures(balanced.class_labels, scores)
     assert pm.accuracy == 0.5
     assert pm.recall == 0.5  # macro: 1.0 for the predicted class, 0.0 for the other
     assert pm.auc == 0.5  # constant scores rank everything equally
 
 
 def test_perfect_classifier_all_ones():
-    def oracle_learner(kind, train, test, seed):
+    def oracle_learner(train, test):
         n_classes = len(train.class_attribute.categories)
         scores = np.zeros((test.n_rows, n_classes))
         scores[np.arange(test.n_rows), test.class_labels] = 1.0
         return scores
 
-    register_learner("oracle", oracle_learner)
     ds = random_dataset(10, n_rows=30, n_continuous=2, n_classes=3)
-    [pm] = cross_validate(ClassifierKind("oracle"), [ds], 10, seed=0)
+    scores = _pooled_scores(oracle_learner, ds, 0)
+    pm = classifiers_mod._pooled_measures(ds.class_labels, scores)
     assert pm == PerformanceMeasures(1.0, 1.0, 1.0, 1.0)
+
+
+def test_four_families_and_no_other():
+    assert classifiers_mod.FAMILIES == ("tree", "nb", "knn", "logistic")
+    assert [parse_classifier(f).family for f in classifiers_mod.FAMILIES] == list(
+        classifiers_mod.FAMILIES
+    )
+    for family in ("majority", "oracle", "knn:1", ""):
+        with pytest.raises(ValueError, match="unknown classifier family"):
+            ClassifierKind(family)
 
 
 def test_cross_validate_matches_brute_force_1nn():
@@ -205,17 +224,17 @@ def test_knn_invariant_under_external_normalization():
 
 
 def test_random_scorer_auc_near_half():
-    def random_learner(kind, train, test, seed):
-        rng = np.random.default_rng(seed + test.n_rows)
+    def random_learner(train, test):
+        rng = np.random.default_rng(99 + test.n_rows)
         raw = rng.random((test.n_rows, len(train.class_attribute.categories)))
         return raw / raw.sum(axis=1, keepdims=True)
 
-    register_learner("coin", random_learner)
     ds = random_dataset(15, n_rows=1000, n_continuous=1, n_classes=2)
     rows = np.array(ds.rows)
     rows[:, ds.class_index] = np.arange(1000) % 2
     balanced = Dataset(ds.name, ds.attributes, ds.class_index, rows)
-    [pm] = cross_validate(ClassifierKind("coin"), [balanced], 10, seed=99)
+    scores = _pooled_scores(random_learner, balanced, 99)
+    pm = classifiers_mod._pooled_measures(balanced.class_labels, scores)
     assert pm.auc == pytest.approx(0.5, abs=0.05)
 
 
@@ -248,14 +267,14 @@ def test_deep_tree_grows_without_recursion_limit():
     n = 6000
     rows = np.column_stack([np.arange(n, dtype=float), (np.arange(n) // 2) % 2])
     ds = small_dataset(rows)
-    output = fit_predict(TREE, ds, ds, 1)
+    output = fit_predict(TREE, ds, ds)
     assert [p for p, _ in output] == list(ds.class_labels)
 
 
 # --- kNN against the full stable sort it replaced ------------------------------
 
 
-def _argsort_knn(kind, train, test, seed):
+def _argsort_knn(kind, train, test):
     """The dense, fully sorted kNN that the blocked one replaced, verbatim."""
     n_classes = len(train.class_attribute.categories)
     y = train.class_labels
@@ -320,8 +339,8 @@ KNN_CASES = [
 @pytest.mark.parametrize("case", KNN_CASES)
 def test_knn_matches_full_stable_sort(case, k):
     train, test = _knn_split(**case)
-    expected = _argsort_knn(knn(k), train, test, 0)
-    assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test, 0), expected)
+    expected = _argsort_knn(knn(k), train, test)
+    assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test), expected)
 
 
 def test_knn_case_spans_several_blocks():
@@ -339,17 +358,17 @@ def test_knn_overflowing_values_match_full_stable_sort():
     )
     with np.errstate(all="ignore"):
         for k in (1, 2, 3, 5):
-            expected = _argsort_knn(knn(k), train, test, 0)
-            assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test, 0), expected)
+            expected = _argsort_knn(knn(k), train, test)
+            assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test), expected)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_block_size_does_not_change_scores(monkeypatch, k):
     train, test = _knn_split(**KNN_CASES[4])
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 1)
-    one_row = classifiers_mod._learner_knn(knn(k), train, test, 0)
+    one_row = classifiers_mod._learner_knn(knn(k), train, test)
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
-    one_block = classifiers_mod._learner_knn(knn(k), train, test, 0)
+    one_block = classifiers_mod._learner_knn(knn(k), train, test)
     assert np.array_equal(one_row, one_block)
 
 
@@ -496,7 +515,7 @@ def _assert_learner_matches_minimize(ds, seed, expected):
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
     tests = [ds.subset(rows) for rows in test_rows]
-    [found] = classifiers_mod._fold_scores(LOGISTIC, [ds], train_rows, test_rows, 0)
+    [found] = classifiers_mod._fold_scores(LOGISTIC, [ds], train_rows, test_rows)
     assert len(found) == len(expected) == 10
     for rows, test, scores, result in zip(train_rows, tests, found, expected):
         builders = classifiers_mod._logistic_design(ds.subset(rows))
@@ -654,7 +673,7 @@ def _assert_catalog_matches_oracle(datasets, seed, k=10):
     fold_of_row = stratified_folds(datasets[0], k, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(k)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(k)]
-    found = list(classifiers_mod._fold_scores(TREE, datasets, train_rows, test_rows, seed))
+    found = list(classifiers_mod._fold_scores(TREE, datasets, train_rows, test_rows))
     measures = cross_validate(TREE, datasets, k, seed=seed)
     assert len(found) == len(measures) == len(datasets)
     for ds, folds, pm in zip(datasets, found, measures):
@@ -764,3 +783,110 @@ def test_catalog_cv_rejects_datasets_with_other_rows_or_class_column():
         for kind in (TREE, NAIVE_BAYES):
             with pytest.raises(ValueError, match=f"dataset 1 \\('{odd.name}'\\)"):
                 cross_validate(kind, [ds, odd], 10, seed=0)
+
+
+# --- naive Bayes against the per-row scorer it replaced ---------------------------
+
+
+def _per_row_nb(train, test):
+    """The naive Bayes learner that scored one test row at a time, verbatim."""
+    n_classes = len(train.class_attribute.categories)
+    y = train.class_labels
+    counts = np.bincount(y, minlength=n_classes).astype(float)
+    log_prior = np.full(n_classes, -np.inf)
+    observed = counts > 0
+    log_prior[observed] = np.log(counts[observed] / counts.sum())
+
+    cont = train.continuous_predictors
+    cat = train.categorical_predictors
+    gauss = {}
+    for j in cont:
+        col = train.column(j)
+        for c in range(n_classes):
+            vals = col[(y == c) & ~np.isnan(col)]
+            if vals.size == 0:
+                continue  # factor skipped for this class
+            mean = float(vals.mean())
+            var = float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0
+            gauss[(j, c)] = (mean, max(var, classifiers_mod._NB_VAR_FLOOR))
+    tables = {}
+    for j in cat:
+        col = train.column(j)
+        k = len(train.attributes[j].categories)
+        table = np.ones((n_classes, k))  # Laplace +1
+        present = ~np.isnan(col)
+        np.add.at(table, (y[present], col[present].astype(int)), 1.0)
+        tables[j] = np.log(table / table.sum(axis=1, keepdims=True))
+
+    scores = np.zeros((test.n_rows, n_classes))
+    for i, row in enumerate(test.rows):
+        logp = log_prior.copy()
+        for j in cont:
+            v = row[j]
+            if math.isnan(v):
+                continue
+            for c in range(n_classes):
+                params = gauss.get((j, c))
+                if params is None:
+                    continue
+                mean, var = params
+                logp[c] += -0.5 * math.log(2.0 * math.pi * var) - (v - mean) ** 2 / (
+                    2.0 * var
+                )
+        for j in cat:
+            v = row[j]
+            if math.isnan(v):
+                continue
+            logp += tables[j][:, int(v)]
+        shifted = np.exp(logp - logp[np.isfinite(logp)].max())
+        shifted[~np.isfinite(shifted)] = 0.0
+        scores[i] = shifted / shifted.sum()
+    return scores
+
+
+def _assert_nb_matches_per_row(ds, seed, k=10):
+    """Every fold's scores equal the per-row scorer's, byte for byte; returns the folds."""
+    fold_of_row = stratified_folds(ds, k, seed)
+    folds = []
+    for f in range(k):
+        train = ds.subset(np.flatnonzero(fold_of_row != f))
+        test = ds.subset(np.flatnonzero(fold_of_row == f))
+        ours, theirs = classifiers_mod._learner_nb(train, test), _per_row_nb(train, test)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        folds.append((train, test))
+    return folds
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_nb_matches_per_row_scorer_on_mini_corpus(mini_datasets, seed):
+    for ds in mini_datasets:
+        for version in _with_versions(ds):
+            _assert_nb_matches_per_row(version, seed)
+
+
+@st.composite
+def _fuzz_nb_datasets(draw):
+    """``_fuzz_datasets`` whose class c2 occurs in one row only: one fold trains without it."""
+    ds = draw(_fuzz_datasets())
+    rows = np.array(ds.rows)
+    labels = rows[:, ds.class_index]
+    labels[labels == 2] = draw(st.integers(0, 1))
+    labels[draw(st.integers(0, ds.n_rows - 1))] = 2
+    return Dataset(ds.name, ds.attributes, ds.class_index, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_nb_datasets(), st.integers(0, 1000))
+def test_nb_matches_per_row_scorer_on_fuzzed_datasets(ds, seed):
+    folds = _assert_nb_matches_per_row(ds, seed, k=5)
+    # a fold whose training rows lack c2: its Gaussian factors are skipped, its prior -inf
+    assert any(2 not in train.class_labels for train, _ in folds)
+
+
+def test_nb_rejects_a_test_row_that_no_class_can_score():
+    train = small_dataset([[0.0, 0], [0.0, 0], [1.0, 1], [1.0, 1]])
+    test = small_dataset([[1e300, 0]])  # its squared distance to both means overflows
+    with np.errstate(over="ignore"):
+        for learner in (classifiers_mod._learner_nb, _per_row_nb):
+            with pytest.raises(ValueError):
+                learner(train, test)

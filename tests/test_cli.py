@@ -74,6 +74,25 @@ def test_featurize_csv_input(tmp_path, capsys):
     assert len(lines) == 61
 
 
+def test_featurize_csv_class_column_by_name(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("cls,x\na,1\nb,2\na,3\nb,4\n", encoding="utf-8")
+    assert main(["featurize", str(csv), "--class-column", "cls"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "NumberOfContinuousAttributes\t1.0" in lines
+    assert "NumberOfClasses\t2.0" in lines
+
+
+def test_featurize_csv_class_column_index_exits_2(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("cls,x\na,1\nb,2\na,3\nb,4\n", encoding="utf-8")
+    assert main(["featurize", str(csv), "--class-column", "0"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: missing class column '0'"]
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 ARFF = str(CORPUS_DIR / "mini" / "syn00.arff")
 
 

@@ -18,7 +18,6 @@ from preprank.dataset import (
     parse_csv,
     serialize_arff,
     stratified_folds,
-    write_csv,
 )
 from preprank.synthetic import random_dataset
 
@@ -191,15 +190,38 @@ def test_csv_empty_file_rejected():
         parse_csv("", "class")
 
 
-def test_csv_class_by_index_and_missing_markers():
-    ds = parse_csv("a,b\nNA,x\n?,y\n3,x\n4,y\n", 1)
+def test_csv_class_by_name_and_missing_markers():
+    ds = parse_csv("a,b\nNA,x\n?,y\n3,x\n4,y\n", "b")
     assert ds.class_index == 1
     assert int(np.isnan(ds.rows[:, 0]).sum()) == 2
+    with pytest.raises(CsvFormatError, match="missing class column '1'"):
+        parse_csv("a,b\nNA,x\n?,y\n3,x\n4,y\n", "1")
+
+
+@pytest.mark.parametrize(
+    "text, class_index",
+    [
+        ("x,Class,y\n1,a,2\n2,b,3\n", 1),  # the header named class, in any case
+        ("x,y,cls\n1,2,a\n2,3,b\n", 2),  # else the last header
+        ("\nx,cls\n1,a\n2,b\n", 1),  # the header is the first non-blank line
+    ],
+)
+def test_csv_file_default_class_column(tmp_path, text, class_index):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    assert load_dataset_file(path).class_index == class_index
+
+
+def test_csv_file_empty_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    for text in ("", "\n\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="empty file"):
+            load_dataset_file(path)
 
 
 def test_csv_round_trip():
     ds = random_dataset(5, n_rows=12, n_continuous=2, n_categorical=1, missing_rate=0.2)
-    again = parse_csv(write_csv(ds), "class", name=ds.name)
 
     def decode(d, i, j):
         v = d.rows[i, j]
@@ -207,6 +229,12 @@ def test_csv_round_trip():
             return None
         a = d.attributes[j]
         return a.categories[int(v)] if a.is_categorical else v
+
+    lines = [",".join(a.name for a in ds.attributes)]
+    for i in range(ds.n_rows):
+        cells = [decode(ds, i, j) for j in range(ds.n_attributes)]
+        lines.append(",".join("" if v is None else str(v) for v in cells))
+    again = parse_csv("\n".join(lines) + "\n", "class", name=ds.name)
 
     # category order is first-appearance on re-parse, so compare decoded cells
     for i in range(ds.n_rows):

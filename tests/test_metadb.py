@@ -17,7 +17,7 @@ from preprank.metadb import (
     load,
     save,
 )
-from preprank.metafeatures import MODIFIABLE_IDS, MetaFeatureVector
+from preprank.metafeatures import MODIFIABLE_IDS
 from preprank.synthetic import random_dataset
 from preprank.transforms import apply, enumerate_applicable
 
@@ -162,14 +162,13 @@ def test_equality_is_nan_aware_and_exact():
     def database(values):
         return MetaDatabase(TREE, "acc", (instance(values),))
 
-    for make in (MetaFeatureVector, instance, database):
+    for make in (instance, database):
         assert make(features) == make(features.copy())
         assert make(features) != make(one_ulp_up)
         assert make(features) != make(number_for_nan)
     assert instance(features) != MetaInstance("d", "t", features, 0.25, "zero")
-    for value in (MetaFeatureVector(features), instance(features)):
-        with pytest.raises(TypeError):
-            hash(value)
+    with pytest.raises(TypeError):
+        hash(instance(features))
 
 
 def test_rebuild_is_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import feature
 from hypothesis import given, settings, strategies as st
 
 from preprank.classifiers import TREE
@@ -61,21 +62,21 @@ def test_counting_features():
         [0, 1, 0, 1],
     )
     mf = compute_meta_features(ds)
-    assert mf["NumberOfAttributes"] == 4.0  # class included
-    assert mf["NumberOfInstances"] == 4.0
-    assert mf["Dimensionality"] == 1.0
-    assert mf["NumberOfContinuousAttributes"] == 2.0
-    assert mf["PercentageOfContinuousAttributes"] == 50.0
-    assert mf["NumberOfCategoricalAttributes"] == 1.0
-    assert mf["NumberOfBinaryAttributes"] == 0.0
+    assert feature(mf, "NumberOfAttributes") == 4.0  # class included
+    assert feature(mf, "NumberOfInstances") == 4.0
+    assert feature(mf, "Dimensionality") == 1.0
+    assert feature(mf, "NumberOfContinuousAttributes") == 2.0
+    assert feature(mf, "PercentageOfContinuousAttributes") == 50.0
+    assert feature(mf, "NumberOfCategoricalAttributes") == 1.0
+    assert feature(mf, "NumberOfBinaryAttributes") == 0.0
 
 
 def test_class_entropy_balanced_split():
     ds = build([(Attribute("a", "continuous"), [1, 2, 3, 4])], [0, 0, 1, 1])
     mf = compute_meta_features(ds)
-    assert mf["ClassEntropy"] == 1.0
-    assert mf["MajorityClassPercentage"] == 50.0
-    assert mf["MinorityClassSize"] == 2.0
+    assert feature(mf, "ClassEntropy") == 1.0
+    assert feature(mf, "MajorityClassPercentage") == 50.0
+    assert feature(mf, "MinorityClassSize") == 2.0
 
 
 def test_attribute_entropy_hand_values():
@@ -123,9 +124,9 @@ def test_mutual_information_independent_and_identical():
     # identical to the class
     ds = build([cat("a", 2, [0, 1, 0, 1])], [0, 1, 0, 1])
     mf = compute_meta_features(ds)
-    assert mutual_information(ds, 0) == mf["ClassEntropy"]
-    assert mf["NoiseToSignalRatio"] == 0.0
-    assert mf["EquivalentNumberOfAttributes"] == 1.0
+    assert mutual_information(ds, 0) == feature(mf, "ClassEntropy")
+    assert feature(mf, "NoiseToSignalRatio") == 0.0
+    assert feature(mf, "EquivalentNumberOfAttributes") == 1.0
 
 
 def test_mutual_information_brute_force_oracle():
@@ -147,8 +148,8 @@ def test_derived_information_features_guard():
     # two categories split independently of a 2x2 class grid: zero mean MI
     ds = build([cat("a", 2, [0, 0, 1, 1])], [0, 1, 0, 1])
     mf = compute_meta_features(ds)
-    assert math.isnan(mf["EquivalentNumberOfAttributes"])
-    assert math.isnan(mf["NoiseToSignalRatio"])
+    assert math.isnan(feature(mf, "EquivalentNumberOfAttributes"))
+    assert math.isnan(feature(mf, "NoiseToSignalRatio"))
 
 
 def test_derived_information_compositional_oracle():
@@ -161,7 +162,7 @@ def test_derived_information_compositional_oracle():
     p = counts / counts.sum()
     class_entropy = -(p * np.log2(p)).sum()
     mf = compute_meta_features(ds)
-    ena, nsr = mf["EquivalentNumberOfAttributes"], mf["NoiseToSignalRatio"]
+    ena, nsr = feature(mf, "EquivalentNumberOfAttributes"), feature(mf, "NoiseToSignalRatio")
     assert ena == pytest.approx(class_entropy / mean_mi, rel=1e-12)
     assert nsr == pytest.approx((mean_h - mean_mi) / mean_mi, rel=1e-12)
 
@@ -169,30 +170,30 @@ def test_derived_information_compositional_oracle():
 def test_not_applicable_groups():
     only_cont = random_dataset(3, n_continuous=2, n_categorical=0)
     mf = compute_meta_features(only_cont)
-    assert math.isnan(mf["MeanAttributeEntropy"])
-    assert math.isnan(mf["Quartile2MutualInformation"])
-    assert math.isnan(mf["StdAttributeDistinctValues"])
-    assert mf["NumberOfCategoricalAttributes"] == 0.0
-    assert mf["PercentageOfBinaryAttributes"] == 0.0
+    assert math.isnan(feature(mf, "MeanAttributeEntropy"))
+    assert math.isnan(feature(mf, "Quartile2MutualInformation"))
+    assert math.isnan(feature(mf, "StdAttributeDistinctValues"))
+    assert feature(mf, "NumberOfCategoricalAttributes") == 0.0
+    assert feature(mf, "PercentageOfBinaryAttributes") == 0.0
 
     only_cat = random_dataset(4, n_continuous=0, n_categorical=2)
     mf = compute_meta_features(only_cat)
-    assert math.isnan(mf["MinMeansOfContinuousAttributes"])
-    assert math.isnan(mf["Quartile3SkewnessOfContinuousAttributes"])
-    assert mf["NumberOfContinuousAttributes"] == 0.0
+    assert math.isnan(feature(mf, "MinMeansOfContinuousAttributes"))
+    assert math.isnan(feature(mf, "Quartile3SkewnessOfContinuousAttributes"))
+    assert feature(mf, "NumberOfContinuousAttributes") == 0.0
     # every entry outside the continuous group is numeric
     for fid in FEATURE_IDS[26:]:
         if fid in ("EquivalentNumberOfAttributes", "NoiseToSignalRatio"):
             continue
-        assert not math.isnan(mf[fid]), fid
+        assert not math.isnan(feature(mf, fid)), fid
 
 
 def test_constant_attribute_degenerate_stats():
     ds = build([(Attribute("a", "continuous"), [2.0, 2.0, 2.0, 2.0])], [0, 1, 0, 1])
     mf = compute_meta_features(ds)
-    assert mf["MeanStdOfContinuousAttributes"] == 0.0
-    assert mf["MeanSkewnessOfContinuousAttributes"] == 0.0
-    assert mf["MeanKurtosisOfContinuousAttributes"] == 0.0
+    assert feature(mf, "MeanStdOfContinuousAttributes") == 0.0
+    assert feature(mf, "MeanSkewnessOfContinuousAttributes") == 0.0
+    assert feature(mf, "MeanKurtosisOfContinuousAttributes") == 0.0
 
 
 def test_missing_value_counters():
@@ -204,31 +205,31 @@ def test_missing_value_counters():
         [0, 1, 0, 1],
     )
     mf = compute_meta_features(ds)
-    assert mf["NumberOfMissingValues"] == 3.0
-    assert mf["PercentageOfMissingValues"] == pytest.approx(100.0 * 3 / 12)
-    assert mf["NumberOfInstancesWithMissingValues"] == 3.0
-    assert mf["PercentageOfInstancesWithMissingValues"] == 75.0
+    assert feature(mf, "NumberOfMissingValues") == 3.0
+    assert feature(mf, "PercentageOfMissingValues") == pytest.approx(100.0 * 3 / 12)
+    assert feature(mf, "NumberOfInstancesWithMissingValues") == 3.0
+    assert feature(mf, "PercentageOfInstancesWithMissingValues") == 75.0
 
 
 def test_quartile_and_spread_orderings():
     ds = random_dataset(8, n_rows=50, n_continuous=5, n_categorical=3, missing_rate=0.05)
     mf = compute_meta_features(ds)
     for stat in ("Means", "Std", "Kurtosis", "Skewness"):
-        lo = mf[f"Min{stat}OfContinuousAttributes"]
-        hi = mf[f"Max{stat}OfContinuousAttributes"]
-        assert lo <= mf[f"Mean{stat}OfContinuousAttributes"] <= hi
-        q1 = mf[f"Quartile1{stat}OfContinuousAttributes"]
-        q2 = mf[f"Quartile2{stat}OfContinuousAttributes"]
-        q3 = mf[f"Quartile3{stat}OfContinuousAttributes"]
+        lo = feature(mf, f"Min{stat}OfContinuousAttributes")
+        hi = feature(mf, f"Max{stat}OfContinuousAttributes")
+        assert lo <= feature(mf, f"Mean{stat}OfContinuousAttributes") <= hi
+        q1 = feature(mf, f"Quartile1{stat}OfContinuousAttributes")
+        q2 = feature(mf, f"Quartile2{stat}OfContinuousAttributes")
+        q3 = feature(mf, f"Quartile3{stat}OfContinuousAttributes")
         assert lo <= q1 <= q2 <= q3 <= hi
-    assert mf["MinMutualInformation"] <= mf["MeanMutualInformation"]
-    assert mf["MeanMutualInformation"] <= mf["MaxMutualInformation"]
+    assert feature(mf, "MinMutualInformation") <= feature(mf, "MeanMutualInformation")
+    assert feature(mf, "MeanMutualInformation") <= feature(mf, "MaxMutualInformation")
 
 
 def test_mi_bounded_by_entropies():
     for seed in range(20):
         ds = random_dataset(seed, n_rows=30, n_continuous=0, n_categorical=2)
-        class_entropy = compute_meta_features(ds)["ClassEntropy"]
+        class_entropy = feature(compute_meta_features(ds), "ClassEntropy")
         for j in ds.categorical_predictors:
             mi = mutual_information(ds, j)
             assert -1e-12 <= mi <= min(attribute_entropy(ds, j), class_entropy) + 1e-9
@@ -237,7 +238,7 @@ def test_mi_bounded_by_entropies():
 def assert_vectors_match(a, b):
     """Equal up to summation-order float noise; counts must match exactly."""
     for fid in FEATURE_IDS:
-        va, vb = a[fid], b[fid]
+        va, vb = feature(a, fid), feature(b, fid)
         if math.isnan(va) or math.isnan(vb):
             assert math.isnan(va) and math.isnan(vb), fid
         elif fid.startswith(("Number", "Percentage")):
@@ -265,11 +266,11 @@ def test_predictor_permutation_invariance():
 def test_delta_discretization_example():
     ds = random_dataset(55, n_rows=40, n_continuous=5, n_categorical=0)
     before = compute_meta_features(ds)
-    assert before["NumberOfContinuousAttributes"] == 5.0
+    assert feature(before, "NumberOfContinuousAttributes") == 5.0
     out = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
     after = compute_meta_features(out)
-    assert after["NumberOfContinuousAttributes"] == 4.0
-    assert delta(before, after)["NumberOfContinuousAttributes"] == -1.0
+    assert feature(after, "NumberOfContinuousAttributes") == 4.0
+    assert feature(delta(before, after), "NumberOfContinuousAttributes") == -1.0
 
 
 def test_delta_identity_is_zero():
@@ -277,18 +278,18 @@ def test_delta_identity_is_zero():
     mf = compute_meta_features(ds)
     d = delta(mf, mf)
     for fid in FEATURE_IDS:
-        if math.isnan(mf[fid]):
-            assert math.isnan(d[fid])
+        if math.isnan(feature(mf, fid)):
+            assert math.isnan(feature(d, fid))
         else:
-            assert d[fid] == 0.0
+            assert feature(d, fid) == 0.0
 
 
 def test_delta_not_applicable_propagates():
     no_cont = compute_meta_features(random_dataset(3, n_continuous=0, n_categorical=2))
     with_cont = compute_meta_features(random_dataset(3, n_continuous=2, n_categorical=2))
     d = delta(no_cont, with_cont)
-    assert math.isnan(d["MeanKurtosisOfContinuousAttributes"])
-    assert d["NumberOfContinuousAttributes"] == 2.0
+    assert math.isnan(feature(d, "MeanKurtosisOfContinuousAttributes"))
+    assert feature(d, "NumberOfContinuousAttributes") == 2.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -304,7 +305,7 @@ def test_percentages_and_counts_in_range(seed):
     )
     mf = compute_meta_features(ds)
     for fid in FEATURE_IDS:
-        value = mf[fid]
+        value = feature(mf, fid)
         if math.isnan(value):
             continue
         if "Percentage" in fid:
@@ -470,8 +471,8 @@ def _checked_against_oracle(ds):
             compute_meta_features(ds)
         return None
     new = compute_meta_features(ds)
-    assert new.values.dtype == np.float64 and not new.values.flags.writeable
-    np.testing.assert_array_equal(new.values, _as_array(old))
+    assert new.dtype == np.float64 and not new.flags.writeable
+    np.testing.assert_array_equal(new, _as_array(old))
     return new, old
 
 
@@ -482,8 +483,8 @@ def assert_matches_oracle(before, after):
         return
     (new_before, old_before), (new_after, old_after) = checked
     change = delta(new_before, new_after)
-    assert not change.values.flags.writeable
-    np.testing.assert_array_equal(change.values, _as_array(_oracle_delta(old_before, old_after)))
+    assert not change.flags.writeable
+    np.testing.assert_array_equal(change, _as_array(_oracle_delta(old_before, old_after)))
 
 
 def test_mini_corpus_matches_dict_oracle(mini_datasets):

@@ -76,6 +76,7 @@ def test_rules_parse_errors():
     [
         ("exclude knn:3 normalize\n", 1, "knn:3"),  # a learner name, not its family
         ("exclude any pca\nexclude tre standardize\n", 2, "tre"),
+        ("exclude majority normalize\n", 1, "majority"),  # no learner of that family
     ],
 )
 def test_rules_reject_an_unknown_learner_family(text, lineno, algorithm):

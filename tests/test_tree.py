@@ -537,7 +537,7 @@ def _oracle_grow(
 
 
 def _tree_scores(train, test):
-    return np.vstack([s for _, s in fit_predict(TREE, train, test, 0)])
+    return np.vstack([s for _, s in fit_predict(TREE, train, test)])
 
 
 def _oracle_scores(train, test):
@@ -972,7 +972,7 @@ def test_lockstep_tree_cross_validation_matches_base_tree_oracle(mini_datasets):
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
         test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
         tests = [ds.subset(rows) for rows in test_rows]
-        [scores] = classifiers._fold_scores(TREE, [ds], train_rows, test_rows, 7)
+        [scores] = classifiers._fold_scores(TREE, [ds], train_rows, test_rows)
         assert len(scores) == 10
         for rows, test, ours in zip(train_rows, tests, scores):
             assert np.array_equal(ours, _oracle_scores(ds.subset(rows), test))
