@@ -82,7 +82,7 @@ class PerformanceMeasures:
 
 
 class CallCounter:
-    """Counts datasets cross-validated, for cost assertions."""
+    """Counts units of work, for cost assertions."""
 
     def __init__(self):
         self.value = 0

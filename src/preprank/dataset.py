@@ -224,12 +224,18 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
 _NUMERIC_TYPES = {"numeric", "real", "integer"}
 
 
+class _Quoted(str):
+    """A cell that held a quote: ``'?'`` is the category ``?``, not a missing cell."""
+
+
 def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[str]:
-    """Split on ``sep`` honoring single/double quotes and backslash escapes."""
+    """Split on ``sep`` honoring quotes and backslash escapes; quoted cells are _Quoted."""
+    if "'" not in text and '"' not in text:  # backslashes escape only inside quotes
+        return [v.strip() for v in text.split(sep)]
     out = []
     buf = []
     quote = None
-    escaped = False
+    escaped = quoted = False
     for ch in text:
         if escaped:
             buf.append(ch)
@@ -243,14 +249,16 @@ def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[str]:
                 buf.append(ch)
         elif ch in "'\"":
             quote = ch
+            quoted = True
         elif ch == sep:
-            out.append("".join(buf).strip())
+            out.append((_Quoted if quoted else str)("".join(buf).strip()))
             buf = []
+            quoted = False
         else:
             buf.append(ch)
     if quote:
         raise ArffError("unterminated quote", lineno)
-    out.append("".join(buf).strip())
+    out.append((_Quoted if quoted else str)("".join(buf).strip()))
     return out
 
 
@@ -283,7 +291,8 @@ def parse_arff(text: str) -> Dataset:
 
     The class column is the attribute literally named ``class``
     (case-insensitive) if present, otherwise the last nominal attribute.
-    ``?`` marks a missing cell.  Sparse ``{...}`` data rows are rejected.
+    An unquoted ``?`` marks a missing cell; ``'?'`` is the category ``?``.
+    Sparse ``{...}`` data rows are rejected.
     """
     relation = None
     attrs: list[Attribute] = []
@@ -311,7 +320,7 @@ def parse_arff(text: str) -> Dataset:
                     if not type_part.endswith("}"):
                         raise MalformedHeaderError("unterminated nominal list", lineno)
                     cats = _split_quoted(type_part[1:-1], lineno)
-                    cats = [c for c in cats if c != ""]
+                    cats = [str(c) for c in cats if c != ""]
                     if not cats:
                         raise MalformedHeaderError("empty nominal list", lineno)
                     try:
@@ -347,7 +356,7 @@ def parse_arff(text: str) -> Dataset:
             )
         row = []
         for j, value in enumerate(values):
-            if value == "?":
+            if value == "?" and not isinstance(value, _Quoted):
                 if j == class_index:
                     raise ArffError("missing value in class column", lineno)
                 row.append(float("nan"))

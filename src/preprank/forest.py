@@ -8,6 +8,7 @@ the majority direction.  The tree algorithm itself lives in :mod:`.tree`.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -172,10 +173,16 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> ForestModel:
+    text = Path(path).read_text(encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()  # the document holds no cycles, and its ~14k containers would trigger collections
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict) or doc.get("format") != "preprank-forest":
         raise ModelError("not a forest model file")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:

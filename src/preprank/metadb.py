@@ -139,11 +139,12 @@ def _dataset_rows(args):
     """Worker: all meta-instances of one dataset, or a failure reason."""
     ds, algorithm, measure, seed = args
     try:
-        base_mf = compute_meta_features(ds)
+        columns = {}  # per-column statistics, shared by the dataset and its versions
+        base_mf = compute_meta_features(ds, columns)
         specs, versions, changes = enumerate_applicable(ds), [], []
         for spec in specs:
             versions.append(apply(spec, ds))
-            changes.append(delta(base_mf, compute_meta_features(versions[-1])))
+            changes.append(delta(base_mf, compute_meta_features(versions[-1], columns)))
         measured = cross_validate(algorithm, [ds, *versions], seed=seed)
         base_pm, *trans_pms = [pm.get(measure) for pm in measured]
         rows = []

@@ -15,12 +15,16 @@ import math
 
 import numpy as np
 
+from .classifiers import CallCounter
 from .dataset import Dataset
 from .tree import entropy
 
 NOT_APPLICABLE = math.nan
 
 _CONT_STATS = ("Means", "Std", "Kurtosis", "Skewness")
+
+#: incremented once per predictor column whose statistics are computed, not reused
+COLUMN_STATS = CallCounter()
 
 
 def _build_feature_ids() -> tuple[str, ...]:
@@ -164,6 +168,24 @@ def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
     return stats
 
 
+def _column_stats(ds: Dataset, attr: int, columns: dict) -> tuple:
+    """A predictor's (mean, std, kurtosis, skewness) or (entropy, information, distinct count).
+
+    ``columns`` keys them by kind, category count and cell bytes, so reuse is
+    exact among datasets sharing the class column; out-of-range ones never enter.
+    """
+    a = ds.attributes[attr]
+    key = (a.kind, len(a.categories), ds.column(attr).tobytes())
+    if key not in columns:
+        if a.is_continuous:
+            columns[key] = _continuous_stats(ds, attr)
+        else:
+            distinct = np.unique(_present(ds.column(attr))).size
+            columns[key] = (attribute_entropy(ds, attr), mutual_information(ds, attr), distinct)
+        COLUMN_STATS.increment()
+    return columns[key]
+
+
 def _summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min, mean and max, and quartiles 1-3, of each row of a (stats x columns) block.
 
@@ -175,8 +197,11 @@ def _summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spread, np.percentile(block, [25, 50, 75], axis=1)
 
 
-def compute_meta_features(ds: Dataset) -> np.ndarray:
+def compute_meta_features(ds: Dataset, columns: dict | None = None) -> np.ndarray:
     """All 61 characteristics of a dataset, a read-only array in FEATURE_IDS order.
+
+    ``columns`` caches per-column statistics (:func:`_column_stats`) over
+    the calls of one catalog: a dataset and its operator versions.
 
     Degenerate inputs stay defined: constant or near-empty continuous
     attributes get std/skewness/kurtosis 0, an attribute with no observed
@@ -188,10 +213,11 @@ def compute_meta_features(ds: Dataset) -> np.ndarray:
     cont = ds.continuous_predictors
     cat = ds.categorical_predictors
     values = np.full(len(FEATURE_IDS), NOT_APPLICABLE)
+    columns = {} if columns is None else columns
 
     values[0:2] = len(cont), 100.0 * len(cont) / m
     if cont:
-        spread, quartiles = _summary(np.array([_continuous_stats(ds, j) for j in cont]).T)
+        spread, quartiles = _summary(np.array([_column_stats(ds, j, columns) for j in cont]).T)
         values[2:14] = spread.ravel()
         values[14:26] = quartiles.T.ravel()
 
@@ -202,14 +228,7 @@ def compute_meta_features(ds: Dataset) -> np.ndarray:
     binary = sum(len(ds.attributes[j].categories) == 2 for j in cat)
     values[26:30] = len(cat), binary, 100.0 * len(cat) / m, 100.0 * binary / m
     if cat:
-        block = np.array(
-            [
-                [attribute_entropy(ds, j) for j in cat],
-                [mutual_information(ds, j) for j in cat],
-                [np.unique(_present(ds.column(j))).size for j in cat],
-            ],
-            dtype=float,
-        )
+        block = np.array([_column_stats(ds, j, columns) for j in cat], dtype=float).T.copy()
         spread, quartiles = _summary(block)
         values[30:42] = np.vstack([spread[:, :2], quartiles[:, :2]]).T.ravel()
         mean_entropy, mean_info = spread[1, :2]

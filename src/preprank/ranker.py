@@ -117,12 +117,13 @@ def rank_transformations(
         raise ValueError(
             f"model was trained for {model.algorithm!r}, not {algorithm.name!r}"
         )
-    base_mf = compute_meta_features(ds)
+    columns = {}  # per-column statistics, shared by the dataset and its versions
+    base_mf = compute_meta_features(ds, columns)
     base_pm = cross_validate(algorithm, [ds], seed=seed)[0].get(model.measure or "acc")
     candidates = prune(rules, algorithm, enumerate_applicable(ds))
     scored = []
     for spec in candidates:
-        change = delta(base_mf, compute_meta_features(apply(spec, ds)))
+        change = delta(base_mf, compute_meta_features(apply(spec, ds), columns))
         proba = predict_proba(model, feature_vector(base_mf, change, base_pm))
         scored.append((spec, proba))
     scored.sort(key=lambda item: (-item[1][0], item[0].text))

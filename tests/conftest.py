@@ -18,6 +18,15 @@ SEED = 42
 
 
 
+def distinct_columns(catalog):
+    """The (kind, category count, cell bytes) keys of every predictor column of a catalog."""
+    return {
+        (ds.attributes[j].kind, len(ds.attributes[j].categories), ds.column(j).tobytes())
+        for ds in catalog
+        for j in ds.predictor_indices
+    }
+
+
 def feature(values, feature_id):
     """The entry named ``feature_id`` of a meta-feature array in FEATURE_IDS order."""
     return float(values[FEATURE_IDS.index(feature_id)])

@@ -264,10 +264,10 @@ def failing_syn01(monkeypatch):
     """Makes measuring syn01 raise inside ``build_metadb``."""
     real = metadb_mod.compute_meta_features
 
-    def compute(ds):
+    def compute(ds, columns=None):
         if ds.name == "syn01":
             raise ArithmeticError("no meta-features for syn01")
-        return real(ds)
+        return real(ds, columns)
 
     monkeypatch.setattr(metadb_mod, "compute_meta_features", compute)
 
@@ -277,7 +277,7 @@ def _syn01_frame():
     path = Path(metadb_mod.__file__)
     [lineno] = [
         i for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if "base_mf = compute_meta_features(ds)" in line
+        if "base_mf = compute_meta_features(ds, columns)" in line
     ]
     return f" [{path.name}:{lineno}]"
 

@@ -13,6 +13,7 @@ from preprank.dataset import (
     SparseArffError,
     UndeclaredNominalValueError,
     UnknownAttributeTypeError,
+    _split_quoted,
     load_dataset_file,
     parse_arff,
     parse_csv,
@@ -346,3 +347,90 @@ def test_subset_equals_validated_constructor():
         ds.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
         ds.subset(3)  # a single index is not a table
+
+
+# --- oracle: the character loop of _split_quoted before its quote-free fast path ---
+
+
+def _oracle_split_quoted(text, lineno, sep=","):
+    """Split on ``sep`` honoring single/double quotes and backslash escapes."""
+    out = []
+    buf = []
+    quote = None
+    escaped = False
+    for ch in text:
+        if escaped:
+            buf.append(ch)
+            escaped = False
+        elif quote:
+            if ch == "\\":
+                escaped = True
+            elif ch == quote:
+                quote = None
+            else:
+                buf.append(ch)
+        elif ch in "'\"":
+            quote = ch
+        elif ch == sep:
+            out.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    if quote:
+        raise ArffError("unterminated quote", lineno)
+    out.append("".join(buf).strip())
+    return out
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=",  \t\\'\"?{abXY", max_size=30))
+def test_split_quoted_matches_character_loop(text):
+    try:
+        expected = _oracle_split_quoted(text, 3)
+    except ArffError as exc:
+        with pytest.raises(ArffError, match=str(exc)):
+            _split_quoted(text, 3)
+        return
+    cells = _split_quoted(text, 3)
+    assert cells == expected
+    if "'" not in text and '"' not in text:  # the fast path: plain strings, never _Quoted
+        assert all(type(cell) is str for cell in cells)
+
+
+QUOTED_MISSING_MARK = """\
+@relation q
+@attribute a {'?',x}
+@attribute b numeric
+@attribute class {'?',p}
+@data
+'?',?,p
+?,2.0,'?'
+x,?,"?"
+"""
+
+
+def test_only_an_unquoted_question_mark_is_missing():
+    ds = parse_arff(QUOTED_MISSING_MARK)
+    assert ds.attributes[0].categories == ("?", "x")
+    assert all(type(c) is str for a in ds.attributes for c in a.categories)
+    expected = np.array([[0.0, np.nan, 1.0], [np.nan, 2.0, 0.0], [1.0, np.nan, 0.0]])
+    np.testing.assert_array_equal(ds.rows, expected)
+    # the class column's quoted "?" is its category, and an unquoted one is still missing
+    assert ds.class_labels.tolist() == [1, 0, 0]
+    with pytest.raises(ArffError, match="line 7: missing value in class column"):
+        parse_arff(QUOTED_MISSING_MARK.replace("?,2.0,'?'", "?,2.0,?"))
+    with pytest.raises(ArffError, match="line 8: cannot parse '\\?' as a number"):
+        parse_arff(QUOTED_MISSING_MARK.replace("x,?,", "x,'?',"))
+
+
+def test_question_mark_category_round_trips():
+    attrs = (
+        Attribute("a", "categorical", ("?", "x")),
+        Attribute("b", "continuous"),
+        Attribute("class", "categorical", ("p", "?")),
+    )
+    rows = np.array([[0.0, 1.0, 1.0], [np.nan, np.nan, 0.0], [1.0, 2.5, 1.0], [0.0, 0.0, 0.0]])
+    ds = Dataset("marks", attrs, 2, rows)
+    text = serialize_arff(ds)
+    assert "'?',1.0,'?'" in text and "?,?,p" in text
+    assert parse_arff(text) == ds

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -386,3 +387,21 @@ def test_loov_memory_stays_near_one_forest():
     one = _traced_peak(lambda: train_forest(db, DEFAULT_TREES, seed=0))
     loov = _traced_peak(lambda: loov_evaluate(db, DEFAULT_TREES, seed=0))
     assert loov <= 1.5 * one, (loov, one)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_model_restores_the_callers_gc_state(tmp_path, enabled):
+    path = tmp_path / "model.json"
+    model = train_forest(make_rule_metadb(n_datasets=4, seed=11), 3, seed=4)
+    save_model(model, path)
+    (tmp_path / "noise.json").write_text('{"format": "preprank-forest", ')
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert load_model(path) == model
+        assert gc.isenabled() is enabled
+        with pytest.raises(ModelError, match="malformed model file"):
+            load_model(tmp_path / "noise.json")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import distinct_columns
 
 from preprank.classifiers import CV_RUNS, TREE, cross_validate, knn
 from preprank.cli import main
@@ -17,7 +18,7 @@ from preprank.metadb import (
     load,
     save,
 )
-from preprank.metafeatures import MODIFIABLE_IDS
+from preprank.metafeatures import COLUMN_STATS, MODIFIABLE_IDS
 from preprank.synthetic import random_dataset
 from preprank.transforms import apply, enumerate_applicable
 
@@ -95,6 +96,14 @@ def test_build_counts_one_cv_run_per_dataset_and_version():
     CV_RUNS.reset()
     db = build_metadb(corpus, knn(1), "acc", seed=7)
     assert CV_RUNS.value == len(corpus) + len(db.rows)
+
+
+def test_build_computes_each_distinct_column_once_per_catalog():
+    corpus = toy_corpus(3)
+    COLUMN_STATS.reset()
+    build_metadb(corpus, knn(1), "acc", seed=7)
+    catalogs = [[ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))] for ds in corpus]
+    assert COLUMN_STATS.value == sum(len(distinct_columns(catalog)) for catalog in catalogs)
 
 
 def test_failed_datasets_are_skipped(caplog):

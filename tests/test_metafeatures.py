@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import feature
+from conftest import distinct_columns, feature
 from hypothesis import given, settings, strategies as st
 
 from preprank.classifiers import TREE
@@ -11,6 +11,7 @@ from preprank.cli import main
 from preprank.dataset import Attribute, Dataset, serialize_arff
 from preprank.metadb import build_metadb
 from preprank.metafeatures import (
+    COLUMN_STATS,
     FEATURE_IDS,
     MODIFIABLE_IDS,
     attribute_entropy,
@@ -552,3 +553,105 @@ def test_out_of_range_statistics_name_the_attribute(tmp_path, capsys, magnitude)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+# --- per-column statistics reused across a catalog (a dataset and its versions) ---
+
+
+def assert_reuse_is_exact(catalog):
+    """Vectors computed with one shared column cache equal fresh ones byte for byte.
+
+    A dataset whose statistics leave the float range raises the fresh
+    error, naming its own attribute.  Every column computed is counted once.
+    """
+    fresh = []
+    for ds in catalog:
+        try:
+            fresh.append(compute_meta_features(ds))
+        except ValueError as exc:
+            fresh.append(exc)
+    COLUMN_STATS.reset()
+    columns = {}
+    for ds, expected in zip(catalog, fresh):
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError) as info:
+                compute_meta_features(ds, columns)
+            assert str(info.value) == str(expected)
+        else:
+            cached = compute_meta_features(ds, columns)
+            assert cached.tobytes() == expected.tobytes() and not cached.flags.writeable
+    assert COLUMN_STATS.value == len(columns)
+    if not any(isinstance(expected, ValueError) for expected in fresh):
+        assert len(columns) == len(distinct_columns(catalog))
+    return columns
+
+
+def test_column_reuse_is_exact_on_the_mini_corpus(mini_datasets):
+    versions = 0
+    for ds in mini_datasets:
+        catalog = [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]
+        columns = assert_reuse_is_exact(catalog)
+        # one computation per distinct column, fewer than the catalog's columns
+        assert len(columns) < sum(len(version.predictor_indices) for version in catalog)
+        versions += len(catalog) - 1
+    assert (len(mini_datasets), versions) == (24, 273)
+
+
+def test_column_reuse_is_exact_on_a_large_catalog():
+    ds = random_dataset(
+        2018, n_rows=4000, n_continuous=10, n_categorical=5, n_classes=3, missing_rate=0.03
+    )
+    assert_reuse_is_exact([ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))])
+
+
+def test_out_of_range_statistics_name_each_versions_attribute():
+    good = random_dataset(5, n_rows=30, n_continuous=2, n_categorical=1)
+    rows = good.rows.copy()
+    rows[:, 1] *= 1e200
+    attrs = good.attributes
+    huge = Dataset("huge", attrs, good.class_index, rows)
+    renamed = Dataset("huge", (attrs[0], Attribute("other", "continuous"), *attrs[2:]), 3, rows)
+    columns = {}
+    for ds in (huge, renamed, huge):
+        name = ds.attributes[1].name
+        with pytest.raises(ValueError, match=f"^attribute {name!r}: its statistics leave"):
+            compute_meta_features(ds, columns)
+    assert list(columns) == [("continuous", 0, rows[:, 0].tobytes())]  # never the huge one
+
+
+@st.composite
+def edge_catalogs(draw):
+    """A fuzzed dataset, its operator versions, and look-alikes sharing its class column.
+
+    The look-alikes hold a column duplicated under a second name, a
+    categorical column's cells as a continuous column and under a larger
+    category count (equal bytes under other keys), and maybe a continuous
+    column beyond the float range.
+    """
+    ds = draw(edge_datasets())
+    rows, cls = np.array(ds.rows), ds.class_index
+    if draw(st.booleans()):  # -0.0 differs from 0.0 by its bytes only
+        predictors = rows[:, list(ds.predictor_indices)]
+        rows[:, list(ds.predictor_indices)] = np.where(predictors == 0.0, -0.0, predictors)
+    attrs = list(ds.attributes)
+    ds = Dataset(ds.name, tuple(attrs), cls, rows)
+    catalog = [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]
+    j = draw(st.sampled_from(ds.predictor_indices))
+    twin = Attribute("twin", attrs[j].kind, attrs[j].categories)
+    catalog.append(Dataset("dup", (twin, *attrs), cls + 1, np.column_stack([rows[:, j], rows])))
+    for k in ds.categorical_predictors[:1]:
+        more = tuple(f"u{i}" for i in range(len(attrs[k].categories) + 1))
+        for other in (Attribute("c", "continuous"), Attribute("c", "categorical", more)):
+            catalog.append(Dataset("kinds", (*attrs[:k], other, *attrs[k + 1 :]), cls, rows))
+    if ds.continuous_predictors and draw(st.booleans()):
+        huge = rows.copy()
+        huge[:, ds.continuous_predictors[-1]] *= draw(st.sampled_from([1e200, 1e-160]))
+        at = draw(st.integers(0, len(catalog)))
+        catalog.insert(at, Dataset("huge", tuple(attrs), cls, huge))
+    return catalog
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_catalogs())
+def test_column_reuse_is_exact_on_fuzzed_catalogs(catalog):
+    assert_reuse_is_exact(catalog)

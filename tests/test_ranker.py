@@ -1,10 +1,10 @@
 import pytest
-from conftest import make_rule_metadb
+from conftest import distinct_columns, make_rule_metadb
 
 from preprank.classifiers import CV_RUNS, LOGISTIC, NAIVE_BAYES, TREE, cross_validate, knn
 from preprank.forest import predict_proba, train_forest
 from preprank.metadb import feature_vector
-from preprank.metafeatures import compute_meta_features, delta
+from preprank.metafeatures import COLUMN_STATS, compute_meta_features, delta
 from preprank.ranker import (
     DEFAULT_RULES,
     ExpertRule,
@@ -143,6 +143,17 @@ def test_rank_runs_exactly_one_cv(tree_model):
         out = rank_transformations(tree_model, DEFAULT_RULES, TREE, ds, seed=1)
         assert len(out) > 3  # plenty of candidates, still one run
         assert CV_RUNS.value == 1
+
+
+def test_rank_computes_each_distinct_column_once(tree_model):
+    for seed in (2, 3):
+        ds = random_dataset(seed, n_rows=40, n_continuous=3, n_categorical=2, missing_rate=0.1)
+        candidates = prune(DEFAULT_RULES, TREE, enumerate_applicable(ds))
+        catalog = [ds, *(apply(spec, ds) for spec in candidates)]
+        COLUMN_STATS.reset()
+        rank_transformations(tree_model, DEFAULT_RULES, TREE, ds, seed=1)
+        assert COLUMN_STATS.value == len(distinct_columns(catalog))
+        assert COLUMN_STATS.value < sum(len(v.predictor_indices) for v in catalog)
 
 
 def test_rank_empty_after_pruning(tree_model):
