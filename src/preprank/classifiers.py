@@ -109,8 +109,10 @@ def _learner_tree(datasets, train_rows, test_rows):
     """Information-gain trees; the fold trees of several datasets grow together.
 
     Consecutive datasets of at most ``_TREE_BATCH_CELLS`` cells (one over it
-    alone) share a :func:`tree.grow` over their columns side by side.  Leaves
-    hold at least 2 rows; a categorical split has one child per category.
+    alone) share a :func:`tree.grow` over their columns side by side, each
+    fold tree with its dataset's predictors as fixed candidates, so it grows
+    a level per step.  Leaves hold at least 2 rows; a categorical split has
+    one child per category.
     """
     groups = [[]]
     for ds in datasets:
@@ -122,7 +124,7 @@ def _learner_tree(datasets, train_rows, test_rows):
         trees, categorical, offset = [], [], 0
         for ds in group:
             predictors = offset + np.asarray(ds.predictor_indices)
-            trees += [(rows, lambda p=predictors: p) for rows in train_rows]  # its own columns
+            trees += [(rows, predictors) for rows in train_rows]  # its own columns
             categorical += [offset + j for j in ds.categorical_predictors]
             offset += ds.n_attributes
         roots = tree.grow(  # every dataset has the rows and class column of the last

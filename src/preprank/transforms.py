@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
-from .tree import entropies, entropy, select
+from .tree import entropies, entropy, midpoint, select
 
 DISCRETIZE_SUPERVISED = "discretize_sup"
 DISCRETIZE_UNSUPERVISED = "discretize_unsup"
@@ -291,7 +291,7 @@ def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
         pos, gain = best
         if not _mdl_accepts(prefix, lo, pos, hi, gain):
             continue
-        cuts.append(float((v[pos - 1] + v[pos]) / 2.0))
+        cuts.append(midpoint(v[pos - 1], v[pos]))
         stack.append((pos, hi))
         stack.append((lo, pos))
     return sorted(cuts)

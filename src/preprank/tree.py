@@ -10,7 +10,10 @@ whose ``p`` answers for a missing or unseen category.
 
 Many independent trees over shared rows (the fold trees of a
 cross-validation, the trees of a forest) grow in lockstep, and each step
-searches the nodes it takes from all trees together: their numeric columns
+searches the nodes it takes from all trees together.  A tree whose
+candidate columns are fixed (a base tree) gives a step every node it has
+pending, a whole level; a tree that draws its candidates (a forest tree)
+gives one node, so its draws stay in pre-order.  A step's numeric columns go
 in one batch per chunk of similar-sized nodes, each node's rows padded to
 the chunk's widest with missing values of no weight; one stable sort of the
 (columns x rows) block, one (columns x rows x classes) prefix sum of class
@@ -248,9 +251,16 @@ def _search(xt, onehot, nodes, min_leaf, criterion):
     return found
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """``(lo + hi) / 2`` as a float, halving each first when their sum overflows."""
+    lo, hi = float(lo), float(hi)  # Python floats: an overflow gives inf, not a warning
+    mid = (lo + hi) / 2.0
+    return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
+
+
 def _threshold(lo: float, hi: float) -> float:
     """The midpoint of two adjacent sorted values, or ``hi`` if it rounds down onto ``lo``."""
-    mid = float((lo + hi) / 2.0)
+    mid = midpoint(lo, hi)
     return float(hi) if mid <= lo else mid
 
 
@@ -329,18 +339,20 @@ def grow(
     """Independent trees over the rows of ``x`` with labels ``y`` and positive weights ``w``.
 
     ``trees`` gives each tree as ``(rows, features)``: the indices of its
-    training rows (repeats allowed) and a callable giving a node's candidate
-    columns.  A node with fewer than ``min_node`` rows or a single class is a
-    leaf.  Otherwise ``features()`` gives its candidate columns in scan
-    order, and each column's best split (one child per category for
-    ``categorical`` columns, which hold category indices) competes under
-    :func:`select`.  Each tree expands depth-first from its own stack, left
-    child first, so a ``features`` that draws at random draws in pre-order.
+    training rows (repeats allowed) and either an index array of every
+    node's candidate columns or a callable giving a node's.  A node with
+    fewer than ``min_node`` rows or a single class is a leaf.  Otherwise its
+    candidate columns, in scan order, each give their best split (one child
+    per category for ``categorical`` columns, which hold category indices),
+    and the splits compete under :func:`select`.
 
-    The trees grow in lockstep: each step takes the next node of every
-    unfinished tree and searches the candidate columns of all of them
-    together (:func:`_split_gains`).  Returns the roots in the order of
-    ``trees``.
+    The trees grow in lockstep: each step takes nodes of every unfinished
+    tree and searches the candidate columns of all of them together
+    (:func:`_split_gains`).  A tree with fixed columns gives a step all its
+    pending nodes, one level; a tree with a callable gives the next node of
+    its stack, left child first, so a ``features`` that draws at random
+    draws in pre-order.  Either way a node's split depends on its own rows
+    and columns alone.  Returns the roots in the order of ``trees``.
     """
     n, n_features = x.shape
     is_categorical = np.zeros(n_features, dtype=bool)
@@ -351,9 +363,16 @@ def grow(
     onehot[np.arange(n), y] = w
     roots = [{} for _ in trees]
     stacks = [[(root, np.asarray(rows, dtype=np.intp))] for root, (rows, _) in zip(roots, trees)]
+    fixed = [None if callable(f) else np.asarray(f, dtype=np.intp) for _, f in trees]
     live = list(range(len(trees)))
     while live:
-        popped = [(t, *stacks[t].pop()) for t in live]
+        popped = []
+        for t in live:
+            if fixed[t] is None:
+                popped.append((t, *stacks[t].pop()))
+            else:  # the whole level
+                popped += [(t, *pending) for pending in stacks[t]]
+                stacks[t] = []
         sizes = [idx.size for _, _, idx in popped]
         members = np.concatenate([idx for _, _, idx in popped])
         counts = np.bincount(
@@ -365,7 +384,8 @@ def grow(
         searched = []  # (tree, node, rows, distribution, candidate columns)
         for (t, node, idx), dist, size, split in zip(popped, dists, sizes, mixed):
             if size >= min_node and split:
-                searched.append((t, node, idx, dist, np.asarray(trees[t][1](), dtype=np.intp)))
+                feats = fixed[t] if fixed[t] is not None else trees[t][1]()
+                searched.append((t, node, idx, dist, np.asarray(feats, dtype=np.intp)))
             else:
                 node["p"] = dist
         if searched:

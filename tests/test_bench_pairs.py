@@ -1,0 +1,73 @@
+"""The pair-protocol verdicts of ``scripts/bench_pairs.py``."""
+
+import argparse
+import importlib.util
+import json
+
+import pytest
+
+from conftest import ROOT
+
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+ROUND = {"name": "round_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def _pair(parent, change, failed=(0, 0)):
+    def side(value, n_failed):
+        if value is None:
+            return {"error": "exit 1: boom"}
+        return {"failed": n_failed, "metrics": {"round_s": {"value": value}}}
+
+    return {"parent": side(parent, failed[0]), "change": side(change, failed[1])}
+
+
+def _failed(pairs):
+    return {s: sum(p[s].get("failed", 1) for p in pairs) for s in bench_pairs.SIDES}
+
+
+def test_ten_clear_wins_are_a_gain():
+    pairs = [_pair(10.0 + 0.01 * i, 9.0) for i in range(10)]
+    out = bench_pairs.summarize(pairs, ROUND, _failed(pairs))
+    assert (out["pairs"], out["change_wins"], out["gain"]) == (10, 10, True)
+
+
+def test_a_pair_without_a_result_counts_against_the_gain():
+    pairs = [_pair(10.0 + 0.01 * i, 9.0) for i in range(8)] + [_pair(None, 9.0)] * 2
+    out = bench_pairs.summarize(pairs, ROUND, _failed(pairs))
+    assert (out["pairs"], out["pairs_compared"], out["change_wins"]) == (10, 8, 8)
+    assert out["gain"] is False
+
+
+def test_more_failed_operations_than_the_parent_is_no_gain():
+    pairs = [_pair(10.0 + 0.01 * i, 9.0, failed=(0, i == 3)) for i in range(10)]
+    out = bench_pairs.summarize(pairs, ROUND, _failed(pairs))
+    assert out["change_wins"] == 10
+    assert out["gain"] is False
+
+
+@pytest.mark.parametrize("text", ["recommend:2001", "recommend:", ":1-2", "recommend:5-3"])
+def test_workload_needs_a_seed_range(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs._workload(text)
+
+
+def test_workload_seed_range():
+    assert bench_pairs._workload("recommend:2001-2003") == ("recommend", [2001, 2002, 2003])
+
+
+def test_unreadable_output_is_an_error_result(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps({'environment': {}}))})\nprint('not json')\n"
+    )
+    out = bench_pairs.run_once(tmp_path, "recommend", 1, 0)
+    assert out["error"].startswith("unreadable output")
+
+
+def test_no_run_length_option():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", ".", "--change", ".", "--out", "x.json",
+                          "--workload", "recommend:1-2", "--seconds", "1"])

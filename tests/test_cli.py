@@ -1,5 +1,7 @@
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import CORPUS_DIR, single_class_fold_metadb
 
@@ -312,6 +314,25 @@ def test_impact_scan_reports_failure_reason(small_manifest, tmp_path, capsys, fa
         f"failed: syn01: ArithmeticError: no meta-features for syn01{_syn01_frame()} ({learner})"
         for learner in ("tree", "nb")
     ]
+
+
+def test_train_writes_finite_thresholds_between_values_whose_sum_overflows(
+    tree_metadb, tmp_path
+):
+    rows = []
+    for i, row in enumerate(tree_metadb.rows):
+        features = row.features.copy()
+        features[0] = 1e308 if i % 2 else 1.5e308  # finite cells whose sum is not
+        rows.append(dataclasses.replace(row, features=features))
+    db_path, model_path = tmp_path / "big.metadb.tsv", tmp_path / "big.model.json"
+    metadb_mod.save(dataclasses.replace(tree_metadb, rows=tuple(rows)), db_path)
+    assert main([
+        "train", "--metadb", str(db_path), "--trees", "20", "--seed", "7",
+        "--out", str(model_path),
+    ]) == 0
+    text = model_path.read_text(encoding="utf-8")
+    assert '"t": 1.25e+308' in text
+    assert "NaN" not in text and "Infinity" not in text
 
 
 def test_train_rejects_bad_metadb(tmp_path, capsys):

@@ -123,6 +123,11 @@ def test_supervised_discretization_perfect_threshold():
     assert _mdl_cuts(np.array(values), np.array(labels)) == [7.0]
 
 
+def test_mdl_cut_between_values_whose_sum_overflows_is_finite():
+    values = np.array([1e308, 1e308, 1.5e308, 1.5e308])
+    assert _mdl_cuts(values, np.array([0, 0, 1, 1])) == [1.25e308]
+
+
 def test_supervised_discretization_no_signal_single_bin():
     rng = np.random.default_rng(0)
     values = rng.normal(size=12)

@@ -877,20 +877,28 @@ def _tree_rows(rng, n_rows, n_trees, low, high):
     return rows
 
 
-def _lockstep_and_oracle(x, y, w, n_classes, tree_rows, seed, **kwargs):
-    """Lockstep trees and one-tree oracle trees, each tree drawing from its own generator."""
+def _lockstep_and_oracle(x, y, w, n_classes, tree_rows, seed, fixed=(), **kwargs):
+    """Lockstep trees and one-tree oracle trees, each tree with its own generator.
 
-    def drawer(t):
+    A tree numbered in ``fixed`` is given one sorted array of candidate
+    columns for all its nodes, drawn once; the others draw four per node.
+    """
+
+    def features(t):
         rng = np.random.default_rng([seed, t])
+        if t in fixed:
+            size = int(rng.integers(3, x.shape[1] + 1))
+            return np.sort(rng.choice(x.shape[1], size=size, replace=False))
         return lambda: np.sort(rng.choice(x.shape[1], size=4, replace=False))
 
     ours = tree.grow(
-        x, y, w, n_classes, [(rows, drawer(t)) for t, rows in enumerate(tree_rows)], **kwargs
+        x, y, w, n_classes, [(rows, features(t)) for t, rows in enumerate(tree_rows)], **kwargs
     )
-    oracle = [
-        _oracle_grow(x[rows], y[rows], w[rows], n_classes, drawer(t), **kwargs)
-        for t, rows in enumerate(tree_rows)
-    ]
+    oracle = []
+    for t, rows in enumerate(tree_rows):
+        feats = features(t)
+        draw = feats if callable(feats) else lambda feats=feats: feats
+        oracle.append(_oracle_grow(x[rows], y[rows], w[rows], n_classes, draw, **kwargs))
     return ours, oracle
 
 
@@ -900,13 +908,75 @@ def _lockstep_and_oracle(x, y, w, n_classes, tree_rows, seed, **kwargs):
 def test_lockstep_trees_match_one_tree_oracle(name, min_leaf, min_node):
     rng = np.random.default_rng([min_leaf, min_node, len(name)])
     x, y, w = _shared_rows(rng, 300, 3)
-    ours, oracle = _lockstep_and_oracle(
-        x, y, w, 3, _tree_rows(rng, 300, 12, 5, 400), min_leaf + 10 * min_node,
-        criterion=getattr(tree, name.upper()), categorical=(0, 1), min_leaf=min_leaf,
-        min_node=min_node,
-    )
-    assert ours == oracle
-    assert any(map(_has_categorical_split, ours))
+    tree_rows = _tree_rows(rng, 300, 12, 5, 400)
+    # every tree draws, every tree has fixed columns, then some of each in one call
+    for fixed in ((), range(12), range(0, 12, 3)):
+        ours, oracle = _lockstep_and_oracle(
+            x, y, w, 3, tree_rows, min_leaf + 10 * min_node, fixed,
+            criterion=getattr(tree, name.upper()), categorical=(0, 1), min_leaf=min_leaf,
+            min_node=min_node,
+        )
+        assert ours == oracle
+        assert any(map(_has_categorical_split, ours))
+
+
+def _searched_depths(root, x, y, rows, min_node):
+    """The depth of every node the grower searched, from its rows routed down numeric splits."""
+    depths = []
+    stack = [(root, rows, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if idx.size >= min_node and np.unique(y[idx]).size > 1:
+            depths.append(depth)
+        if "f" in node:
+            col = x[idx, node["f"]]
+            left = np.where(np.isnan(col), node["d"] == 0, col < node["t"])
+            stack += [(node["l"], idx[left], depth + 1), (node["r"], idx[~left], depth + 1)]
+    return depths
+
+
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+def test_fixed_candidate_tree_takes_one_step_per_level(name, monkeypatch):
+    rng = np.random.default_rng(len(name))
+    x, y, w = _shared_rows(rng, 300, 3)
+    x = x[:, 2:]  # numeric columns only, so the rows can be routed here
+    rows = np.sort(rng.choice(300, size=250, replace=False))
+    steps = []  # nodes searched per step
+    split_gains = tree._split_gains
+
+    def counting_split_gains(xt, y, w, onehot, nodes, *args):
+        steps.append(len(nodes))
+        return split_gains(xt, y, w, onehot, nodes, *args)
+
+    monkeypatch.setattr(tree, "_split_gains", counting_split_gains)
+    kwargs = dict(criterion=getattr(tree, name.upper()), min_leaf=2, min_node=5)
+    [fixed] = tree.grow(x, y, w, 3, [(rows, np.arange(x.shape[1]))], **kwargs)
+    depths = _searched_depths(fixed, x, y, rows, 5)
+    assert len(steps) == len(set(depths)) == max(depths) + 1
+    assert sum(steps) == len(depths) and max(steps) > 1
+    steps.clear()
+    [drawing] = tree.grow(x, y, w, 3, [(rows, lambda: np.arange(x.shape[1]))], **kwargs)
+    assert drawing == fixed
+    assert steps == [1] * len(depths)
+
+
+def test_threshold_between_values_whose_sum_overflows_is_finite():
+    # the midpoint of 1e308 and 1.5e308 overflows when taken as (lo + hi) / 2
+    x = np.array([[1e308], [1e308], [1.5e308], [1.5e308]])
+    for features in (lambda: [0], np.array([0])):  # a drawing tree, then a fixed one
+        [root] = tree.grow(
+            x, np.array([0, 0, 1, 1]), np.ones(4), 2, [(np.arange(4), features)],
+            criterion=tree.ENTROPY,
+        )
+        assert root["t"] == 1.25e308
+        assert root["l"] == {"p": [1.0, 0.0]} and root["r"] == {"p": [0.0, 1.0]}
+
+
+def test_midpoint_is_the_plain_midpoint_when_the_sum_is_finite():
+    rng = np.random.default_rng(3)
+    pairs = np.sort(rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-300, 300, size=(2000, 1)))
+    for lo, hi in pairs:
+        assert tree.midpoint(lo, hi) == float((lo + hi) / 2.0)
 
 
 def _has_categorical_split(root):
