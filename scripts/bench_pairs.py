@@ -12,10 +12,11 @@ process at a time, with the parent first on even pairs and the change first
 on odd ones.  The file keeps every run's result object as
 ``perfbench/run.py`` prints it, and per workload and end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles, the pairs the change
-wins (ties and pairs with a side that gave no result count for neither),
-whether the medians differ by more than the parent's interquartile spread,
-and whether the change's median is within the metric's bound of the
-parent's.  A gain needs wins in at least nine tenths of the pairs run, the
+wins (ties and pairs with a side that gave no result count for neither; a
+result with ``correct: false`` counts as none and stays out of the
+quartiles), whether the medians differ by more than the parent's
+interquartile spread, and whether the change's median is within the
+metric's bound of the parent's.  A gain needs wins in at least nine tenths of the pairs run, the
 medians that far apart, and no more failed operations than the parent.
 The file is rewritten after every pair, so an interrupted run keeps the
 pairs it finished.
@@ -77,7 +78,9 @@ def summarize(pairs: list[dict], metric: dict, failed: dict) -> dict:
     values = {side: [] for side in SIDES}
     wins = compared = 0
     for pair in pairs:
-        got = [pair[side].get("metrics", {}).get(name, {}).get("value") for side in SIDES]
+        # a run whose outputs were wrong counts as one that gave no result
+        got = [pair[side].get("metrics", {}).get(name, {}).get("value")
+               if pair[side].get("correct") is not False else None for side in SIDES]
         for side, value in zip(SIDES, got):
             if value is not None:
                 values[side].append(value)

@@ -521,7 +521,7 @@ def load_dataset_file(path, class_column=None) -> Dataset:
     is_csv = p.suffix.lower() == ".csv"
     if class_column is not None and not is_csv:
         raise DatasetError("--class-column applies to .csv files only")
-    text = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8-sig")
     if is_csv:
         if class_column is None:
             header = next((row for row in _csvmod.reader(StringIO(text)) if row), [])

@@ -173,7 +173,7 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> ForestModel:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     enabled = gc.isenabled()
     gc.disable()  # the document holds no cycles, and its ~14k containers would trigger collections
     try:

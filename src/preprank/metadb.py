@@ -103,9 +103,6 @@ class MetaDatabase:
             seen.setdefault(row.dataset_name, None)
         return tuple(seen)
 
-    def rows_of(self, dataset_name: str) -> tuple[MetaInstance, ...]:
-        return tuple(r for r in self.rows if r.dataset_name == dataset_name)
-
     def weights(self) -> np.ndarray:
         """Per-row weight 1/|T_d|; each source dataset sums to exactly 1."""
         counts: dict[str, int] = {}
@@ -239,7 +236,7 @@ def _number(cell: str, lineno: int) -> float:
 
 def load(path) -> MetaDatabase:
     """Inverse of :func:`save`; rejects unknown schema versions and bad cells."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     meta: dict[str, str] = {}
     header = None
     rows: list[MetaInstance] = []

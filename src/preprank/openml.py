@@ -139,7 +139,7 @@ def fetch_dataset(dataset_id: int, cache_dir, fetch=None) -> Dataset:
             json.dumps(meta, indent=1).encode("utf-8"),
         )
         entry = cache_entry(dataset_id, cache_dir)
-    return parse_arff(entry.path.read_text(encoding="utf-8"))
+    return parse_arff(entry.path.read_text(encoding="utf-8-sig"))
 
 
 def read_manifest(path) -> list[int | str]:
@@ -149,7 +149,7 @@ def read_manifest(path) -> list[int | str]:
     """
     path = Path(path)
     entries: list[int | str] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in path.read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

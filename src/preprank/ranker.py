@@ -88,7 +88,7 @@ def parse_rules(text: str) -> tuple[ExpertRule, ...]:
 
 
 def load_rules(path) -> tuple[ExpertRule, ...]:
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_rules(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,15 @@ cross-validation, the trees of a forest) grow in lockstep, and each step
 searches the nodes it takes from all trees together.  A tree whose
 candidate columns are fixed (a base tree) gives a step every node it has
 pending, a whole level; a tree that draws its candidates (a forest tree)
-gives one node, so its draws stay in pre-order.  A step's numeric columns go
-in one batch per chunk of similar-sized nodes, each node's rows padded to
-the chunk's widest with missing values of no weight; one stable sort of the
-(columns x rows) block, one (columns x rows x classes) prefix sum of class
-weights and one matrix of gains from the criterion, so the NumPy calls per
-step do not grow with the number of nodes or columns.  The step's
-categorical columns share one table of class counts per batch.  Each
-column's cut is chosen under :func:`select`, then each node's columns
-compete under it too.
+gives one node, so its draws stay in pre-order.  A step searches (node
+rows, candidate column) pairs.  Its numeric pairs go in one batch per chunk
+of similar-sized pairs, each pair's rows padded to the chunk's widest with
+missing values of no weight: one stable sort of the (pairs x rows) block,
+one (pairs x rows x classes) prefix sum of class weights and one matrix of
+gains from the criterion, so the NumPy calls per step do not grow with the
+number of nodes or columns.  Its categorical pairs share one table of class
+counts per batch.  Each pair's cut is chosen under :func:`select`, then
+each node's columns compete under it too.
 """
 
 from __future__ import annotations
@@ -137,31 +137,25 @@ def select(gains: np.ndarray) -> int | None:
     return best
 
 
-#: cells (columns x rows x classes) of one batch of numeric columns, and rows of one
-#: batch of categorical columns; more go in several batches
+#: cells (pairs x rows x classes) of one chunk of numeric pairs, and rows of one
+#: batch of categorical pairs; more go in several
 _BATCH_CELLS = 2**14
 
 
 def _best_cuts(values, rows, onehot, min_leaf, criterion):
-    """Best binary cut of every column of a block, all columns at once.
+    """Best binary cut of every row of a block, all rows at once.
 
-    ``values`` holds numeric columns of nodes as its rows, ``rows`` the index
-    of each cell's row in ``onehot``, which holds every row's weight in the
-    column of its class.  Padding cells are NaN, so they sort last and count
-    as missing; their row in ``onehot`` has no weight.  A column's cuts lie
-    between adjacent distinct sorted present values and leave at least
-    ``min_leaf`` rows on each side, and :func:`select` picks among them in
-    sorted order.  Returns per column the gain of its cut (-inf when it has
-    none) and the two adjacent sorted values the cut lies between.
+    Each row of ``values`` holds one candidate column over one node's rows,
+    and the same row of ``rows`` the index of each cell's row in
+    ``onehot``, which holds every row's weight in the column of its class.
+    Padding cells are NaN, so they sort last and count as missing; their row
+    in ``onehot`` has no weight.  A column's cuts lie between adjacent
+    distinct sorted present values and leave at least ``min_leaf`` rows on
+    each side, and :func:`select` picks among them in sorted order.  Returns
+    per row the gain of its cut (-inf when it has none) and the two adjacent
+    sorted values the cut lies between.
     """
     n_cols, n = values.shape
-    step = max(1, _BATCH_CELLS // (n * onehot.shape[1]))
-    if n_cols > step:  # so a batch's arrays stay near 128 KB each
-        batches = [
-            _best_cuts(values[i : i + step], rows[i : i + step], onehot, min_leaf, criterion)
-            for i in range(0, n_cols, step)
-        ]
-        return tuple(np.concatenate(parts) for parts in zip(*batches))
     order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last, padding after it
     cols = np.arange(n_cols)
     v = values[cols[:, None], order]
@@ -207,45 +201,33 @@ def _select_rows(gains: np.ndarray) -> np.ndarray:
     return top
 
 
-def _search(xt, onehot, nodes, min_leaf, criterion):
-    """:func:`_best_cuts` of every node's numeric candidate columns, nodes batched.
+def _search(xt, onehot, rows, cols, min_leaf, criterion):
+    """:func:`_best_cuts` of each pair of node rows and numeric column of ``xt``, pairs batched.
 
-    ``nodes`` holds each node as (rows, columns) of ``xt``, whose last row
-    index is padding.  Nodes go in order of row count, in chunks whose
-    widest node has at most twice the rows of its narrowest and whose cells
-    stay within ``_BATCH_CELLS`` (a node over it goes alone); each node's
-    rows are padded to the chunk's width.  Returns the (gains, low, high)
-    rows of all nodes' columns, node after node.
+    The last row index of ``xt`` is padding.  Pairs go in order of row
+    count, in chunks whose widest pair has at most twice the rows of its
+    narrowest and whose pairs x widest rows x classes stay within
+    ``_BATCH_CELLS`` (a pair over it goes alone); each pair's rows are
+    padded to the chunk's widest.  Returns the (gains, low, high) rows of
+    the pairs in their given order.
     """
-    sizes = [rows.size for rows, _ in nodes]
-    widths = np.array([feats.size for _, feats in nodes])
-    starts = np.cumsum(widths) - widths
-    found = np.empty((3, widths.sum()))
-    order = sorted(range(len(nodes)), key=sizes.__getitem__)
+    sizes = np.array([r.size for r in rows])
+    order = np.argsort(sizes, kind="stable")
+    sizes = sizes[order]
+    within = np.searchsorted(sizes, 2 * sizes, side="right")  # the 2x rule's end per start
+    found = np.empty((3, len(rows)))
     start = 0
-    while start < len(order):
-        stop, n_cols = start, 0
-        while stop < len(order):
-            size, width = sizes[order[stop]], widths[order[stop]]
-            if stop > start and (
-                size > 2 * sizes[order[start]]
-                or (n_cols + width) * size * onehot.shape[1] > _BATCH_CELLS
-            ):
-                break
-            stop, n_cols = stop + 1, n_cols + width
-        chunk = order[start:stop]
-        lengths = np.array([sizes[i] for i in chunk])
-        padded = np.full((len(chunk), lengths[-1]), xt.shape[1] - 1)
-        padded[np.arange(lengths[-1]) < lengths[:, None]] = np.concatenate(
-            [nodes[i][0] for i in chunk]
+    while start < sizes.size:
+        ends = sizes[start : within[start]]  # the pairs the 2x rule lets end the chunk
+        cells = np.arange(1, ends.size + 1) * ends * onehot.shape[1]  # rises with the end
+        stop = start + max(1, np.count_nonzero(cells <= _BATCH_CELLS))
+        chunk, lengths = order[start:stop], sizes[start:stop]
+        block_rows = np.full((chunk.size, lengths[-1]), xt.shape[1] - 1)
+        block_rows[np.arange(lengths[-1]) < lengths[:, None]] = np.concatenate(
+            [rows[i] for i in chunk]
         )
-        block_rows = padded[np.repeat(np.arange(len(chunk)), widths[chunk])]
-        feats = np.concatenate([nodes[i][1] for i in chunk])
-        at = np.arange(n_cols) + np.repeat(
-            starts[chunk] - (np.cumsum(widths[chunk]) - widths[chunk]), widths[chunk]
-        )
-        found[:, at] = _best_cuts(
-            xt[feats[:, None], block_rows], block_rows, onehot, min_leaf, criterion
+        found[:, chunk] = _best_cuts(
+            xt[cols[chunk, None], block_rows], block_rows, onehot, min_leaf, criterion
         )
         start = stop
     return found
@@ -309,10 +291,12 @@ def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
 def _split_gains(xt, y, w, onehot, nodes, is_categorical, min_leaf, criterion):
     """Gain of every candidate column of every node, and the values around numeric cuts.
 
-    ``nodes`` holds each node as (rows, candidate columns).  Returns three
-    (nodes x most candidates) matrices: the gains, -inf where a column has
-    no split or a node has fewer candidates, and for a numeric column the
-    two adjacent sorted values its cut lies between.
+    ``nodes`` holds each node as (rows, candidate columns).  Each (node
+    rows, column) pair goes to :func:`_search` or, for a categorical column,
+    :func:`_categorical_gains`.  Returns three (nodes x most candidates)
+    matrices: the gains, -inf where a column has no split or a node has
+    fewer candidates, and for a numeric column the two adjacent sorted
+    values its cut lies between.
     """
     widths = [feats.size for _, feats in nodes]
     node = np.repeat(np.arange(len(nodes)), widths)
@@ -321,14 +305,14 @@ def _split_gains(xt, y, w, onehot, nodes, is_categorical, min_leaf, criterion):
     cat = is_categorical[feats]
     found = np.full((3, len(nodes), max(widths)), -np.inf)
     if not cat.all():
-        numeric = [(rows, f[~is_categorical[f]]) for rows, f in nodes]
+        rows = [nodes[i][0] for i in node[~cat].tolist()]
         found[:, node[~cat], position[~cat]] = _search(
-            xt, onehot, [(rows, f) for rows, f in numeric if f.size], min_leaf, criterion
+            xt, onehot, rows, feats[~cat], min_leaf, criterion
         )
     if cat.any():
+        rows = [nodes[i][0] for i in node[cat].tolist()]
         found[0, node[cat], position[cat]] = _categorical_gains(
-            xt, y, w, [nodes[i][0] for i in node[cat]], feats[cat], onehot.shape[1], min_leaf,
-            criterion,
+            xt, y, w, rows, feats[cat], onehot.shape[1], min_leaf, criterion
         )
     return found
 

@@ -277,7 +277,7 @@ def test_criterion_7_ndcg_extremes(tree_metadb):
     extreme_checked = 0
     oracle_checked = 0
     for name in tree_metadb.dataset_names():
-        rows = tree_metadb.rows_of(name)
+        rows = [r for r in tree_metadb.rows if r.dataset_name == name]
         gains = [(r.meta_response_value, r.meta_response_class) for r in rows]
         distinct = {round(v, 15) for v, _ in gains}
         if all(cls == "zero" for _, cls in gains):

@@ -41,6 +41,19 @@ def test_a_pair_without_a_result_counts_against_the_gain():
     assert out["gain"] is False
 
 
+def test_a_run_with_wrong_outputs_counts_as_no_result():
+    pairs = [_pair(10.0 + 0.01 * i, 9.0) for i in range(10)]
+    for pair in pairs[:2]:
+        pair["change"]["correct"] = False
+        pair["change"]["metrics"]["round_s"]["value"] = 1.0  # would drag the median down
+    pairs[2]["parent"]["correct"] = False
+    out = bench_pairs.summarize(pairs, ROUND, _failed(pairs))
+    assert (out["pairs"], out["pairs_compared"], out["change_wins"]) == (10, 7, 7)
+    assert out["gain"] is False
+    assert out["change"]["q1"] == 9.0  # the two runs at 1.0 stay out
+    assert out["parent"]["median"] == 10.05  # the median of the other nine
+
+
 def test_more_failed_operations_than_the_parent_is_no_gain():
     pairs = [_pair(10.0 + 0.01 * i, 9.0, failed=(0, i == 3)) for i in range(10)]
     out = bench_pairs.summarize(pairs, ROUND, _failed(pairs))

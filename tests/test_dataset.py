@@ -181,6 +181,19 @@ def test_class_column_is_rejected_for_arff(tmp_path):
         load_dataset_file(path, class_column="class")
 
 
+def test_a_byte_order_mark_does_not_rename_the_first_column(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    csv = tmp_path / "d.csv"
+    csv.write_text("\ufeffclass,x,y\nyes,1,2\nno,2,3\nyes,3,1\n", encoding="utf-8")
+    ds = load_dataset_file(csv)
+    assert ds.class_index == 0 and ds.attributes[0].name == "class"
+    assert [a.kind for a in ds.attributes[1:]] == ["continuous", "continuous"]
+    arff = tmp_path / "d.arff"
+    text = serialize_arff(random_dataset(3, n_rows=10))
+    arff.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_dataset_file(arff) == parse_arff(text)
+
+
 def test_csv_class_missing_cell_rejected():
     with pytest.raises(CsvFormatError):
         parse_csv("x,class\n1,yes\n2,\n", "class")

@@ -118,7 +118,10 @@ def test_loov_two_datasets():
     db = make_rule_metadb(n_datasets=2, seed=9)
     report = loov_evaluate(db, 5, seed=0)
     assert report.probabilities.shape == (len(db.rows), len(RESPONSE_CLASSES))
-    single = MetaDatabase(db.algorithm, db.measure, db.rows_of(db.dataset_names()[0]))
+    first = db.dataset_names()[0]
+    single = MetaDatabase(
+        db.algorithm, db.measure, tuple(r for r in db.rows if r.dataset_name == first)
+    )
     with pytest.raises(ValueError):
         loov_evaluate(single, 5, seed=0)
 
@@ -144,6 +147,14 @@ def test_model_round_trip(tmp_path):
     for row in db.rows[:10]:
         features = row.features
         assert predict_proba(again, features) == predict_proba(model, features)
+
+
+def test_model_file_may_start_with_a_byte_order_mark(tmp_path):
+    model = train_forest(make_rule_metadb(n_datasets=4, seed=11), 4, seed=4)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_bytes("\ufeff".encode() + path.read_bytes())
+    assert load_model(path) == model
 
 
 def test_model_version_and_format_checks(tmp_path):
@@ -315,7 +326,7 @@ def _oracle_loov_evaluate(db, n_trees, seed):
 def _interleaved_rule_metadb(seed):
     """A rule meta-database whose datasets' rows take turns instead of running in blocks."""
     db = make_rule_metadb(n_datasets=7, seed=seed)
-    blocks = [db.rows_of(name) for name in db.dataset_names()]
+    blocks = [[r for r in db.rows if r.dataset_name == name] for name in db.dataset_names()]
     turns = itertools.zip_longest(*blocks)
     return replace(db, rows=tuple(r for turn in turns for r in turn if r is not None))
 

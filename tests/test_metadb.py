@@ -150,6 +150,14 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded, built)  # NaN cells compare equal
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    db = build_metadb(toy_corpus(2), TREE, "prec", seed=11)
+    path = tmp_path / "db.tsv"
+    save(db, path)
+    path.write_bytes("\ufeff".encode() + path.read_bytes())
+    assert load(path) == db
+
+
 def test_load_of_save_equals_the_mini_tree_metadb(tree_metadb, tmp_path):
     path = tmp_path / "db.tsv"
     save(tree_metadb, path)

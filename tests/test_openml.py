@@ -91,6 +91,15 @@ def test_read_manifest_resolves_relative_paths(tmp_path):
     assert entries == [61, str(tmp_path / "local.arff")]
 
 
+def test_a_byte_order_mark_starts_no_entry_or_arff_line(tmp_path):
+    (tmp_path / "local.arff").write_text(ARFF_61, encoding="utf-8")
+    manifest = tmp_path / "corpus.manifest"
+    manifest.write_text("\ufeff61\nlocal.arff\n", encoding="utf-8")
+    assert read_manifest(manifest) == [61, str(tmp_path / "local.arff")]
+    ds = fetch_dataset(61, tmp_path / "cache", fetch=transport_for(61, "\ufeff" + ARFF_61))
+    assert ds == fetch_dataset(61, tmp_path / "plain", fetch=transport_for(61, ARFF_61))
+
+
 def test_load_corpus_mixed_sources(tmp_path):
     other = serialize_arff(random_dataset(7, n_rows=10, n_continuous=1, name="localds"))
     (tmp_path / "local.arff").write_text(other, encoding="utf-8")

@@ -9,6 +9,7 @@ from preprank.ranker import (
     DEFAULT_RULES,
     ExpertRule,
     RulesError,
+    load_rules,
     parse_rules,
     prune,
     rank_transformations,
@@ -61,6 +62,12 @@ def test_rules_text_round_trip():
     )
     assert parse_rules(text) == DEFAULT_RULES
     assert ExpertRule("knn", "normalize") in DEFAULT_RULES
+
+
+def test_rules_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("\ufeffexclude knn normalize\n", encoding="utf-8")
+    assert load_rules(path) == (ExpertRule("knn", "normalize"),)
 
 
 def test_rules_parse_errors():

@@ -721,12 +721,20 @@ def test_select_matches_scalar_loop_on_fuzzed_gains():
 # --- the batched node search ---------------------------------------------------------------
 
 
+def _search_inputs(x, y, w, n_classes):
+    """``xt`` and ``onehot`` as ``grow`` builds them: columns as rows, one padding row after."""
+    xt = np.full((x.shape[1], x.shape[0] + 1), np.nan)
+    xt[:, :-1] = x.T
+    onehot = np.zeros((x.shape[0] + 1, n_classes))
+    onehot[np.arange(x.shape[0]), y] = w
+    return xt, onehot
+
+
 def _node_split(block, labels, weights, n_classes, min_leaf, criterion):
     """(column, gain, threshold) of the batched search, as ``grow`` takes it."""
-    onehot = np.zeros((labels.size, n_classes))
-    onehot[np.arange(labels.size), labels] = weights
-    rows = np.broadcast_to(np.arange(labels.size), block.shape)
-    gains, lo, hi = tree._best_cuts(block, rows, onehot, min_leaf, criterion)
+    xt, onehot = _search_inputs(block.T, labels, weights, n_classes)
+    rows = [np.arange(labels.size)] * block.shape[0]
+    gains, lo, hi = tree._search(xt, onehot, rows, np.arange(block.shape[0]), min_leaf, criterion)
     k = tree.select(gains)
     if k is None:
         return None
@@ -791,8 +799,18 @@ def test_batched_node_search_matches_column_at_a_time_oracle():
 
 
 @pytest.mark.parametrize("n_classes", [3, 9])
-def test_batched_node_search_matches_oracle_on_nodes_searched_in_several_batches(n_classes):
-    # 2500 rows of 3 or 9 classes put 2 columns or 1 in a batch of tree._BATCH_CELLS
+def test_batched_node_search_matches_oracle_on_nodes_searched_in_several_batches(
+    n_classes, monkeypatch
+):
+    # 2500 rows of 3 or 9 classes put 2 pairs or 1 in a chunk of tree._BATCH_CELLS
+    batches = []
+    best_cuts = tree._best_cuts
+
+    def counting_best_cuts(values, *args):
+        batches.append(values.shape[0])
+        return best_cuts(values, *args)
+
+    monkeypatch.setattr(tree, "_best_cuts", counting_best_cuts)
     rng = np.random.default_rng(n_classes)
     n = 2500
     labels = rng.integers(0, n_classes, size=n)
@@ -812,6 +830,45 @@ def test_batched_node_search_matches_oracle_on_nodes_searched_in_several_batches
                 block, labels, weights, n_classes, min_leaf, _ORACLE_CRITERIA[name],
                 _scalar_select,
             )
+            assert len(batches) >= 3 and sum(batches) == 7
+            batches.clear()
+
+
+@pytest.mark.parametrize("n_classes", [3, 9])
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
+    # shuffled pairs of 2-3000 rows, so chunks pad, scatter back and, with 9
+    # classes, hold a pair over tree._BATCH_CELLS alone
+    rng = np.random.default_rng([n_classes, len(name)])
+    n = 3000
+    y = rng.integers(0, n_classes, size=n)
+    x = np.round(rng.normal(size=(n, 6)) + y[:, None] / n_classes, 1)
+    x[:, 3] = x[:, 2]  # an exact copy ties every gain of column 2
+    x[:, 4] = np.arange(n) // 7
+    x[rng.random(x.shape) < 0.1] = np.nan
+    x[rng.random(n) < 0.9, 5] = np.nan  # mostly missing
+    xt, onehot = _search_inputs(x, y, 1.0 / rng.integers(1, 12, size=n), n_classes)
+    sizes = np.unique(np.geomspace(2, n, 40).astype(int))
+    rows = [
+        rng.choice(n, size=size, replace=bool(k % 2)) for k, size in enumerate(sizes)
+        for _ in range(int(rng.integers(1, 4)))
+    ] + [np.arange(n)]
+    cols = rng.integers(0, x.shape[1], size=len(rows))
+    shuffle = rng.permutation(len(rows))
+    rows, cols = [rows[i] for i in shuffle], cols[shuffle]
+    if n_classes == 9:
+        assert n * n_classes > tree._BATCH_CELLS  # the pair of all rows goes alone
+    criterion = getattr(tree, name.upper())
+    for min_leaf in (1, 2):
+        ours = tree._search(xt, onehot, rows, cols, min_leaf, criterion)
+        expected = np.column_stack([
+            tree._best_cuts(xt[[c]][:, r], r[None, :], onehot, min_leaf, criterion)
+            for r, c in zip(rows, cols)
+        ])
+        cut = np.isfinite(expected[0])  # a pair without a cut has no values around it
+        assert ours[0].tobytes() == expected[0].tobytes()
+        assert ours[:, cut].tobytes() == expected[:, cut].tobytes()
+        assert cut.sum() > len(rows) // 2
 
 
 def test_row_impurities_match_scalar_oracles_bit_for_bit():
@@ -999,11 +1056,11 @@ def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
     searched, padded, categorical = [], [], []
     search, best_cuts, categorical_gains = tree._search, tree._best_cuts, tree._categorical_gains
 
-    def recording_search(xt, onehot, nodes, min_leaf, criterion):
-        sizes = sorted(rows.size for rows, _ in nodes)
-        cells = sum(feats.size * rows.size for rows, feats in nodes) * onehot.shape[1]
+    def recording_search(xt, onehot, rows, cols, min_leaf, criterion):
+        sizes = sorted(r.size for r in rows)
+        cells = sum(r.size for r in rows) * onehot.shape[1]
         searched.append((sizes, cells))
-        return search(xt, onehot, nodes, min_leaf, criterion)
+        return search(xt, onehot, rows, cols, min_leaf, criterion)
 
     def recording_best_cuts(values, rows, onehot, min_leaf, criterion):
         lengths = (rows != x.shape[0]).sum(axis=1)  # each column's rows without padding
