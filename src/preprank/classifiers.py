@@ -13,7 +13,6 @@ from functools import partial
 
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
-from scipy.stats import rankdata
 
 from . import tree
 from .dataset import Dataset, stratified_folds
@@ -271,14 +270,14 @@ def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
 _LOGISTIC_L2 = 1e-4
 
 
-def _logistic_design(train: Dataset):
-    """Column builders for the one-hot, imputed, standardized design matrix."""
+def _logistic_design(ds: Dataset, rows):
+    """Column builders for the one-hot, imputed, standardized design matrix of ``ds``'s ``rows``."""
     builders = []
-    for j in train.predictor_indices:
-        col = train.column(j)
+    for j in ds.predictor_indices:
+        col = ds.rows[rows, j]
         present = ~np.isnan(col)
         vals = col[present]
-        if train.attributes[j].is_continuous:
+        if ds.attributes[j].is_continuous:
             fill = float(vals.mean()) if vals.size else 0.0
             filled = np.where(present, col, fill)
             mean = float(filled.mean())
@@ -286,31 +285,28 @@ def _logistic_design(train: Dataset):
             builders.append(("num", j, fill, mean, std))
         else:
             if vals.size:
-                counts = np.bincount(
-                    vals.astype(int), minlength=len(train.attributes[j].categories)
-                )
+                counts = np.bincount(vals.astype(int), minlength=len(ds.attributes[j].categories))
                 fill = int(np.argmax(counts))
             else:
                 fill = 0
-            builders.append(("cat", j, fill, len(train.attributes[j].categories)))
+            builders.append(("cat", j, fill, len(ds.attributes[j].categories)))
     return builders
 
 
-def _logistic_apply(builders, ds: Dataset, out=None) -> np.ndarray:
-    """The design matrix of ``ds``, written into ``out`` when given."""
+def _logistic_apply(builders, ds: Dataset, rows, out=None) -> np.ndarray:
+    """The design matrix of ``ds``'s ``rows``, written into ``out`` when given."""
     cols = []
     for builder in builders:
+        col = ds.rows[rows, builder[1]]
         if builder[0] == "num":
-            _, j, fill, mean, std = builder
-            col = ds.column(j)
+            _, _, fill, mean, std = builder
             filled = np.where(np.isnan(col), fill, col)
-            cols.append((filled - mean) / std if std > 0 else np.zeros(ds.n_rows))
+            cols.append((filled - mean) / std if std > 0 else np.zeros(len(rows)))
         else:
-            _, j, fill, k = builder
-            col = ds.column(j)
+            _, _, fill, k = builder
             filled = np.where(np.isnan(col), float(fill), col).astype(int)
-            onehot = np.zeros((ds.n_rows, k))
-            onehot[np.arange(ds.n_rows), filled] = 1.0
+            onehot = np.zeros((len(rows), k))
+            onehot[np.arange(len(rows)), filled] = 1.0
             cols.append(onehot)
     return np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols], axis=1, out=out)
 
@@ -377,24 +373,26 @@ _LBFGSB_MAX_EVALUATIONS = 15000
 _FG, _NEW_X, _STOP = 3, 1, 5
 
 
-def _lbfgsb(objective, n_folds: int, n_params: int):
+def _lbfgsb(x: np.ndarray, y: np.ndarray, n_classes: int):
     """Minimize each fold's loss from zeros by L-BFGS-B, the folds in lockstep.
 
-    ``objective(params) -> (losses, gradients)`` evaluates every fold, row
-    i being fold i's.  Each fold runs the unbounded L-BFGS-B of Zhu et al.
-    (1997, Algorithm 778) through SciPy's ``setulb`` with its own
-    workspaces, in the loop of ``scipy.optimize``'s ``_minimize_lbfgsb``
-    with the same settings, so its point is ``minimize``'s, bit for bit.  A
-    fold stops on convergence or a warning, after ``_LBFGSB_MAX_ITERATIONS``
-    iterations, or at the end of the first iteration past
-    ``_LBFGSB_MAX_EVALUATIONS`` evaluations (``minimize`` would not count
-    one at the point evaluated last; L-BFGS-B never asks for it).  Each step
-    runs every running fold's ``setulb`` until it asks for f and g, then
-    evaluates all folds.  Returns the points and each fold's evaluations.
+    ``x`` and ``y`` stack the folds' designs and labels as
+    :func:`_logistic_objective` takes them.  Each fold runs the unbounded
+    L-BFGS-B of Zhu et al. (1997, Algorithm 778) through SciPy's ``setulb``
+    with its own workspaces, in the loop of ``scipy.optimize``'s
+    ``_minimize_lbfgsb`` with the same settings, so its point is
+    ``minimize``'s, bit for bit.  A fold stops on convergence or a warning,
+    after ``_LBFGSB_MAX_ITERATIONS`` iterations, or at the end of the first
+    iteration past ``_LBFGSB_MAX_EVALUATIONS`` evaluations (``minimize``
+    would not count one at the point evaluated last; L-BFGS-B never asks for
+    it).  Each step runs every running fold's ``setulb`` until it asks for f
+    and g, then evaluates the objective's folds; once at most half of those
+    still run, the objective is rebuilt over the running folds' designs.
+    Returns the points and each fold's evaluations.
     """
-    m, n = _LBFGSB_MEMORY, n_params
+    n_folds = len(x)
+    m, n = _LBFGSB_MEMORY, (x.shape[2] + 1) * n_classes
     params = np.zeros((n_folds, n))  # setulb moves fold i's point, row i, in place
-    losses, gradients = np.zeros(n_folds), np.zeros((n_folds, n))
     bound = np.zeros(n)  # unused: every bound type is 0, unbounded
     bound_type = np.zeros(n, dtype=np.int32)
     workspaces = [  # per fold: wa, iwa, task, ln_task, lsave, isave, dsave
@@ -403,12 +401,16 @@ def _lbfgsb(objective, n_folds: int, n_params: int):
         for _ in range(n_folds)
     ]
     iterations, evaluations = [0] * n_folds, np.zeros(n_folds, dtype=int)
+    stack = np.arange(n_folds)  # the folds the objective evaluates, in its row order
+    at = stack.copy()  # fold i's row of the objective's losses and gradients
+    objective = _logistic_objective(x, y, n_classes)
+    losses, gradients = np.zeros(n_folds), np.zeros((n_folds, n))
 
     def asks_for_fg(i):
         wa, iwa, task, ln_task, lsave, isave, dsave = workspaces[i]
         while True:
             setulb(
-                m, params[i], bound, bound, bound_type, losses[i], gradients[i],
+                m, params[i], bound, bound, bound_type, losses[at[i]], gradients[at[i]],
                 _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task, lsave, isave, dsave,
                 _LBFGSB_MAX_LINE_SEARCH, ln_task,
             )
@@ -422,7 +424,11 @@ def _lbfgsb(objective, n_folds: int, n_params: int):
 
     running = range(n_folds)
     while running := [i for i in running if asks_for_fg(i)]:
-        losses, gradients = objective(params)
+        if 2 * len(running) <= len(stack):  # stopped folds leave the stack
+            stack = np.array(running)
+            at[stack] = np.arange(len(stack))
+            objective = _logistic_objective(x[stack], y[stack], n_classes)
+        losses, gradients = objective(params[stack])
         evaluations[running] += 1
     return params, evaluations
 
@@ -432,34 +438,35 @@ _LOGISTIC_BATCH_CELLS = 2**18
 
 
 def _learner_logistic(datasets, train_rows, test_rows):
-    """Ridge multinomial logistic regression, a dataset's folds solved together.
+    """Ridge multinomial logistic regression, the folds of all datasets solved together.
 
-    Folds whose design matrices have the same shape go in stacks of at most
-    ``_LOGISTIC_BATCH_CELLS`` cells, each solved by one :func:`_lbfgsb` run.
+    The training folds of every dataset go, by the shape of their design
+    matrices, into stacks of at most ``_LOGISTIC_BATCH_CELLS`` cells, each
+    solved by one :func:`_lbfgsb` run; a fold's fit does not depend on the
+    folds it is stacked with.  Yields each dataset's fold scores in order.
     """
-    for ds in datasets:
-        n_classes = len(ds.class_attribute.categories)
-        builders = [_logistic_design(ds.subset(rows)) for rows in train_rows]
-        shapes = {}
-        for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
+    labels, n_classes = datasets[0].class_labels, len(datasets[0].class_attribute.categories)
+    builders = [[_logistic_design(ds, rows) for rows in train_rows] for ds in datasets]
+    shapes = {}
+    for a, ds_builders in enumerate(builders):
+        for i, fold_builders in enumerate(ds_builders):
             d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
-            shapes.setdefault((len(rows), d), []).append(i)
-        params = {}
-        for (n, d), folds in shapes.items():
-            step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
-            for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
-                x = np.empty((len(chunk), n, d))
-                for slot, i in zip(x, chunk):
-                    _logistic_apply(builders[i], ds.subset(train_rows[i]), out=slot)
-                y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
-                objective = _logistic_objective(x, y, n_classes)
-                fits, _ = _lbfgsb(objective, len(chunk), (d + 1) * n_classes)
-                params.update(zip(chunk, fits))
-                del x, objective  # so the next stack is not allocated beside this one
+            shapes.setdefault((len(train_rows[i]), d), []).append((a, i))
+    params = {}
+    for (n, d), folds in shapes.items():
+        step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
+        for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
+            x = np.empty((len(chunk), n, d))
+            for slot, (a, i) in zip(x, chunk):
+                _logistic_apply(builders[a][i], datasets[a], train_rows[i], out=slot)
+            y = labels[np.array([train_rows[i] for _, i in chunk])]
+            params.update(zip(chunk, _lbfgsb(x, y, n_classes)[0]))
+            del x  # so the next stack is not allocated beside this one
+    for a, ds in enumerate(datasets):
         scores = []
         for i, rows in enumerate(test_rows):
-            w = params[i][:-n_classes].reshape(-1, n_classes)
-            logits = _logistic_apply(builders[i], ds.subset(rows)) @ w + params[i][-n_classes:]
+            w, b = params[a, i][:-n_classes].reshape(-1, n_classes), params[a, i][-n_classes:]
+            logits = _logistic_apply(builders[a][i], ds, rows) @ w + b
             logits -= logits.max(axis=1, keepdims=True)
             exp = np.exp(logits)
             scores.append(exp / exp.sum(axis=1, keepdims=True))
@@ -535,40 +542,45 @@ def cross_validate(
     ]
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties sharing their mean rank, all NaN if one is NaN.
+
+    Equal to ``scipy.stats.rankdata(values)``: the ranks are exact half-integers.
+    """
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def _pooled_measures(true, scores) -> PerformanceMeasures:
+    """The measures of pooled class scores, the first argmax being the prediction.
+
+    Precision and recall are macro averages over the classes predicted,
+    respectively present; the AUC is the one-vs-rest rank AUC of each class
+    with both positive and negative rows, weighted by its row count (0.5
+    when there is none).
+    """
+    n, n_classes = scores.shape
     preds = scores.argmax(axis=1)
-    n = true.size
-    n_classes = scores.shape[1]
-    accuracy = float((preds == true).mean())
+    hits = preds == true
+    accuracy = float(hits.mean())
+    n_true, n_pred, n_hit = (
+        np.bincount(labels, minlength=n_classes) for labels in (true, preds, true[hits])
+    )
+    recall = float(np.mean(n_hit[n_true > 0] / n_true[n_true > 0])) if n_true.any() else 0.0
+    precision = float(np.mean(n_hit[n_pred > 0] / n_pred[n_pred > 0])) if n_pred.any() else 0.0
 
-    # macro averages; per-class terms with an empty denominator are dropped
-    recalls = []
-    precisions = []
-    for c in range(n_classes):
-        true_c = true == c
-        pred_c = preds == c
-        if true_c.any():
-            recalls.append(float((pred_c & true_c).sum() / true_c.sum()))
-        if pred_c.any():
-            precisions.append(float((pred_c & true_c).sum() / pred_c.sum()))
-    recall = float(np.mean(recalls)) if recalls else 0.0
-    precision = float(np.mean(precisions)) if precisions else 0.0
-
-    # class-frequency-weighted one-vs-rest rank AUC
-    aucs = []
-    weights = []
-    for c in range(n_classes):
-        pos = true == c
-        n_pos = int(pos.sum())
-        if n_pos == 0 or n_pos == n:
-            continue
-        ranks = rankdata(scores[:, c])
-        r_pos = ranks[pos].sum()
-        auc_c = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
-        aucs.append(auc_c)
+    aucs, weights = [], []
+    for c in np.flatnonzero((n_true > 0) & (n_true < n)):
+        n_pos = int(n_true[c])
+        r_pos = _average_ranks(scores[:, c])[true == c].sum()
+        aucs.append((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos)))
         weights.append(n_pos)
-    if aucs:
-        auc = float(np.average(aucs, weights=weights))
-    else:
-        auc = 0.5  # single observed class: ranking quality is undefined
+    auc = float(np.average(aucs, weights=weights)) if aucs else 0.5
     return PerformanceMeasures(accuracy, precision, recall, auc)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.stats import rankdata
 
 import preprank.classifiers as classifiers_mod
 from preprank.classifiers import (
@@ -403,7 +409,8 @@ def _minimize_objective(x, y, n_classes):
 
 def _logistic_problem(train):
     """The design matrix, labels and class count of a logistic fit on ``train``."""
-    x = classifiers_mod._logistic_apply(classifiers_mod._logistic_design(train), train)
+    rows = np.arange(train.n_rows)
+    x = classifiers_mod._logistic_apply(classifiers_mod._logistic_design(train, rows), train, rows)
     return x, train.class_labels, len(train.class_attribute.categories)
 
 
@@ -425,11 +432,7 @@ def _assert_driver_matches_minimize(problems, expected=None):
     computed here), after as many evaluations of that fold.
     """
     xs, ys, classes = zip(*problems)
-    x, y, n_classes = np.stack(xs), np.stack(ys), classes[0]
-    objective = classifiers_mod._logistic_objective(x, y, n_classes)
-    found, evaluations = classifiers_mod._lbfgsb(
-        objective, len(problems), (x.shape[2] + 1) * n_classes
-    )
+    found, evaluations = classifiers_mod._lbfgsb(np.stack(xs), np.stack(ys), classes[0])
     expected = expected or [_minimize(*problem) for problem in problems]
     assert len(found) == len(evaluations) == len(expected) == len(problems)
     for point, count, result in zip(found, evaluations, expected):
@@ -501,7 +504,7 @@ def test_logistic_learner_scores_match_minimize_fits(mini_corpus_folds):
 def _minimize_scores(builders, test, params):
     """The class scores of ``test``: softmax of its design times the weights, plus intercepts."""
     n_classes = len(test.class_attribute.categories)
-    xt = classifiers_mod._logistic_apply(builders, test)
+    xt = classifiers_mod._logistic_apply(builders, test, np.arange(test.n_rows))
     d = xt.shape[1]
     logits = xt @ params[: d * n_classes].reshape(d, n_classes) + params[d * n_classes :]
     logits -= logits.max(axis=1, keepdims=True)
@@ -518,7 +521,8 @@ def _assert_learner_matches_minimize(ds, seed, expected):
     [found] = classifiers_mod._fold_scores(LOGISTIC, [ds], train_rows, test_rows)
     assert len(found) == len(expected) == 10
     for rows, test, scores, result in zip(train_rows, tests, found, expected):
-        builders = classifiers_mod._logistic_design(ds.subset(rows))
+        train = ds.subset(rows)
+        builders = classifiers_mod._logistic_design(train, np.arange(train.n_rows))
         assert np.array_equal(scores, _minimize_scores(builders, test, result.x))
 
 
@@ -634,6 +638,217 @@ def test_logistic_cv_holds_one_fold_design_at_a_time(monkeypatch):
         tracemalloc.stop()
     # one fold's design, its columns while they are copied in, and small arrays
     assert peak < 4 * fold_design_bytes
+
+
+# --- logistic fold stacks across a catalog, against the one-dataset learner --------
+
+
+def _subset_design(train):
+    return classifiers_mod._logistic_design(train, np.arange(train.n_rows))
+
+
+def _subset_apply(builders, ds, out=None):
+    return classifiers_mod._logistic_apply(builders, ds, np.arange(ds.n_rows), out=out)
+
+
+def _every_fold_lbfgsb(objective, n_folds, n_params):
+    """Oracle: the lockstep driver whose every step evaluates every fold, stopped or not."""
+    m, n = classifiers_mod._LBFGSB_MEMORY, n_params
+    params = np.zeros((n_folds, n))
+    losses, gradients = np.zeros(n_folds), np.zeros((n_folds, n))
+    bound = np.zeros(n)
+    bound_type = np.zeros(n, dtype=np.int32)
+    workspaces = [
+        (np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, dtype=np.int32),
+         *(np.zeros(k, dtype=np.int32) for k in (2, 2, 4, 44)), np.zeros(29))
+        for _ in range(n_folds)
+    ]
+    iterations, evaluations = [0] * n_folds, np.zeros(n_folds, dtype=int)
+
+    def asks_for_fg(i):
+        wa, iwa, task, ln_task, lsave, isave, dsave = workspaces[i]
+        while True:
+            setulb(
+                m, params[i], bound, bound, bound_type, losses[i], gradients[i],
+                classifiers_mod._LBFGSB_FACTR, classifiers_mod._LBFGSB_PGTOL, wa, iwa, task,
+                lsave, isave, dsave, classifiers_mod._LBFGSB_MAX_LINE_SEARCH, ln_task,
+            )
+            if task[0] != classifiers_mod._NEW_X:
+                return task[0] == classifiers_mod._FG
+            iterations[i] += 1
+            if iterations[i] >= classifiers_mod._LBFGSB_MAX_ITERATIONS:
+                task[:] = classifiers_mod._STOP, 504
+            elif evaluations[i] > classifiers_mod._LBFGSB_MAX_EVALUATIONS:
+                task[:] = classifiers_mod._STOP, 502
+
+    running = range(n_folds)
+    while running := [i for i in running if asks_for_fg(i)]:
+        losses, gradients = objective(params)
+        evaluations[running] += 1
+    return params, evaluations
+
+
+def _one_dataset_logistic(datasets, train_rows, test_rows):
+    """Oracle: the logistic learner that stacked only one dataset's same-shape folds.
+
+    It trains on ``Dataset.subset`` copies of each fold.
+    """
+    for ds in datasets:
+        n_classes = len(ds.class_attribute.categories)
+        builders = [_subset_design(ds.subset(rows)) for rows in train_rows]
+        shapes = {}
+        for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
+            d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
+            shapes.setdefault((len(rows), d), []).append(i)
+        params = {}
+        for (n, d), folds in shapes.items():
+            step = max(1, classifiers_mod._LOGISTIC_BATCH_CELLS // (n * d))
+            for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
+                x = np.empty((len(chunk), n, d))
+                for slot, i in zip(x, chunk):
+                    _subset_apply(builders[i], ds.subset(train_rows[i]), out=slot)
+                y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
+                objective = classifiers_mod._logistic_objective(x, y, n_classes)
+                fits, _ = _every_fold_lbfgsb(objective, len(chunk), (d + 1) * n_classes)
+                params.update(zip(chunk, fits))
+                del x, objective
+        scores = []
+        for i, rows in enumerate(test_rows):
+            w = params[i][:-n_classes].reshape(-1, n_classes)
+            logits = _subset_apply(builders[i], ds.subset(rows)) @ w + params[i][-n_classes:]
+            logits -= logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            scores.append(exp / exp.sum(axis=1, keepdims=True))
+        yield scores
+
+
+def _rankdata_pooled_measures(true, scores) -> PerformanceMeasures:
+    """Oracle: the pooled measures with per-class masks and ``scipy.stats.rankdata``."""
+    preds = scores.argmax(axis=1)
+    n = true.size
+    n_classes = scores.shape[1]
+    accuracy = float((preds == true).mean())
+    recalls = []
+    precisions = []
+    for c in range(n_classes):
+        true_c = true == c
+        pred_c = preds == c
+        if true_c.any():
+            recalls.append(float((pred_c & true_c).sum() / true_c.sum()))
+        if pred_c.any():
+            precisions.append(float((pred_c & true_c).sum() / pred_c.sum()))
+    recall = float(np.mean(recalls)) if recalls else 0.0
+    precision = float(np.mean(precisions)) if precisions else 0.0
+    aucs = []
+    weights = []
+    for c in range(n_classes):
+        pos = true == c
+        n_pos = int(pos.sum())
+        if n_pos == 0 or n_pos == n:
+            continue
+        ranks = rankdata(scores[:, c])
+        r_pos = ranks[pos].sum()
+        auc_c = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+        aucs.append(auc_c)
+        weights.append(n_pos)
+    auc = float(np.average(aucs, weights=weights)) if aucs else 0.5
+    return PerformanceMeasures(accuracy, precision, recall, auc)
+
+
+def _spy_stacks(monkeypatch):
+    """The fold count of every ``_lbfgsb`` stack from here on."""
+    sizes, real = [], classifiers_mod._lbfgsb
+
+    def spy(x, y, n_classes):
+        sizes.append(len(x))
+        return real(x, y, n_classes)
+
+    monkeypatch.setattr(classifiers_mod, "_lbfgsb", spy)
+    return sizes
+
+
+def _catalog_logistic_cv(datasets, seed, k=10):
+    """The fold scores and measures of one catalog ``cross_validate``, from one run."""
+    found, real = [], classifiers_mod._fold_scores
+
+    def spy(*args):
+        for folds in real(*args):
+            found.append(folds)
+            yield folds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers_mod, "_fold_scores", spy)
+        measures = cross_validate(LOGISTIC, datasets, k, seed=seed)
+    assert len(found) == len(measures) == len(datasets)
+    return found, measures
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_catalog_logistic_cv_matches_one_dataset_oracle_on_mini_corpus(
+    mini_datasets, seed, monkeypatch
+):
+    stacks = _spy_stacks(monkeypatch)
+    for ds in mini_datasets:
+        catalog = _with_versions(ds)
+        found, measures = _catalog_logistic_cv(catalog, seed)
+        fold_of_row = stratified_folds(ds, 10, seed)
+        train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
+        test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+        order = np.argsort(np.concatenate(test_rows))
+        for member, folds, pm in zip(catalog, found, measures):
+            [oracle] = _one_dataset_logistic([member], train_rows, test_rows)
+            assert len(folds) == len(oracle) == 10
+            for ours, theirs in zip(folds, oracle):
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+            assert pm == _rankdata_pooled_measures(member.class_labels, np.vstack(oracle)[order])
+    # one dataset has at most 10 folds of a shape, so a larger stack mixes datasets
+    assert max(stacks) > 10
+
+
+def test_logistic_stacks_of_one_fold_give_the_same_scores(mini_datasets, monkeypatch):
+    for ds in mini_datasets[:4]:
+        catalog = _with_versions(ds)
+        expected, measures = _catalog_logistic_cv(catalog, 7)
+        fold_of_row = stratified_folds(ds, 10, 7)
+        n = min(np.count_nonzero(fold_of_row != f) for f in range(10))
+        d = min(_subset_apply(_subset_design(member), member).shape[1] for member in catalog)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers_mod, "_LOGISTIC_BATCH_CELLS", n * d)  # one fold's cells
+            stacks = _spy_stacks(mp)
+            found, found_measures = _catalog_logistic_cv(catalog, 7)
+        assert set(stacks) == {1} and len(stacks) == 10 * len(catalog)
+        assert found_measures == measures
+        for ours, theirs in zip(found, expected):
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
+def test_stopped_folds_leave_the_stack(mini_corpus_folds, monkeypatch):
+    evaluated, real = [], classifiers_mod._logistic_objective
+
+    def spy(x, y, n_classes):
+        objective = real(x, y, n_classes)
+
+        def counted(params):
+            evaluated.append(len(params))
+            return objective(params)
+
+        return counted
+
+    monkeypatch.setattr(classifiers_mod, "_logistic_objective", spy)
+    all_folds_every_step = fewer = 0
+    for _, problems, expected in mini_corpus_folds:
+        for group in _shape_groups(problems):
+            nfev = [expected[i].nfev for i in group]
+            if len(set(nfev)) == 1:
+                continue
+            evaluated.clear()
+            _assert_driver_matches_minimize(
+                [problems[i] for i in group], [expected[i] for i in group]
+            )
+            assert sum(nfev) <= sum(evaluated) <= len(group) * max(nfev)
+            all_folds_every_step += len(group) * max(nfev)
+            fewer += len(group) * max(nfev) - sum(evaluated)
+    assert fewer > 0 and all_folds_every_step > 0
 
 
 # --- a dataset and its operator versions in one cross-validation ------------------
@@ -890,3 +1105,53 @@ def test_nb_rejects_a_test_row_that_no_class_can_score():
         for learner in (classifiers_mod._learner_nb, _per_row_nb):
             with pytest.raises(ValueError):
                 learner(train, test)
+
+
+# --- pooled measures: average ranks without SciPy ---------------------------------
+
+
+def test_average_ranks_equal_rankdata_on_tie_heavy_vectors():
+    rng = np.random.default_rng(19)
+    pool = np.array([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0, 1e300])
+    cases = [
+        np.array([0.5]), np.array([np.nan]), np.zeros(7), np.full(4, -1.0),
+        np.array([-0.0, 0.0, -0.0, 0.0]), np.array([1.0, np.nan, 0.0, 1.0]),
+    ]
+    for _ in range(3000):
+        values = rng.choice(pool[: rng.integers(1, pool.size + 1)], size=rng.integers(1, 60))
+        if rng.random() < 0.05:
+            values[rng.integers(values.size)] = np.nan
+        cases.append(values)
+    cases.append(np.column_stack([cases[-1], cases[-2][: cases[-1].size]])[:, 0])  # strided
+    for values in cases:
+        ours, theirs = classifiers_mod._average_ranks(values), rankdata(values)
+        assert ours.dtype == theirs.dtype == np.float64 and ours.shape == theirs.shape
+        if np.isnan(values).any():
+            assert np.isnan(ours).all() and np.isnan(theirs).all()
+        else:
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def test_pooled_measures_equal_the_rankdata_oracle_on_fuzzed_scores():
+    rng = np.random.default_rng(23)
+    for _ in range(3000):
+        n_classes, n = int(rng.integers(1, 5)), int(rng.integers(1, 80))
+        present = rng.choice(n_classes, size=rng.integers(1, n_classes + 1), replace=False)
+        true = rng.choice(present, size=n)
+        scores = np.round(rng.random((n, n_classes)), int(rng.integers(0, 3)))  # many ties
+        if rng.random() < 0.3:
+            scores[:, rng.integers(n_classes)] = -1.0  # a class nothing predicts
+        assert classifiers_mod._pooled_measures(true, scores) == _rankdata_pooled_measures(
+            true, scores
+        )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import preprank, preprank.cli, sys; print('scipy.stats' in sys.modules)"
+    src = str(Path(classifiers_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
