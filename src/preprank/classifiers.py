@@ -140,24 +140,25 @@ def _learner_tree(datasets, train_rows, test_rows):
 _NB_VAR_FLOOR = 1e-9
 
 
-def _learner_nb(train, test):
-    """Gaussian (continuous) and Laplace-smoothed (categorical) class posteriors.
+def _learner_nb(ds, train_rows, test_rows):
+    """Naive Bayes class posteriors of ``ds``'s ``test_rows``, trained on its ``train_rows``.
 
-    A missing cell adds no factor, nor does a continuous predictor to a class
+    Continuous predictors are Gaussian, categorical ones Laplace-smoothed.  A
+    missing cell adds no factor, nor does a continuous predictor to a class
     with no value of it in training; a class absent from training gets
     posterior 0.  Each test row adds its factors to the log prior in
     predictor order, continuous predictors first.
     """
-    n_classes = len(train.class_attribute.categories)
-    y = train.class_labels
+    n_classes = len(ds.class_attribute.categories)
+    train, test, y = ds.rows[train_rows], ds.rows[test_rows], ds.class_labels[train_rows]
     counts = np.bincount(y, minlength=n_classes).astype(float)
     log_prior = np.full(n_classes, -np.inf)
     observed = counts > 0
     log_prior[observed] = np.log(counts[observed] / counts.sum())
-    logp = np.tile(log_prior, (test.n_rows, 1))
+    logp = np.tile(log_prior, (len(test), 1))
 
-    for j in train.continuous_predictors:
-        col, v = train.column(j), test.column(j)
+    for j in ds.continuous_predictors:
+        col, v = train[:, j], test[:, j]
         present = ~np.isnan(v)
         for c in range(n_classes):
             vals = col[(y == c) & ~np.isnan(col)]
@@ -169,9 +170,9 @@ def _learner_nb(train, test):
             # libm pow, rounding as Python's ``**`` does; an exponent of scalar 2 squares
             square = np.float_power(d, np.full_like(d, 2.0))
             logp[present, c] += -0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var)
-    for j in train.categorical_predictors:
-        col, v = train.column(j), test.column(j)
-        table = np.ones((n_classes, len(train.attributes[j].categories)))  # Laplace +1
+    for j in ds.categorical_predictors:
+        col, v = train[:, j], test[:, j]
+        table = np.ones((n_classes, len(ds.attributes[j].categories)))  # Laplace +1
         known = ~np.isnan(col)
         np.add.at(table, (y[known], col[known].astype(int)), 1.0)
         log_table = np.log(table / table.sum(axis=1, keepdims=True))
@@ -193,8 +194,8 @@ def _learner_nb(train, test):
 _KNN_BLOCK_ROWS = 64
 
 
-def _learner_knn(kind, train, test):
-    """Vote shares of the k nearest training rows.
+def _learner_knn(kind, ds, train_rows, test_rows):
+    """Vote shares of the k nearest of ``ds``'s ``train_rows`` for each of its ``test_rows``.
 
     The squared distance adds, per predictor, the squared difference of
     values min-max normalized on the training column (0 when it is
@@ -204,15 +205,16 @@ def _learner_knn(kind, train, test):
     then rows at that distance in ascending row order, as a stable sort
     orders them.  Test rows are scored in blocks of ``_KNN_BLOCK_ROWS``.
     """
-    n_classes = len(train.class_attribute.categories)
-    y = train.class_labels
-    k = min(kind.k, train.n_rows)
+    n_classes = len(ds.class_attribute.categories)
+    train, test, y = ds.rows[train_rows], ds.rows[test_rows], ds.class_labels[train_rows]
+    n_train, n_test = len(train), len(test)
+    k = min(kind.k, n_train)
     columns = []  # (continuous?, train values, test values, train missing, test missing)
-    for j in train.predictor_indices:
-        tr = train.column(j)
-        te = test.column(j)
+    for j in ds.predictor_indices:
+        tr = train[:, j]
+        te = test[:, j]
         tr_missing, te_missing = np.isnan(tr), np.isnan(te)
-        is_cont = train.attributes[j].is_continuous
+        is_cont = ds.attributes[j].is_continuous
         if is_cont:
             vals = tr[~tr_missing]
             if vals.size:
@@ -227,10 +229,10 @@ def _learner_knn(kind, train, test):
                 tr = np.where(tr_missing, np.nan, 0.0)
                 te = np.where(te_missing, np.nan, 0.0)
         columns.append((is_cont, tr, te, tr_missing, te_missing))
-    scores = np.zeros((test.n_rows, n_classes))
-    for start in range(0, test.n_rows, _KNN_BLOCK_ROWS):
-        stop = min(start + _KNN_BLOCK_ROWS, test.n_rows)
-        dist2 = np.zeros((stop - start, train.n_rows))
+    scores = np.zeros((n_test, n_classes))
+    for start in range(0, n_test, _KNN_BLOCK_ROWS):
+        stop = min(start + _KNN_BLOCK_ROWS, n_test)
+        dist2 = np.zeros((stop - start, n_train))
         for is_cont, tr, te, tr_missing, te_missing in columns:
             if is_cont:
                 contrib = te[start:stop, None] - tr[None, :]
@@ -477,11 +479,11 @@ def _learner_logistic(datasets, train_rows, test_rows):
 
 
 def _one_fold_at_a_time(fn):
-    """A learner that trains ``fn(train, test) -> scores`` on one fold of one dataset at a time."""
+    """A learner that scores each fold of each dataset by ``fn(ds, train_rows, test_rows)``."""
 
     def learner(datasets, train_rows, test_rows):
         for ds in datasets:
-            yield [fn(ds.subset(a), ds.subset(b)) for a, b in zip(train_rows, test_rows)]
+            yield [fn(ds, a, b) for a, b in zip(train_rows, test_rows)]
 
     return learner
 

@@ -7,10 +7,9 @@ missing cells hold NaN.
 
 from __future__ import annotations
 
-import copy
 import csv as _csvmod
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -174,22 +173,6 @@ class Dataset:
     def column(self, j: int) -> np.ndarray:
         return self.rows[:, j]
 
-    def subset(self, row_indices) -> "Dataset":
-        """New dataset holding the given rows (order preserved), same schema.
-
-        The rows were validated with this dataset, so only the shape is checked.
-        """
-        rows = self.rows[np.asarray(row_indices, dtype=int)]
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ValueError("a subset needs a sequence of at least one row index")
-        rows.flags.writeable = False
-        subset = copy.copy(self)  # copies no rows and skips __post_init__
-        object.__setattr__(subset, "rows", rows)
-        return subset
-
-    def renamed(self, name: str) -> "Dataset":
-        return replace(self, name=name)
-
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     """Read-only fold index of every row, spreading every class over ``k`` folds.
@@ -228,10 +211,10 @@ class _Quoted(str):
     """A cell that held a quote: ``'?'`` is the category ``?``, not a missing cell."""
 
 
-def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[str]:
-    """Split on ``sep`` honoring quotes and backslash escapes; quoted cells are _Quoted."""
+def _split_quoted(text: str, lineno: int) -> list[str]:
+    """Split on commas honoring quotes and backslash escapes; quoted cells are _Quoted."""
     if "'" not in text and '"' not in text:  # backslashes escape only inside quotes
-        return [v.strip() for v in text.split(sep)]
+        return [v.strip() for v in text.split(",")]
     out = []
     buf = []
     quote = None
@@ -250,7 +233,7 @@ def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[str]:
         elif ch in "'\"":
             quote = ch
             quoted = True
-        elif ch == sep:
+        elif ch == ",":
             out.append((_Quoted if quoted else str)("".join(buf).strip()))
             buf = []
             quoted = False
@@ -447,10 +430,11 @@ def serialize_arff(ds: Dataset) -> str:
 _CSV_MISSING = {"", "NA", "?"}
 
 
-def parse_csv(text: str, class_column: str, name: str = "dataset") -> Dataset:
+def parse_csv(text: str, class_column: str | None = None, name: str = "dataset") -> Dataset:
     """Parse header-ful CSV; empty cells, ``NA`` and ``?`` are missing.
 
-    ``class_column`` is a header name.  Predictor types are inferred:
+    ``class_column`` is a header name; by default the header named ``class``
+    (case-insensitive), else the last header.  Predictor types are inferred:
     continuous only when every non-missing cell parses as a finite number,
     else categorical.  Categorical columns, the class among them, list their
     categories in first-appearance order.
@@ -462,6 +446,8 @@ def parse_csv(text: str, class_column: str, name: str = "dataset") -> Dataset:
     records = table[1:]
     if not records:
         raise CsvFormatError("no data rows")
+    if class_column is None:
+        class_column = next((h for h in header if h.lower() == "class"), header[-1])
     if class_column not in header:
         raise CsvFormatError(f"missing class column {class_column!r}")
     class_idx = header.index(class_column)
@@ -513,8 +499,7 @@ def _all_numeric(raw, missing) -> bool:
 def load_dataset_file(path, class_column=None) -> Dataset:
     """Load ``.arff`` or ``.csv`` by extension.
 
-    For CSV the class column defaults to a header named ``class``
-    (case-insensitive), else the last header.  ARFF files find their own
+    ``class_column`` goes to :func:`parse_csv`.  ARFF files find their own
     class column, so naming one for them is an error.
     """
     p = Path(path)
@@ -523,9 +508,5 @@ def load_dataset_file(path, class_column=None) -> Dataset:
         raise DatasetError("--class-column applies to .csv files only")
     text = p.read_text(encoding="utf-8-sig")
     if is_csv:
-        if class_column is None:
-            header = next((row for row in _csvmod.reader(StringIO(text)) if row), [])
-            names = [h.strip() for h in header] or [""]  # no header: parse_csv rejects the file
-            class_column = next((h for h in names if h.lower() == "class"), names[-1])
         return parse_csv(text, class_column, name=p.stem)
     return parse_arff(text)

@@ -169,7 +169,11 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc["config"] = extra
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    try:
+        text = json.dumps(doc, indent=1)
+    except RecursionError:  # the encoder recurses once per tree level
+        raise ModelError("a tree is too deep to write as JSON") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path) -> ForestModel:
@@ -180,6 +184,8 @@ def load_model(path) -> ForestModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ModelError("a tree is too deep to read as JSON") from None
     finally:
         if enabled:
             gc.enable()

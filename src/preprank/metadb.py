@@ -142,6 +142,7 @@ def _dataset_rows(args):
         for spec in specs:
             versions.append(apply(spec, ds))
             changes.append(delta(base_mf, compute_meta_features(versions[-1], columns)))
+        del columns  # its column copies are not needed beside the versions in the CV
         measured = cross_validate(algorithm, [ds, *versions], seed=seed)
         base_pm, *trans_pms = [pm.get(measure) for pm in measured]
         rows = []

@@ -16,7 +16,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dataset import Dataset, load_dataset_file, parse_arff
@@ -195,7 +195,7 @@ def load_corpus(manifest, cache_dir, fetch=None) -> CorpusResult:
         count = seen.get(ds.name, 0) + 1
         seen[ds.name] = count
         if count > 1:
-            ds = ds.renamed(f"{ds.name}~{count}")
+            ds = replace(ds, name=f"{ds.name}~{count}")
         datasets.append(ds)
     if not datasets:
         raise CorpusError("every manifest entry failed")

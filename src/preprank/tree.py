@@ -118,23 +118,10 @@ def select(gains: np.ndarray) -> int | None:
 
     Scanning with a running best that starts at 0, a gain replaces the best
     when it is larger by more than 1e-12, so near-ties go to the earlier
-    candidate; the last replacement wins.  When the first maximum clears
-    every other gain by that margin it is the answer; otherwise the scan is
-    replayed over the gains above all earlier ones, the only ones that can
-    replace the best.
+    candidate; the last replacement wins.
     """
-    if gains.size == 0:
-        return None
-    top = int(np.argmax(gains))
-    if not gains[top] > _MARGIN:
-        return None
-    if np.count_nonzero(gains + _MARGIN >= gains[top]) == 1:
-        return top
-    best_gain, best = 0.0, None
-    for r in np.flatnonzero(gains > np.maximum.accumulate(np.append(0.0, gains))[:-1]):
-        if gains[r] > best_gain + _MARGIN:
-            best_gain, best = gains[r], int(r)
-    return best
+    top = int(_select_rows(gains[None])[0]) if gains.size else -1
+    return None if top < 0 else top
 
 
 #: cells (pairs x rows x classes) of one chunk of numeric pairs, and rows of one
@@ -190,13 +177,19 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
 def _select_rows(gains: np.ndarray) -> np.ndarray:
     """:func:`select` on every row of a gain matrix, -1 for None.
 
-    A row's -inf entries are never chosen and never change the choice.
+    When a row's first maximum clears every other gain by the margin it is
+    the answer; otherwise the scan is replayed over the gains above all
+    earlier ones, the only ones that can replace the best.  A row's -inf
+    entries are never chosen and never change the choice.
     """
     top = gains.argmax(axis=1)
     best = gains.max(axis=1)
     near = (gains + _MARGIN >= best[:, None]).sum(axis=1) > 1
     for j in np.flatnonzero(near & (best > _MARGIN)):  # replay the scan on near-ties
-        top[j] = select(gains[j])
+        row, best_gain = gains[j], 0.0
+        for r in np.flatnonzero(row > np.maximum.accumulate(np.append(0.0, row))[:-1]):
+            if row[r] > best_gain + _MARGIN:
+                best_gain, top[j] = row[r], r
     top[~(best > _MARGIN)] = -1
     return top
 

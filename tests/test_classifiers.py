@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +73,8 @@ def test_knn_distance_ties_take_lowest_row_index():
 
 def test_tree_perfectly_separable():
     ds = random_dataset(5, n_rows=40, n_continuous=1, n_categorical=0, class_sep=50.0)
-    train = ds.subset(range(0, 30))
-    test = ds.subset(range(30, 40))
+    train = replace(ds, rows=ds.rows[:30])
+    test = replace(ds, rows=ds.rows[30:40])
     out = fit_predict(TREE, train, test)
     assert [p for p, _ in out] == list(test.class_labels)
 
@@ -126,7 +128,9 @@ def _pooled_scores(fn, ds, seed, k=10):
     scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
     for f in range(k):
         rows = np.flatnonzero(fold_of_row == f)
-        scores[rows] = fn(ds.subset(np.flatnonzero(fold_of_row != f)), ds.subset(rows))
+        scores[rows] = fn(
+            replace(ds, rows=ds.rows[fold_of_row != f]), replace(ds, rows=ds.rows[rows])
+        )
     return scores
 
 
@@ -328,7 +332,16 @@ def _knn_split(seed, n_rows, missing_rate=0.0, coarse=False, **shape):
         ds = Dataset(ds.name, ds.attributes, ds.class_index, rows)
     order = np.random.default_rng(seed).permutation(ds.n_rows)
     cut = ds.n_rows // 3
-    return ds.subset(np.sort(order[cut:])), ds.subset(np.sort(order[:cut]))
+    return (
+        replace(ds, rows=ds.rows[np.sort(order[cut:])]),
+        replace(ds, rows=ds.rows[np.sort(order[:cut])]),
+    )
+
+
+def _as_fold(train, test):
+    """``train`` and ``test`` stacked into one dataset, with each one's row indices in it."""
+    both = replace(train, rows=np.vstack([train.rows, test.rows]))
+    return both, np.arange(train.n_rows), np.arange(train.n_rows, both.n_rows)
 
 
 KNN_CASES = [
@@ -346,7 +359,7 @@ KNN_CASES = [
 def test_knn_matches_full_stable_sort(case, k):
     train, test = _knn_split(**case)
     expected = _argsort_knn(knn(k), train, test)
-    assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test), expected)
+    assert np.array_equal(classifiers_mod._learner_knn(knn(k), *_as_fold(train, test)), expected)
 
 
 def test_knn_case_spans_several_blocks():
@@ -365,16 +378,17 @@ def test_knn_overflowing_values_match_full_stable_sort():
     with np.errstate(all="ignore"):
         for k in (1, 2, 3, 5):
             expected = _argsort_knn(knn(k), train, test)
-            assert np.array_equal(classifiers_mod._learner_knn(knn(k), train, test), expected)
+            found = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
+            assert np.array_equal(found, expected)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_block_size_does_not_change_scores(monkeypatch, k):
     train, test = _knn_split(**KNN_CASES[4])
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 1)
-    one_row = classifiers_mod._learner_knn(knn(k), train, test)
+    one_row = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
-    one_block = classifiers_mod._learner_knn(knn(k), train, test)
+    one_block = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
     assert np.array_equal(one_row, one_block)
 
 
@@ -451,7 +465,7 @@ def _fold_problems(ds, seed=42):
     """The logistic problem of each of ``ds``'s 10 CV folds, in fold order."""
     fold_of_row = stratified_folds(ds, 10, seed)
     return [
-        _logistic_problem(ds.subset(np.flatnonzero(fold_of_row != fold))) for fold in range(10)
+        _logistic_problem(replace(ds, rows=ds.rows[fold_of_row != fold])) for fold in range(10)
     ]
 
 
@@ -517,11 +531,11 @@ def _assert_learner_matches_minimize(ds, seed, expected):
     fold_of_row = stratified_folds(ds, 10, seed)
     train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
     test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
-    tests = [ds.subset(rows) for rows in test_rows]
+    tests = [replace(ds, rows=ds.rows[rows]) for rows in test_rows]
     [found] = classifiers_mod._fold_scores(LOGISTIC, [ds], train_rows, test_rows)
     assert len(found) == len(expected) == 10
     for rows, test, scores, result in zip(train_rows, tests, found, expected):
-        train = ds.subset(rows)
+        train = replace(ds, rows=ds.rows[rows])
         builders = classifiers_mod._logistic_design(train, np.arange(train.n_rows))
         assert np.array_equal(scores, _minimize_scores(builders, test, result.x))
 
@@ -691,11 +705,11 @@ def _every_fold_lbfgsb(objective, n_folds, n_params):
 def _one_dataset_logistic(datasets, train_rows, test_rows):
     """Oracle: the logistic learner that stacked only one dataset's same-shape folds.
 
-    It trains on ``Dataset.subset`` copies of each fold.
+    It trains on a copy of each fold's rows.
     """
     for ds in datasets:
         n_classes = len(ds.class_attribute.categories)
-        builders = [_subset_design(ds.subset(rows)) for rows in train_rows]
+        builders = [_subset_design(replace(ds, rows=ds.rows[rows])) for rows in train_rows]
         shapes = {}
         for i, (rows, fold_builders) in enumerate(zip(train_rows, builders)):
             d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
@@ -706,7 +720,7 @@ def _one_dataset_logistic(datasets, train_rows, test_rows):
             for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
                 x = np.empty((len(chunk), n, d))
                 for slot, i in zip(x, chunk):
-                    _subset_apply(builders[i], ds.subset(train_rows[i]), out=slot)
+                    _subset_apply(builders[i], replace(ds, rows=ds.rows[train_rows[i]]), out=slot)
                 y = ds.class_labels[np.array([train_rows[i] for i in chunk])]
                 objective = classifiers_mod._logistic_objective(x, y, n_classes)
                 fits, _ = _every_fold_lbfgsb(objective, len(chunk), (d + 1) * n_classes)
@@ -715,7 +729,8 @@ def _one_dataset_logistic(datasets, train_rows, test_rows):
         scores = []
         for i, rows in enumerate(test_rows):
             w = params[i][:-n_classes].reshape(-1, n_classes)
-            logits = _subset_apply(builders[i], ds.subset(rows)) @ w + params[i][-n_classes:]
+            test = replace(ds, rows=ds.rows[rows])
+            logits = _subset_apply(builders[i], test) @ w + params[i][-n_classes:]
             logits -= logits.max(axis=1, keepdims=True)
             exp = np.exp(logits)
             scores.append(exp / exp.sum(axis=1, keepdims=True))
@@ -870,7 +885,7 @@ def _one_dataset_tree_cv(ds, seed, k=10):
         criterion=tree.ENTROPY, categorical=frozenset(ds.categorical_predictors), min_leaf=2,
     )
     folds = [
-        np.vstack([tree.leaf(root, row)["p"] for row in ds.subset(rows).rows])
+        np.vstack([tree.leaf(root, row)["p"] for row in ds.rows[rows]])
         for root, rows in zip(roots, test_rows)
     ]
     scores = np.zeros((ds.n_rows, len(ds.class_attribute.categories)))
@@ -987,7 +1002,7 @@ def test_catalog_cv_reads_its_iterable_once_and_equals_one_cv_per_dataset():
 
 def test_catalog_cv_rejects_datasets_with_other_rows_or_class_column():
     ds = random_dataset(23, n_rows=40, n_continuous=2, n_classes=2)
-    shorter = ds.subset(np.arange(39)).renamed("shorter")
+    shorter = replace(ds, name="shorter", rows=ds.rows[:39])
     rows = np.array(ds.rows)
     rows[:, ds.class_index] = 1 - rows[:, ds.class_index]
     flipped = Dataset("flipped", ds.attributes, ds.class_index, rows)
@@ -1064,9 +1079,11 @@ def _assert_nb_matches_per_row(ds, seed, k=10):
     fold_of_row = stratified_folds(ds, k, seed)
     folds = []
     for f in range(k):
-        train = ds.subset(np.flatnonzero(fold_of_row != f))
-        test = ds.subset(np.flatnonzero(fold_of_row == f))
-        ours, theirs = classifiers_mod._learner_nb(train, test), _per_row_nb(train, test)
+        train_rows, test_rows = np.flatnonzero(fold_of_row != f), np.flatnonzero(fold_of_row == f)
+        train = replace(ds, rows=ds.rows[train_rows])
+        test = replace(ds, rows=ds.rows[test_rows])
+        ours = classifiers_mod._learner_nb(ds, train_rows, test_rows)
+        theirs = _per_row_nb(train, test)
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
         folds.append((train, test))
     return folds
@@ -1102,9 +1119,131 @@ def test_nb_rejects_a_test_row_that_no_class_can_score():
     train = small_dataset([[0.0, 0], [0.0, 0], [1.0, 1], [1.0, 1]])
     test = small_dataset([[1e300, 0]])  # its squared distance to both means overflows
     with np.errstate(over="ignore"):
-        for learner in (classifiers_mod._learner_nb, _per_row_nb):
-            with pytest.raises(ValueError):
-                learner(train, test)
+        with pytest.raises(ValueError):
+            classifiers_mod._learner_nb(*_as_fold(train, test))
+        with pytest.raises(ValueError):
+            _per_row_nb(train, test)
+
+
+# --- naive Bayes and kNN on row indices, against the learners on fold copies ------
+
+
+def _copy_nb(train, test):
+    """Oracle: the naive Bayes learner as it took a fold's train and test datasets."""
+    n_classes = len(train.class_attribute.categories)
+    y = train.class_labels
+    counts = np.bincount(y, minlength=n_classes).astype(float)
+    log_prior = np.full(n_classes, -np.inf)
+    observed = counts > 0
+    log_prior[observed] = np.log(counts[observed] / counts.sum())
+    logp = np.tile(log_prior, (test.n_rows, 1))
+
+    for j in train.continuous_predictors:
+        col, v = train.column(j), test.column(j)
+        present = ~np.isnan(v)
+        for c in range(n_classes):
+            vals = col[(y == c) & ~np.isnan(col)]
+            if vals.size == 0:
+                continue  # factor skipped for this class
+            mean = float(vals.mean())
+            var = max(
+                float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0,
+                classifiers_mod._NB_VAR_FLOOR,
+            )
+            d = v[present] - mean
+            # libm pow, rounding as Python's ``**`` does; an exponent of scalar 2 squares
+            square = np.float_power(d, np.full_like(d, 2.0))
+            logp[present, c] += -0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var)
+    for j in train.categorical_predictors:
+        col, v = train.column(j), test.column(j)
+        table = np.ones((n_classes, len(train.attributes[j].categories)))  # Laplace +1
+        known = ~np.isnan(col)
+        np.add.at(table, (y[known], col[known].astype(int)), 1.0)
+        log_table = np.log(table / table.sum(axis=1, keepdims=True))
+        present = ~np.isnan(v)
+        logp[present] += log_table[:, v[present].astype(int)].T
+
+    finite = np.isfinite(logp)
+    if not finite.any(axis=1).all():
+        raise ValueError("a test row has no finite class log-likelihood")
+    shifted = np.exp(logp - logp.max(axis=1, keepdims=True, where=finite, initial=-np.inf))
+    shifted[~np.isfinite(shifted)] = 0.0
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _copy_knn(kind, train, test):
+    """Oracle: the blocked kNN learner as it took a fold's train and test datasets."""
+    n_classes = len(train.class_attribute.categories)
+    y = train.class_labels
+    k = min(kind.k, train.n_rows)
+    columns = []  # (continuous?, train values, test values, train missing, test missing)
+    for j in train.predictor_indices:
+        tr = train.column(j)
+        te = test.column(j)
+        tr_missing, te_missing = np.isnan(tr), np.isnan(te)
+        is_cont = train.attributes[j].is_continuous
+        if is_cont:
+            vals = tr[~tr_missing]
+            if vals.size:
+                lo, hi = vals.min(), vals.max()
+                span = hi - lo
+            else:
+                lo, span = 0.0, 0.0
+            if span > 0:
+                tr = (tr - lo) / span
+                te = (te - lo) / span
+            else:
+                tr = np.where(tr_missing, np.nan, 0.0)
+                te = np.where(te_missing, np.nan, 0.0)
+        columns.append((is_cont, tr, te, tr_missing, te_missing))
+    block = classifiers_mod._KNN_BLOCK_ROWS
+    scores = np.zeros((test.n_rows, n_classes))
+    for start in range(0, test.n_rows, block):
+        stop = min(start + block, test.n_rows)
+        dist2 = np.zeros((stop - start, train.n_rows))
+        for is_cont, tr, te, tr_missing, te_missing in columns:
+            if is_cont:
+                contrib = te[start:stop, None] - tr[None, :]
+                contrib *= contrib
+                contrib[te_missing[start:stop]] = 1.0
+                contrib[:, tr_missing] = 1.0
+                dist2 += contrib
+            else:
+                dist2 += te[start:stop, None] != tr[None, :]  # a missing cell differs too
+        rows, neighbours = np.nonzero(classifiers_mod._nearest(dist2, k))
+        votes = np.bincount(
+            rows * n_classes + y[neighbours], minlength=(stop - start) * n_classes
+        )
+        scores[start:stop] = votes.reshape(-1, n_classes) / k
+    return scores
+
+
+def _copy_fold_scores(kind, datasets, train_rows, test_rows):
+    """Oracle: each dataset's fold scores from the learner on copies of each fold's rows."""
+    fn = _copy_nb if kind.family == "nb" else partial(_copy_knn, kind)
+    for ds in datasets:
+        yield [
+            fn(replace(ds, rows=ds.rows[a]), replace(ds, rows=ds.rows[b]))
+            for a, b in zip(train_rows, test_rows)
+        ]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_nb_and_knn_on_row_indices_match_fold_copy_oracle_on_mini_corpus(mini_datasets, seed):
+    for ds in mini_datasets:
+        catalog = _with_versions(ds)
+        fold_of_row = stratified_folds(ds, 10, seed)
+        train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
+        test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+        for kind in (NAIVE_BAYES, knn(1), knn(3)):
+            found = list(classifiers_mod._fold_scores(kind, catalog, train_rows, test_rows))
+            oracle = list(_copy_fold_scores(kind, catalog, train_rows, test_rows))
+            assert len(found) == len(oracle) == len(catalog)
+            for folds, oracle_folds in zip(found, oracle):
+                assert len(folds) == len(oracle_folds) == 10
+                for ours, theirs in zip(folds, oracle_folds):
+                    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                    assert ours.tobytes() == theirs.tobytes()
 
 
 # --- pooled measures: average ranks without SciPy ---------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,7 @@ def test_csv_file_default_class_column(tmp_path, text, class_index):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8")
     assert load_dataset_file(path).class_index == class_index
+    assert parse_csv(text).class_index == class_index
 
 
 def test_csv_file_empty_rejected(tmp_path):
@@ -338,7 +341,7 @@ def test_dataset_rows_immutable():
 
 
 def test_subset_equals_validated_constructor():
-    # a subset skips the per-cell checks, so it must equal what they would build
+    # a row subset goes through the validating constructor: a read-only copy of its rows
     ds = random_dataset(3, n_rows=50, n_continuous=2, n_categorical=2, missing_rate=0.1)
     rng = np.random.default_rng(0)
     for trial in range(100):
@@ -347,19 +350,20 @@ def test_subset_equals_validated_constructor():
         if trial % 3 == 0:
             idx = idx - ds.n_rows  # negative indices count from the end
         picked = idx.tolist() if trial % 5 == 0 else idx
-        sub = ds.subset(picked)
+        sub = replace(ds, rows=ds.rows[picked])
         expected = Dataset(ds.name, ds.attributes, ds.class_index, ds.rows[idx])
         assert sub == expected
         assert sub.rows.dtype == expected.rows.dtype and sub.rows.shape == expected.rows.shape
         assert not sub.rows.flags.writeable
         assert not np.shares_memory(sub.rows, ds.rows)
-    assert ds.subset(range(5, 9)) == Dataset(ds.name, ds.attributes, ds.class_index, ds.rows[5:9])
+    expected = Dataset(ds.name, ds.attributes, ds.class_index, ds.rows[5:9])
+    assert replace(ds, rows=ds.rows[range(5, 9)]) == expected
     with pytest.raises(ValueError):
-        ds.subset([])
+        replace(ds, rows=ds.rows[[]])
     with pytest.raises(ValueError):
-        ds.subset(np.array([], dtype=int))
+        replace(ds, rows=ds.rows[np.array([], dtype=int)])
     with pytest.raises(ValueError):
-        ds.subset(3)  # a single index is not a table
+        replace(ds, rows=ds.rows[3])  # a single index is not a table
 
 
 # --- oracle: the character loop of _split_quoted before its quote-free fast path ---

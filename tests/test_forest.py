@@ -416,3 +416,29 @@ def test_load_model_restores_the_callers_gc_state(tmp_path, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_a_tree_too_deep_for_json_is_a_model_error(tmp_path):
+    # every pair of rows flips the class, so the Gini tree is thousands of levels deep
+    n = 6000
+    x = np.arange(n, dtype=float)[:, None]
+    [root] = tree.grow(
+        x, (np.arange(n) // 2) % 2, np.ones(n), 3, [(np.arange(n), lambda: np.array([0]))],
+        min_node=forest_mod.MIN_NODE_SIZE, criterion=tree.GINI,
+    )
+    path = tmp_path / "model.json"
+    with pytest.raises(ModelError, match="too deep to write"):
+        save_model(ForestModel((root,), seed=0), path)
+    assert not path.exists()
+
+
+def test_a_document_too_deep_for_json_is_a_model_error(tmp_path):
+    depth = 3000
+    head = '{"format": "preprank-forest", "schema_version": 1, "trees": ['
+    chain = '{"l": ' * depth + '{"p": [1.0, 0.0, 0.0]}' + "}" * depth
+    path = tmp_path / "model.json"
+    path.write_text(head + chain + "]}", encoding="utf-8")
+    was = gc.isenabled()
+    with pytest.raises(ModelError, match="too deep to read"):
+        load_model(path)
+    assert gc.isenabled() is was

@@ -1,22 +1,40 @@
-"""Mutated mini-corpus ARFF texts through the whole pipeline: measures or a typed error.
+"""Mutated mini-corpus ARFF and CSV texts through the whole pipeline: measures or a typed error.
 
-Each text goes through ``parse_arff``, ``compute_meta_features`` with one
-column cache shared by the dataset and its versions, every applicable
-``apply``, and one catalog ``cross_validate``, as ``build-metadb`` takes a
-dataset.  A NumPy ``RuntimeWarning`` still fails the test (pyproject.toml).
+Each text goes through ``parse_arff`` (or ``parse_csv`` with its default
+class column), ``compute_meta_features`` with one column cache shared by the
+dataset and its versions, every applicable ``apply``, and one catalog
+``cross_validate``, as ``build-metadb`` takes a dataset.  A NumPy
+``RuntimeWarning`` still fails the test (pyproject.toml).
 """
 
+import math
 import re
 
 from conftest import CORPUS_DIR
 from hypothesis import event, given, settings, strategies as st
 
 from preprank.classifiers import LOGISTIC, MEASURES, NAIVE_BAYES, TREE, cross_validate, knn
-from preprank.dataset import DatasetError, parse_arff
+from preprank.dataset import DatasetError, parse_arff, parse_csv
 from preprank.metafeatures import compute_meta_features
 from preprank.transforms import apply, enumerate_applicable
 
 TEXTS = [p.read_text(encoding="utf-8") for p in sorted((CORPUS_DIR / "mini").glob("*.arff"))]
+
+
+def _csv(ds):
+    """``ds`` as CSV: its attribute names, then per row category names, floats or ``?``."""
+    lines = [",".join(a.name for a in ds.attributes)]
+    for row in ds.rows:
+        lines.append(
+            ",".join(
+                "?" if math.isnan(v) else repr(v) if a.is_continuous else a.categories[int(v)]
+                for a, v in zip(ds.attributes, row.tolist())
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+CSV_TEXTS = [_csv(parse_arff(text)) for text in TEXTS]
 LEARNERS = (TREE, NAIVE_BAYES, knn(1), LOGISTIC)
 NUMBER = re.compile(r"-?\d+\.\d+(?:e-?\d+)?")  # a numeric cell of the mini corpus
 #: the package's own ValueErrors that a parsed dataset may still raise
@@ -24,8 +42,8 @@ TYPED = ("its statistics leave the float range", "cannot split")
 
 
 @st.composite
-def mutated_texts(draw):
-    lines = draw(st.sampled_from(TEXTS)).split("\n")
+def mutated_texts(draw, texts=TEXTS, inserted="'\"?{}"):
+    lines = draw(st.sampled_from(texts)).split("\n")
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(("delete", "duplicate", "insert", "number")))
@@ -35,7 +53,7 @@ def mutated_texts(draw):
             lines.insert(at, lines[at])
         elif kind == "insert":
             pos = draw(st.integers(0, len(lines[at])))
-            lines[at] = lines[at][:pos] + draw(st.sampled_from("'\"?{}")) + lines[at][pos:]
+            lines[at] = lines[at][:pos] + draw(st.sampled_from(inserted)) + lines[at][pos:]
         elif kind == "number":
             cells = [(i, m) for i, line in enumerate(lines) for m in NUMBER.finditer(line)]
             if cells:
@@ -45,11 +63,9 @@ def mutated_texts(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_texts(), st.sampled_from(LEARNERS))
-def test_mutated_arff_gives_measures_or_a_typed_error(text, learner):
+def _assert_measures_or_a_typed_error(parse, text, learner):
     try:
-        ds = parse_arff(text)
+        ds = parse(text)
     except DatasetError:
         event("DatasetError at parse")
         return
@@ -69,3 +85,15 @@ def test_mutated_arff_gives_measures_or_a_typed_error(text, learner):
     for pm in measured:
         for measure in MEASURES:
             assert 0.0 <= pm.get(measure) <= 1.0, (measure, pm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_texts(), st.sampled_from(LEARNERS))
+def test_mutated_arff_gives_measures_or_a_typed_error(text, learner):
+    _assert_measures_or_a_typed_error(parse_arff, text, learner)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_texts(CSV_TEXTS, "'\"?,"), st.sampled_from(LEARNERS))
+def test_mutated_csv_gives_measures_or_a_typed_error(text, learner):
+    _assert_measures_or_a_typed_error(parse_csv, text, learner)

@@ -11,6 +11,7 @@ Scores, forests, trees and split choices must match them bit for bit.
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,7 +549,7 @@ def _oracle_scores(train, test):
 def _assert_tree_matches(ds):
     idx = np.arange(ds.n_rows)
     for train, test in (
-        (ds.subset(idx[idx % 3 != 0]), ds.subset(idx[idx % 3 == 0])),
+        (replace(ds, rows=ds.rows[idx % 3 != 0]), replace(ds, rows=ds.rows[idx % 3 == 0])),
         (ds, ds),
     ):
         assert np.array_equal(_tree_scores(train, test), _oracle_scores(train, test))
@@ -602,7 +603,7 @@ def test_base_tree_matches_oracle_on_unseen_and_missing_test_categories():
     test_rows[::3, 0] = 3.0  # category "d" is in no row at all
     test_rows[1::3, 0] = np.nan
     test = Dataset(ds.name, ds.attributes, ds.class_index, test_rows)
-    train = ds.subset(train_idx)
+    train = replace(ds, rows=ds.rows[train_idx])
     assert np.array_equal(_tree_scores(train, test), _oracle_scores(train, test))
     assert np.array_equal(_tree_scores(train, ds), _oracle_scores(train, ds))
 
@@ -1098,11 +1099,11 @@ def test_lockstep_tree_cross_validation_matches_base_tree_oracle(mini_datasets):
         fold_of_row = stratified_folds(ds, 10, 7)
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
         test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
-        tests = [ds.subset(rows) for rows in test_rows]
+        tests = [replace(ds, rows=ds.rows[rows]) for rows in test_rows]
         [scores] = classifiers._fold_scores(TREE, [ds], train_rows, test_rows)
         assert len(scores) == 10
         for rows, test, ours in zip(train_rows, tests, scores):
-            assert np.array_equal(ours, _oracle_scores(ds.subset(rows), test))
+            assert np.array_equal(ours, _oracle_scores(replace(ds, rows=ds.rows[rows]), test))
 
 
 def _one_tree_forest_oracle(x, y, w, rng, n_candidates, n_classes):
