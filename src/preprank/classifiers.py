@@ -8,14 +8,14 @@ L2-penalized multinomial logistic regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
 
 from . import tree
-from .dataset import Dataset, stratified_folds
+from .dataset import Dataset, column_key, stratified_folds
 
 MEASURES = ("acc", "prec", "rec", "auc")
 
@@ -71,13 +71,9 @@ class PerformanceMeasures:
     auc: float
 
     def get(self, measure: str) -> float:
-        try:
-            field = {"acc": "accuracy", "prec": "precision", "rec": "recall", "auc": "auc"}[
-                measure
-            ]
-        except KeyError:
-            raise ValueError(f"unknown measure {measure!r}") from None
-        return getattr(self, field)
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
+        return astuple(self)[MEASURES.index(measure)]  # the fields in MEASURES order
 
 
 class CallCounter:
@@ -95,6 +91,49 @@ class CallCounter:
 
 #: incremented once per dataset that cross_validate measures
 CV_RUNS = CallCounter()
+
+#: incremented once per (fold, predictor column) result that nb, kNN or logistic computes
+COLUMN_FOLDS = CallCounter()
+
+#: cells that the shared results of one cross_validate call hold together
+_SHARED_CELLS = 2**20
+
+
+class _Shared:
+    """A catalog CV's results per (distinct column, scope), cached within ``_SHARED_CELLS``.
+
+    The datasets share rows and labels; a one-dataset CV caches nothing.
+    """
+
+    def __init__(self, datasets):
+        keys = {}
+        self.ids = None if len(datasets) == 1 else [
+            {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
+            for ds in datasets
+        ]
+        self.cache, self.cells = {}, 0
+
+    def get(self, a, j, scope, fn, *args):
+        """``fn(*args)``: the result in ``scope`` for column ``j`` of dataset ``a``."""
+        key = self.ids and (self.ids[a][j], scope)
+        if key in self.cache:
+            return self.cache[key]
+        value = fn(*args)
+        if key:
+            parts = value if isinstance(value, tuple) else (value,)
+            if (cells := self.cells + sum(getattr(v, "size", 1) for v in parts)) <= _SHARED_CELLS:
+                self.cache[key], self.cells = value, cells
+        return value
+
+
+def _fold_by_fold(score, datasets, train_rows, test_rows):
+    """Each dataset's fold results ``score(ds, train, test, y, column)``, fold by fold."""
+    shared, labels, results = _Shared(datasets), datasets[0].class_labels, [[] for _ in datasets]
+    for train, test in zip(train_rows, test_rows):
+        for a, ds in enumerate(datasets):
+            results[a].append(score(ds, train, test, labels[train], partial(shared.get, a)))
+        shared.cache, shared.cells = {}, 0  # a fold's shared results serve that fold only
+    return results
 
 
 # --- decision tree --------------------------------------------------------
@@ -140,7 +179,35 @@ def _learner_tree(datasets, train_rows, test_rows):
 _NB_VAR_FLOOR = 1e-9
 
 
-def _learner_nb(ds, train_rows, test_rows):
+def _nb_column(ds, j, train_rows, test_rows, y):
+    """Predictor ``j``'s fold addend to the test rows' class log-likelihoods, 0.0 for no factor.
+
+    Adding 0.0 is exact: a log-likelihood, a log prior plus factors, is never -0.0.
+    """
+    COLUMN_FOLDS.increment()
+    col, v = ds.rows[train_rows, j], ds.rows[test_rows, j]
+    present, n_classes = ~np.isnan(v), len(ds.class_attribute.categories)
+    addend = np.zeros((len(v), n_classes))
+    if ds.attributes[j].is_categorical:
+        table = np.ones((n_classes, len(ds.attributes[j].categories)))  # Laplace +1
+        known = ~np.isnan(col)
+        np.add.at(table, (y[known], col[known].astype(int)), 1.0)
+        log_table = np.log(table / table.sum(axis=1, keepdims=True))
+        addend[present] = log_table[:, v[present].astype(int)].T
+        return addend
+    for c in range(n_classes):
+        vals = col[(y == c) & ~np.isnan(col)]
+        if vals.size:
+            mean = float(vals.mean())
+            var = max(float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0, _NB_VAR_FLOOR)
+            d = v[present] - mean
+            # libm pow, rounding as Python's ``**`` does; an exponent of scalar 2 squares
+            square = np.float_power(d, np.full_like(d, 2.0))
+            addend[present, c] = -0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var)
+    return addend
+
+
+def _nb_fold(ds, train_rows, test_rows, y, column):
     """Naive Bayes class posteriors of ``ds``'s ``test_rows``, trained on its ``train_rows``.
 
     Continuous predictors are Gaussian, categorical ones Laplace-smoothed.  A
@@ -149,36 +216,11 @@ def _learner_nb(ds, train_rows, test_rows):
     posterior 0.  Each test row adds its factors to the log prior in
     predictor order, continuous predictors first.
     """
-    n_classes = len(ds.class_attribute.categories)
-    train, test, y = ds.rows[train_rows], ds.rows[test_rows], ds.class_labels[train_rows]
-    counts = np.bincount(y, minlength=n_classes).astype(float)
-    log_prior = np.full(n_classes, -np.inf)
-    observed = counts > 0
-    log_prior[observed] = np.log(counts[observed] / counts.sum())
-    logp = np.tile(log_prior, (len(test), 1))
-
-    for j in ds.continuous_predictors:
-        col, v = train[:, j], test[:, j]
-        present = ~np.isnan(v)
-        for c in range(n_classes):
-            vals = col[(y == c) & ~np.isnan(col)]
-            if vals.size == 0:
-                continue  # factor skipped for this class
-            mean = float(vals.mean())
-            var = max(float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0, _NB_VAR_FLOOR)
-            d = v[present] - mean
-            # libm pow, rounding as Python's ``**`` does; an exponent of scalar 2 squares
-            square = np.float_power(d, np.full_like(d, 2.0))
-            logp[present, c] += -0.5 * math.log(2.0 * math.pi * var) - square / (2.0 * var)
-    for j in ds.categorical_predictors:
-        col, v = train[:, j], test[:, j]
-        table = np.ones((n_classes, len(ds.attributes[j].categories)))  # Laplace +1
-        known = ~np.isnan(col)
-        np.add.at(table, (y[known], col[known].astype(int)), 1.0)
-        log_table = np.log(table / table.sum(axis=1, keepdims=True))
-        present = ~np.isnan(v)
-        logp[present] += log_table[:, v[present].astype(int)].T
-
+    with np.errstate(divide="ignore"):  # a class absent from training: -inf
+        log_prior = np.log(np.bincount(y, minlength=len(ds.class_attribute.categories)) / len(y))
+    logp = np.tile(log_prior, (len(test_rows), 1))
+    for j in ds.continuous_predictors + ds.categorical_predictors:
+        logp += column(j, "nb", _nb_column, ds, j, train_rows, test_rows, y)
     finite = np.isfinite(logp)
     if not finite.any(axis=1).all():
         raise ValueError("a test row has no finite class log-likelihood")
@@ -194,8 +236,35 @@ def _learner_nb(ds, train_rows, test_rows):
 _KNN_BLOCK_ROWS = 64
 
 
-def _learner_knn(kind, ds, train_rows, test_rows):
-    """Vote shares of the k nearest of ``ds``'s ``train_rows`` for each of its ``test_rows``.
+def _knn_column(ds, j, train_rows, test_rows):
+    """Predictor ``j``'s (continuous?, train values, test values, their NaN masks) in a fold."""
+    COLUMN_FOLDS.increment()
+    tr, te = ds.rows[train_rows, j], ds.rows[test_rows, j]
+    tr_missing, te_missing = np.isnan(tr), np.isnan(te)
+    if is_cont := ds.attributes[j].is_continuous:
+        vals = tr[~tr_missing]
+        lo, span = (vals.min(), vals.max() - vals.min()) if vals.size else (0.0, 0.0)
+        if span > 0:
+            tr, te = (tr - lo) / span, (te - lo) / span
+        else:
+            tr, te = np.where(tr_missing, np.nan, 0.0), np.where(te_missing, np.nan, 0.0)
+    return is_cont, tr, te, tr_missing, te_missing
+
+
+def _knn_distances(column, start, stop):
+    """A :func:`_knn_column`'s addend to the squared distances of test rows ``start:stop``."""
+    is_cont, tr, te, tr_missing, te_missing = column
+    if not is_cont:
+        return te[start:stop, None] != tr[None, :]  # a missing cell differs too
+    contrib = te[start:stop, None] - tr[None, :]
+    contrib *= contrib
+    contrib[te_missing[start:stop]] = 1.0
+    contrib[:, tr_missing] = 1.0
+    return contrib
+
+
+def _knn_fold(kind, ds, train, test, y, column):
+    """Votes of the k nearest of ``ds``'s ``train`` rows for each of its ``test`` rows.
 
     The squared distance adds, per predictor, the squared difference of
     values min-max normalized on the training column (0 when it is
@@ -205,49 +274,25 @@ def _learner_knn(kind, ds, train_rows, test_rows):
     then rows at that distance in ascending row order, as a stable sort
     orders them.  Test rows are scored in blocks of ``_KNN_BLOCK_ROWS``.
     """
-    n_classes = len(ds.class_attribute.categories)
-    train, test, y = ds.rows[train_rows], ds.rows[test_rows], ds.class_labels[train_rows]
-    n_train, n_test = len(train), len(test)
-    k = min(kind.k, n_train)
-    columns = []  # (continuous?, train values, test values, train missing, test missing)
-    for j in ds.predictor_indices:
-        tr = train[:, j]
-        te = test[:, j]
-        tr_missing, te_missing = np.isnan(tr), np.isnan(te)
-        is_cont = ds.attributes[j].is_continuous
-        if is_cont:
-            vals = tr[~tr_missing]
-            if vals.size:
-                lo, hi = vals.min(), vals.max()
-                span = hi - lo
-            else:
-                lo, span = 0.0, 0.0
-            if span > 0:
-                tr = (tr - lo) / span
-                te = (te - lo) / span
-            else:
-                tr = np.where(tr_missing, np.nan, 0.0)
-                te = np.where(te_missing, np.nan, 0.0)
-        columns.append((is_cont, tr, te, tr_missing, te_missing))
-    scores = np.zeros((n_test, n_classes))
+    n_classes, n_test, k = len(ds.class_attribute.categories), len(test), min(kind.k, len(y))
+    columns = [column(j, "knn", _knn_column, ds, j, train, test) for j in ds.predictor_indices]
+    votes = np.zeros((n_test, n_classes), dtype=np.min_scalar_type(k))  # small counts
     for start in range(0, n_test, _KNN_BLOCK_ROWS):
         stop = min(start + _KNN_BLOCK_ROWS, n_test)
-        dist2 = np.zeros((stop - start, n_train))
-        for is_cont, tr, te, tr_missing, te_missing in columns:
-            if is_cont:
-                contrib = te[start:stop, None] - tr[None, :]
-                contrib *= contrib
-                contrib[te_missing[start:stop]] = 1.0
-                contrib[:, tr_missing] = 1.0
-                dist2 += contrib
-            else:
-                dist2 += te[start:stop, None] != tr[None, :]  # a missing cell differs too
+        dist2 = np.zeros((stop - start, len(y)))
+        for j, col in zip(ds.predictor_indices, columns):
+            dist2 += column(j, start, _knn_distances, col, start, stop)
         rows, neighbours = np.nonzero(_nearest(dist2, k))
-        votes = np.bincount(
+        votes[start:stop] = np.bincount(
             rows * n_classes + y[neighbours], minlength=(stop - start) * n_classes
-        )
-        scores[start:stop] = votes.reshape(-1, n_classes) / k
-    return scores
+        ).reshape(-1, n_classes)
+    return votes
+
+
+def _learner_knn(kind, datasets, train_rows, test_rows):
+    """Vote shares of :func:`_knn_fold`, each dataset's made once the catalog is scored."""
+    for folds in _fold_by_fold(partial(_knn_fold, kind), datasets, train_rows, test_rows):
+        yield [votes / min(kind.k, len(rows)) for votes, rows in zip(folds, train_rows)]
 
 
 def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
@@ -272,45 +317,33 @@ def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
 _LOGISTIC_L2 = 1e-4
 
 
-def _logistic_design(ds: Dataset, rows):
-    """Column builders for the one-hot, imputed, standardized design matrix of ``ds``'s ``rows``."""
-    builders = []
-    for j in ds.predictor_indices:
-        col = ds.rows[rows, j]
-        present = ~np.isnan(col)
-        vals = col[present]
-        if ds.attributes[j].is_continuous:
-            fill = float(vals.mean()) if vals.size else 0.0
-            filled = np.where(present, col, fill)
-            mean = float(filled.mean())
-            std = float(filled.std(ddof=1)) if filled.size > 1 else 0.0
-            builders.append(("num", j, fill, mean, std))
-        else:
-            if vals.size:
-                counts = np.bincount(vals.astype(int), minlength=len(ds.attributes[j].categories))
-                fill = int(np.argmax(counts))
-            else:
-                fill = 0
-            builders.append(("cat", j, fill, len(ds.attributes[j].categories)))
-    return builders
+def _logistic_design(ds: Dataset, j, rows) -> tuple:
+    """The builder of predictor ``j``'s imputed, standardized or one-hot columns on ``rows``."""
+    COLUMN_FOLDS.increment()
+    col = ds.rows[rows, j]
+    present = ~np.isnan(col)
+    vals = col[present]
+    if ds.attributes[j].is_continuous:
+        fill = float(vals.mean()) if vals.size else 0.0
+        filled = np.where(present, col, fill)
+        std = float(filled.std(ddof=1)) if filled.size > 1 else 0.0
+        return "num", fill, float(filled.mean()), std
+    k = len(ds.attributes[j].categories)
+    return "cat", int(np.argmax(np.bincount(vals.astype(int), minlength=k))) if vals.size else 0, k
 
 
-def _logistic_apply(builders, ds: Dataset, rows, out=None) -> np.ndarray:
-    """The design matrix of ``ds``'s ``rows``, written into ``out`` when given."""
-    cols = []
-    for builder in builders:
-        col = ds.rows[rows, builder[1]]
-        if builder[0] == "num":
-            _, _, fill, mean, std = builder
-            filled = np.where(np.isnan(col), fill, col)
-            cols.append((filled - mean) / std if std > 0 else np.zeros(len(rows)))
-        else:
-            _, _, fill, k = builder
-            filled = np.where(np.isnan(col), float(fill), col).astype(int)
-            onehot = np.zeros((len(rows), k))
-            onehot[np.arange(len(rows)), filled] = 1.0
-            cols.append(onehot)
-    return np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols], axis=1, out=out)
+def _logistic_apply(builder, ds: Dataset, j, rows) -> np.ndarray:
+    """Predictor ``j``'s (n, width) design block of ``ds``'s ``rows``, by its builder."""
+    col = ds.rows[rows, j]
+    if builder[0] == "num":
+        _, fill, mean, std = builder
+        filled = np.where(np.isnan(col), fill, col)
+        return ((filled - mean) / std if std > 0 else np.zeros(len(rows)))[:, None]
+    _, fill, k = builder
+    filled = np.where(np.isnan(col), float(fill), col).astype(int)
+    onehot = np.zeros((len(rows), k))
+    onehot[np.arange(len(rows)), filled] = 1.0
+    return onehot
 
 
 def _logistic_objective(x: np.ndarray, y: np.ndarray, n_classes: int):
@@ -445,14 +478,26 @@ def _learner_logistic(datasets, train_rows, test_rows):
     The training folds of every dataset go, by the shape of their design
     matrices, into stacks of at most ``_LOGISTIC_BATCH_CELLS`` cells, each
     solved by one :func:`_lbfgsb` run; a fold's fit does not depend on the
-    folds it is stacked with.  Yields each dataset's fold scores in order.
+    folds it is stacked with.  The datasets share each column's fold builder
+    and its train and test blocks.  Yields each dataset's fold scores in order.
     """
     labels, n_classes = datasets[0].class_labels, len(datasets[0].class_attribute.categories)
-    builders = [[_logistic_design(ds, rows) for rows in train_rows] for ds in datasets]
+    shared = _Shared(datasets)
+    builders = [
+        [[shared.get(a, j, i, _logistic_design, ds, j, rows) for j in ds.predictor_indices]
+         for i, rows in enumerate(train_rows)]
+        for a, ds in enumerate(datasets)
+    ]
+
+    def design(a, i, rows, scope):
+        ds = datasets[a]
+        blocks = zip(ds.predictor_indices, builders[a][i])
+        return [shared.get(a, j, (i, scope), _logistic_apply, b, ds, j, rows) for j, b in blocks]
+
     shapes = {}
     for a, ds_builders in enumerate(builders):
         for i, fold_builders in enumerate(ds_builders):
-            d = sum(1 if b[0] == "num" else b[3] for b in fold_builders)
+            d = sum(1 if b[0] == "num" else b[2] for b in fold_builders)
             shapes.setdefault((len(train_rows[i]), d), []).append((a, i))
     params = {}
     for (n, d), folds in shapes.items():
@@ -460,7 +505,7 @@ def _learner_logistic(datasets, train_rows, test_rows):
         for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
             x = np.empty((len(chunk), n, d))
             for slot, (a, i) in zip(x, chunk):
-                _logistic_apply(builders[a][i], datasets[a], train_rows[i], out=slot)
+                np.concatenate(design(a, i, train_rows[i], "train"), axis=1, out=slot)
             y = labels[np.array([train_rows[i] for _, i in chunk])]
             params.update(zip(chunk, _lbfgsb(x, y, n_classes)[0]))
             del x  # so the next stack is not allocated beside this one
@@ -468,7 +513,7 @@ def _learner_logistic(datasets, train_rows, test_rows):
         scores = []
         for i, rows in enumerate(test_rows):
             w, b = params[a, i][:-n_classes].reshape(-1, n_classes), params[a, i][-n_classes:]
-            logits = _logistic_apply(builders[a][i], ds, rows) @ w + b
+            logits = np.concatenate(design(a, i, rows, "test"), axis=1) @ w + b
             logits -= logits.max(axis=1, keepdims=True)
             exp = np.exp(logits)
             scores.append(exp / exp.sum(axis=1, keepdims=True))
@@ -476,16 +521,6 @@ def _learner_logistic(datasets, train_rows, test_rows):
 
 
 # --- dispatch and cross-validation -------------------------------------------
-
-
-def _one_fold_at_a_time(fn):
-    """A learner that scores each fold of each dataset by ``fn(ds, train_rows, test_rows)``."""
-
-    def learner(datasets, train_rows, test_rows):
-        for ds in datasets:
-            yield [fn(ds, a, b) for a, b in zip(train_rows, test_rows)]
-
-    return learner
 
 
 def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows):
@@ -499,8 +534,8 @@ def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows):
         raise ValueError("empty training split")
     learners = {
         "tree": _learner_tree,
-        "nb": _one_fold_at_a_time(_learner_nb),
-        "knn": _one_fold_at_a_time(partial(_learner_knn, kind)),
+        "nb": partial(_fold_by_fold, _nb_fold),
+        "knn": partial(_learner_knn, kind),
         "logistic": _learner_logistic,
     }
     return learners[kind.family](datasets, train_rows, test_rows)
@@ -516,8 +551,7 @@ def fit_predict(kind: ClassifierKind, train: Dataset, test: Dataset):
         raise ValueError("train and test datasets have different schemas")
     both, n = replace(train, rows=np.vstack([train.rows, test.rows])), train.n_rows
     [[scores]] = _fold_scores(kind, [both], [np.arange(n)], [np.arange(n, both.n_rows)])
-    preds = scores.argmax(axis=1)
-    return [(int(p), scores[i]) for i, p in enumerate(preds)]
+    return [(int(p), row) for p, row in zip(scores.argmax(axis=1), scores)]
 
 
 def cross_validate(

@@ -174,6 +174,11 @@ class Dataset:
         return self.rows[:, j]
 
 
+def column_key(ds: Dataset, j: int) -> tuple:
+    """Attribute ``j``'s kind, category count and cell bytes: equal keys, equal columns."""
+    return ds.attributes[j].kind, len(ds.attributes[j].categories), ds.column(j).tobytes()
+
+
 def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
     """Read-only fold index of every row, spreading every class over ``k`` folds.
 

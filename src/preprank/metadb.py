@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -179,6 +178,7 @@ def build_metadb(
         raise ValueError("empty corpus")
     tasks = [(ds, algorithm, measure, seed) for ds in datasets]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at start-up: one job needs none
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_dataset_rows, tasks))
     else:

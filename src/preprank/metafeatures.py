@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .classifiers import CallCounter
-from .dataset import Dataset
+from .dataset import Dataset, column_key
 from .tree import entropy
 
 NOT_APPLICABLE = math.nan
@@ -171,13 +171,12 @@ def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
 def _column_stats(ds: Dataset, attr: int, columns: dict) -> tuple:
     """A predictor's (mean, std, kurtosis, skewness) or (entropy, information, distinct count).
 
-    ``columns`` keys them by kind, category count and cell bytes, so reuse is
-    exact among datasets sharing the class column; out-of-range ones never enter.
+    ``columns`` keys them by :func:`column_key`, so reuse is exact among
+    datasets sharing the class column; out-of-range ones never enter.
     """
-    a = ds.attributes[attr]
-    key = (a.kind, len(a.categories), ds.column(attr).tobytes())
+    key = column_key(ds, attr)
     if key not in columns:
-        if a.is_continuous:
+        if ds.attributes[attr].is_continuous:
             columns[key] = _continuous_stats(ds, attr)
         else:
             distinct = np.unique(_present(ds.column(attr))).size

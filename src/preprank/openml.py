@@ -14,8 +14,6 @@ import logging
 import os
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,12 +59,14 @@ def default_cache_dir() -> Path:
 
 
 def _default_fetch(url: str) -> bytes:
+    from urllib import error, request  # imported when a fetch needs them, not at start-up
+
     try:
-        with urllib.request.urlopen(url, timeout=60) as response:
+        with request.urlopen(url, timeout=60) as response:
             return response.read()
-    except urllib.error.HTTPError as exc:
+    except error.HTTPError as exc:
         raise OpenMLError(f"HTTP {exc.code} for {url}") from exc
-    except urllib.error.URLError as exc:
+    except error.URLError as exc:
         raise OpenMLError(f"cannot reach {url}: {exc.reason}") from exc
 
 

@@ -19,6 +19,7 @@ from preprank.classifiers import (
     LOGISTIC,
     NAIVE_BAYES,
     TREE,
+    COLUMN_FOLDS,
     CV_RUNS,
     ClassifierKind,
     PerformanceMeasures,
@@ -27,6 +28,7 @@ from preprank.classifiers import (
     knn,
     parse_classifier,
 )
+from conftest import distinct_columns
 from preprank import tree
 from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.synthetic import random_dataset
@@ -344,6 +346,12 @@ def _as_fold(train, test):
     return both, np.arange(train.n_rows), np.arange(train.n_rows, both.n_rows)
 
 
+def _one_fold(kind, ds, train_rows, test_rows):
+    """``kind``'s scores of one fold of one dataset, from the catalog learner."""
+    [[scores]] = classifiers_mod._fold_scores(kind, [ds], [train_rows], [test_rows])
+    return scores
+
+
 KNN_CASES = [
     dict(seed=1, n_rows=60, n_continuous=2, n_categorical=1),
     dict(seed=2, n_rows=90, n_continuous=3, n_categorical=2, coarse=True),
@@ -359,7 +367,7 @@ KNN_CASES = [
 def test_knn_matches_full_stable_sort(case, k):
     train, test = _knn_split(**case)
     expected = _argsort_knn(knn(k), train, test)
-    assert np.array_equal(classifiers_mod._learner_knn(knn(k), *_as_fold(train, test)), expected)
+    assert np.array_equal(_one_fold(knn(k), *_as_fold(train, test)), expected)
 
 
 def test_knn_case_spans_several_blocks():
@@ -378,7 +386,7 @@ def test_knn_overflowing_values_match_full_stable_sort():
     with np.errstate(all="ignore"):
         for k in (1, 2, 3, 5):
             expected = _argsort_knn(knn(k), train, test)
-            found = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
+            found = _one_fold(knn(k), *_as_fold(train, test))
             assert np.array_equal(found, expected)
 
 
@@ -386,9 +394,9 @@ def test_knn_overflowing_values_match_full_stable_sort():
 def test_knn_block_size_does_not_change_scores(monkeypatch, k):
     train, test = _knn_split(**KNN_CASES[4])
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 1)
-    one_row = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
+    one_row = _one_fold(knn(k), *_as_fold(train, test))
     monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
-    one_block = classifiers_mod._learner_knn(knn(k), *_as_fold(train, test))
+    one_block = _one_fold(knn(k), *_as_fold(train, test))
     assert np.array_equal(one_row, one_block)
 
 
@@ -421,10 +429,51 @@ def _minimize_objective(x, y, n_classes):
     return objective
 
 
+def _copy_design(ds, rows):
+    """Oracle: the column builders of ``ds``'s whole design on ``rows``, as one list."""
+    builders = []
+    for j in ds.predictor_indices:
+        col = ds.rows[rows, j]
+        present = ~np.isnan(col)
+        vals = col[present]
+        if ds.attributes[j].is_continuous:
+            fill = float(vals.mean()) if vals.size else 0.0
+            filled = np.where(present, col, fill)
+            mean = float(filled.mean())
+            std = float(filled.std(ddof=1)) if filled.size > 1 else 0.0
+            builders.append(("num", j, fill, mean, std))
+        else:
+            if vals.size:
+                counts = np.bincount(vals.astype(int), minlength=len(ds.attributes[j].categories))
+                fill = int(np.argmax(counts))
+            else:
+                fill = 0
+            builders.append(("cat", j, fill, len(ds.attributes[j].categories)))
+    return builders
+
+
+def _copy_apply(builders, ds, rows, out=None):
+    """Oracle: the design matrix of ``ds``'s ``rows`` by :func:`_copy_design`'s builders."""
+    cols = []
+    for builder in builders:
+        col = ds.rows[rows, builder[1]]
+        if builder[0] == "num":
+            _, _, fill, mean, std = builder
+            filled = np.where(np.isnan(col), fill, col)
+            cols.append((filled - mean) / std if std > 0 else np.zeros(len(rows)))
+        else:
+            _, _, fill, k = builder
+            filled = np.where(np.isnan(col), float(fill), col).astype(int)
+            onehot = np.zeros((len(rows), k))
+            onehot[np.arange(len(rows)), filled] = 1.0
+            cols.append(onehot)
+    return np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols], axis=1, out=out)
+
+
 def _logistic_problem(train):
     """The design matrix, labels and class count of a logistic fit on ``train``."""
     rows = np.arange(train.n_rows)
-    x = classifiers_mod._logistic_apply(classifiers_mod._logistic_design(train, rows), train, rows)
+    x = _copy_apply(_copy_design(train, rows), train, rows)
     return x, train.class_labels, len(train.class_attribute.categories)
 
 
@@ -518,7 +567,7 @@ def test_logistic_learner_scores_match_minimize_fits(mini_corpus_folds):
 def _minimize_scores(builders, test, params):
     """The class scores of ``test``: softmax of its design times the weights, plus intercepts."""
     n_classes = len(test.class_attribute.categories)
-    xt = classifiers_mod._logistic_apply(builders, test, np.arange(test.n_rows))
+    xt = _copy_apply(builders, test, np.arange(test.n_rows))
     d = xt.shape[1]
     logits = xt @ params[: d * n_classes].reshape(d, n_classes) + params[d * n_classes :]
     logits -= logits.max(axis=1, keepdims=True)
@@ -536,7 +585,7 @@ def _assert_learner_matches_minimize(ds, seed, expected):
     assert len(found) == len(expected) == 10
     for rows, test, scores, result in zip(train_rows, tests, found, expected):
         train = replace(ds, rows=ds.rows[rows])
-        builders = classifiers_mod._logistic_design(train, np.arange(train.n_rows))
+        builders = _copy_design(train, np.arange(train.n_rows))
         assert np.array_equal(scores, _minimize_scores(builders, test, result.x))
 
 
@@ -658,11 +707,11 @@ def test_logistic_cv_holds_one_fold_design_at_a_time(monkeypatch):
 
 
 def _subset_design(train):
-    return classifiers_mod._logistic_design(train, np.arange(train.n_rows))
+    return _copy_design(train, np.arange(train.n_rows))
 
 
 def _subset_apply(builders, ds, out=None):
-    return classifiers_mod._logistic_apply(builders, ds, np.arange(ds.n_rows), out=out)
+    return _copy_apply(builders, ds, np.arange(ds.n_rows), out=out)
 
 
 def _every_fold_lbfgsb(objective, n_folds, n_params):
@@ -782,7 +831,7 @@ def _spy_stacks(monkeypatch):
     return sizes
 
 
-def _catalog_logistic_cv(datasets, seed, k=10):
+def _catalog_cv(kind, datasets, seed, k=10):
     """The fold scores and measures of one catalog ``cross_validate``, from one run."""
     found, real = [], classifiers_mod._fold_scores
 
@@ -793,7 +842,7 @@ def _catalog_logistic_cv(datasets, seed, k=10):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifiers_mod, "_fold_scores", spy)
-        measures = cross_validate(LOGISTIC, datasets, k, seed=seed)
+        measures = cross_validate(kind, datasets, k, seed=seed)
     assert len(found) == len(measures) == len(datasets)
     return found, measures
 
@@ -805,7 +854,7 @@ def test_catalog_logistic_cv_matches_one_dataset_oracle_on_mini_corpus(
     stacks = _spy_stacks(monkeypatch)
     for ds in mini_datasets:
         catalog = _with_versions(ds)
-        found, measures = _catalog_logistic_cv(catalog, seed)
+        found, measures = _catalog_cv(LOGISTIC, catalog, seed)
         fold_of_row = stratified_folds(ds, 10, seed)
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
         test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
@@ -823,14 +872,14 @@ def test_catalog_logistic_cv_matches_one_dataset_oracle_on_mini_corpus(
 def test_logistic_stacks_of_one_fold_give_the_same_scores(mini_datasets, monkeypatch):
     for ds in mini_datasets[:4]:
         catalog = _with_versions(ds)
-        expected, measures = _catalog_logistic_cv(catalog, 7)
+        expected, measures = _catalog_cv(LOGISTIC, catalog, 7)
         fold_of_row = stratified_folds(ds, 10, 7)
         n = min(np.count_nonzero(fold_of_row != f) for f in range(10))
         d = min(_subset_apply(_subset_design(member), member).shape[1] for member in catalog)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifiers_mod, "_LOGISTIC_BATCH_CELLS", n * d)  # one fold's cells
             stacks = _spy_stacks(mp)
-            found, found_measures = _catalog_logistic_cv(catalog, 7)
+            found, found_measures = _catalog_cv(LOGISTIC, catalog, 7)
         assert set(stacks) == {1} and len(stacks) == 10 * len(catalog)
         assert found_measures == measures
         for ours, theirs in zip(found, expected):
@@ -1082,7 +1131,7 @@ def _assert_nb_matches_per_row(ds, seed, k=10):
         train_rows, test_rows = np.flatnonzero(fold_of_row != f), np.flatnonzero(fold_of_row == f)
         train = replace(ds, rows=ds.rows[train_rows])
         test = replace(ds, rows=ds.rows[test_rows])
-        ours = classifiers_mod._learner_nb(ds, train_rows, test_rows)
+        ours = _one_fold(NAIVE_BAYES, ds, train_rows, test_rows)
         theirs = _per_row_nb(train, test)
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
         folds.append((train, test))
@@ -1120,7 +1169,7 @@ def test_nb_rejects_a_test_row_that_no_class_can_score():
     test = small_dataset([[1e300, 0]])  # its squared distance to both means overflows
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError):
-            classifiers_mod._learner_nb(*_as_fold(train, test))
+            _one_fold(NAIVE_BAYES, *_as_fold(train, test))
         with pytest.raises(ValueError):
             _per_row_nb(train, test)
 
@@ -1235,15 +1284,18 @@ def test_nb_and_knn_on_row_indices_match_fold_copy_oracle_on_mini_corpus(mini_da
         fold_of_row = stratified_folds(ds, 10, seed)
         train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
         test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+        order = np.argsort(np.concatenate(test_rows))
         for kind in (NAIVE_BAYES, knn(1), knn(3)):
-            found = list(classifiers_mod._fold_scores(kind, catalog, train_rows, test_rows))
+            found, measures = _catalog_cv(kind, catalog, seed)  # the datasets share columns
             oracle = list(_copy_fold_scores(kind, catalog, train_rows, test_rows))
             assert len(found) == len(oracle) == len(catalog)
-            for folds, oracle_folds in zip(found, oracle):
+            for member, folds, oracle_folds, pm in zip(catalog, found, oracle, measures):
                 assert len(folds) == len(oracle_folds) == 10
                 for ours, theirs in zip(folds, oracle_folds):
                     assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
                     assert ours.tobytes() == theirs.tobytes()
+                y = member.class_labels
+                assert pm == _rankdata_pooled_measures(y, np.vstack(oracle_folds)[order])
 
 
 # --- pooled measures: average ranks without SciPy ---------------------------------
@@ -1294,3 +1346,112 @@ def test_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_fetching_and_process_pools_unloaded():
+    code = (
+        "import preprank, preprank.cli, sys; "
+        "print(*[m in sys.modules for m in ('urllib.request', 'concurrent.futures.process')])"
+    )
+    src = str(Path(classifiers_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    assert done.stdout.split() == ["False", "False"]
+
+
+# --- catalog CVs share each distinct column's fold work ---------------------------
+
+SHARING_KINDS = [NAIVE_BAYES, knn(1), knn(3), LOGISTIC]
+
+
+def _assert_catalog_equals_one_dataset_cvs(kind, datasets, seed, k=10):
+    """Each dataset's fold scores and measures equal its one-dataset CV's, byte for byte."""
+    found, measures = _catalog_cv(kind, datasets, seed, k)
+    for ds, folds, pm in zip(datasets, found, measures):
+        [alone], [alone_pm] = _catalog_cv(kind, [ds], seed, k)
+        assert len(folds) == len(alone) == k
+        for ours, theirs in zip(folds, alone):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert pm == alone_pm
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_catalog_knn_shares_each_block_addend(mini_datasets, monkeypatch, k):
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 3)  # several blocks per fold
+    for ds in mini_datasets[12:16]:
+        _assert_catalog_equals_one_dataset_cvs(knn(k), _with_versions(ds), 7)
+
+
+@st.composite
+def _fuzz_catalogs(draw):
+    """A fuzzed catalog: a dataset, its byte-equal copy, a version with a repeated column.
+
+    Then the repeat with more NaN cells, and the dataset's operator versions.
+    """
+    ds = draw(_fuzz_datasets())
+    j = draw(st.sampled_from(ds.predictor_indices))
+    holes = np.array(draw(st.lists(st.booleans(), min_size=ds.n_rows, max_size=ds.n_rows)))
+    rows = np.column_stack([ds.rows[:, :-1], ds.rows[:, j], ds.rows[:, -1]])
+    copied = Dataset(
+        "copied", (*ds.attributes[:-1], replace(ds.attributes[j], name="copy"), ds.class_attribute),
+        ds.n_attributes, rows,
+    )
+    rows = np.array(rows)
+    rows[holes, j] = np.nan
+    holed = Dataset("holed", copied.attributes, copied.class_index, rows)
+    return [ds, replace(ds, name="same"), copied, holed, *_with_versions(ds)[1:]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_fuzz_catalogs(), st.integers(0, 1000))
+def test_catalog_cv_equals_one_dataset_cvs_on_fuzzed_catalogs(catalog, seed):
+    for kind in SHARING_KINDS:
+        found = _assert_catalog_equals_one_dataset_cvs(kind, catalog, seed, k=5)
+        assert [a.tobytes() for a in found[1]] == [a.tobytes() for a in found[0]]  # the copy
+
+
+@pytest.mark.parametrize("cells", [0, 300])
+def test_shared_cells_budget_does_not_change_scores(mini_datasets, monkeypatch, cells):
+    catalogs = [_with_versions(mini_datasets[i]) for i in (7, 15)]
+    expected = {
+        (kind, i): _catalog_cv(kind, catalog, 7)
+        for kind in SHARING_KINDS for i, catalog in enumerate(catalogs)
+    }
+    real_get, held = classifiers_mod._Shared.get, []
+
+    def get(self, *args):
+        value = real_get(self, *args)
+        held.append(self.cells)
+        return value
+
+    monkeypatch.setattr(classifiers_mod, "_SHARED_CELLS", cells)
+    monkeypatch.setattr(classifiers_mod._Shared, "get", get)
+    for kind in SHARING_KINDS:
+        for i, catalog in enumerate(catalogs):
+            COLUMN_FOLDS.reset()
+            found, measures = _catalog_cv(kind, catalog, 7)
+            want, want_measures = expected[kind, i]
+            assert measures == want_measures
+            for ours, theirs in zip(found, want):
+                assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+            pairs = 10 * sum(len(ds.predictor_indices) for ds in catalog)
+            assert COLUMN_FOLDS.value == pairs if cells == 0 else COLUMN_FOLDS.value < pairs
+    assert max(held) <= cells and (cells == 0 or max(held) > 0)
+
+
+@pytest.mark.parametrize("kind", SHARING_KINDS, ids=lambda kind: kind.name)
+def test_column_folds_count_each_distinct_column_once_per_fold(mini_datasets, kind):
+    catalog = _with_versions(mini_datasets[15])
+    COLUMN_FOLDS.reset()
+    cross_validate(kind, catalog, 10, seed=7)
+    assert COLUMN_FOLDS.value == 10 * len(distinct_columns(catalog))
+    assert COLUMN_FOLDS.value < 10 * sum(len(ds.predictor_indices) for ds in catalog)
+    for ds in catalog[:3]:
+        COLUMN_FOLDS.reset()
+        cross_validate(kind, [ds], 10, seed=7)
+        assert COLUMN_FOLDS.value == 10 * len(ds.predictor_indices)
+
