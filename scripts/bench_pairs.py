@@ -20,15 +20,26 @@ metric's bound of the parent's.  A gain needs wins in at least nine tenths of th
 medians that far apart, and no more failed operations than the parent.
 The file is rewritten after every pair, so an interrupted run keeps the
 pairs it finished.
+
+``--cold-start N`` adds N alternating pairs of fresh processes, which the
+benchmark cannot see since it imports ``preprank`` before timing: ``import
+preprank.cli``, then a small tree and a small knn:1 ``recommend`` of
+``mini_corpus(99)[0]`` as the console script runs it.  Each side first
+trains its 100-tree models from ``mini_corpus(7)`` in a temporary directory,
+before any timing.  Each run's wall time, CPU time and max RSS are kept, and
+under ``"cold_start"`` each side's median and quartiles of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -105,14 +116,116 @@ def summarize(pairs: list[dict], metric: dict, failed: dict) -> dict:
     return out
 
 
+#: in the directory argv[1]: mini_corpus(7) as ARFF files, its tree and knn:1 metadbs
+#: and 100-tree models, and the small request's dataset
+_COLD_START_SETUP = """\
+import sys
+from pathlib import Path
+
+from preprank import cli, dataset, synthetic
+
+root = Path(sys.argv[1])
+corpus = synthetic.mini_corpus(7)
+for ds in corpus:
+    (root / f"{ds.name}.arff").write_text(dataset.serialize_arff(ds), encoding="utf-8")
+manifest = root / "corpus.manifest"
+manifest.write_text("".join(f"{ds.name}.arff\\n" for ds in corpus), encoding="utf-8")
+small = dataset.serialize_arff(synthetic.mini_corpus(99)[0])
+(root / "small.arff").write_text(small, encoding="utf-8")
+for learner in ("tree", "knn:1"):
+    stem = str(root / learner.replace(":", ""))
+    for args in (
+        ["build-metadb", "--datasets", str(manifest), "--algorithm", learner, "--seed", "7",
+         "--out", stem + ".tsv"],
+        ["train", "--metadb", stem + ".tsv", "--trees", "100", "--seed", "7",
+         "--out", stem + ".json"],
+    ):
+        if cli.main(args) != 0:
+            sys.exit(f"set-up failed: {args}")
+"""
+
+#: what the ``preprank`` console script runs
+_ENTRY_POINT = "import sys; from preprank.cli import main; sys.exit(main(sys.argv[1:]))"
+
+COLD_START_RUNS = ("import", "recommend_tree", "recommend_knn1")
+COLD_START_METRICS = ("wall_s", "cpu_s", "max_rss_mb")
+
+
+def _cold_start_argv(run: str) -> list[str]:
+    """The run's command line, in the directory that ``_COLD_START_SETUP`` filled."""
+    if run == "import":
+        return [sys.executable, "-c", "import preprank.cli"]
+    learner = {"recommend_tree": "tree", "recommend_knn1": "knn:1"}[run]
+    return [sys.executable, "-c", _ENTRY_POINT, "recommend", "--dataset", "small.arff",
+            "--algorithm", learner, "--model", learner.replace(":", "") + ".json"]
+
+
+def fresh_process(argv: list[str], env: dict, cwd: Path) -> dict:
+    """One child's wall time, CPU time (user + system) and max RSS, or an ``error``.
+
+    The child's stdout is kept as its SHA-256, so the two sides' outputs compare.
+    """
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        if child.returncode != 0:
+            return {"error": f"exit {child.returncode}"}
+        out.seek(0)
+        return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+                "max_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
+                "stdout_sha256": hashlib.sha256(out.read()).hexdigest()}
+
+
+def summarize_cold_start(pairs: list[dict]) -> dict:
+    """Per cold-start run and metric, each side's quartiles and the ratio of the medians."""
+    out = {}
+    for run in COLD_START_RUNS:
+        out[run] = {}
+        for metric in COLD_START_METRICS:
+            values = {side: [p[side][run][metric] for p in pairs if metric in p[side][run]]
+                      for side in SIDES}
+            entry = out[run][metric] = {side: _quartiles(values[side]) for side in SIDES}
+            if values["parent"] and values["change"]:
+                entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+    return out
+
+
+def cold_start(checkouts: dict, n_pairs: int, report: dict, out: Path) -> None:
+    """Set up both sides, then add ``n_pairs`` alternating pairs to ``report``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        roots = {side: Path(scratch, side) for side in SIDES}
+        envs = {side: {**os.environ, "PYTHONPATH": str(checkouts[side] / "src")} for side in SIDES}
+        for side in SIDES:
+            roots[side].mkdir()
+            subprocess.run([sys.executable, "-c", _COLD_START_SETUP, str(roots[side])],
+                           env=envs[side], check=True, stdout=subprocess.DEVNULL)
+        entry = report["cold_start"] = {"pairs": []}
+        for i in range(n_pairs):
+            pair = {"first": SIDES[i % 2]}
+            for side in SIDES[:: 1 if i % 2 == 0 else -1]:
+                pair[side] = {run: fresh_process(_cold_start_argv(run), envs[side], roots[side])
+                              for run in COLD_START_RUNS}
+            entry["pairs"].append(pair)
+            entry["summary"] = summarize_cold_start(entry["pairs"])
+            out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+            print(f"cold start pair {i}: done", file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", type=_workload, action="append", required=True,
+    parser.add_argument("--workload", type=_workload, action="append", default=[],
                         help="NAME:FIRST-LAST, one seed per pair")
+    parser.add_argument("--cold-start", type=int, default=0, metavar="PAIRS",
+                        help="alternating pairs of fresh-process runs (see above)")
     args = parser.parse_args(argv)
+    if not args.workload and args.cold_start < 1:
+        parser.error("give a --workload or a --cold-start above 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -143,6 +256,8 @@ def main(argv=None) -> int:
             entry["summary"] = {m["name"]: summarize(entry["pairs"], m, entry["failed"])
                                 for m in benchmark["end_to_end"]}
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    if args.cold_start:
+        cold_start(checkouts, args.cold_start, report, args.out)
     return 0
 
 

@@ -7,12 +7,14 @@ L2-penalized multinomial logistic regression.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import astuple, dataclass, replace
-from functools import partial
+from functools import cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from . import tree
 from .dataset import Dataset, column_key, stratified_folds
@@ -408,6 +410,27 @@ _LBFGSB_MAX_EVALUATIONS = 15000
 _FG, _NEW_X, _STOP = 3, 1, 5
 
 
+def _extension_spec(directory: str, name: str):  # extension module ``name``'s file there, or None
+    return FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+
+
+@cache
+def _setulb():
+    """SciPy's L-BFGS-B routine ``setulb``, loaded when a logistic fit first needs it.
+
+    ``import scipy.optimize`` costs about 0.55 s and 40 MB; unless it is loaded already,
+    only its ``_lbfgsb`` extension file is loaded, located without importing SciPy.
+    """
+    name, scipy = "scipy.optimize._lbfgsb", importlib.util.find_spec("scipy")
+    optimize = scipy and f"{scipy.submodule_search_locations[0]}/optimize"
+    if name in sys.modules or not (spec := optimize and _extension_spec(optimize, name)):
+        return importlib.import_module(name).setulb  # loaded, no file (zipped SciPy), no SciPy
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)  # where a single-phase extension registers itself
+    return module.setulb
+
+
 def _lbfgsb(x: np.ndarray, y: np.ndarray, n_classes: int):
     """Minimize each fold's loss from zeros by L-BFGS-B, the folds in lockstep.
 
@@ -440,6 +463,7 @@ def _lbfgsb(x: np.ndarray, y: np.ndarray, n_classes: int):
     at = stack.copy()  # fold i's row of the objective's losses and gradients
     objective = _logistic_objective(x, y, n_classes)
     losses, gradients = np.zeros(n_folds), np.zeros((n_folds, n))
+    setulb = _setulb()
 
     def asks_for_fg(i):
         wa, iwa, task, ln_task, lsave, isave, dsave = workspaces[i]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv as _csvmod
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from io import StringIO
 from pathlib import Path
 
@@ -158,15 +159,15 @@ class Dataset:
     def class_labels(self) -> np.ndarray:
         return self.rows[:, self.class_index].astype(int)
 
-    @property
+    @cached_property
     def predictor_indices(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.n_attributes) if j != self.class_index)
 
-    @property
+    @cached_property
     def continuous_predictors(self) -> tuple[int, ...]:
         return tuple(j for j in self.predictor_indices if self.attributes[j].is_continuous)
 
-    @property
+    @cached_property
     def categorical_predictors(self) -> tuple[int, ...]:
         return tuple(j for j in self.predictor_indices if self.attributes[j].is_categorical)
 

@@ -84,3 +84,46 @@ def test_no_run_length_option():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", ".", "--change", ".", "--out", "x.json",
                           "--workload", "recommend:1-2", "--seconds", "1"])
+
+
+def _cold_pair(parent_wall, change_wall):
+    def side(wall):
+        run = {"wall_s": wall, "cpu_s": wall / 2, "max_rss_mb": 40.0}
+        return {name: dict(run) for name in bench_pairs.COLD_START_RUNS}
+
+    return {"parent": side(parent_wall), "change": side(change_wall)}
+
+
+def test_cold_start_summary_of_hand_made_timings():
+    pairs = [_cold_pair(1.0 + 0.1 * i, 0.4 + 0.01 * i) for i in range(4)]
+    pairs[0]["change"]["recommend_tree"] = {"error": "exit 1"}  # stays out of the quartiles
+    out = bench_pairs.summarize_cold_start(pairs)
+    assert set(out) == set(bench_pairs.COLD_START_RUNS)
+    wall = out["import"]["wall_s"]
+    assert wall["parent"] == pytest.approx({"median": 1.15, "q1": 1.075, "q3": 1.225})
+    assert wall["change"] == pytest.approx({"median": 0.415, "q1": 0.4075, "q3": 0.4225})
+    assert wall["change_over_parent"] == pytest.approx(0.415 / 1.15)
+    assert out["import"]["cpu_s"]["parent"]["median"] == pytest.approx(0.575)
+    assert out["import"]["max_rss_mb"]["change_over_parent"] == 1.0
+    assert out["recommend_tree"]["wall_s"]["change"]["median"] == pytest.approx(0.42)
+
+
+def test_cold_start_runs_fresh_processes(tmp_path):
+    out = tmp_path / "cold.json"
+    assert bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--out", str(out),
+                             "--cold-start", "1"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    [pair] = report["cold_start"]["pairs"]
+    for run in bench_pairs.COLD_START_RUNS:
+        parent, change = pair["parent"][run], pair["change"][run]
+        assert "error" not in parent and "error" not in change
+        assert parent["stdout_sha256"] == change["stdout_sha256"]  # one checkout, one output
+        assert parent["max_rss_mb"] > 0 and parent["wall_s"] > 0
+        summary = report["cold_start"]["summary"][run]["wall_s"]
+        assert summary["parent"]["median"] == parent["wall_s"]
+    assert report["workloads"] == {}
+
+
+def test_a_run_needs_a_workload_or_cold_start_pairs():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", ".", "--change", ".", "--out", "x.json"])

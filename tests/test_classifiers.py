@@ -1,10 +1,12 @@
+import importlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from preprank.classifiers import (
 from conftest import distinct_columns
 from preprank import tree
 from preprank.dataset import Attribute, Dataset, stratified_folds
-from preprank.synthetic import random_dataset
+from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import TransformationSpec, apply, enumerate_applicable
 
 
@@ -1360,6 +1362,80 @@ def test_import_leaves_fetching_and_process_pools_unloaded():
         check=True,
     )
     assert done.stdout.split() == ["False", "False"]
+
+
+_COLD_START_GUARD = """
+import sys
+from dataclasses import astuple
+
+import preprank.cli
+from preprank import classifiers, synthetic
+
+heavy = ("scipy.optimize", "scipy.stats", "urllib.request", "concurrent.futures.process")
+print([m for m in heavy if m in sys.modules])
+dataset = synthetic.mini_corpus(7)[0]
+[measures] = classifiers.cross_validate(classifiers.LOGISTIC, [dataset], seed=7)
+print("scipy.optimize" in sys.modules)
+print(repr(astuple(measures)))
+"""
+
+
+def test_cli_import_and_a_logistic_cv_leave_scipy_optimize_unloaded():
+    src = str(Path(classifiers_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START_GUARD], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    imported, optimize_loaded, measures = done.stdout.splitlines()
+    assert imported == "[]"  # after ``import preprank.cli``
+    assert optimize_loaded == "False"  # after a logistic CV, through the extension file alone
+    # this process fits through ``scipy.optimize._lbfgsb``, imported at the top
+    [expected] = cross_validate(LOGISTIC, mini_corpus(7)[:1], seed=7)
+    assert measures == repr(astuple(expected))
+
+
+# --- loading setulb without scipy.optimize --------------------------------------
+
+_LBFGSB_MODULE = "scipy.optimize._lbfgsb"
+
+
+@pytest.fixture
+def fresh_setulb():
+    """``classifiers._setulb`` looks ``setulb`` up again, in this test and after it."""
+    classifiers_mod._setulb.cache_clear()
+    yield
+    classifiers_mod._setulb.cache_clear()
+
+
+def test_setulb_is_the_loaded_scipy_optimize_one(fresh_setulb):
+    assert classifiers_mod._setulb() is setulb
+
+
+def test_setulb_loads_only_the_extension_file(monkeypatch, fresh_setulb):
+    monkeypatch.delitem(sys.modules, _LBFGSB_MODULE)
+    found = classifiers_mod._setulb()
+    assert _LBFGSB_MODULE not in sys.modules
+    assert found.__self__.__file__.endswith(tuple(EXTENSION_SUFFIXES))
+
+
+def test_setulb_without_an_extension_file_imports_scipy_optimize(
+    mini_datasets, monkeypatch, fresh_setulb
+):
+    problems = _fold_problems(mini_datasets[0])
+    xs, ys, classes = zip(*(problems[i] for i in _shape_groups(problems)[0]))
+    expected, _ = classifiers_mod._lbfgsb(np.stack(xs), np.stack(ys), classes[0])
+    looked_up = []
+    monkeypatch.setattr(classifiers_mod, "_extension_spec", lambda *args: looked_up.append(args))
+    # the import below rebinds the package's attribute; it is restored after the test
+    monkeypatch.setattr(sys.modules["scipy.optimize"], "_lbfgsb", sys.modules[_LBFGSB_MODULE])
+    monkeypatch.delitem(sys.modules, _LBFGSB_MODULE)
+    classifiers_mod._setulb.cache_clear()
+    found = classifiers_mod._setulb()
+    assert len(looked_up) == 1
+    assert found is importlib.import_module(_LBFGSB_MODULE).setulb
+    params, _ = classifiers_mod._lbfgsb(np.stack(xs), np.stack(ys), classes[0])
+    assert params.tobytes() == expected.tobytes()
 
 
 # --- catalog CVs share each distinct column's fold work ---------------------------

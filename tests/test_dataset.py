@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from preprank.dataset import (
     stratified_folds,
 )
 from preprank.synthetic import random_dataset
+from preprank.transforms import apply, enumerate_applicable
 
 SIMPLE_ARFF = """\
 @relation demo
@@ -451,3 +453,33 @@ def test_question_mark_category_round_trips():
     text = serialize_arff(ds)
     assert "'?',1.0,'?'" in text and "?,?,p" in text
     assert parse_arff(text) == ds
+
+
+PREDICTOR_PROPERTIES = ("predictor_indices", "continuous_predictors", "categorical_predictors")
+
+
+def _predictor_properties(ds):
+    return tuple(getattr(ds, name) for name in PREDICTOR_PROPERTIES)
+
+
+def _computed_predictor_properties(ds):
+    """Oracle: the three index tuples, built afresh."""
+    predictors = tuple(j for j in range(ds.n_attributes) if j != ds.class_index)
+    return (
+        predictors,
+        tuple(j for j in predictors if ds.attributes[j].is_continuous),
+        tuple(j for j in predictors if ds.attributes[j].is_categorical),
+    )
+
+
+def test_predictor_index_properties_are_computed_once_per_dataset(mini_datasets):
+    for base in mini_datasets:
+        for ds in [base, *(apply(spec, base) for spec in enumerate_applicable(base))]:
+            first = _predictor_properties(ds)
+            assert first == _computed_predictor_properties(ds)
+            assert all(a is b for a, b in zip(first, _predictor_properties(ds)))
+            copy = replace(ds, rows=ds.rows[::2])
+            assert not set(PREDICTOR_PROPERTIES) & copy.__dict__.keys()  # none inherited
+            assert _predictor_properties(copy) == _computed_predictor_properties(copy)
+            # ``--jobs`` sends datasets through a process pool
+            assert _predictor_properties(pickle.loads(pickle.dumps(ds))) == first
