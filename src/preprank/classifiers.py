@@ -149,10 +149,10 @@ def _learner_tree(datasets, train_rows, test_rows):
     """Information-gain trees; the fold trees of several datasets grow together.
 
     Consecutive datasets of at most ``_TREE_BATCH_CELLS`` cells (one over it
-    alone) share a :func:`tree.grow` over their columns side by side, each
-    fold tree with its dataset's predictors as fixed candidates, so it grows
-    a level per step.  Leaves hold at least 2 rows; a categorical split has
-    one child per category.
+    alone) share a :func:`tree.grow` over their distinct predictor columns,
+    each stacked once, and each fold tree takes its dataset's predictors
+    among them as fixed candidates, so it grows a level per step.  Leaves
+    hold at least 2 rows; a categorical split has one child per category.
     """
     groups = [[]]
     for ds in datasets:
@@ -160,16 +160,19 @@ def _learner_tree(datasets, train_rows, test_rows):
             groups.append([])
         groups[-1].append(ds)
     for group in groups:
-        x = np.hstack([ds.rows for ds in group])
-        trees, categorical, offset = [], [], 0
+        stacked, trees = {}, []  # each distinct column's key -> (index in x, dataset, column)
         for ds in group:
-            predictors = offset + np.asarray(ds.predictor_indices)
+            predictors = np.array([
+                stacked.setdefault(column_key(ds, j) if len(datasets) > 1 else j,
+                                   (len(stacked), ds, j))[0]
+                for j in ds.predictor_indices
+            ])
             trees += [(rows, predictors) for rows in train_rows]  # its own columns
-            categorical += [offset + j for j in ds.categorical_predictors]
-            offset += ds.n_attributes
+        x = np.column_stack([ds.rows[:, j] for _, ds, j in stacked.values()])
+        categorical = [i for i, ds, j in stacked.values() if ds.attributes[j].is_categorical]
         roots = tree.grow(  # every dataset has the rows and class column of the last
             x, ds.class_labels, np.ones(ds.n_rows), len(ds.class_attribute.categories), trees,
-            criterion=tree.ENTROPY, categorical=frozenset(categorical), min_leaf=2,
+            criterion=tree.ENTROPY, categorical=categorical, min_leaf=2,
         )
         tests = [x[rows] for rows in test_rows] * len(group)
         scores = [np.vstack([tree.leaf(r, t)["p"] for t in test]) for r, test in zip(roots, tests)]
@@ -361,11 +364,11 @@ def _logistic_objective(x: np.ndarray, y: np.ndarray, n_classes: int):
     """
     n_folds, n, d = x.shape
     n_weights = d * n_classes
-    folds, rows = np.ogrid[:n_folds, :n]
-    onehot = np.zeros((n_folds, n, n_classes))
-    onehot[folds, rows, y] = 1.0
+    own = np.arange(n_folds * n).reshape(n_folds, n) * n_classes + y  # each row's class, flat
     xt = x.transpose(0, 2, 1)
     proba = np.empty((n_folds, n, n_classes))
+    flat_proba = proba.reshape(-1)
+    picked = np.empty((n_folds, n))
     squares = np.empty((n_folds, n_weights))
     losses = np.empty(n_folds)
     gradients = np.empty((n_folds, n_weights + n_classes))
@@ -382,13 +385,14 @@ def _logistic_objective(x: np.ndarray, y: np.ndarray, n_classes: int):
             np.maximum(top, proba[:, :, c], out=top)
         np.subtract(proba, top[:, :, None], out=proba)
         np.exp(proba, out=proba)
-        np.divide(proba, np.add.reduce(proba, axis=2, keepdims=True), out=proba)
-        picked = np.maximum(proba[folds, rows, y], 1e-300)
+        np.divide(proba, tree._class_sums(proba)[:, :, None], out=proba)
+        np.take(flat_proba, own, out=picked, mode="clip")  # all in range; "raise" would buffer
+        np.maximum(picked, 1e-300, out=picked)
         np.add.reduce(np.log(picked, out=picked), axis=1, out=losses)
         np.divide(losses, -n, out=losses)  # -(sum / n), bit for bit
         np.multiply(flat_w, flat_w, out=squares)
         np.add(losses, 0.5 * _LOGISTIC_L2 * np.add.reduce(squares, axis=1), out=losses)
-        np.subtract(proba, onehot, out=proba)  # n times the loss gradient per logit
+        flat_proba[own] -= 1.0  # n times the loss gradient per logit
         np.divide(proba, n, out=proba)
         np.matmul(xt, proba, out=grad_w)
         np.add(grad_w, _LOGISTIC_L2 * w, out=grad_w)
@@ -467,14 +471,14 @@ def _lbfgsb(x: np.ndarray, y: np.ndarray, n_classes: int):
 
     def asks_for_fg(i):
         wa, iwa, task, ln_task, lsave, isave, dsave = workspaces[i]
+        point, loss, gradient = params[i], losses[at[i]], gradients[at[i]]
         while True:
             setulb(
-                m, params[i], bound, bound, bound_type, losses[at[i]], gradients[at[i]],
-                _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task, lsave, isave, dsave,
-                _LBFGSB_MAX_LINE_SEARCH, ln_task,
+                m, point, bound, bound, bound_type, loss, gradient, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, ln_task,
             )
-            if task[0] != _NEW_X:
-                return task[0] == _FG
+            if (code := task[0]) != _NEW_X:
+                return code == _FG
             iterations[i] += 1
             if iterations[i] >= _LBFGSB_MAX_ITERATIONS:
                 task[:] = _STOP, 504  # iteration limit

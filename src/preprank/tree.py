@@ -13,8 +13,9 @@ cross-validation, the trees of a forest) grow in lockstep, and each step
 searches the nodes it takes from all trees together.  A tree whose
 candidate columns are fixed (a base tree) gives a step every node it has
 pending, a whole level; a tree that draws its candidates (a forest tree)
-gives one node, so its draws stay in pre-order.  A step searches (node
-rows, candidate column) pairs.  Its numeric pairs go in one batch per chunk
+gives one node, so its draws stay in pre-order.  A step searches each
+distinct (node rows, candidate column) pair once, since nodes of different
+trees can hold the same rows.  Its numeric pairs go in one batch per chunk
 of similar-sized pairs, each pair's rows padded to the chunk's widest with
 missing values of no weight: one stable sort of the (pairs x rows) block,
 one (pairs x rows x classes) prefix sum of class weights and one matrix of
@@ -177,14 +178,14 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
 def _select_rows(gains: np.ndarray) -> np.ndarray:
     """:func:`select` on every row of a gain matrix, -1 for None.
 
-    When a row's first maximum clears every other gain by the margin it is
-    the answer; otherwise the scan is replayed over the gains above all
-    earlier ones, the only ones that can replace the best.  A row's -inf
-    entries are never chosen and never change the choice.
+    When every gain within the margin of a row's maximum equals it, the
+    row's first maximum is the answer; otherwise the scan is replayed over
+    the gains above all earlier ones, the only ones that can replace the
+    best.  A row's -inf entries are never chosen and never change the choice.
     """
     top = gains.argmax(axis=1)
     best = gains.max(axis=1)
-    near = (gains + _MARGIN >= best[:, None]).sum(axis=1) > 1
+    near = ((gains + _MARGIN >= best[:, None]) & (gains != best[:, None])).any(axis=1)
     for j in np.flatnonzero(near & (best > _MARGIN)):  # replay the scan on near-ties
         row, best_gain = gains[j], 0.0
         for r in np.flatnonzero(row > np.maximum.accumulate(np.append(0.0, row))[:-1]):
@@ -281,33 +282,69 @@ def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
     return gains
 
 
-def _split_gains(xt, y, w, onehot, nodes, is_categorical, min_leaf, criterion):
+def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criterion):
     """Gain of every candidate column of every node, and the values around numeric cuts.
 
-    ``nodes`` holds each node as (rows, candidate columns).  Each (node
-    rows, column) pair goes to :func:`_search` or, for a categorical column,
-    :func:`_categorical_gains`.  Returns three (nodes x most candidates)
-    matrices: the gains, -inf where a column has no split or a node has
-    fewer candidates, and for a numeric column the two adjacent sorted
-    values its cut lies between.
+    ``nodes`` holds each node as (rows, candidate columns), and ``same``
+    each node's index of the first node with its rows, or is None when no
+    two nodes share rows.  Each distinct (node rows, column) pair goes once
+    to :func:`_search` or, for a categorical column, :func:`_categorical_gains`.
+    Returns three (nodes x most candidates) matrices: the gains, -inf where
+    a column has no split or a node has fewer candidates, and for a numeric
+    column the two adjacent sorted values its cut lies between.
     """
     widths = [feats.size for _, feats in nodes]
     node = np.repeat(np.arange(len(nodes)), widths)
     position = np.arange(node.size) - np.repeat(np.cumsum(widths) - widths, widths)
     feats = np.concatenate([feats for _, feats in nodes])
-    cat = is_categorical[feats]
-    found = np.full((3, len(nodes), max(widths)), -np.inf)
+    pairs = inverse = slice(None)  # the pairs searched, and each pair's among them
+    if same is not None:
+        _, pairs, inverse = np.unique(
+            same[node] * xt.shape[0] + feats, return_index=True, return_inverse=True
+        )
+    node_of, cols = node[pairs], feats[pairs]
+    cat = is_categorical[cols]
+    found = np.full((3, cols.size), -np.inf)
     if not cat.all():
-        rows = [nodes[i][0] for i in node[~cat].tolist()]
-        found[:, node[~cat], position[~cat]] = _search(
-            xt, onehot, rows, feats[~cat], min_leaf, criterion
-        )
+        rows = [nodes[i][0] for i in node_of[~cat].tolist()]
+        found[:, ~cat] = _search(xt, onehot, rows, cols[~cat], min_leaf, criterion)
     if cat.any():
-        rows = [nodes[i][0] for i in node[cat].tolist()]
-        found[0, node[cat], position[cat]] = _categorical_gains(
-            xt, y, w, rows, feats[cat], onehot.shape[1], min_leaf, criterion
+        rows = [nodes[i][0] for i in node_of[cat].tolist()]
+        found[0, cat] = _categorical_gains(
+            xt, y, w, rows, cols[cat], onehot.shape[1], min_leaf, criterion
         )
-    return found
+    gains = np.full((3, len(nodes), max(widths)), -np.inf)
+    gains[:, node, position] = found[:, inverse]
+    return gains
+
+
+def _partition(xt, w, idx, f, categorical, lo, hi):
+    """Node rows ``idx`` split on column ``f``, its cut between ``lo`` and ``hi`` if numeric.
+
+    A categorical column gives each category's rows in category order, its
+    missing rows going with the largest category (the lowest on a tie).  A
+    numeric one gives (threshold, default branch, left rows, right rows),
+    missing rows going to the side of the larger weight (left on a tie).
+    """
+    col = xt[f, idx]
+    missing = np.isnan(col)
+    if categorical:
+        groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
+        if missing.any():
+            largest = max(groups, key=lambda c: (len(groups[c]), -c))
+            groups[largest] = np.concatenate([groups[largest], idx[missing]])
+        return groups
+    threshold = _threshold(lo, hi)
+    left = ~missing & (col < threshold)
+    right = ~missing & ~left
+    weights = w[idx]
+    default = 0 if weights[left].sum() >= weights[right].sum() else 1
+    if missing.any():
+        if default:
+            right |= missing
+        else:
+            left |= missing
+    return threshold, default, idx[left], idx[right]
 
 
 def grow(
@@ -329,7 +366,9 @@ def grow(
     pending nodes, one level; a tree with a callable gives the next node of
     its stack, left child first, so a ``features`` that draws at random
     draws in pre-order.  Either way a node's split depends on its own rows
-    and columns alone.  Returns the roots in the order of ``trees``.
+    and columns alone, so the nodes of a step with the same rows share the
+    search of each of their columns and the partition on the column they
+    split.  Returns the roots in the order of ``trees``.
     """
     n, n_features = x.shape
     is_categorical = np.zeros(n_features, dtype=bool)
@@ -366,41 +405,35 @@ def grow(
             else:
                 node["p"] = dist
         if searched:
+            # each node's first node with its rows, found by the hash of their bytes: a dict
+            # of the bytes themselves would hold a copy of every node's rows at once
+            first, same = {}, []
+            for i, (_, _, idx, _, _) in enumerate(searched):
+                j = first.setdefault(hash(rows := idx.tobytes()), i)
+                same.append(j if j == i or rows == searched[j][2].tobytes() else i)
             gains, lo, hi = _split_gains(
-                xt, y, w, onehot, [(s[2], s[4]) for s in searched], is_categorical, min_leaf,
-                criterion,
+                xt, y, w, onehot, [(s[2], s[4]) for s in searched],
+                np.array(same) if len(first) < len(searched) else None, is_categorical,
+                min_leaf, criterion,
             )
+            parts = {}  # (first node with the rows, column) -> the partition of those rows
             for i, k in enumerate(_select_rows(gains)):
                 t, node, idx, dist, feats = searched[i]
                 if k < 0:
                     node["p"] = dist
                     continue
                 f = int(feats[k])
-                col = xt[f, idx]
-                missing = np.isnan(col)
+                if (key := (same[i], f)) not in parts:
+                    parts[key] = _partition(xt, w, idx, f, is_categorical[f], lo[i, k], hi[i, k])
+                part = parts[key]
                 if is_categorical[f]:
-                    groups = {
-                        int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])
-                    }
-                    if missing.any():
-                        largest = max(groups, key=lambda c: (len(groups[c]), -c))
-                        groups[largest] = np.concatenate([groups[largest], idx[missing]])
-                    children = {c: {} for c in sorted(groups)}
+                    children = {c: {} for c in sorted(part)}
                     node.update(f=f, c=children, p=dist)
-                    stacks[t] += [(children[c], groups[c]) for c in reversed(children)]
-                    continue
-                threshold = _threshold(lo[i, k], hi[i, k])
-                left = ~missing & (col < threshold)
-                right = ~missing & ~left
-                weights = w[idx]
-                default_left = weights[left].sum() >= weights[right].sum()
-                if missing.any():
-                    if default_left:
-                        left |= missing
-                    else:
-                        right |= missing
-                node.update(f=f, t=threshold, d=0 if default_left else 1, l={}, r={})
-                stacks[t] += [(node["r"], idx[right]), (node["l"], idx[left])]
+                    stacks[t] += [(children[c], part[c]) for c in reversed(children)]
+                else:
+                    threshold, default, left, right = part
+                    node.update(f=f, t=threshold, d=default, l={}, r={})
+                    stacks[t] += [(node["r"], right), (node["l"], left)]
         live = [t for t in live if stacks[t]]
     return roots
 

@@ -649,8 +649,13 @@ def test_lbfgsb_iteration_cap_stops_every_fold_of_a_group(mini_datasets, monkeyp
 
 def test_logistic_objective_matches_minimize_objective_bit_for_bit(mini_datasets):
     rng = np.random.default_rng(11)
-    for ds in (mini_datasets[0], mini_datasets[5], _discretized(mini_datasets[1])):
-        x, y, n_classes = _logistic_problem(ds)
+    problems = [
+        _logistic_problem(ds)
+        for ds in (mini_datasets[0], mini_datasets[5], _discretized(mini_datasets[1]))
+    ]
+    # nine classes: each row's class sum is NumPy's pairwise one
+    problems.append((rng.normal(size=(45, 4)), np.arange(45) % 9, 9))
+    for x, y, n_classes in problems:
         new = classifiers_mod._logistic_objective(x[None], y[None], n_classes)
         old = _minimize_objective(x, y, n_classes)
         for scale in (0.0, 1e-3, 1.0, 50.0, 1e4):  # 1e4 drives probabilities to the 1e-300 floor
@@ -1026,18 +1031,27 @@ def test_tree_batches_stay_within_the_cells_budget(monkeypatch):
     grown = []
     real_grow = tree.grow
 
-    def recording_grow(x, *args, **kwargs):
-        grown.append(x.shape)
-        return real_grow(x, *args, **kwargs)
+    def recording_grow(x, y, w, n_classes, trees, **kwargs):
+        grown.append((x.shape, len(trees) // 10))
+        return real_grow(x, y, w, n_classes, trees, **kwargs)
 
     monkeypatch.setattr(classifiers_mod, "_TREE_BATCH_CELLS", budget)
     monkeypatch.setattr(tree, "grow", recording_grow)
     cross_validate(TREE, datasets, 10, seed=7)
     assert 1 < len(grown) < len(datasets)  # several groups, some of several datasets
-    assert [n for n, _ in grown] == [ds.n_rows] * len(grown)
-    over = [v.rows.shape for v in datasets if v.rows.size > budget]
-    assert all(n * m <= budget or (n, m) in over for n, m in grown)
-    assert sum(m for _, m in grown) == sum(v.n_attributes for v in datasets)  # each grown once
+    assert [n for (n, _), _ in grown] == [ds.n_rows] * len(grown)
+    over = [v for v in datasets if v.rows.size > budget]
+    # a group over the budget is one dataset over it, stacking its distinct predictors
+    assert all(
+        n * m <= budget or (size == 1 and m in [len(distinct_columns([v])) for v in over])
+        for (n, m), size in grown
+    )
+    assert sum(size for _, size in grown) == len(datasets)
+    # every group stacks each of its distinct predictor columns exactly once
+    start = 0
+    for (_, m), size in grown:
+        assert m == len(distinct_columns(datasets[start : start + size]))
+        start += size
     monkeypatch.undo()
     monkeypatch.setattr(classifiers_mod, "_TREE_BATCH_CELLS", budget)
     _assert_catalog_matches_oracle(datasets, 7)
@@ -1485,9 +1499,70 @@ def _fuzz_catalogs(draw):
 @settings(max_examples=25, deadline=None)
 @given(_fuzz_catalogs(), st.integers(0, 1000))
 def test_catalog_cv_equals_one_dataset_cvs_on_fuzzed_catalogs(catalog, seed):
-    for kind in SHARING_KINDS:
+    for kind in (TREE, *SHARING_KINDS):
         found = _assert_catalog_equals_one_dataset_cvs(kind, catalog, seed, k=5)
         assert [a.tobytes() for a in found[1]] == [a.tobytes() for a in found[0]]  # the copy
+
+
+def _tree_work(monkeypatch, datasets):
+    """Work counts of a tree CV, each step's from the nodes it searches.
+
+    (node, candidate) pairs and their distinct (node rows, column) pairs,
+    against the pairs that reach the searches; split nodes and their
+    distinct (node rows, chosen column) pairs, against the partitions run.
+    """
+    work = dict.fromkeys(
+        ["pairs", "distinct", "searched", "splits", "distinct splits", "partitions"], 0
+    )
+    real = {name: getattr(tree, name) for name in
+            ("_split_gains", "_search", "_categorical_gains", "_partition")}
+    depth = []  # _categorical_gains halves a large batch by calling itself
+
+    def split_gains(xt, y, w, onehot, nodes, *args):
+        gains = real["_split_gains"](xt, y, w, onehot, nodes, *args)
+        keys = [rows.tobytes() for rows, _ in nodes]
+        work["pairs"] += sum(feats.size for _, feats in nodes)
+        work["distinct"] += len({(key, f) for key, (_, feats) in zip(keys, nodes) for f in feats})
+        chosen = [(key, feats[k]) for key, (_, feats), k
+                  in zip(keys, nodes, tree._select_rows(gains[0])) if k >= 0]
+        work["splits"] += len(chosen)
+        work["distinct splits"] += len(set(chosen))
+        return gains
+
+    def search(xt, onehot, rows, *args):
+        work["searched"] += len(rows)
+        return real["_search"](xt, onehot, rows, *args)
+
+    def categorical_gains(xt, y, w, rows, *args):
+        work["searched"] += 0 if depth else len(rows)
+        depth.append(None)
+        try:
+            return real["_categorical_gains"](xt, y, w, rows, *args)
+        finally:
+            depth.pop()
+
+    def partition(*args):
+        work["partitions"] += 1
+        return real["_partition"](*args)
+
+    with monkeypatch.context() as mp:
+        for name, spy in [("_split_gains", split_gains), ("_search", search),
+                          ("_categorical_gains", categorical_gains), ("_partition", partition)]:
+            mp.setattr(tree, name, spy)
+        cross_validate(TREE, datasets, 10, seed=7)
+    return work
+
+
+def test_tree_cv_searches_and_splits_each_distinct_node_once(mini_datasets, monkeypatch):
+    catalog = _with_versions(mini_datasets[15])
+    work = _tree_work(monkeypatch, catalog)
+    assert 0 < work["searched"] == work["distinct"] < work["pairs"]
+    assert 0 < work["partitions"] == work["distinct splits"] < work["splits"]
+    # one dataset: its fold trees still meet on small nodes that no fold's test rows reach
+    for ds in catalog[:3]:
+        work = _tree_work(monkeypatch, [ds])
+        assert 0 < work["searched"] == work["distinct"] <= work["pairs"]
+        assert 0 < work["partitions"] == work["distinct splits"] <= work["splits"]
 
 
 @pytest.mark.parametrize("cells", [0, 300])
