@@ -178,14 +178,14 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
 def _select_rows(gains: np.ndarray) -> np.ndarray:
     """:func:`select` on every row of a gain matrix, -1 for None.
 
-    When every gain within the margin of a row's maximum equals it, the
-    row's first maximum is the answer; otherwise the scan is replayed over
-    the gains above all earlier ones, the only ones that can replace the
-    best.  A row's -inf entries are never chosen and never change the choice.
+    When a row's first maximum clears every other gain by the margin it is
+    the answer; otherwise the scan is replayed over the gains above all
+    earlier ones, the only ones that can replace the best.  A row's -inf
+    entries are never chosen and never change the choice.
     """
     top = gains.argmax(axis=1)
     best = gains.max(axis=1)
-    near = ((gains + _MARGIN >= best[:, None]) & (gains != best[:, None])).any(axis=1)
+    near = (gains + _MARGIN >= best[:, None]).sum(axis=1) > 1
     for j in np.flatnonzero(near & (best > _MARGIN)):  # replay the scan on near-ties
         row, best_gain = gains[j], 0.0
         for r in np.flatnonzero(row > np.maximum.accumulate(np.append(0.0, row))[:-1]):
@@ -286,10 +286,9 @@ def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criter
     """Gain of every candidate column of every node, and the values around numeric cuts.
 
     ``nodes`` holds each node as (rows, candidate columns), and ``same``
-    each node's index of the first node with its rows, or is None when no
-    two nodes share rows.  Each distinct (node rows, column) pair goes once
-    to :func:`_search` or, for a categorical column, :func:`_categorical_gains`.
-    Returns three (nodes x most candidates) matrices: the gains, -inf where
+    each node's index of the first node with its rows.  Each distinct (node
+    rows, column) pair goes once to :func:`_search` or, for a categorical
+    column, :func:`_categorical_gains`.  Returns three (nodes x most candidates) matrices: the gains, -inf where
     a column has no split or a node has fewer candidates, and for a numeric
     column the two adjacent sorted values its cut lies between.
     """
@@ -297,11 +296,9 @@ def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criter
     node = np.repeat(np.arange(len(nodes)), widths)
     position = np.arange(node.size) - np.repeat(np.cumsum(widths) - widths, widths)
     feats = np.concatenate([feats for _, feats in nodes])
-    pairs = inverse = slice(None)  # the pairs searched, and each pair's among them
-    if same is not None:
-        _, pairs, inverse = np.unique(
-            same[node] * xt.shape[0] + feats, return_index=True, return_inverse=True
-        )
+    _, pairs, inverse = np.unique(  # the pairs searched, and each pair's among them
+        same[node] * xt.shape[0] + feats, return_index=True, return_inverse=True
+    )
     node_of, cols = node[pairs], feats[pairs]
     cat = is_categorical[cols]
     found = np.full((3, cols.size), -np.inf)
@@ -412,9 +409,8 @@ def grow(
                 j = first.setdefault(hash(rows := idx.tobytes()), i)
                 same.append(j if j == i or rows == searched[j][2].tobytes() else i)
             gains, lo, hi = _split_gains(
-                xt, y, w, onehot, [(s[2], s[4]) for s in searched],
-                np.array(same) if len(first) < len(searched) else None, is_categorical,
-                min_leaf, criterion,
+                xt, y, w, onehot, [(s[2], s[4]) for s in searched], np.array(same),
+                is_categorical, min_leaf, criterion,
             )
             parts = {}  # (first node with the rows, column) -> the partition of those rows
             for i, k in enumerate(_select_rows(gains)):

@@ -1565,6 +1565,17 @@ def test_tree_cv_searches_and_splits_each_distinct_node_once(mini_datasets, monk
         assert 0 < work["partitions"] == work["distinct splits"] <= work["splits"]
 
 
+def test_tree_cv_keeps_nodes_apart_when_their_row_hashes_collide(mini_datasets, monkeypatch):
+    # every node hashes alike, so only the byte comparison tells different rows apart
+    catalog = _with_versions(mini_datasets[15])
+    expected, expected_measures = _catalog_cv(TREE, catalog, 7)
+    monkeypatch.setattr(tree, "hash", lambda rows: 0, raising=False)
+    found, measures = _catalog_cv(TREE, catalog, 7)
+    assert measures == expected_measures
+    for ours, theirs in zip(found, expected):
+        assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
 @pytest.mark.parametrize("cells", [0, 300])
 def test_shared_cells_budget_does_not_change_scores(mini_datasets, monkeypatch, cells):
     catalogs = [_with_versions(mini_datasets[i]) for i in (7, 15)]
