@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,11 +170,15 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc["config"] = extra
+    partial = Path(f"{path}.partial")  # streamed, so no whole-document string is built
     try:
-        text = json.dumps(doc, indent=1)
+        with partial.open("w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=1)
+        os.replace(partial, path)
     except RecursionError:  # the encoder recurses once per tree level
         raise ModelError("a tree is too deep to write as JSON") from None
-    Path(path).write_text(text, encoding="utf-8")
+    finally:
+        partial.unlink(missing_ok=True)  # a failed save leaves any earlier file as it was
 
 
 def load_model(path) -> ForestModel:

@@ -18,11 +18,11 @@ distinct (node rows, candidate column) pair once, since nodes of different
 trees can hold the same rows.  Its numeric pairs go in one batch per chunk
 of similar-sized pairs, each pair's rows padded to the chunk's widest with
 missing values of no weight: one stable sort of the (pairs x rows) block,
-one (pairs x rows x classes) prefix sum of class weights and one matrix of
-gains from the criterion, so the NumPy calls per step do not grow with the
-number of nodes or columns.  Its categorical pairs share one table of class
-counts per batch.  Each pair's cut is chosen under :func:`select`, then
-each node's columns compete under it too.
+one (pairs x rows x classes) prefix sum of class weights and one call of
+the criterion on the block's candidate cuts alone, so the NumPy calls per
+step do not grow with the number of nodes or columns.  Its categorical
+pairs share one table of class counts per batch.  Each pair's cut is chosen
+under :func:`select`, then each node's columns compete under it too.
 """
 
 from __future__ import annotations
@@ -141,14 +141,14 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
     distinct sorted present values and leave at least ``min_leaf`` rows on
     each side, and :func:`select` picks among them in sorted order.  Returns
     per row the gain of its cut (-inf when it has none) and the two adjacent
-    sorted values the cut lies between.
+    sorted values the cut lies between.  The criterion sees the candidate
+    cuts alone, most sorted positions being repeats, ties or padding.
     """
     n_cols, n = values.shape
     order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last, padding after it
     cols = np.arange(n_cols)
     v = values[cols[:, None], order]
-    sides = np.empty((2, n_cols, n, onehot.shape[1]))  # class weights left and right of each cut
-    prefix = np.take(onehot, rows[cols[:, None], order], axis=0, out=sides[0])
+    prefix = np.take(onehot, rows[cols[:, None], order], axis=0)
     # a cut after sorted position i leaves i + 1 rows on the left
     first, stop = min_leaf - 1, n - min_leaf
     if np.isnan(v[:, -1]).any():
@@ -160,16 +160,21 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
         prefix[missing] = 0.0  # a missing row moves no prefix
     np.cumsum(prefix, axis=1, out=prefix)
     total = prefix[:, -1]
-    np.subtract(total[:, None], prefix, out=sides[1])
     h_all = criterion.impurity(total)
-    split_gains = h_all[:, None] - criterion.children(
-        sides[:, :, :-1], total.sum(axis=1)[:, None]
-    )
     valid = v[:, 1:] != v[:, :-1]
     valid[:, :first] = False
     valid &= np.arange(n - 1) < stop
     valid[h_all == 0.0] = False
-    split_gains = np.where(valid, split_gains, -np.inf)
+    cut = np.flatnonzero(valid)  # flat into (rows x n - 1); row r's cuts sit r further in prefix
+    pair = cut // (n - 1)
+    sides = np.empty((2, cut.size, onehot.shape[1]))  # class weights left and right of each cut
+    # every index is in range; "clip" only skips the bounds checks
+    np.take(prefix.reshape(-1, onehot.shape[1]), cut + pair, axis=0, out=sides[0], mode="clip")
+    np.take(total, pair, axis=0, out=sides[1], mode="clip")
+    np.subtract(sides[1], sides[0], out=sides[1])
+    children = criterion.children(sides, np.take(total.sum(axis=1), pair, mode="clip"))
+    split_gains = np.full((n_cols, n - 1), -np.inf)
+    np.put(split_gains, cut, np.take(h_all, pair, mode="clip") - children, mode="clip")
     top = _select_rows(split_gains)
     best = split_gains[cols, top]
     return np.where(top >= 0, best, -np.inf), v[cols, top], v[cols, top + 1]

@@ -432,6 +432,23 @@ def test_a_tree_too_deep_for_json_is_a_model_error(tmp_path):
     assert not path.exists()
 
 
+def test_a_failed_save_leaves_the_saved_model_as_it_was(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(ForestModel(({"p": [1.0, 0.0, 0.0]},), seed=0), path)
+    before = path.read_bytes()
+    deep = {"p": [1.0, 0.0, 0.0]}
+    for _ in range(3000):  # the encoder recurses once per level
+        deep = {"f": 0, "t": 0.5, "d": 0, "l": deep, "r": {"p": [0.0, 1.0, 0.0]}}
+    with pytest.raises(ModelError, match="too deep to write"):
+        save_model(ForestModel((deep,), seed=0), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no partial file is left
+    with pytest.raises(TypeError):  # any other failure of the encoder
+        save_model(ForestModel(({"p": [1.0, 0.0, 0.0]},), seed=0), path, {"x": object()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_a_document_too_deep_for_json_is_a_model_error(tmp_path):
     depth = 3000
     head = '{"format": "preprank-forest", "schema_version": 1, "trees": ['

@@ -872,6 +872,100 @@ def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
         assert cut.sum() > len(rows) // 2
 
 
+def _fuzzed_block(rng, n_classes, min_leaf):
+    """``_best_cuts`` inputs: pairs of bootstrap rows over fuzzed columns, NaN-padded."""
+    n_rows = int(rng.integers(4, 40))
+    y = rng.integers(0, n_classes, size=n_rows)
+    w = rng.integers(1, 4, size=n_rows) if rng.random() < 0.5 else 1.0 / rng.integers(1, 12, n_rows)
+    _, onehot = _search_inputs(np.empty((n_rows, 0)), y, w, n_classes)
+    n_pairs, width = int(rng.integers(1, 7)), int(rng.integers(2, 2 * n_rows))
+    values = np.full((n_pairs, width), np.nan)  # padding: NaN on the row of no weight
+    rows = np.full((n_pairs, width), n_rows)
+    no_cut = rng.random() < 0.1  # every pair all-tie or pure: nothing to gather
+    for i in range(n_pairs):
+        size = int(rng.integers(1, width + 1))
+        pool = np.arange(n_rows)
+        if no_cut or rng.random() < 0.15:  # a pure pair
+            pool = np.flatnonzero(y == y[rng.integers(0, n_rows)])
+        rows[i, :size] = rng.choice(pool, size=size, replace=True)  # bootstrap repeats
+        kind = rng.integers(0, 5)
+        if no_cut or kind == 0:  # all tie
+            column = np.full(n_rows, float(rng.integers(0, 3)))
+        elif kind == 1:  # few distinct values
+            column = rng.integers(0, 3, size=n_rows).astype(float)
+        elif kind == 2:  # mostly missing
+            column = np.where(rng.random(n_rows) < 0.8, np.nan, rng.normal(size=n_rows))
+        else:
+            column = np.round(rng.normal(size=n_rows), 1)
+            column[rng.random(n_rows) < 0.2] = np.nan
+        values[i, :size] = column[rows[i, :size]]
+    return values, rows, onehot
+
+
+def test_best_cuts_match_the_dense_oracle_on_fuzzed_blocks():
+    rng = np.random.default_rng(25)
+    seen: Counter = Counter()
+    for trial in range(3000):
+        n_classes = (2, 3, 9)[trial % 3]
+        min_leaf = 1 + trial // 3 % 3
+        criterion = (tree.ENTROPY, tree.GINI)[trial // 9 % 2]
+        values, rows, onehot = _fuzzed_block(rng, n_classes, min_leaf)
+        with np.errstate(all="raise"):
+            ours = tree._best_cuts(values, rows, onehot, min_leaf, criterion)
+        expected = np.array([
+            np.concatenate(_oracle_best_cuts(values[[i]], onehot[r], min_leaf, criterion))
+            for i, r in enumerate(rows)
+        ]).T
+        cut = np.isfinite(expected[0])  # a row without a cut has no values around it
+        assert ours[0].tobytes() == expected[0].tobytes(), trial
+        assert np.array(ours)[:, cut].tobytes() == expected[:, cut].tobytes(), trial
+        seen["cut"] += cut.sum()
+        seen["none"] += (~cut).sum()
+        seen["empty"] += not cut.any()
+    assert seen["cut"] > 2500 and seen["none"] > 5000 and seen["empty"] > 500, seen
+
+
+def test_criterion_scores_only_the_candidate_cuts(tree_metadb, monkeypatch):
+    # a bootstrap repeats rows and the metadb ties many features, so most sorted
+    # positions of a block are no cut
+    scored, positions = [], []
+
+    def counting_children(sides, total):
+        scored.append(sides.shape[1])
+        return tree.GINI.children(sides, total)
+
+    best_cuts = tree._best_cuts
+
+    def counting_best_cuts(values, *args):
+        positions.append(values.shape[0] * (values.shape[1] - 1))
+        return best_cuts(values, *args)
+
+    x, y, w = feature_matrix(tree_metadb)
+    xt, onehot = _search_inputs(x, y, w, len(RESPONSE_CLASSES))
+    rng = np.random.default_rng(7)
+    rows, cols, candidates = [], [], 0
+    for k in range(30):
+        sample = rng.choice(y.size, size=y.size, replace=True, p=w / w.sum())
+        node = sample[: int(rng.integers(5, y.size + 1))]  # a root or a smaller node
+        if k % 5 == 0:  # a pure node has no cut
+            node = node[y[node] == y[node[0]]]
+        for c in np.sort(rng.choice(x.shape[1], size=11, replace=False)):
+            rows.append(node)
+            cols.append(c)
+            present = ~np.isnan(x[node, c])
+            v = np.sort(x[node[present], c])
+            if np.unique(y[node[present]]).size > 1:
+                candidates += np.count_nonzero(v[1:] != v[:-1])
+    cols = np.array(cols)
+    expected = tree._search(xt, onehot, rows, cols, 1, tree.GINI)
+    monkeypatch.setattr(tree, "_best_cuts", counting_best_cuts)
+    spy = tree.Criterion(tree.GINI.impurity, counting_children)
+    ours = tree._search(xt, onehot, rows, cols, 1, spy)
+    assert ours.tobytes() == expected.tobytes()
+    assert sum(scored) == candidates > 0
+    assert sum(scored) < sum(positions) / 4, (sum(scored), sum(positions))
+
+
 def test_row_impurities_match_scalar_oracles_bit_for_bit():
     rng = np.random.default_rng(1)
     for trial in range(2000):
