@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import evaluation, forest, metadb, openml, ranker
 from .classifiers import MEASURES, parse_classifier
-from .dataset import DatasetError, load_dataset_file
+from .dataset import DatasetError, load_dataset_file, write_file
 from .metafeatures import FEATURE_IDS, compute_meta_features
 
 DEFAULT_SEED = 42
@@ -43,8 +43,7 @@ def _row(*cells) -> str:
 
 
 def _write(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _load_corpus(args) -> openml.CorpusResult:

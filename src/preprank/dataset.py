@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv as _csvmod
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from io import StringIO
@@ -516,3 +517,24 @@ def load_dataset_file(path, class_column=None) -> Dataset:
     if is_csv:
         return parse_csv(text, class_column, name=p.stem)
     return parse_arff(text)
+
+
+def write_file(path, content) -> None:
+    """Replace ``path`` with ``content`` all or nothing, creating its directory.
+
+    ``content`` is bytes, UTF-8 text, or a callable that streams text into the
+    open file.  It goes to ``<path>.<pid>.partial``, renamed onto ``path`` when
+    complete and removed on any failure: a reader never sees part of a file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.partial")
+    try:
+        if callable(content):
+            with partial.open("w", encoding="utf-8") as f:
+                content(f)
+        else:
+            partial.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # a failed write leaves any earlier file as it was

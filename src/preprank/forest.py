@@ -12,13 +12,13 @@ import gc
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tree
+from .dataset import write_file
 from .metadb import FEATURE_COLUMNS, RESPONSE_CLASSES, MetaDatabase, feature_matrix
 
 MODEL_SCHEMA_VERSION = 1
@@ -104,9 +104,12 @@ def predict_proba(model: ForestModel, features: np.ndarray):
         )
     row = row.tolist()
     votes = [0] * len(RESPONSE_CLASSES)
-    for root in model.trees:
-        p = tree.leaf(root, row)["p"]
-        votes[p.index(max(p))] += 1  # the first maximum: ties go in class order
+    try:
+        for i, root in enumerate(model.trees):
+            p = tree.leaf(root, row)["p"]
+            votes[p.index(max(p))] += 1  # the first maximum: ties go in class order
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise ModelError(f"tree {i} of the model is malformed: {exc}") from exc
     return tuple(v / len(model.trees) for v in votes)
 
 
@@ -170,15 +173,10 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc["config"] = extra
-    partial = Path(f"{path}.partial")  # streamed, so no whole-document string is built
-    try:
-        with partial.open("w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-        os.replace(partial, path)
+    try:  # streamed, so no whole-document string is built
+        write_file(path, lambda f: json.dump(doc, f, indent=1))
     except RecursionError:  # the encoder recurses once per tree level
         raise ModelError("a tree is too deep to write as JSON") from None
-    finally:
-        partial.unlink(missing_ok=True)  # a failed save leaves any earlier file as it was
 
 
 def load_model(path) -> ForestModel:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import MEASURES, ClassifierKind, cross_validate, parse_classifier
+from .dataset import write_file
 from .metafeatures import MODIFIABLE_IDS, compute_meta_features, delta
 from .transforms import apply, enumerate_applicable
 
@@ -221,7 +222,7 @@ def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
         cells += ["" if math.isnan(v) else repr(v) for v in row.features.tolist()]
         cells += [repr(float(row.meta_response_value)), row.meta_response_class]
         lines.append("\t".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _number(cell: str, lineno: int) -> float:

@@ -12,12 +12,11 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .dataset import Dataset, load_dataset_file, parse_arff
+from .dataset import Dataset, load_dataset_file, parse_arff, write_file
 
 log = logging.getLogger("preprank.openml")
 
@@ -74,19 +73,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cache_entry(dataset_id: int, cache_dir) -> CacheEntry | None:
     """The verified cache entry for an id, or None when absent."""
     cache_dir = Path(cache_dir)
@@ -127,17 +113,13 @@ def fetch_dataset(dataset_id: int, cache_dir, fetch=None) -> Dataset:
             raise OpenMLHTTPError(dataset_id, str(exc)) from exc
         except (KeyError, ValueError) as exc:
             raise OpenMLHTTPError(dataset_id, f"malformed description: {exc}") from exc
-        arff_path = cache_dir / f"{dataset_id}.arff"
-        _atomic_write(arff_path, payload)
+        write_file(cache_dir / f"{dataset_id}.arff", payload)
         meta = {
             "dataset_id": dataset_id,
             "fetched_at": time.time(),
             "checksum": _sha256(payload),
         }
-        _atomic_write(
-            cache_dir / f"{dataset_id}.meta.json",
-            json.dumps(meta, indent=1).encode("utf-8"),
-        )
+        write_file(cache_dir / f"{dataset_id}.meta.json", json.dumps(meta, indent=1))
         entry = cache_entry(dataset_id, cache_dir)
     return parse_arff(entry.path.read_text(encoding="utf-8-sig"))
 

@@ -288,9 +288,7 @@ def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
         best = _best_cut(v, prefix, lo, hi)
         if best is None:
             continue
-        pos, gain = best
-        if not _mdl_accepts(prefix, lo, pos, hi, gain):
-            continue
+        pos, _ = best
         cuts.append(midpoint(v[pos - 1], v[pos]))
         stack.append((pos, hi))
         stack.append((lo, pos))
@@ -298,7 +296,7 @@ def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
 
 
 def _best_cut(v, prefix, lo, hi):
-    """(position, gain) of the segment's cut, or None; see :func:`_mdl_cuts`."""
+    """(position, gain) of the segment's cut if MDL accepts it, or None; see :func:`_mdl_cuts`."""
     n = hi - lo
     if n < 2:
         return None
@@ -314,31 +312,17 @@ def _best_cut(v, prefix, lo, hi):
         return None
     left = prefix[pos] - prefix[lo]
     right = prefix[hi] - prefix[pos]
-    gains = (
-        h_all
-        - (left.sum(axis=1) / n) * entropies(left)
-        - (right.sum(axis=1) / n) * entropies(right)
-    )
+    h_left, h_right = entropies(left), entropies(right)
+    gains = h_all - (left.sum(axis=1) / n) * h_left - (right.sum(axis=1) / n) * h_right
     best = select(gains)
     if best is None:
         return None
+    # Fayyad and Irani's MDL criterion: the gain must pay for coding the cut
+    k, k1, k2 = (int((counts > 0).sum()) for counts in (total, left[best], right[best]))
+    delta = math.log2(3**k - 2) - (k * h_all - k1 * h_left[best] - k2 * h_right[best])
+    if not gains[best] > (math.log2(n - 1) + delta) / n:
+        return None
     return int(pos[best]), gains[best]
-
-
-def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:
-    n = hi - lo
-    total = prefix[hi] - prefix[lo]
-    left = prefix[pos] - prefix[lo]
-    right = prefix[hi] - prefix[pos]
-    k = int((total > 0).sum())
-    k1 = int((left > 0).sum())
-    k2 = int((right > 0).sum())
-    ent = entropy(total)
-    ent1 = entropy(left)
-    ent2 = entropy(right)
-    delta = math.log2(3**k - 2) - (k * ent - k1 * ent1 - k2 * ent2)
-    threshold = (math.log2(n - 1) + delta) / n
-    return gain > threshold
 
 
 def _nominal_to_binary_plain(ds: Dataset, j: int) -> _Columns:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -445,3 +446,21 @@ def test_keyboard_interrupt_is_not_caught(small_manifest, tmp_path, monkeypatch)
             "--seed", "1",
             "--out", str(tmp_path / "db.tsv"),
         ])
+
+
+def test_recommend_with_a_malformed_model_node_names_the_tree(pipeline, tmp_path, capsys):
+    _, model_path = pipeline
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    del doc["trees"][0]["l"], doc["trees"][0]["r"]  # the root splits: every walk fails
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([
+        "recommend",
+        "--dataset", str(CORPUS_DIR / "mini" / "syn06.arff"),
+        "--algorithm", "tree",
+        "--model", str(broken),
+    ])
+    [line] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert code == 2
+    assert line.startswith("error: tree 0 of the model is malformed: ")
+    assert "Error" not in line

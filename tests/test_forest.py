@@ -459,3 +459,64 @@ def test_a_document_too_deep_for_json_is_a_model_error(tmp_path):
     with pytest.raises(ModelError, match="too deep to read"):
         load_model(path)
     assert gc.isenabled() is was
+
+
+def _walk(node, row):
+    """The nodes one row passes through, root to leaf, as :func:`tree.leaf` walks them."""
+    path = [node]
+    while "f" in node:
+        value = row[node["f"]]
+        left = node["d"] == 0 if math.isnan(value) else value < node["t"]
+        node = node["l"] if left else node["r"]
+        path.append(node)
+    return path
+
+
+#: per node key, what a mutation puts in its place: other types, then values out of range
+_MUTANTS = {
+    "f": ["x", None, 1.5, [], {}, len(FEATURE_COLUMNS), -len(FEATURE_COLUMNS) - 1],
+    "t": ["x", None, [], {}, math.nan],
+    "d": ["x", None, 2, -1],
+    "l": ["x", None, 3, [], {}],
+    "r": ["x", None, 3, [], {}],
+    "c": ["x", None, 3, [], {}, {"0": {}}],
+    "p": ["x", None, 3, [], {}, [None, 1.0], [1.0], [0.0] * 5 + [1.0]],
+}
+_GONE = object()
+
+
+def test_a_malformed_node_gives_probabilities_or_a_model_error():
+    db = make_rule_metadb(n_datasets=6, seed=4)
+    model = train_forest(db, 3, seed=2)
+    rows = [r.features.tolist() for r in db.rows]
+    outcomes = {"probabilities": 0, "errors": 0}
+    for i, root in enumerate(model.trees):
+        reached = {}  # id of a node -> (node, a row whose walk passes through it)
+        for row in rows:
+            for node in _walk(root, row):
+                reached.setdefault(id(node), (node, row))
+        for node, row in reached.values():
+            tests = [row]
+            if "f" in node:  # also reach the node's default branch
+                tests.append([math.nan if j == node["f"] else v for j, v in enumerate(row)])
+            for key, values in _MUTANTS.items():
+                saved = node.get(key, _GONE)
+                for value in [_GONE, *values]:
+                    if value is _GONE:
+                        node.pop(key, None)
+                    else:
+                        node[key] = value
+                    for features in tests:
+                        try:
+                            proba = predict_proba(model, np.array(features))
+                        except ModelError as exc:
+                            assert str(exc).startswith(f"tree {i} of the model is malformed")
+                            outcomes["errors"] += 1
+                        else:
+                            assert len(proba) == 3 and math.fsum(proba) == pytest.approx(1.0)
+                            outcomes["probabilities"] += 1
+                node.pop(key, None)
+                if saved is not _GONE:
+                    node[key] = saved
+    assert min(outcomes.values()) > 100, outcomes
+    assert model == train_forest(db, 3, seed=2)  # every node was put back as it was

@@ -243,6 +243,7 @@ def test_save_rejects_a_dataset_name_that_breaks_the_file(tmp_path, odd):
     with pytest.raises(MetaDbError):
         save(db, path)
     assert path.read_text(encoding="utf-8") == "kept\n"
+    assert list(tmp_path.iterdir()) == [path]  # nor any partial file
 
 
 @pytest.mark.parametrize("name", [f"my{c}data" for c in "\x0b\x0c\x1c\x85\u2028"] + ["#data"])

@@ -16,7 +16,8 @@ from preprank.transforms import (
     apply,
     enumerate_applicable,
 )
-from preprank.transforms import _best_cut, _mdl_accepts, _mdl_cuts  # white-box oracle targets
+from preprank.transforms import _best_cut, _mdl_cuts  # white-box oracle targets
+from preprank.tree import entropy
 
 
 def one_column(values, n_classes=2, labels=None):
@@ -261,6 +262,33 @@ def _scalar_best_cut(v, y, prefix, lo, hi):
     return best_pos, best_gain
 
 
+# The MDL test that ``_best_cut`` now applies to its own cut, kept verbatim
+# as the oracle of which cuts the criterion accepts.
+
+
+def _mdl_accepts(prefix, lo, pos, hi, gain) -> bool:
+    n = hi - lo
+    total = prefix[hi] - prefix[lo]
+    left = prefix[pos] - prefix[lo]
+    right = prefix[hi] - prefix[pos]
+    k = int((total > 0).sum())
+    k1 = int((left > 0).sum())
+    k2 = int((right > 0).sum())
+    ent = entropy(total)
+    ent1 = entropy(left)
+    ent2 = entropy(right)
+    delta = math.log2(3**k - 2) - (k * ent - k1 * ent1 - k2 * ent2)
+    threshold = (math.log2(n - 1) + delta) / n
+    return gain > threshold
+
+
+def _scalar_accepted_cut(v, y, prefix, lo, hi):
+    best = _scalar_best_cut(v, y, prefix, lo, hi)
+    if best is None or not _mdl_accepts(prefix, lo, best[0], hi, best[1]):
+        return None
+    return best
+
+
 def _sorted_prefix(values, labels):
     order = np.argsort(values, kind="stable")
     v, y = values[order], labels[order]
@@ -276,8 +304,8 @@ def _scalar_mdl_cuts(values, labels):
     cuts, stack = [], [(0, v.size)]
     while stack:
         lo, hi = stack.pop()
-        best = _scalar_best_cut(v, y, prefix, lo, hi)
-        if best is None or not _mdl_accepts(prefix, lo, best[0], hi, best[1]):
+        best = _scalar_accepted_cut(v, y, prefix, lo, hi)
+        if best is None:
             continue
         pos = best[0]
         cuts.append(float((v[pos - 1] + v[pos]) / 2.0))
@@ -294,7 +322,7 @@ def _assert_same_as_scalar(values, labels):
         tuple(sorted(rng.choice(v.size + 1, size=2, replace=False))) for _ in range(5)
     ]
     for lo, hi in segments:
-        ours, scalar = _best_cut(v, prefix, lo, hi), _scalar_best_cut(v, y, prefix, lo, hi)
+        ours, scalar = _best_cut(v, prefix, lo, hi), _scalar_accepted_cut(v, y, prefix, lo, hi)
         assert (ours is None) == (scalar is None), (lo, hi)
         if ours is not None:  # same position, same gain to the last bit
             assert ours[0] == scalar[0] and ours[1] == scalar[1], (lo, hi)
