@@ -19,7 +19,9 @@ interquartile spread, and whether the change's median is within the
 metric's bound of the parent's.  A gain needs wins in at least nine tenths of the pairs run, the
 medians that far apart, and no more failed operations than the parent.
 The file is rewritten after every pair, so an interrupted run keeps the
-pairs it finished.
+pairs it finished.  After a workload's last pair, one stderr line per
+end-to-end metric gives its verdict, e.g. ``meta-learn round_s 2.107 ->
+1.770 s (x0.840, 10/10 wins, gain)``.
 
 ``--cold-start N`` adds N alternating pairs of fresh processes, which the
 benchmark cannot see since it imports ``preprank`` before timing: ``import
@@ -114,6 +116,22 @@ def summarize(pairs: list[dict], metric: dict, failed: dict) -> dict:
             metric["bound"] * parent["median"]
         )
     return out
+
+
+def verdict(workload: str, summary: dict) -> list[str]:
+    """One line per metric of a workload's summary: the medians, their ratio, wins and verdict."""
+    lines = []
+    for name, s in summary.items():
+        if "change_over_parent" not in s:
+            lines.append(f"{workload} {name}: no pair gave both results")
+            continue
+        word = "gain" if s["gain"] else "within bound" if s["within_bound"] else "beyond bound"
+        lines.append(
+            f"{workload} {name} {s['parent']['median']:.3f} -> {s['change']['median']:.3f} "
+            f"{s['unit']} (x{s['change_over_parent']:.3f}, {s['change_wins']}/{s['pairs']} wins, "
+            f"{word})"
+        )
+    return lines
 
 
 #: in the directory argv[1]: mini_corpus(7) as ARFF files, its tree and knn:1 metadbs
@@ -256,6 +274,8 @@ def main(argv=None) -> int:
             entry["summary"] = {m["name"]: summarize(entry["pairs"], m, entry["failed"])
                                 for m in benchmark["end_to_end"]}
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        for line in verdict(name, entry["summary"]):
+            print(line, file=sys.stderr, flush=True)
     if args.cold_start:
         cold_start(checkouts, args.cold_start, report, args.out)
     return 0

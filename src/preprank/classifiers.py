@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from functools import cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -102,9 +103,10 @@ _SHARED_CELLS = 2**20
 
 
 class _Shared:
-    """A catalog CV's results per (distinct column, scope), cached within ``_SHARED_CELLS``.
+    """A catalog CV's results per (distinct column, scope), each kept only for later readers.
 
-    The datasets share rows and labels; a one-dataset CV caches nothing.
+    The datasets share rows and labels; a one-dataset CV caches nothing.  A result is kept,
+    within ``_SHARED_CELLS``, until the last (dataset, predictor) slot of its column reads it.
     """
 
     def __init__(self, datasets):
@@ -113,18 +115,24 @@ class _Shared:
             {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
             for ds in datasets
         ]
-        self.cache, self.cells = {}, 0
+        self.readers = Counter(i for ids in self.ids or () for i in ids.values())
+        self.cache, self.reads, self.cells = {}, {}, 0
 
     def get(self, a, j, scope, fn, *args):
         """``fn(*args)``: the result in ``scope`` for column ``j`` of dataset ``a``."""
-        key = self.ids and (self.ids[a][j], scope)
+        if self.ids is None:
+            return fn(*args)
+        key = (self.ids[a][j], scope)
+        later = self.reads[key] = (self.reads.get(key, 0) + 1) % self.readers[key[0]]  # 0: last
         if key in self.cache:
-            return self.cache[key]
+            value, cells = self.cache[key] if later else self.cache.pop(key)
+            self.cells -= 0 if later else cells
+            return value
         value = fn(*args)
-        if key:
-            parts = value if isinstance(value, tuple) else (value,)
-            if (cells := self.cells + sum(getattr(v, "size", 1) for v in parts)) <= _SHARED_CELLS:
-                self.cache[key], self.cells = value, cells
+        parts = value if isinstance(value, tuple) else (value,)
+        cells = sum(getattr(v, "size", 1) for v in parts)
+        if later and self.cells + cells <= _SHARED_CELLS:
+            self.cache[key], self.cells = (value, cells), self.cells + cells
         return value
 
 
@@ -134,7 +142,6 @@ def _fold_by_fold(score, datasets, train_rows, test_rows):
     for train, test in zip(train_rows, test_rows):
         for a, ds in enumerate(datasets):
             results[a].append(score(ds, train, test, labels[train], partial(shared.get, a)))
-        shared.cache, shared.cells = {}, 0  # a fold's shared results serve that fold only
     return results
 
 

@@ -135,7 +135,7 @@ def read_manifest(path) -> list[int | str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.isdigit():
+        if line.isascii() and line.isdigit():  # "²" is a digit to isdigit, not to int
             entries.append(int(line))
         else:
             candidate = Path(line)

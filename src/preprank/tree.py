@@ -17,12 +17,12 @@ gives one node, so its draws stay in pre-order.  A step searches each
 distinct (node rows, candidate column) pair once, since nodes of different
 trees can hold the same rows.  Its numeric pairs go in one batch per chunk
 of similar-sized pairs, each pair's rows padded to the chunk's widest with
-missing values of no weight: one stable sort of the (pairs x rows) block,
-one (pairs x rows x classes) prefix sum of class weights and one call of
-the criterion on the block's candidate cuts alone, so the NumPy calls per
-step do not grow with the number of nodes or columns.  Its categorical
-pairs share one table of class counts per batch.  Each pair's cut is chosen
-under :func:`select`, then each node's columns compete under it too.
+missing values of no weight: one sort of its integer keys (a cell's rank in
+its column, ranked once per grow, then its position), one prefix sum of
+class weights and one call of the criterion on its candidate cuts alone, so
+the NumPy calls per step do not grow with the number of nodes or columns.
+Its categorical pairs share one table of class counts per batch.  Each pair's
+cut is chosen under :func:`select`, then each node's columns compete under it.
 """
 
 from __future__ import annotations
@@ -130,29 +130,44 @@ def select(gains: np.ndarray) -> int | None:
 _BATCH_CELLS = 2**14
 
 
-def _best_cuts(values, rows, onehot, min_leaf, criterion):
+def _ranks(xt: np.ndarray) -> np.ndarray:
+    """Each cell's dense rank in its row of ``xt`` (0.0 and -0.0 tie); missing cells rank last."""
+    ranks = np.full(xt.shape, xt.shape[1], dtype=np.min_scalar_type(xt.shape[1]))
+    for f, present in enumerate(~np.isnan(xt)):
+        ranks[f, present] = np.unique(xt[f, present], return_inverse=True)[1]
+    return ranks
+
+
+def _sort_block(ranks, cols, rows):
+    """Each block row's ``rows`` in stable order of their values in ``cols[i]``, and the ranks."""
+    shift = rows.size.bit_length()
+    keys = np.take(ranks, rows + (cols * ranks.shape[1])[:, None]).astype(np.int64) << shift
+    keys |= np.arange(rows.size).reshape(rows.shape)  # unique: any sort is the stable sort
+    keys.sort(axis=1)
+    return np.take(rows, keys & ((1 << shift) - 1)), keys >> shift
+
+
+def _best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
     """Best binary cut of every row of a block, all rows at once.
 
-    Each row of ``values`` holds one candidate column over one node's rows,
-    and the same row of ``rows`` the index of each cell's row in
-    ``onehot``, which holds every row's weight in the column of its class.
-    Padding cells are NaN, so they sort last and count as missing; their row
-    in ``onehot`` has no weight.  A column's cuts lie between adjacent
-    distinct sorted present values and leave at least ``min_leaf`` rows on
-    each side, and :func:`select` picks among them in sorted order.  Returns
-    per row the gain of its cut (-inf when it has none) and the two adjacent
-    sorted values the cut lies between.  The criterion sees the candidate
-    cuts alone, most sorted positions being repeats, ties or padding.
+    Block row ``i`` holds column ``cols[i]`` over one node's ``rows[i]``,
+    indices into the columns of ``xt`` and ``ranks`` and the rows of
+    ``onehot`` (each row's weight in the column of its class).  Padding
+    points at the padding row: it ranks with missing cells and has no
+    weight.  A column's cuts lie between adjacent distinct sorted present
+    values and leave at least ``min_leaf`` rows on each side, and
+    :func:`select` picks among them in sorted order.  Returns per row the
+    gain of its cut (-inf when it has none) and the two adjacent sorted
+    values the cut lies between.  The criterion sees the candidate cuts
+    alone, most sorted positions being repeats, ties or padding.
     """
-    n_cols, n = values.shape
-    order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last, padding after it
-    cols = np.arange(n_cols)
-    v = values[cols[:, None], order]
-    prefix = np.take(onehot, rows[cols[:, None], order], axis=0)
+    n_cols, n = rows.shape
+    sorted_rows, rank = _sort_block(ranks, cols, rows)
+    prefix = np.take(onehot, sorted_rows, axis=0)
     # a cut after sorted position i leaves i + 1 rows on the left
     first, stop = min_leaf - 1, n - min_leaf
-    if np.isnan(v[:, -1]).any():
-        missing = np.isnan(v)
+    if (rank[:, -1] == ranks.shape[1]).any():
+        missing = rank == ranks.shape[1]
         present = n - missing.sum(axis=1)
         stop = (present - min_leaf)[:, None]
         # a column too sparse to cut keeps its missing rows, so its totals are not all 0
@@ -161,7 +176,7 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
     np.cumsum(prefix, axis=1, out=prefix)
     total = prefix[:, -1]
     h_all = criterion.impurity(total)
-    valid = v[:, 1:] != v[:, :-1]
+    valid = rank[:, 1:] != rank[:, :-1]
     valid[:, :first] = False
     valid &= np.arange(n - 1) < stop
     valid[h_all == 0.0] = False
@@ -175,9 +190,9 @@ def _best_cuts(values, rows, onehot, min_leaf, criterion):
     children = criterion.children(sides, np.take(total.sum(axis=1), pair, mode="clip"))
     split_gains = np.full((n_cols, n - 1), -np.inf)
     np.put(split_gains, cut, np.take(h_all, pair, mode="clip") - children, mode="clip")
-    top = _select_rows(split_gains)
-    best = split_gains[cols, top]
-    return np.where(top >= 0, best, -np.inf), v[cols, top], v[cols, top + 1]
+    top, r = _select_rows(split_gains), np.arange(n_cols)
+    lo, hi = xt[cols, sorted_rows[r, top]], xt[cols, sorted_rows[r, top + 1]]
+    return np.where(top >= 0, split_gains[r, top], -np.inf), lo, hi
 
 
 def _select_rows(gains: np.ndarray) -> np.ndarray:
@@ -200,7 +215,7 @@ def _select_rows(gains: np.ndarray) -> np.ndarray:
     return top
 
 
-def _search(xt, onehot, rows, cols, min_leaf, criterion):
+def _search(xt, ranks, onehot, rows, cols, min_leaf, criterion):
     """:func:`_best_cuts` of each pair of node rows and numeric column of ``xt``, pairs batched.
 
     The last row index of ``xt`` is padding.  Pairs go in order of row
@@ -225,9 +240,7 @@ def _search(xt, onehot, rows, cols, min_leaf, criterion):
         block_rows[np.arange(lengths[-1]) < lengths[:, None]] = np.concatenate(
             [rows[i] for i in chunk]
         )
-        found[:, chunk] = _best_cuts(
-            xt[cols[chunk, None], block_rows], block_rows, onehot, min_leaf, criterion
-        )
+        found[:, chunk] = _best_cuts(xt, ranks, cols[chunk], block_rows, onehot, min_leaf, criterion)
         start = stop
     return found
 
@@ -237,12 +250,6 @@ def midpoint(lo: float, hi: float) -> float:
     lo, hi = float(lo), float(hi)  # Python floats: an overflow gives inf, not a warning
     mid = (lo + hi) / 2.0
     return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
-
-
-def _threshold(lo: float, hi: float) -> float:
-    """The midpoint of two adjacent sorted values, or ``hi`` if it rounds down onto ``lo``."""
-    mid = midpoint(lo, hi)
-    return float(hi) if mid <= lo else mid
 
 
 def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
@@ -287,7 +294,7 @@ def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
     return gains
 
 
-def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criterion):
+def _split_gains(xt, ranks, y, w, onehot, nodes, same, is_categorical, min_leaf, criterion):
     """Gain of every candidate column of every node, and the values around numeric cuts.
 
     ``nodes`` holds each node as (rows, candidate columns), and ``same``
@@ -309,7 +316,7 @@ def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criter
     found = np.full((3, cols.size), -np.inf)
     if not cat.all():
         rows = [nodes[i][0] for i in node_of[~cat].tolist()]
-        found[:, ~cat] = _search(xt, onehot, rows, cols[~cat], min_leaf, criterion)
+        found[:, ~cat] = _search(xt, ranks, onehot, rows, cols[~cat], min_leaf, criterion)
     if cat.any():
         rows = [nodes[i][0] for i in node_of[cat].tolist()]
         found[0, cat] = _categorical_gains(
@@ -320,33 +327,49 @@ def _split_gains(xt, y, w, onehot, nodes, same, is_categorical, min_leaf, criter
     return gains
 
 
-def _partition(xt, w, idx, f, categorical, lo, hi):
-    """Node rows ``idx`` split on column ``f``, its cut between ``lo`` and ``hi`` if numeric.
-
-    A categorical column gives each category's rows in category order, its
-    missing rows going with the largest category (the lowest on a tie).  A
-    numeric one gives (threshold, default branch, left rows, right rows),
-    missing rows going to the side of the larger weight (left on a tie).
-    """
+def _categories(xt, idx, f):
+    """Node rows ``idx`` by category of column ``f``, missing ones joining the largest (lowest)."""
     col = xt[f, idx]
     missing = np.isnan(col)
-    if categorical:
-        groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
-        if missing.any():
-            largest = max(groups, key=lambda c: (len(groups[c]), -c))
-            groups[largest] = np.concatenate([groups[largest], idx[missing]])
-        return groups
-    threshold = _threshold(lo, hi)
-    left = ~missing & (col < threshold)
-    right = ~missing & ~left
-    weights = w[idx]
-    default = 0 if weights[left].sum() >= weights[right].sum() else 1
+    groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
     if missing.any():
-        if default:
-            right |= missing
-        else:
-            left |= missing
-    return threshold, default, idx[left], idx[right]
+        largest = max(groups, key=lambda c: (len(groups[c]), -c))
+        groups[largest] = np.concatenate([groups[largest], idx[missing]])
+    return groups
+
+
+def _partition(xt, w, rows, cols, lo, hi):
+    """(threshold, default branch, left rows, right rows) of each pair's cut, all pairs at once.
+
+    A pair of node rows and numeric column of ``xt`` is cut at the :func:`midpoint` of its
+    ``lo`` and ``hi`` (``hi`` where that rounds down onto ``lo``); missing rows go to the
+    heavier side, left on a tie.  Children keep their node's row order.
+    """
+    sizes = np.array([r.size for r in rows])
+    members, pair = np.concatenate(rows), np.repeat(np.arange(sizes.size), sizes)
+    with np.errstate(all="ignore"):  # as Python floats: an overflow gives inf and no warning
+        mid = (lo + hi) / 2.0
+        mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)
+        thresholds = np.where(mid <= lo, hi, mid)
+    col = np.take(xt, np.repeat(np.multiply(cols, xt.shape[1]), sizes) + members)
+    missing = np.isnan(col)
+    right = ~missing & ~(col < np.repeat(thresholds, sizes))
+    weights, side = w[members] * ~missing, 2 * pair + right
+    # sides summed in row order; NumPy's sums of m < 2**46 rows differ by under 2.02 m 2**-53
+    # of the node's total, so only sides within 2**-50 m of it can compare otherwise
+    sums = np.bincount(side, weights, 2 * sizes.size).reshape(-1, 2)
+    defaults = (sums[:, 0] < sums[:, 1]).astype(np.intp)
+    starts = np.cumsum(sizes) - sizes
+    for i in np.flatnonzero(np.abs(sums[:, 0] - sums[:, 1]) <= sizes * 2.0**-50 * sums.sum(1)):
+        node = slice(starts[i], starts[i] + sizes[i])
+        on_right, node_weights = right[node], weights[node]
+        defaults[i] = node_weights[~on_right & ~missing[node]].sum() < node_weights[on_right].sum()
+    side += missing & (defaults[pair] == 1)
+    ends = np.cumsum(np.bincount(side, minlength=2 * sizes.size)).tolist()
+    ordered = members[np.argsort(side, kind="stable")]
+    # copies, so a child waiting on its tree's stack holds no other node's rows
+    children = [ordered[a:b].copy() for a, b in zip([0, *ends], ends)]
+    return list(zip(thresholds.tolist(), defaults.tolist(), children[0::2], children[1::2]))
 
 
 def grow(
@@ -377,6 +400,7 @@ def grow(
     is_categorical[list(categorical)] = True
     xt = np.full((n_features, n + 1), np.nan)  # columns as rows; row n pads short nodes
     xt[:, :n] = x.T
+    ranks = _ranks(xt)
     onehot = np.zeros((n + 1, n_classes))  # each row's weight in its class's column
     onehot[np.arange(n), y] = w
     roots = [{} for _ in trees]
@@ -414,18 +438,27 @@ def grow(
                 j = first.setdefault(hash(rows := idx.tobytes()), i)
                 same.append(j if j == i or rows == searched[j][2].tobytes() else i)
             gains, lo, hi = _split_gains(
-                xt, y, w, onehot, [(s[2], s[4]) for s in searched], np.array(same),
+                xt, ranks, y, w, onehot, [(s[2], s[4]) for s in searched], np.array(same),
                 is_categorical, min_leaf, criterion,
             )
-            parts = {}  # (first node with the rows, column) -> the partition of those rows
-            for i, k in enumerate(_select_rows(gains)):
+            top = _select_rows(gains).tolist()
+            # (first node with the rows, numeric column) -> a node with them and the column's place
+            numeric = {(same[i], int(searched[i][4][k])): (i, k) for i, k in enumerate(top)
+                       if k >= 0 and not is_categorical[searched[i][4][k]]}
+            parts = {}  # (first node with the rows, column) -> the split of those rows
+            if numeric:  # numeric splits all at once
+                i, k = np.array(list(numeric.values())).T
+                parts = dict(zip(numeric, _partition(
+                    xt, w, [searched[j][2] for j in i], [f for _, f in numeric], lo[i, k], hi[i, k]
+                )))
+            for i, k in enumerate(top):
                 t, node, idx, dist, feats = searched[i]
                 if k < 0:
                     node["p"] = dist
                     continue
                 f = int(feats[k])
-                if (key := (same[i], f)) not in parts:
-                    parts[key] = _partition(xt, w, idx, f, is_categorical[f], lo[i, k], hi[i, k])
+                if (key := (same[i], f)) not in parts:  # a categorical split
+                    parts[key] = _categories(xt, idx, f)
                 part = parts[key]
                 if is_categorical[f]:
                     children = {c: {} for c in sorted(part)}

@@ -61,6 +61,24 @@ def test_more_failed_operations_than_the_parent_is_no_gain():
     assert out["gain"] is False
 
 
+def test_verdict_lines_of_a_hand_made_summary():
+    gain = [_pair(10.0 + 0.01 * i, 9.0) for i in range(10)]
+    flat = [_pair(10.0, 10.0 + 0.01 * (i % 3 - 1)) for i in range(10)]
+    worse = [_pair(10.0, 13.0) for _ in range(10)]
+    summary = {
+        "round_s": bench_pairs.summarize(gain, ROUND, _failed(gain)),
+        "setup_s": bench_pairs.summarize(flat, ROUND, _failed(flat)),
+        "peak_rss_mb": bench_pairs.summarize(worse, ROUND, _failed(worse)),
+        "other": bench_pairs.summarize([_pair(None, 9.0)], ROUND, {"parent": 1, "change": 0}),
+    }
+    assert bench_pairs.verdict("meta-learn", summary) == [
+        "meta-learn round_s 10.045 -> 9.000 s (x0.896, 10/10 wins, gain)",
+        "meta-learn setup_s 10.000 -> 10.000 s (x1.000, 4/10 wins, within bound)",
+        "meta-learn peak_rss_mb 10.000 -> 13.000 s (x1.300, 0/10 wins, beyond bound)",
+        "meta-learn other: no pair gave both results",
+    ]
+
+
 @pytest.mark.parametrize("text", ["recommend:2001", "recommend:", ":1-2", "recommend:5-3"])
 def test_workload_needs_a_seed_range(text):
     with pytest.raises(argparse.ArgumentTypeError):

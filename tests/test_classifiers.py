@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple, replace
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -1515,11 +1516,11 @@ def _tree_work(monkeypatch, datasets):
         ["pairs", "distinct", "searched", "splits", "distinct splits", "partitions"], 0
     )
     real = {name: getattr(tree, name) for name in
-            ("_split_gains", "_search", "_categorical_gains", "_partition")}
+            ("_split_gains", "_search", "_categorical_gains", "_partition", "_categories")}
     depth = []  # _categorical_gains halves a large batch by calling itself
 
-    def split_gains(xt, y, w, onehot, nodes, *args):
-        gains = real["_split_gains"](xt, y, w, onehot, nodes, *args)
+    def split_gains(xt, ranks, y, w, onehot, nodes, *args):
+        gains = real["_split_gains"](xt, ranks, y, w, onehot, nodes, *args)
         keys = [rows.tobytes() for rows, _ in nodes]
         work["pairs"] += sum(feats.size for _, feats in nodes)
         work["distinct"] += len({(key, f) for key, (_, feats) in zip(keys, nodes) for f in feats})
@@ -1529,9 +1530,9 @@ def _tree_work(monkeypatch, datasets):
         work["distinct splits"] += len(set(chosen))
         return gains
 
-    def search(xt, onehot, rows, *args):
+    def search(xt, ranks, onehot, rows, *args):
         work["searched"] += len(rows)
-        return real["_search"](xt, onehot, rows, *args)
+        return real["_search"](xt, ranks, onehot, rows, *args)
 
     def categorical_gains(xt, y, w, rows, *args):
         work["searched"] += 0 if depth else len(rows)
@@ -1541,13 +1542,18 @@ def _tree_work(monkeypatch, datasets):
         finally:
             depth.pop()
 
-    def partition(*args):
+    def partition(xt, w, rows, *args):  # a step's numeric pairs, split together
+        work["partitions"] += len(rows)
+        return real["_partition"](xt, w, rows, *args)
+
+    def categories(*args):
         work["partitions"] += 1
-        return real["_partition"](*args)
+        return real["_categories"](*args)
 
     with monkeypatch.context() as mp:
         for name, spy in [("_split_gains", split_gains), ("_search", search),
-                          ("_categorical_gains", categorical_gains), ("_partition", partition)]:
+                          ("_categorical_gains", categorical_gains), ("_partition", partition),
+                          ("_categories", categories)]:
             mp.setattr(tree, name, spy)
         cross_validate(TREE, datasets, 10, seed=7)
     return work
@@ -1603,6 +1609,42 @@ def test_shared_cells_budget_does_not_change_scores(mini_datasets, monkeypatch, 
             pairs = 10 * sum(len(ds.predictor_indices) for ds in catalog)
             assert COLUMN_FOLDS.value == pairs if cells == 0 else COLUMN_FOLDS.value < pairs
     assert max(held) <= cells and (cells == 0 or max(held) > 0)
+
+
+@pytest.mark.parametrize("kind", SHARING_KINDS, ids=lambda kind: kind.name)
+def test_shared_results_are_kept_only_for_later_readers(mini_datasets, kind, monkeypatch):
+    # a column's results are read once per (dataset, predictor) slot holding it, each fold
+    catalog = _with_versions(mini_datasets[15])
+    columns = [
+        {j: (ds.attributes[j].kind, len(ds.attributes[j].categories), ds.column(j).tobytes())
+         for j in ds.predictor_indices}
+        for ds in catalog
+    ]
+    slots = Counter(c for ds_columns in columns for c in ds_columns.values())
+    assert 1 in slots.values() and max(slots.values()) > 1
+    real_get, reads, seen, shared = classifiers_mod._Shared.get, Counter(), Counter(), []
+    readers_of = {}
+
+    def get(self, a, j, scope, fn, *args):
+        value = real_get(self, a, j, scope, fn, *args)
+        key, readers = (self.ids[a][j], scope), slots[columns[a][j]]
+        readers_of[key] = readers
+        reads[key] += 1
+        if readers == 1:
+            seen["single"] += 1
+            assert key not in self.cache  # no later reader: never stored
+        elif reads[key] % readers == 0:
+            seen["last"] += 1
+            assert key not in self.cache  # dropped at its last read
+        seen["stored"] = max(seen["stored"], len(self.cache))
+        shared.append(self)
+        return value
+
+    monkeypatch.setattr(classifiers_mod._Shared, "get", get)
+    cross_validate(kind, catalog, 10, seed=7)
+    assert seen["single"] and seen["last"] and seen["stored"], seen
+    assert all(reads[key] % readers_of[key] == 0 for key in reads)  # every slot read each
+    assert shared[-1].cache == {} and shared[-1].cells == 0
 
 
 @pytest.mark.parametrize("kind", SHARING_KINDS, ids=lambda kind: kind.name)

@@ -262,6 +262,24 @@ def test_partial_failure_exit_codes(tmp_path, capsys):
     assert main(args + ["--allow-partial"]) == 0
 
 
+def test_a_manifest_line_of_non_ascii_digits_is_a_missing_path(tmp_path, capsys):
+    # "²".isdigit() is true, but int("²") raises: the line is a path, and one failed entry
+    manifest = tmp_path / "digits.manifest"
+    manifest.write_text(f"²\n{CORPUS_DIR / 'mini' / 'syn00.arff'}\n", encoding="utf-8")
+    args = [
+        "build-metadb",
+        "--datasets", str(manifest),
+        "--algorithm", "nb",
+        "--seed", "1",
+        "--out", str(tmp_path / "db.tsv"),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"failed: {tmp_path / '²'}: FileNotFoundError: " in err
+    assert main(args + ["--allow-partial"]) == 0
+    assert "5 rows over 1 datasets" in capsys.readouterr().err
+
+
 @pytest.fixture
 def failing_syn01(monkeypatch):
     """Makes measuring syn01 raise inside ``build_metadb``."""

@@ -16,13 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import make_rule_metadb
+from hypothesis import given, settings, strategies as st
 
 from preprank import classifiers, tree
-from preprank.classifiers import TREE, fit_predict
+from preprank.classifiers import TREE, cross_validate, fit_predict
 from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.forest import MIN_NODE_SIZE, train_forest
 from preprank.metadb import RESPONSE_CLASSES, feature_matrix
 from preprank.synthetic import random_dataset
+from preprank.transforms import apply, enumerate_applicable
 
 # --- oracles: the base tree ------------------------------------------------------
 
@@ -387,6 +389,42 @@ def _oracle_node_split(block, labels, weights, n_classes, min_leaf, criterion, s
     return None if k is None else (found[k][2], found[k][0], found[k][1])
 
 
+def _oracle_threshold(lo: float, hi: float) -> float:
+    """The midpoint of two adjacent sorted values, or ``hi`` if it rounds down onto ``lo``."""
+    mid = tree.midpoint(lo, hi)
+    return float(hi) if mid <= lo else mid
+
+
+# verbatim as the grower split one node at a time, with ``_threshold`` renamed
+def _oracle_partition(xt, w, idx, f, categorical, lo, hi):
+    """Node rows ``idx`` split on column ``f``, its cut between ``lo`` and ``hi`` if numeric.
+
+    A categorical column gives each category's rows in category order, its
+    missing rows going with the largest category (the lowest on a tie).  A
+    numeric one gives (threshold, default branch, left rows, right rows),
+    missing rows going to the side of the larger weight (left on a tie).
+    """
+    col = xt[f, idx]
+    missing = np.isnan(col)
+    if categorical:
+        groups = {int(c): idx[~missing & (col == c)] for c in np.unique(col[~missing])}
+        if missing.any():
+            largest = max(groups, key=lambda c: (len(groups[c]), -c))
+            groups[largest] = np.concatenate([groups[largest], idx[missing]])
+        return groups
+    threshold = _oracle_threshold(lo, hi)
+    left = ~missing & (col < threshold)
+    right = ~missing & ~left
+    weights = w[idx]
+    default = 0 if weights[left].sum() >= weights[right].sum() else 1
+    if missing.any():
+        if default:
+            right |= missing
+        else:
+            left |= missing
+    return threshold, default, idx[left], idx[right]
+
+
 # --- oracles: the one-tree grower ----------------------------------------------------
 #
 # verbatim as ``tree.grow`` and its node search were before trees grew in lockstep,
@@ -520,7 +558,7 @@ def _oracle_grow(
             stack += [(children[c], groups[c]) for c in reversed(children)]
             continue
         j = k - np.count_nonzero(cat[:k])  # the winner's row among the numeric columns
-        threshold = tree._threshold(lo[j], hi[j])
+        threshold = _oracle_threshold(lo[j], hi[j])
         left = ~missing & (col < threshold)
         right = ~missing & ~left
         default_left = weights[left].sum() >= weights[right].sum()
@@ -723,23 +761,25 @@ def test_select_matches_scalar_loop_on_fuzzed_gains():
 
 
 def _search_inputs(x, y, w, n_classes):
-    """``xt`` and ``onehot`` as ``grow`` builds them: columns as rows, one padding row after."""
+    """``xt``, its ranks and ``onehot`` as ``grow`` builds them: columns as rows, one padding row."""
     xt = np.full((x.shape[1], x.shape[0] + 1), np.nan)
     xt[:, :-1] = x.T
     onehot = np.zeros((x.shape[0] + 1, n_classes))
     onehot[np.arange(x.shape[0]), y] = w
-    return xt, onehot
+    return xt, tree._ranks(xt), onehot
 
 
 def _node_split(block, labels, weights, n_classes, min_leaf, criterion):
     """(column, gain, threshold) of the batched search, as ``grow`` takes it."""
-    xt, onehot = _search_inputs(block.T, labels, weights, n_classes)
+    xt, ranks, onehot = _search_inputs(block.T, labels, weights, n_classes)
     rows = [np.arange(labels.size)] * block.shape[0]
-    gains, lo, hi = tree._search(xt, onehot, rows, np.arange(block.shape[0]), min_leaf, criterion)
+    gains, lo, hi = tree._search(
+        xt, ranks, onehot, rows, np.arange(block.shape[0]), min_leaf, criterion
+    )
     k = tree.select(gains)
     if k is None:
         return None
-    return k, gains[k], tree._threshold(lo[k], hi[k])
+    return k, gains[k], _oracle_threshold(lo[k], hi[k])
 
 
 def _fuzzed_node(rng, n_classes, min_leaf):
@@ -807,9 +847,9 @@ def test_batched_node_search_matches_oracle_on_nodes_searched_in_several_batches
     batches = []
     best_cuts = tree._best_cuts
 
-    def counting_best_cuts(values, *args):
-        batches.append(values.shape[0])
-        return best_cuts(values, *args)
+    def counting_best_cuts(xt, ranks, cols, *args):
+        batches.append(cols.size)
+        return best_cuts(xt, ranks, cols, *args)
 
     monkeypatch.setattr(tree, "_best_cuts", counting_best_cuts)
     rng = np.random.default_rng(n_classes)
@@ -848,7 +888,7 @@ def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
     x[:, 4] = np.arange(n) // 7
     x[rng.random(x.shape) < 0.1] = np.nan
     x[rng.random(n) < 0.9, 5] = np.nan  # mostly missing
-    xt, onehot = _search_inputs(x, y, 1.0 / rng.integers(1, 12, size=n), n_classes)
+    xt, ranks, onehot = _search_inputs(x, y, 1.0 / rng.integers(1, 12, size=n), n_classes)
     sizes = np.unique(np.geomspace(2, n, 40).astype(int))
     rows = [
         rng.choice(n, size=size, replace=bool(k % 2)) for k, size in enumerate(sizes)
@@ -861,9 +901,9 @@ def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
         assert n * n_classes > tree._BATCH_CELLS  # the pair of all rows goes alone
     criterion = getattr(tree, name.upper())
     for min_leaf in (1, 2):
-        ours = tree._search(xt, onehot, rows, cols, min_leaf, criterion)
+        ours = tree._search(xt, ranks, onehot, rows, cols, min_leaf, criterion)
         expected = np.column_stack([
-            tree._best_cuts(xt[[c]][:, r], r[None, :], onehot, min_leaf, criterion)
+            tree._best_cuts(xt, ranks, np.array([c]), r[None, :], onehot, min_leaf, criterion)
             for r, c in zip(rows, cols)
         ])
         cut = np.isfinite(expected[0])  # a pair without a cut has no values around it
@@ -872,15 +912,22 @@ def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
         assert cut.sum() > len(rows) // 2
 
 
+#: signed zeros, infinities and subnormal values, which tie and order as floats do
+_SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0])
+
+
 def _fuzzed_block(rng, n_classes, min_leaf):
-    """``_best_cuts`` inputs: pairs of bootstrap rows over fuzzed columns, NaN-padded."""
+    """``_best_cuts`` inputs: pairs of bootstrap rows, each over its own fuzzed column.
+
+    Returns ``xt`` (one column per pair), its ranks, the pairs' columns and
+    padded rows, ``onehot``, and the block of values the rows hold.
+    """
     n_rows = int(rng.integers(4, 40))
     y = rng.integers(0, n_classes, size=n_rows)
     w = rng.integers(1, 4, size=n_rows) if rng.random() < 0.5 else 1.0 / rng.integers(1, 12, n_rows)
-    _, onehot = _search_inputs(np.empty((n_rows, 0)), y, w, n_classes)
     n_pairs, width = int(rng.integers(1, 7)), int(rng.integers(2, 2 * n_rows))
-    values = np.full((n_pairs, width), np.nan)  # padding: NaN on the row of no weight
-    rows = np.full((n_pairs, width), n_rows)
+    x = np.empty((n_rows, n_pairs))
+    rows = np.full((n_pairs, width), n_rows)  # padding: the NaN row of no weight
     no_cut = rng.random() < 0.1  # every pair all-tie or pure: nothing to gather
     for i in range(n_pairs):
         size = int(rng.integers(1, width + 1))
@@ -888,18 +935,25 @@ def _fuzzed_block(rng, n_classes, min_leaf):
         if no_cut or rng.random() < 0.15:  # a pure pair
             pool = np.flatnonzero(y == y[rng.integers(0, n_rows)])
         rows[i, :size] = rng.choice(pool, size=size, replace=True)  # bootstrap repeats
-        kind = rng.integers(0, 5)
+        kind = rng.integers(0, 7)
         if no_cut or kind == 0:  # all tie
             column = np.full(n_rows, float(rng.integers(0, 3)))
         elif kind == 1:  # few distinct values
             column = rng.integers(0, 3, size=n_rows).astype(float)
         elif kind == 2:  # mostly missing
             column = np.where(rng.random(n_rows) < 0.8, np.nan, rng.normal(size=n_rows))
+        elif kind == 3:  # all missing
+            column = np.full(n_rows, np.nan)
+        elif kind == 4:
+            column = rng.choice(_SPECIAL_VALUES, size=n_rows)
+            column[rng.random(n_rows) < 0.2] = np.nan
         else:
             column = np.round(rng.normal(size=n_rows), 1)
             column[rng.random(n_rows) < 0.2] = np.nan
-        values[i, :size] = column[rows[i, :size]]
-    return values, rows, onehot
+        x[:, i] = column
+    xt, ranks, onehot = _search_inputs(x, y, w, n_classes)
+    cols = np.arange(n_pairs)
+    return xt, ranks, cols, rows, onehot, xt[cols[:, None], rows]
 
 
 def test_best_cuts_match_the_dense_oracle_on_fuzzed_blocks():
@@ -909,9 +963,9 @@ def test_best_cuts_match_the_dense_oracle_on_fuzzed_blocks():
         n_classes = (2, 3, 9)[trial % 3]
         min_leaf = 1 + trial // 3 % 3
         criterion = (tree.ENTROPY, tree.GINI)[trial // 9 % 2]
-        values, rows, onehot = _fuzzed_block(rng, n_classes, min_leaf)
+        xt, ranks, cols, rows, onehot, values = _fuzzed_block(rng, n_classes, min_leaf)
         with np.errstate(all="raise"):
-            ours = tree._best_cuts(values, rows, onehot, min_leaf, criterion)
+            ours = tree._best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion)
         expected = np.array([
             np.concatenate(_oracle_best_cuts(values[[i]], onehot[r], min_leaf, criterion))
             for i, r in enumerate(rows)
@@ -919,10 +973,33 @@ def test_best_cuts_match_the_dense_oracle_on_fuzzed_blocks():
         cut = np.isfinite(expected[0])  # a row without a cut has no values around it
         assert ours[0].tobytes() == expected[0].tobytes(), trial
         assert np.array(ours)[:, cut].tobytes() == expected[:, cut].tobytes(), trial
+        # the search pads pairs itself; grow searches no node of one row
+        sizes = (rows < xt.shape[1] - 1).sum(axis=1)
+        kept = sizes > 1
+        pairs = [r[:size] for r, size in zip(rows[kept], sizes[kept])]
+        found = tree._search(xt, ranks, onehot, pairs, cols[kept], min_leaf, criterion)
+        assert found[0].tobytes() == expected[0, kept].tobytes(), trial
+        assert found[:, cut[kept]].tobytes() == expected[:, kept][:, cut[kept]].tobytes(), trial
         seen["cut"] += cut.sum()
         seen["none"] += (~cut).sum()
         seen["empty"] += not cut.any()
     assert seen["cut"] > 2500 and seen["none"] > 5000 and seen["empty"] > 500, seen
+
+
+def test_block_keys_sort_as_a_stable_sort_of_the_values():
+    rng = np.random.default_rng(28)
+    for trial in range(3000):
+        xt, ranks, cols, rows, _, values = _fuzzed_block(rng, 3, 1)
+        assert ranks.dtype == np.min_scalar_type(xt.shape[1])  # missing: n + 1 for n rows
+        sorted_rows, rank = tree._sort_block(ranks, cols, rows)
+        order = np.argsort(values, axis=1, kind="stable")
+        assert np.array_equal(sorted_rows, np.take_along_axis(rows, order, axis=1)), trial
+        v = np.take_along_axis(values, order, axis=1)
+        assert np.array_equal(rank == xt.shape[1], np.isnan(v)), trial  # missing last
+        steps = np.diff(rank, axis=1)
+        present = ~np.isnan(v[:, 1:])
+        assert (steps >= 0).all()  # dense ranks: a step between distinct values, not between equal ones
+        assert np.array_equal(steps[present] > 0, (v[:, 1:] != v[:, :-1])[present]), trial
 
 
 def test_criterion_scores_only_the_candidate_cuts(tree_metadb, monkeypatch):
@@ -936,12 +1013,12 @@ def test_criterion_scores_only_the_candidate_cuts(tree_metadb, monkeypatch):
 
     best_cuts = tree._best_cuts
 
-    def counting_best_cuts(values, *args):
-        positions.append(values.shape[0] * (values.shape[1] - 1))
-        return best_cuts(values, *args)
+    def counting_best_cuts(xt, ranks, cols, rows, *args):
+        positions.append(rows.shape[0] * (rows.shape[1] - 1))
+        return best_cuts(xt, ranks, cols, rows, *args)
 
     x, y, w = feature_matrix(tree_metadb)
-    xt, onehot = _search_inputs(x, y, w, len(RESPONSE_CLASSES))
+    xt, ranks, onehot = _search_inputs(x, y, w, len(RESPONSE_CLASSES))
     rng = np.random.default_rng(7)
     rows, cols, candidates = [], [], 0
     for k in range(30):
@@ -957,10 +1034,10 @@ def test_criterion_scores_only_the_candidate_cuts(tree_metadb, monkeypatch):
             if np.unique(y[node[present]]).size > 1:
                 candidates += np.count_nonzero(v[1:] != v[:-1])
     cols = np.array(cols)
-    expected = tree._search(xt, onehot, rows, cols, 1, tree.GINI)
+    expected = tree._search(xt, ranks, onehot, rows, cols, 1, tree.GINI)
     monkeypatch.setattr(tree, "_best_cuts", counting_best_cuts)
     spy = tree.Criterion(tree.GINI.impurity, counting_children)
-    ours = tree._search(xt, onehot, rows, cols, 1, spy)
+    ours = tree._search(xt, ranks, onehot, rows, cols, 1, spy)
     assert ours.tobytes() == expected.tobytes()
     assert sum(scored) == candidates > 0
     assert sum(scored) < sum(positions) / 4, (sum(scored), sum(positions))
@@ -1096,9 +1173,9 @@ def test_fixed_candidate_tree_takes_one_step_per_level(name, monkeypatch):
     steps = []  # nodes searched per step
     split_gains = tree._split_gains
 
-    def counting_split_gains(xt, y, w, onehot, nodes, *args):
+    def counting_split_gains(xt, ranks, y, w, onehot, nodes, *args):
         steps.append(len(nodes))
-        return split_gains(xt, y, w, onehot, nodes, *args)
+        return split_gains(xt, ranks, y, w, onehot, nodes, *args)
 
     monkeypatch.setattr(tree, "_split_gains", counting_split_gains)
     kwargs = dict(criterion=getattr(tree, name.upper()), min_leaf=2, min_node=5)
@@ -1151,17 +1228,17 @@ def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
     searched, padded, categorical = [], [], []
     search, best_cuts, categorical_gains = tree._search, tree._best_cuts, tree._categorical_gains
 
-    def recording_search(xt, onehot, rows, cols, min_leaf, criterion):
+    def recording_search(xt, ranks, onehot, rows, cols, min_leaf, criterion):
         sizes = sorted(r.size for r in rows)
         cells = sum(r.size for r in rows) * onehot.shape[1]
         searched.append((sizes, cells))
-        return search(xt, onehot, rows, cols, min_leaf, criterion)
+        return search(xt, ranks, onehot, rows, cols, min_leaf, criterion)
 
-    def recording_best_cuts(values, rows, onehot, min_leaf, criterion):
+    def recording_best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
         lengths = (rows != x.shape[0]).sum(axis=1)  # each column's rows without padding
-        if lengths.min() < values.shape[1]:
-            padded.append((lengths.min(), lengths.max(), values.size * onehot.shape[1]))
-        return best_cuts(values, rows, onehot, min_leaf, criterion)
+        if lengths.min() < rows.shape[1]:
+            padded.append((lengths.min(), lengths.max(), rows.size * onehot.shape[1]))
+        return best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion)
 
     def recording_categorical_gains(xt, y, w, rows, *args):
         categorical.append(sum(r.size for r in rows))
@@ -1212,3 +1289,117 @@ def test_lockstep_forest_matches_one_tree_oracle(tree_metadb, seed):
     # the forest passes its bootstrap rows of one shared matrix, not a copy per tree
     expected = _oracle_forest_trees(tree_metadb, 10, seed, _one_tree_forest_oracle)
     assert train_forest(tree_metadb, 10, seed=seed).trees == expected
+
+
+# --- the batched partition ----------------------------------------------------------------
+
+
+def _checked_partitions(monkeypatch, run):
+    """Runs ``run()`` with each split checked against the one-node oracle; the pairs split."""
+    partition, categories, pairs = tree._partition, tree._categories, []
+
+    def checked_partition(xt, w, rows, cols, lo, hi):
+        found = partition(xt, w, rows, cols, lo, hi)
+        for pair, split in enumerate(found):
+            expected = _oracle_partition(xt, w, rows[pair], cols[pair], False, lo[pair], hi[pair])
+            # repr tells 0.0 from -0.0, as the model file does
+            assert repr(split[:2]) == repr(expected[:2])
+            assert [a.tobytes() for a in split[2:]] == [a.tobytes() for a in expected[2:]]
+        pairs.append(len(rows))
+        return found
+
+    def checked_categories(xt, idx, f):
+        found = categories(xt, idx, f)
+        expected = _oracle_partition(xt, None, idx, f, True, None, None)
+        assert {c: a.tobytes() for c, a in found.items()} == {
+            c: a.tobytes() for c, a in expected.items()
+        }
+        assert list(found) == list(expected)
+        return found
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tree, "_partition", checked_partition)
+        mp.setattr(tree, "_categories", checked_categories)
+        run()
+    return sum(pairs)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_forest_partitions_match_one_node_oracle(tree_metadb, seed, monkeypatch):
+    pairs = _checked_partitions(monkeypatch, lambda: train_forest(tree_metadb, 20, seed=seed))
+    assert pairs > 500
+
+
+def test_catalog_tree_cv_partitions_match_one_node_oracle(mini_datasets, monkeypatch):
+    def run():
+        for ds in mini_datasets:
+            cross_validate(TREE, [ds, *(apply(s, ds) for s in enumerate_applicable(ds))], seed=7)
+
+    assert _checked_partitions(monkeypatch, run) > 5000
+
+
+def _near_tie_pairs(rng, weights, n_pairs):
+    """Pairs over one column whose two sides hold the same weights, each a node's rows.
+
+    Row ``2i`` (value 0.0, left) and row ``2i + 1`` (value 1.0, right) share
+    weight ``weights[i]``, but some right rows are one ulp heavier; the last
+    rows are missing.  Half the pairs take unnudged rows side by side, so
+    their side sums tie exactly; the others take rows in a random order, so
+    their sums lie a few ulps apart or tie.
+    """
+    k = len(weights)
+    w = np.repeat(weights, 2)
+    nudged = rng.random(k) < 0.3
+    w[2 * np.flatnonzero(nudged) + 1] = np.nextafter(weights[nudged], np.inf)
+    w = np.concatenate([w, rng.uniform(0.01, 1.0, size=4)])
+    xt = np.concatenate([np.tile([0.0, 1.0], k), np.full(5, np.nan)])[None, :]  # 4 missing, padding
+    rows = []
+    for _ in range(n_pairs):
+        missing = 2 * k + np.arange(int(rng.integers(0, 5)))
+        if rng.random() < 0.5 and not nudged.all():
+            pool = np.flatnonzero(~nudged)
+            half = rng.choice(pool, size=int(rng.integers(1, pool.size + 1)), replace=False)
+            idx = np.insert(np.ravel([2 * half, 2 * half + 1], order="F"),
+                            rng.integers(0, 2 * half.size + 1, size=missing.size), missing)
+        else:
+            half = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            idx = rng.permutation(np.concatenate([2 * half, 2 * half + 1, missing]))
+        rows.append(idx)
+    return xt, w, rows
+
+
+def _assert_partition_matches_oracle(xt, w, rows):
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    found = tree._partition(xt, w, rows, [0] * len(rows), lo, hi)
+    for pair, split in enumerate(found):
+        expected = _oracle_partition(xt, w, rows[pair], 0, False, 0.0, 1.0)
+        assert repr(split[:2]) == repr(expected[:2])
+        assert [a.tobytes() for a in split[2:]] == [a.tobytes() for a in expected[2:]]
+
+
+def test_partition_defaults_follow_numpy_sums_on_near_ties():
+    # the sums in row order (as one pass adds them) and NumPy's pairwise sums
+    # must disagree on some pairs, so only the exact recompute gets them right
+    rng = np.random.default_rng(28)
+    seen: Counter = Counter()
+    for _ in range(40):
+        xt, w, rows = _near_tie_pairs(rng, 1.0 / rng.integers(1, 50, size=30), 50)
+        _assert_partition_matches_oracle(xt, w, rows)
+        for idx in rows:
+            values = xt[0, idx]
+            sides = [w[idx][values == v] for v in (0.0, 1.0)]
+            pairwise = [s.sum() for s in sides]
+            in_order = [np.cumsum(s)[-1] for s in sides]
+            seen["tie"] += pairwise[0] == pairwise[1]
+            seen["disagree"] += (pairwise[0] >= pairwise[1]) != (in_order[0] >= in_order[1])
+    assert seen["tie"] > 200 and seen["disagree"] > 20, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.001, 1000.0), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_partition_matches_oracle_on_hypothesis_near_ties(weights, seed):
+    rng = np.random.default_rng(seed)
+    _assert_partition_matches_oracle(*_near_tie_pairs(rng, np.array(weights), 20))
