@@ -30,6 +30,10 @@ preprank.cli``, then a small tree and a small knn:1 ``recommend`` of
 trains its 100-tree models from ``mini_corpus(7)`` in a temporary directory,
 before any timing.  Each run's wall time, CPU time and max RSS are kept, and
 under ``"cold_start"`` each side's median and quartiles of them.
+
+The file also keeps, under ``"source_lines"``, each checkout's
+``wc -l src/preprank/*.py``, and one stderr line gives both, e.g.
+``source lines 4230 -> 4212``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ def _workload(text: str) -> tuple[str, list[int]]:
     if not name or lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"expected NAME:FIRST-LAST, got {text!r}")
     return name, list(range(lo, hi + 1))
+
+
+def source_lines(checkout: Path) -> int:
+    """The lines of the checkout's package, as ``wc -l src/preprank/*.py`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "preprank").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -253,8 +262,11 @@ def main(argv=None) -> int:
                        f"--seconds {seconds:g} --trace 0",
             "order": "parent first on even pairs, change first on odd ones",
         },
+        "source_lines": {side: source_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
+    lines = report["source_lines"]
+    print(f"source lines {lines['parent']} -> {lines['change']}", file=sys.stderr, flush=True)
     for name, seeds in args.workload:
         entry = report["workloads"][name] = {"seeds": seeds, "pairs": []}
         for i, seed in enumerate(seeds):

@@ -103,25 +103,24 @@ _SHARED_CELLS = 2**20
 
 
 class _Shared:
-    """A catalog CV's results per (distinct column, scope), each kept only for later readers.
+    """A CV's results per (distinct column, scope), each kept only for later readers.
 
-    The datasets share rows and labels; a one-dataset CV caches nothing.  A result is kept,
-    within ``_SHARED_CELLS``, until the last (dataset, predictor) slot of its column reads it.
+    The datasets share rows and labels.  A result is kept, within ``_SHARED_CELLS``, until
+    the last (dataset, predictor) slot of its column reads it, so a column that one slot
+    holds is never kept.
     """
 
     def __init__(self, datasets):
         keys = {}
-        self.ids = None if len(datasets) == 1 else [
+        self.ids = [
             {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
             for ds in datasets
         ]
-        self.readers = Counter(i for ids in self.ids or () for i in ids.values())
+        self.readers = Counter(i for ids in self.ids for i in ids.values())
         self.cache, self.reads, self.cells = {}, {}, 0
 
     def get(self, a, j, scope, fn, *args):
         """``fn(*args)``: the result in ``scope`` for column ``j`` of dataset ``a``."""
-        if self.ids is None:
-            return fn(*args)
         key = (self.ids[a][j], scope)
         later = self.reads[key] = (self.reads.get(key, 0) + 1) % self.readers[key[0]]  # 0: last
         if key in self.cache:
@@ -170,8 +169,7 @@ def _learner_tree(datasets, train_rows, test_rows):
         stacked, trees = {}, []  # each distinct column's key -> (index in x, dataset, column)
         for ds in group:
             predictors = np.array([
-                stacked.setdefault(column_key(ds, j) if len(datasets) > 1 else j,
-                                   (len(stacked), ds, j))[0]
+                stacked.setdefault(column_key(ds, j), (len(stacked), ds, j))[0]
                 for j in ds.predictor_indices
             ])
             trees += [(rows, predictors) for rows in train_rows]  # its own columns
@@ -194,16 +192,19 @@ _NB_VAR_FLOOR = 1e-9
 def _nb_column(ds, j, train_rows, test_rows, y):
     """Predictor ``j``'s fold addend to the test rows' class log-likelihoods, 0.0 for no factor.
 
-    Adding 0.0 is exact: a log-likelihood, a log prior plus factors, is never -0.0.
+    A categorical predictor's Laplace table is one (class, category) count of its training
+    cells plus 1.  Adding 0.0 is exact: a log-likelihood, a log prior plus factors, is never
+    -0.0.
     """
     COLUMN_FOLDS.increment()
     col, v = ds.rows[train_rows, j], ds.rows[test_rows, j]
     present, n_classes = ~np.isnan(v), len(ds.class_attribute.categories)
     addend = np.zeros((len(v), n_classes))
     if ds.attributes[j].is_categorical:
-        table = np.ones((n_classes, len(ds.attributes[j].categories)))  # Laplace +1
-        known = ~np.isnan(col)
-        np.add.at(table, (y[known], col[known].astype(int)), 1.0)
+        n_categories, known = len(ds.attributes[j].categories), ~np.isnan(col)
+        counts = np.bincount(y[known] * n_categories + col[known].astype(int),
+                             minlength=n_classes * n_categories)
+        table = 1.0 + counts.reshape(n_classes, n_categories)
         log_table = np.log(table / table.sum(axis=1, keepdims=True))
         addend[present] = log_table[:, v[present].astype(int)].T
         return addend

@@ -70,10 +70,6 @@ class MetaInstance:
     meta_response_value: float
     meta_response_class: str
 
-    @property
-    def base_performance(self) -> float:
-        return float(self.features[-1])
-
     def __eq__(self, other):
         if not isinstance(other, MetaInstance):
             return NotImplemented

@@ -83,44 +83,6 @@ assert len(FEATURE_IDS) == 61
 MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
 
 
-def attribute_entropy(ds: Dataset, attr: int) -> float:
-    """Shannon entropy (bits) of a categorical attribute over non-missing cells."""
-    a = ds.attributes[attr]
-    if not a.is_categorical:
-        raise ValueError(f"attribute {a.name!r} is continuous")
-    col = ds.column(attr)
-    present = col[~np.isnan(col)].astype(int)
-    if present.size == 0:
-        return 0.0
-    return entropy(np.bincount(present, minlength=len(a.categories)))
-
-
-def mutual_information(ds: Dataset, attr: int) -> float:
-    """I(attribute; class) in bits, rows with a missing attribute cell excluded."""
-    a = ds.attributes[attr]
-    if not a.is_categorical:
-        raise ValueError(f"attribute {a.name!r} is continuous")
-    col = ds.column(attr)
-    mask = ~np.isnan(col)
-    if not mask.any():
-        return 0.0
-    x = col[mask].astype(int)
-    y = ds.class_labels[mask]
-    n_x = len(a.categories)
-    n_y = len(ds.class_attribute.categories)
-    joint = np.zeros((n_x, n_y))
-    np.add.at(joint, (x, y), 1.0)
-    joint /= joint.sum()
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    info = 0.0
-    for i in range(n_x):
-        for j in range(n_y):
-            if joint[i, j] > 0:
-                info += joint[i, j] * math.log2(joint[i, j] / (px[i] * py[j]))
-    return max(0.0, info)
-
-
 def _sample_std(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
@@ -145,17 +107,14 @@ def _shape(values: np.ndarray) -> tuple[float, float]:
     return kurtosis, float((dev**3).mean()) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
-def _present(col: np.ndarray) -> np.ndarray:
-    return col[~np.isnan(col)]
-
-
 def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
     """Mean, sample std, excess kurtosis and skewness of one continuous attribute.
 
     Raises ValueError naming the attribute when a moment leaves the float
     range, so that NaN in the vector only ever means NOT_APPLICABLE.
     """
-    vals = _present(ds.column(attr))
+    vals = ds.column(attr)
+    vals = vals[~np.isnan(vals)]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             stats = (float(vals.mean()) if vals.size else 0.0, _sample_std(vals), *_shape(vals))
@@ -168,19 +127,40 @@ def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
     return stats
 
 
+def _categorical_stats(ds: Dataset, attr: int) -> tuple[float, float, int]:
+    """Entropy and mutual information with the class (bits), and distinct values, of a column.
+
+    All three come from one (category, class) count table of the present
+    cells; a column with none gives zeros.  The information sums its terms
+    in row-major order with libm's ``log2``.
+    """
+    col, n_classes = ds.column(attr), len(ds.class_attribute.categories)
+    present = ~np.isnan(col)
+    cells = col[present].astype(int) * n_classes + ds.class_labels[present]
+    size = len(ds.attributes[attr].categories) * n_classes
+    counts = np.bincount(cells, minlength=size).reshape(-1, n_classes)
+    per_category = counts.sum(axis=1)
+    if not per_category.any():
+        return 0.0, 0.0, 0
+    joint = counts / counts.sum()
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    x, y = np.nonzero(counts)
+    info = 0.0
+    for p, p_x, p_y in zip(joint[x, y].tolist(), px[x].tolist(), py[y].tolist()):
+        info += p * math.log2(p / (p_x * p_y))
+    return entropy(per_category), max(0.0, info), int(np.count_nonzero(per_category))
+
+
 def _column_stats(ds: Dataset, attr: int, columns: dict) -> tuple:
-    """A predictor's (mean, std, kurtosis, skewness) or (entropy, information, distinct count).
+    """A predictor's :func:`_continuous_stats` or :func:`_categorical_stats`, each once.
 
     ``columns`` keys them by :func:`column_key`, so reuse is exact among
     datasets sharing the class column; out-of-range ones never enter.
     """
     key = column_key(ds, attr)
     if key not in columns:
-        if ds.attributes[attr].is_continuous:
-            columns[key] = _continuous_stats(ds, attr)
-        else:
-            distinct = np.unique(_present(ds.column(attr))).size
-            columns[key] = (attribute_entropy(ds, attr), mutual_information(ds, attr), distinct)
+        stats = _continuous_stats if ds.attributes[attr].is_continuous else _categorical_stats
+        columns[key] = stats(ds, attr)
         COLUMN_STATS.increment()
     return columns[key]
 

@@ -163,7 +163,7 @@ def load_corpus(manifest, cache_dir, fetch=None) -> CorpusResult:
         raise CorpusError("empty manifest")
     datasets: list[Dataset] = []
     failures: list[tuple[str, str]] = []
-    seen: dict[str, int] = {}
+    taken: set[str] = set()
     for entry in entries:
         try:
             if isinstance(entry, int):
@@ -174,11 +174,12 @@ def load_corpus(manifest, cache_dir, fetch=None) -> CorpusResult:
             log.warning("corpus entry %r failed: %s", entry, exc)
             failures.append((str(entry), f"{type(exc).__name__}: {exc}"))
             continue
-        count = seen.get(ds.name, 0) + 1
-        seen[ds.name] = count
-        if count > 1:
-            ds = replace(ds, name=f"{ds.name}~{count}")
-        datasets.append(ds)
+        name, count = ds.name, 1
+        while name in taken:  # a suffix that an earlier name holds is skipped too
+            count += 1
+            name = f"{ds.name}~{count}"
+        taken.add(name)
+        datasets.append(replace(ds, name=name) if count > 1 else ds)
     if not datasets:
         raise CorpusError("every manifest entry failed")
     return CorpusResult(tuple(datasets), tuple(failures))

@@ -1,11 +1,15 @@
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import preprank.forest as forest_mod
 from preprank.classifiers import LOGISTIC, TREE, knn
+from preprank.dataset import Attribute, Dataset
 from preprank.metadb import MetaDatabase, MetaInstance, build_metadb
 from preprank.metafeatures import FEATURE_IDS, MODIFIABLE_IDS
 from preprank.openml import load_corpus, read_manifest
@@ -25,6 +29,61 @@ def distinct_columns(catalog):
         for ds in catalog
         for j in ds.predictor_indices
     }
+
+
+@st.composite
+def categorical_columns(draw):
+    """A categorical predictor (column 0) and a class (column 1), with their edge cases.
+
+    The predictor may be all missing, have one category, declare categories
+    that never occur, or have up to 12; the class has up to 10 categories,
+    some maybe never occurring.
+    """
+    n, k, n_classes = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(2, 10))
+    used = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes,
+                           unique=True))
+    cell = st.sampled_from(used).map(float)
+    if draw(st.booleans()):
+        cell = cell | st.just(math.nan)
+    cells = [math.nan] * n if draw(st.integers(0, 4)) == 0 else draw(
+        st.lists(cell, min_size=n, max_size=n))
+    classes = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    attrs = (
+        Attribute("a", "categorical", tuple(f"v{i}" for i in range(k))),
+        Attribute("class", "categorical", tuple(f"c{i}" for i in range(n_classes))),
+    )
+    return Dataset("categorical", attrs, 1, np.column_stack([cells, classes]).astype(float))
+
+
+NUMBER = re.compile(r"-?\d+\.\d+(?:e-?\d+)?")  # a numeric cell of the mini corpus
+
+
+@st.composite
+def mutated_texts(draw, texts, inserted="'\"?{}"):
+    """One of ``texts`` with 1-3 lines deleted, repeated, given one of ``inserted`` or a number.
+
+    ``inserted`` holds characters or longer tokens; a number mutation puts an
+    extreme value in place of a numeric cell.
+    """
+    lines = draw(st.sampled_from(texts)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "insert", "number")))
+        if kind == "delete" and len(lines) > 1:
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "insert":
+            pos = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:pos] + draw(st.sampled_from(inserted)) + lines[at][pos:]
+        elif kind == "number":
+            cells = [(i, m) for i, line in enumerate(lines) for m in NUMBER.finditer(line)]
+            if cells:
+                i, m = draw(st.sampled_from(cells))
+                value = draw(st.sampled_from(("1e308", "1e-320", "nan", "-0.0")))
+                lines[i] = lines[i][: m.start()] + value + lines[i][m.end() :]
+    return "\n".join(lines)
 
 
 def feature(values, feature_id):

@@ -145,3 +145,31 @@ def test_cold_start_runs_fresh_processes(tmp_path):
 def test_a_run_needs_a_workload_or_cold_start_pairs():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", ".", "--change", ".", "--out", "x.json"])
+
+
+def _checkout(root, package_lines):
+    """A checkout with package files of ``package_lines`` lines and a one-result benchmark."""
+    (root / "src" / "preprank").mkdir(parents=True)
+    for i, n in enumerate(package_lines):
+        (root / "src" / "preprank" / f"m{i}.py").write_text("x = 1\n" * n, encoding="utf-8")
+    (root / "src" / "preprank" / "notes.txt").write_text("not counted\n", encoding="utf-8")
+    (root / "perfbench").mkdir()
+    result = {"correct": True, "failed": 0, "metrics": {"round_s": {"value": 1.0}}}
+    (root / "perfbench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps({'environment': {}}))})\n"
+        f"print({json.dumps(json.dumps(result))})\n"
+    )
+    return root
+
+
+def test_source_lines_of_both_checkouts(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", [3, 4])
+    change = _checkout(tmp_path / "change", [5])
+    assert bench_pairs.source_lines(parent) == 7
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                             "--workload", "recommend:1-1"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["source_lines"] == {"parent": 7, "change": 5}
+    assert "source lines 7 -> 5" in capsys.readouterr().err.splitlines()
+    assert report["workloads"]["recommend"]["summary"]["round_s"]["change_wins"] == 0

@@ -31,7 +31,7 @@ from preprank.classifiers import (
     knn,
     parse_classifier,
 )
-from conftest import distinct_columns
+from conftest import categorical_columns, distinct_columns
 from preprank import tree
 from preprank.dataset import Attribute, Dataset, stratified_folds
 from preprank.synthetic import mini_corpus, random_dataset
@@ -1181,6 +1181,48 @@ def test_nb_matches_per_row_scorer_on_fuzzed_datasets(ds, seed):
     assert any(2 not in train.class_labels for train, _ in folds)
 
 
+def _add_at_nb_column(ds, j, train_rows, test_rows, y):
+    """Oracle: a categorical predictor's naive Bayes addend, its table filled by ``np.add.at``."""
+    col, v = ds.rows[train_rows, j], ds.rows[test_rows, j]
+    present, n_classes = ~np.isnan(v), len(ds.class_attribute.categories)
+    addend = np.zeros((len(v), n_classes))
+    table = np.ones((n_classes, len(ds.attributes[j].categories)))  # Laplace +1
+    known = ~np.isnan(col)
+    np.add.at(table, (y[known], col[known].astype(int)), 1.0)
+    log_table = np.log(table / table.sum(axis=1, keepdims=True))
+    addend[present] = log_table[:, v[present].astype(int)].T
+    return addend
+
+
+def _assert_nb_addend_matches_add_at(ds, j, train_rows, test_rows):
+    y = ds.class_labels[train_rows]
+    ours = classifiers_mod._nb_column(ds, j, train_rows, test_rows, y)
+    theirs = _add_at_nb_column(ds, j, train_rows, test_rows, y)
+    assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_nb_categorical_addends_equal_the_add_at_oracle_on_mini_corpus(mini_datasets, seed):
+    checked = 0
+    for ds in mini_datasets:
+        fold_of_row = stratified_folds(ds, 10, seed)
+        for version in _with_versions(ds):
+            for f in range(10):
+                train, test = np.flatnonzero(fold_of_row != f), np.flatnonzero(fold_of_row == f)
+                for j in version.categorical_predictors:
+                    _assert_nb_addend_matches_add_at(version, j, train, test)
+                    checked += 1
+    assert checked > 5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(categorical_columns(), st.data())
+def test_nb_categorical_addends_equal_the_add_at_oracle_on_edge_columns(ds, data):
+    trained = data.draw(st.lists(st.booleans(), min_size=ds.n_rows, max_size=ds.n_rows))
+    trained[0] = True
+    _assert_nb_addend_matches_add_at(ds, 0, np.flatnonzero(trained), np.arange(ds.n_rows))
+
+
 def test_nb_rejects_a_test_row_that_no_class_can_score():
     train = small_dataset([[0.0, 0], [0.0, 0], [1.0, 1], [1.0, 1]])
     test = small_dataset([[1e300, 0]])  # its squared distance to both means overflows
@@ -1645,6 +1687,28 @@ def test_shared_results_are_kept_only_for_later_readers(mini_datasets, kind, mon
     assert seen["single"] and seen["last"] and seen["stored"], seen
     assert all(reads[key] % readers_of[key] == 0 for key in reads)  # every slot read each
     assert shared[-1].cache == {} and shared[-1].cells == 0
+
+
+def test_a_one_dataset_cv_computes_a_repeated_column_once(mini_datasets):
+    ds = mini_datasets[15]
+    j = ds.predictor_indices[0]
+    rows = np.column_stack([ds.rows[:, :-1], ds.rows[:, j], ds.rows[:, -1]])
+    attrs = (*ds.attributes[:-1], replace(ds.attributes[j], name="copy"), ds.class_attribute)
+    repeated = Dataset("repeated", attrs, ds.n_attributes, rows)
+    fold_of_row = stratified_folds(repeated, 10, 7)
+    train_rows = [np.flatnonzero(fold_of_row != f) for f in range(10)]
+    test_rows = [np.flatnonzero(fold_of_row == f) for f in range(10)]
+    _assert_catalog_matches_oracle([repeated], 7)
+    oracles = {
+        LOGISTIC: _one_dataset_logistic,
+        **{kind: partial(_copy_fold_scores, kind) for kind in (NAIVE_BAYES, knn(1), knn(3))},
+    }
+    for kind, oracle in oracles.items():
+        COLUMN_FOLDS.reset()
+        [found], _ = _catalog_cv(kind, [repeated], 7)
+        assert COLUMN_FOLDS.value == 10 * len(ds.predictor_indices)  # the copy adds none
+        [expected] = oracle([repeated], train_rows, test_rows)
+        assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
 
 
 @pytest.mark.parametrize("kind", SHARING_KINDS, ids=lambda kind: kind.name)

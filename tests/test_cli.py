@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CORPUS_DIR, single_class_fold_metadb
+from conftest import CORPUS_DIR, mutated_texts, single_class_fold_metadb
+from hypothesis import given, settings, strategies as st
 
 import preprank.metadb as metadb_mod
+import preprank.openml as openml_mod
 import preprank.ranker as ranker_mod
 from preprank.cli import main
 
@@ -482,3 +488,72 @@ def test_recommend_with_a_malformed_model_node_names_the_tree(pipeline, tmp_path
     assert code == 2
     assert line.startswith("error: tree 0 of the model is malformed: ")
     assert "Error" not in line
+
+
+# --- mutated input files through the CLI: an exit code and typed errors only ----------
+
+#: the line ``main`` prints for an exception it has no type for
+UNTYPED_ERROR = re.compile(r"^error: [A-Z]\w*Error: ", re.MULTILINE)
+HEADS, BODIES = zip(*(
+    p.read_text(encoding="utf-8").split("@data\n", 1)
+    for p in sorted((CORPUS_DIR / "mini").glob("*.arff"))
+))
+HEADER_TOKENS = ("'", '"', "{", "}", ",", "%", "@", " ", "\t", "\\", "?", "numeric", "string",
+                 "date", "{a,b}", "{}", "@attribute x numeric", "@relation", "@data", "@end")
+RULES = "exclude any pca  # keep it for experts\nexclude nb discretize_unsup\n\n# the end"
+RULE_TOKENS = ("exclude ", "any ", "tree", "nb", "knn", "knn:3", "logistic", "pca", "normalize",
+               "#", " ", "\t", "\r", "\x0b", "\x85", "\ufeff", "\x00", "'", "é")
+MANIFEST = "# corpus\n{mini}/syn00.arff\n{mini}/syn06.arff"
+MANIFEST_TOKENS = ("#", " ", "61", "0", "-1", "\u00b2", "\uff11", "1.5", "\x00", "\ufeff", "~",
+                   "/", "..", "mini/syn00.arff", "{mini}/syn12.arff", "9" * 30, "a" * 300)
+
+
+def _run_cli(argv):
+    """Run ``main(argv)``: it exits 0, 1 or 2 and prints no untyped error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert not UNTYPED_ERROR.search(err.getvalue()), err.getvalue()
+
+
+@st.composite
+def mutated_arff_headers(draw):
+    """A mini-corpus ARFF text whose header lines, and only those, are mutated."""
+    i = draw(st.integers(0, len(HEADS) - 1))
+    return draw(mutated_texts([HEADS[i] + "@data"], HEADER_TOKENS)) + "\n" + BODIES[i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_arff_headers())
+def test_mutated_arff_headers_through_featurize(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "mutated.arff")
+        path.write_text(text, encoding="utf-8")
+        _run_cli(["featurize", str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_texts([RULES], RULE_TOKENS))
+def test_mutated_rules_through_recommend(pipeline, text):
+    _, model_path = pipeline
+    with tempfile.TemporaryDirectory() as tmp:
+        rules = Path(tmp, "rules.txt")
+        rules.write_text(text, encoding="utf-8")
+        _run_cli(["recommend", "--dataset", str(CORPUS_DIR / "mini" / "syn00.arff"),
+                  "--algorithm", "tree", "--model", str(model_path), "--rules", str(rules)])
+
+
+def _offline(url):
+    raise openml_mod.OpenMLError(f"cannot reach {url}: offline")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_texts([MANIFEST], MANIFEST_TOKENS))
+def test_mutated_manifest_entries_through_build_metadb(text):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(openml_mod, "_default_fetch", _offline)  # an id entry fails, offline
+        manifest = Path(tmp, "corpus.manifest")
+        manifest.write_text(text.replace("{mini}", str(CORPUS_DIR / "mini")), encoding="utf-8")
+        _run_cli(["build-metadb", "--datasets", str(manifest), "--algorithm", "nb",
+                  "--cache", str(Path(tmp, "cache")), "--out", str(Path(tmp, "db.tsv"))])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import distinct_columns, feature
+from conftest import categorical_columns, distinct_columns, feature
 from hypothesis import given, settings, strategies as st
 
 from preprank.classifiers import TREE
@@ -15,12 +15,11 @@ from preprank.metafeatures import (
     COLUMN_STATS,
     FEATURE_IDS,
     MODIFIABLE_IDS,
-    attribute_entropy,
+    _categorical_stats,
     compute_meta_features,
     delta,
-    mutual_information,
 )
-from preprank.synthetic import random_dataset
+from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import TransformationSpec, apply, enumerate_applicable
 from preprank.tree import entropy
 
@@ -81,27 +80,27 @@ def test_class_entropy_balanced_split():
     assert feature(mf, "MinorityClassSize") == 2.0
 
 
+def entropy_of(ds, attr):
+    return _categorical_stats(ds, attr)[0]
+
+
+def information_of(ds, attr):
+    return _categorical_stats(ds, attr)[1]
+
+
 def test_attribute_entropy_hand_values():
     ds = build([cat("a", 4, [0, 1, 2, 3])], [0, 1, 0, 1])
-    assert attribute_entropy(ds, 0) == 2.0
+    assert _categorical_stats(ds, 0) == (2.0, 1.0, 4)
     ds = build([cat("a", 2, [0, 0, 0, 0])], [0, 1, 0, 1])
-    assert attribute_entropy(ds, 0) == 0.0
+    assert _categorical_stats(ds, 0) == (0.0, 0.0, 1)
     # counts {3,1}: -(0.75*log2(0.75) + 0.25*log2(0.25))
     ds = build([cat("a", 2, [0, 0, 0, 1])], [0, 1, 0, 1])
-    assert attribute_entropy(ds, 0) == pytest.approx(0.8112781244591328, abs=1e-12)
-
-
-def test_attribute_entropy_rejects_continuous():
-    ds = build([(Attribute("a", "continuous"), [1, 2, 3, 4])], [0, 1, 0, 1])
-    with pytest.raises(ValueError):
-        attribute_entropy(ds, 0)
-    with pytest.raises(ValueError):
-        mutual_information(ds, 0)
+    assert entropy_of(ds, 0) == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
 def test_entropy_ignores_missing_cells():
     ds = build([cat("a", 2, [0, np.nan, 1, np.nan])], [0, 1, 0, 1])
-    assert attribute_entropy(ds, 0) == 1.0
+    assert entropy_of(ds, 0) == 1.0
 
 
 def _mi_oracle(pairs):
@@ -122,11 +121,11 @@ def _mi_oracle(pairs):
 def test_mutual_information_independent_and_identical():
     # product distribution on a 4-row grid: independent
     ds = build([cat("a", 2, [0, 0, 1, 1])], [0, 1, 0, 1])
-    assert mutual_information(ds, 0) == 0.0
+    assert information_of(ds, 0) == 0.0
     # identical to the class
     ds = build([cat("a", 2, [0, 1, 0, 1])], [0, 1, 0, 1])
     mf = compute_meta_features(ds)
-    assert mutual_information(ds, 0) == feature(mf, "ClassEntropy")
+    assert information_of(ds, 0) == feature(mf, "ClassEntropy")
     assert feature(mf, "NoiseToSignalRatio") == 0.0
     assert feature(mf, "EquivalentNumberOfAttributes") == 1.0
 
@@ -135,7 +134,7 @@ def test_mutual_information_brute_force_oracle():
     x = [0, 0, 1, 1, 2, 2]
     y = [0, 1, 0, 0, 1, 1]
     ds = build([cat("a", 3, x)], y)
-    assert mutual_information(ds, 0) == pytest.approx(_mi_oracle(list(zip(x, y))), abs=1e-12)
+    assert information_of(ds, 0) == pytest.approx(_mi_oracle(list(zip(x, y))), abs=1e-12)
 
 
 def test_mutual_information_pairwise_deletion():
@@ -143,7 +142,7 @@ def test_mutual_information_pairwise_deletion():
     y = [0, 1, 0, 0, 1, 1]
     ds = build([cat("a", 3, x)], y)
     kept = [(int(a), b) for a, b in zip(x, y) if not math.isnan(a)]
-    assert mutual_information(ds, 0) == pytest.approx(_mi_oracle(kept), abs=1e-12)
+    assert information_of(ds, 0) == pytest.approx(_mi_oracle(kept), abs=1e-12)
 
 
 def test_derived_information_features_guard():
@@ -157,8 +156,8 @@ def test_derived_information_features_guard():
 def test_derived_information_compositional_oracle():
     ds = random_dataset(31, n_rows=40, n_continuous=0, n_categorical=2)
     cat_idx = ds.categorical_predictors
-    mean_mi = np.mean([mutual_information(ds, j) for j in cat_idx])
-    mean_h = np.mean([attribute_entropy(ds, j) for j in cat_idx])
+    mean_mi = np.mean([_oracle_mutual_information(ds, j) for j in cat_idx])
+    mean_h = np.mean([_oracle_attribute_entropy(ds, j) for j in cat_idx])
     labels = ds.class_labels
     counts = np.bincount(labels)[np.bincount(labels) > 0]
     p = counts / counts.sum()
@@ -233,8 +232,8 @@ def test_mi_bounded_by_entropies():
         ds = random_dataset(seed, n_rows=30, n_continuous=0, n_categorical=2)
         class_entropy = feature(compute_meta_features(ds), "ClassEntropy")
         for j in ds.categorical_predictors:
-            mi = mutual_information(ds, j)
-            assert -1e-12 <= mi <= min(attribute_entropy(ds, j), class_entropy) + 1e-9
+            mi = information_of(ds, j)
+            assert -1e-12 <= mi <= min(entropy_of(ds, j), class_entropy) + 1e-9
 
 
 def assert_vectors_match(a, b):
@@ -321,6 +320,48 @@ def test_percentages_and_counts_in_range(seed):
 # --- oracle: the dict-based meta-features as computed before the array form ------
 
 
+def _oracle_attribute_entropy(ds: Dataset, attr: int) -> float:
+    """Shannon entropy (bits) of a categorical attribute over non-missing cells."""
+    a = ds.attributes[attr]
+    if not a.is_categorical:
+        raise ValueError(f"attribute {a.name!r} is continuous")
+    col = ds.column(attr)
+    present = col[~np.isnan(col)].astype(int)
+    if present.size == 0:
+        return 0.0
+    return entropy(np.bincount(present, minlength=len(a.categories)))
+
+
+def _oracle_mutual_information(ds: Dataset, attr: int) -> float:
+    """I(attribute; class) in bits, rows with a missing attribute cell excluded."""
+    a = ds.attributes[attr]
+    if not a.is_categorical:
+        raise ValueError(f"attribute {a.name!r} is continuous")
+    col = ds.column(attr)
+    mask = ~np.isnan(col)
+    if not mask.any():
+        return 0.0
+    x = col[mask].astype(int)
+    y = ds.class_labels[mask]
+    n_x = len(a.categories)
+    n_y = len(ds.class_attribute.categories)
+    joint = np.zeros((n_x, n_y))
+    np.add.at(joint, (x, y), 1.0)
+    joint /= joint.sum()
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    info = 0.0
+    for i in range(n_x):
+        for j in range(n_y):
+            if joint[i, j] > 0:
+                info += joint[i, j] * math.log2(joint[i, j] / (px[i] * py[j]))
+    return max(0.0, info)
+
+
+def _oracle_distinct_values(ds, attr):
+    return np.unique(_oracle_present(ds.column(attr))).size
+
+
 def _oracle_sample_std(values):
     if values.size < 2:
         return 0.0
@@ -372,10 +413,10 @@ def _oracle_quartiles(values, prefix, suffix, out):
 
 def _oracle_derived_information_features(ds):
     cat = ds.categorical_predictors
-    mean_mi = float(np.mean([mutual_information(ds, j) for j in cat]))
+    mean_mi = float(np.mean([_oracle_mutual_information(ds, j) for j in cat]))
     if mean_mi == 0.0:
         return None, None
-    mean_entropy = float(np.mean([attribute_entropy(ds, j) for j in cat]))
+    mean_entropy = float(np.mean([_oracle_attribute_entropy(ds, j) for j in cat]))
     class_entropy = entropy(np.bincount(ds.class_labels))
     return class_entropy / mean_mi, (mean_entropy - mean_mi) / mean_mi
 
@@ -411,9 +452,9 @@ def _oracle_compute_meta_features(ds):
     values["PercentageOfCategoricalAttributes"] = 100.0 * len(cat) / m
     values["PercentageOfBinaryAttributes"] = 100.0 * len(binary) / m
     if cat:
-        entropies = [attribute_entropy(ds, j) for j in cat]
-        infos = [mutual_information(ds, j) for j in cat]
-        distinct = [float(np.unique(_oracle_present(ds.column(j))).size) for j in cat]
+        entropies = [_oracle_attribute_entropy(ds, j) for j in cat]
+        infos = [_oracle_mutual_information(ds, j) for j in cat]
+        distinct = [float(_oracle_distinct_values(ds, j)) for j in cat]
         _oracle_spread(entropies, "", "AttributeEntropy", values)
         _oracle_quartiles(entropies, "", "AttributeEntropy", values)
         _oracle_spread(infos, "", "MutualInformation", values)
@@ -529,6 +570,28 @@ def edge_datasets(draw):
 @given(edge_datasets(), edge_datasets())
 def test_edge_datasets_match_dict_oracle(before, after):
     assert_matches_oracle(before, after)
+
+
+def _oracle_categorical_stats(ds, attr):
+    return (_oracle_attribute_entropy(ds, attr), _oracle_mutual_information(ds, attr),
+            _oracle_distinct_values(ds, attr))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_categorical_stats_equal_the_oracles_on_mini_corpus_catalogs(seed):
+    checked = 0
+    for ds in mini_corpus(seed):
+        for version in [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]:
+            for j in version.categorical_predictors:
+                assert _categorical_stats(version, j) == _oracle_categorical_stats(version, j)
+                checked += 1
+    assert checked > 500
+
+
+@settings(max_examples=300, deadline=None)
+@given(categorical_columns())
+def test_categorical_stats_equal_the_oracles_on_edge_columns(ds):
+    assert _categorical_stats(ds, 0) == _oracle_categorical_stats(ds, 0)
 
 
 @pytest.mark.parametrize("magnitude", [1e80, 1e200, 1e-140])

@@ -135,6 +135,13 @@ def test_duplicate_names_disambiguated(tmp_path):
         [str(tmp_path / "a.arff"), str(tmp_path / "b.arff")], tmp_path / "cache"
     )
     assert [d.name for d in result.datasets] == ["iris_like", "iris_like~2"]
+    # a suffix that a member's own name already holds is skipped
+    for name in ("x", "x~2", "x"):
+        arff = serialize_arff(random_dataset(61, n_rows=12, n_continuous=2, name=name))
+        (tmp_path / f"{name}.arff").write_text(arff, encoding="utf-8")
+    paths = [str(tmp_path / f"{name}.arff") for name in ("x", "x~2", "x", "x~2")]
+    result = load_corpus(paths, tmp_path / "cache")
+    assert [d.name for d in result.datasets] == ["x", "x~2", "x~3", "x~2~2"]
 
 
 def test_cache_dir_env_override(monkeypatch, tmp_path):

@@ -8,9 +8,8 @@ dataset and its versions, every applicable ``apply``, and one catalog
 """
 
 import math
-import re
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, mutated_texts
 from hypothesis import event, given, settings, strategies as st
 
 from preprank.classifiers import LOGISTIC, MEASURES, NAIVE_BAYES, TREE, cross_validate, knn
@@ -36,31 +35,8 @@ def _csv(ds):
 
 CSV_TEXTS = [_csv(parse_arff(text)) for text in TEXTS]
 LEARNERS = (TREE, NAIVE_BAYES, knn(1), LOGISTIC)
-NUMBER = re.compile(r"-?\d+\.\d+(?:e-?\d+)?")  # a numeric cell of the mini corpus
 #: the package's own ValueErrors that a parsed dataset may still raise
 TYPED = ("its statistics leave the float range", "cannot split")
-
-
-@st.composite
-def mutated_texts(draw, texts=TEXTS, inserted="'\"?{}"):
-    lines = draw(st.sampled_from(texts)).split("\n")
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(("delete", "duplicate", "insert", "number")))
-        if kind == "delete" and len(lines) > 1:
-            del lines[at]
-        elif kind == "duplicate":
-            lines.insert(at, lines[at])
-        elif kind == "insert":
-            pos = draw(st.integers(0, len(lines[at])))
-            lines[at] = lines[at][:pos] + draw(st.sampled_from(inserted)) + lines[at][pos:]
-        elif kind == "number":
-            cells = [(i, m) for i, line in enumerate(lines) for m in NUMBER.finditer(line)]
-            if cells:
-                i, m = draw(st.sampled_from(cells))
-                value = draw(st.sampled_from(("1e308", "1e-320", "nan", "-0.0")))
-                lines[i] = lines[i][: m.start()] + value + lines[i][m.end() :]
-    return "\n".join(lines)
 
 
 def _assert_measures_or_a_typed_error(parse, text, learner):
@@ -88,7 +64,7 @@ def _assert_measures_or_a_typed_error(parse, text, learner):
 
 
 @settings(max_examples=150, deadline=None)
-@given(mutated_texts(), st.sampled_from(LEARNERS))
+@given(mutated_texts(TEXTS), st.sampled_from(LEARNERS))
 def test_mutated_arff_gives_measures_or_a_typed_error(text, learner):
     _assert_measures_or_a_typed_error(parse_arff, text, learner)
 
