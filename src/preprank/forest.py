@@ -4,6 +4,8 @@ Trees grow on bootstrap samples drawn with dataset-balancing instance
 weights, split on a random subset of features by weighted Gini gain, and
 route NOT_APPLICABLE values through a per-split default branch learned from
 the majority direction.  The tree algorithm itself lives in :mod:`.tree`.
+A tree draws its nodes' features a table at a time, as NumPy's Floyd branch
+of ``Generator.choice`` (populations up to 10 000) would draw them one by one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +68,12 @@ def _train_forests(db, matrix, row_sets, n_trees, *, seed):
     and their order.  Forests grow in lockstep, one :func:`tree.grow` call
     per group of at most ``max(n_trees, DEFAULT_TREES)`` trees; to cap
     memory, a group's forests are yielded before the next group grows.
+    A tree's generator draws its bootstrap sample, then its nodes' features in pre-order,
+    ``rows.size // MIN_NODE_SIZE + 1`` at a time, as ``choice``'s Floyd branch would (111 columns).
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got {n_trees}")
     x, y, w = matrix
-    n_features = x.shape[1]
-    n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
     per_group = max(n_trees, DEFAULT_TREES) // n_trees
     blank = ForestModel((), seed, db.algorithm.name, db.measure)  # all fields but the trees
     for start in range(0, len(row_sets), per_group):
@@ -79,20 +82,35 @@ def _train_forests(db, matrix, row_sets, n_trees, *, seed):
         bags = []  # per tree: its bootstrap rows of x and its feature draws
         for rows in itertools.compress(group, mixed):
             prob = w[rows] / w[rows].sum()
+            per_table = rows.size // MIN_NODE_SIZE + 1
             for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
                 rng = np.random.default_rng(tree_seed)
                 sample = rows[rng.choice(rows.size, size=rows.size, replace=True, p=prob)]
-
-                def draw(rng=rng):
-                    return np.sort(rng.choice(n_features, size=n_candidates, replace=False))
-
-                bags.append((sample, draw))
+                bags.append((sample, _candidate_draws(rng, x.shape[1], per_table).__next__))
         roots = tree.grow(
             x, y, w, len(RESPONSE_CLASSES), bags, criterion=tree.GINI, min_node=MIN_NODE_SIZE
         )
         forests = (tuple(roots[i : i + n_trees]) for i in range(0, len(roots), n_trees))
         for split in mixed:
             yield replace(blank, trees=next(forests)) if split else None
+
+
+def _candidate_draws(rng, n_features, per_table):
+    """Each next ``np.sort(rng.choice(n_features, size=n_candidates, replace=False))``.
+
+    For ``n_candidates = ceil(sqrt(n_features))`` of up to 10 000, ``choice`` runs Floyd:
+    for ``j`` from ``n_features - n_candidates`` up it draws ``v`` in ``[0, j]`` and picks
+    ``v``, or ``j`` if ``v`` is picked, then shuffles with bounds ``n_candidates - 1`` to 1;
+    ``rng.integers`` with int64 bounds draws each bound with the same Lemire sampler.
+    """
+    n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
+    bounds = np.r_[n_features - n_candidates + 1 : n_features + 1, n_candidates:1:-1]
+    while True:  # one draw's bounds, tiled; a waiting tree holds its uint8 table alone
+        picks = rng.integers(0, np.tile(bounds, per_table)).reshape(per_table, -1)
+        for k in range(1, n_candidates):
+            picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = bounds[k] - 1
+        picks = np.sort(picks[:, :n_candidates], axis=1).astype(np.min_scalar_type(n_features - 1))
+        yield from picks
 
 
 def predict_proba(model: ForestModel, features: np.ndarray):
@@ -159,7 +177,7 @@ def loov_evaluate(db: MetaDatabase, n_trees: int = DEFAULT_TREES, *, seed: int) 
 
 
 def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
-    """Write the forest as versioned JSON; floats keep full precision."""
+    """Write the forest as versioned JSON, a tree at a time; floats keep full precision."""
     doc = {
         "format": "preprank-forest",
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -173,10 +191,52 @@ def save_model(model: ForestModel, path, extra: dict | None = None) -> None:
     }
     if extra:
         doc["config"] = extra
-    try:  # streamed, so no whole-document string is built
-        write_file(path, lambda f: json.dump(doc, f, indent=1))
-    except RecursionError:  # the encoder recurses once per tree level
-        raise ModelError("a tree is too deep to write as JSON") from None
+    write_file(path, lambda f: f.writelines(_json_text(doc)))
+
+
+#: the containers a model may nest: ``json.loads`` nests a C call per container up to
+#: the recursion limit (1000), so load_model reads such a model from ~90 frames deep
+_MAX_NESTING = 900
+_END = object()
+
+
+def _json_text(doc):
+    """``json.dumps(doc, indent=1)`` in pieces, one per item of its top two levels."""
+    parts, stack, value = [], [], doc  # per open container: its items, keyed, indent
+    while True:
+        if not isinstance(value, (dict, list, tuple)):
+            parts.append(_scalar(value))
+            sep = ","
+        elif len(stack) == _MAX_NESTING:
+            raise ModelError("a tree is too deep to write as JSON")
+        else:
+            keyed = isinstance(value, dict)
+            indent = "\n" + " " * (len(stack) + 1)
+            stack.append((iter(value.items() if keyed else value), keyed, indent))
+            parts.append("{" if keyed else "[")
+            sep = ""  # an empty container closes on its opener's line
+        while stack and (value := next(stack[-1][0], _END)) is _END:
+            _, keyed, indent = stack.pop()
+            parts.append((indent[:-1] if sep else "") + ("}" if keyed else "]"))
+            sep = ","
+        if len(stack) <= 2:  # a tree at a time
+            yield "".join(parts)
+            parts.clear()
+        if not stack:
+            return
+        _, keyed, indent = stack[-1]
+        parts.append(sep + indent)
+        if keyed:  # a key that is no str as json writes it in a one-key object, or its TypeError
+            key, value = value
+            parts.append(f"{_scalar(key) if type(key) is str else json.dumps({key: 0})[1:-4]}: ")
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it; any other value is a TypeError."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    exact = type(value) is int or type(value) is float and math.isfinite(value)
+    return repr(value) if exact else json.dumps(value)  # None, bools, NaN, infinities, subclasses
 
 
 def load_model(path) -> ForestModel:

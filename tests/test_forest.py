@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import (
     loov_training_folds,
     make_rule_metadb,
@@ -360,6 +361,93 @@ def test_lockstep_loov_matches_per_fold_forests(tree_metadb, name, seed, n_trees
         assert train_forest(db, n_trees, seed=seed) == _oracle_train_forest(db, n_trees, seed)
 
 
+# --- candidate draws ----------------------------------------------------------------
+
+
+def _per_node_draws(rng, count, n_features=111):
+    """The candidate draws of ``count`` nodes, one ``choice`` call per node."""
+    n_candidates = math.ceil(math.sqrt(n_features))
+    return [
+        np.sort(rng.choice(n_features, size=n_candidates, replace=False)).tolist()
+        for _ in range(count)
+    ]
+
+
+def _table_draws(rng, count, per_table, n_features=111):
+    draws = forest_mod._candidate_draws(rng, n_features, per_table)
+    rows = [next(draws) for _ in range(count)]
+    assert all(row.dtype == np.min_scalar_type(n_features - 1) for row in rows)
+    return [row.tolist() for row in rows]
+
+
+def test_draw_tables_equal_per_node_choice_calls_after_a_bootstrap():
+    prob = np.linspace(1.0, 3.0, 273)
+    prob /= prob.sum()
+    for seed in range(200):
+        table_rng, node_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (table_rng, node_rng):
+            rng.choice(prob.size, size=prob.size, replace=True, p=prob)
+        per_table = seed % 5 + 1  # twelve draws refill a table at least twice
+        assert _table_draws(table_rng, 12, per_table) == _per_node_draws(node_rng, 12)
+
+
+@pytest.mark.parametrize("n_features", [1, 2, 5, 30, 200, 10_000])
+def test_draw_tables_follow_choice_for_other_populations(n_features):
+    # up to 10 000 features, choice without replacement runs Floyd's algorithm
+    for seed in range(20):
+        table_rng, node_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _table_draws(table_rng, 7, 3, n_features) == _per_node_draws(node_rng, 7, n_features)
+
+
+def test_draw_tables_start_from_a_buffered_32_bit_half():
+    for seed in range(20):
+        table_rng, node_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (table_rng, node_rng):
+            rng.integers(0, 2)  # one 32-bit value of a 64-bit output; the other half waits
+            assert rng.bit_generator.state["has_uint32"] == 1
+        assert _table_draws(table_rng, 9, 4) == _per_node_draws(node_rng, 9)
+
+
+def _rejected_by_lemire(values, bound):
+    """Whether NumPy's bounded sampler rejects each 32-bit value for a draw in [0, bound)."""
+    return (values * np.uint64(bound)) % 2**32 < 2**32 % bound
+
+
+def test_draw_tables_follow_choice_through_a_lemire_rejection():
+    # a draw's Floyd steps bound their values by 101, ..., 111: scan an advanced
+    # PCG64 for a 32-bit value that one of them rejects, then start a generator
+    # so that that step reads it
+    scan, start = np.random.PCG64(2018), 2**40
+    scan.advance(start)
+    for chunk in range(64):
+        raw = scan.random_raw(2**18)
+        values = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()  # next_uint32 order
+        starts = [  # of a draw whose Floyd step reads a rejected value, from a 64-bit output
+            int(index) - step
+            for step, bound in enumerate(range(101, 112))
+            for index in np.flatnonzero(_rejected_by_lemire(values, bound))
+            if index >= step and (index - step) % 2 == 0
+        ]
+        if starts:
+            break
+    else:
+        pytest.fail("no rejected value in the scanned stream")
+    offset = start + chunk * 2**18 + starts[0] // 2  # the 64-bit output the draw starts at
+
+    def generator():
+        bits = np.random.PCG64(2018)
+        bits.advance(offset)
+        return np.random.Generator(bits)
+
+    table_rng, node_rng = generator(), generator()
+    assert _table_draws(table_rng, 6, 4) == _per_node_draws(node_rng, 6)
+    once, after = generator(), np.random.PCG64(2018)
+    _per_node_draws(once, 1)
+    after.advance(offset + 11)  # the draw read its 21 values and the rejected one
+    state = once.bit_generator.state
+    assert (state["state"], state["has_uint32"]) == (after.state["state"], 0)
+
+
 @pytest.mark.parametrize("n_trees", [0, -3])
 def test_forest_needs_a_tree(n_trees):
     db = make_rule_metadb(n_datasets=4, seed=13)
@@ -459,6 +547,79 @@ def test_a_document_too_deep_for_json_is_a_model_error(tmp_path):
     with pytest.raises(ModelError, match="too deep to read"):
         load_model(path)
     assert gc.isenabled() is was
+
+
+def _chain(levels):
+    """A tree whose left branch is ``levels`` splits deep."""
+    node = {"p": [1.0, 0.0, 0.0]}
+    for _ in range(levels):
+        node = {"f": 0, "t": 0.5, "d": 0, "l": node, "r": {"p": [0.0, 1.0, 0.0]}}
+    return node
+
+
+def test_save_model_writes_only_trees_that_load_back(tmp_path):
+    # the model object, its tree list, the chain's levels, its leaf and the leaf's "p"
+    deepest = forest_mod._MAX_NESTING - 4
+    path = tmp_path / "model.json"
+    with pytest.raises(ModelError, match="too deep to write"):
+        save_model(ForestModel((_chain(deepest + 1),), seed=0), path)
+    assert list(tmp_path.iterdir()) == []  # no file, not even a partial one
+    model = ForestModel((_chain(deepest),), seed=0)
+    save_model(model, path)
+    assert load_model(path) == model
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]),
+    st.text(),
+    st.sampled_from(["é", "\u2603\U0001f600", '"\\/\b\f\n\r\t', "\x00\x1f\x7f"]),
+)
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_the_model_writer_writes_what_json_dumps_does(doc):
+    assert "".join(forest_mod._json_text(doc)) == json.dumps(doc, indent=1)
+
+
+def test_a_saved_model_is_its_json_dumps(tree_metadb, tmp_path):
+    model = train_forest(tree_metadb, 100, seed=7)
+    config = {"metadb": "tree.metadb.tsv", "trees": 100, "seed": 7}
+    path = tmp_path / "model.json"
+    save_model(model, path, config)
+    doc = {
+        "format": "preprank-forest",
+        "schema_version": 1,
+        "n_trees": 100,
+        "seed": 7,
+        "algorithm": model.algorithm,
+        "measure": model.measure,
+        "class_order": list(RESPONSE_CLASSES),
+        "feature_ids": list(FEATURE_COLUMNS),
+        "trees": list(model.trees),
+        "config": config,
+    }
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(doc, indent=1)
+    pieces = list(forest_mod._json_text(doc))  # streamed a tree at a time
+    assert len(pieces) > 100 and max(map(len, pieces)) < len(text) / 20
+    for extra in ({"x": object()}, {(1, 2): 0}):  # no value and no key of JSON
+        with pytest.raises(TypeError):
+            save_model(model, tmp_path / "other.json", extra)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _walk(node, row):
