@@ -8,6 +8,7 @@ the resolved configuration in a leading comment so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import sys
@@ -61,7 +62,7 @@ def _alg_slug(name: str) -> str:
 
 def cmd_featurize(args) -> int:
     ds = load_dataset_file(args.dataset, class_column=args.class_column)
-    values = compute_meta_features(ds).tolist()
+    [values] = compute_meta_features([ds]).tolist()
     for fid, value in zip(FEATURE_IDS, values):
         print(f"{fid}\t{'NA' if math.isnan(value) else repr(value)}")
     return 0
@@ -132,9 +133,16 @@ def cmd_train(args) -> int:
 def cmd_recommend(args) -> int:
     ds = load_dataset_file(args.dataset, class_column=args.class_column)
     kind = parse_classifier(args.algorithm)
-    model = forest.load_model(args.model)
-    rules = ranker.load_rules(args.rules) if args.rules else ranker.DEFAULT_RULES
-    recommendations = ranker.rank_transformations(model, rules, kind, ds, args.seed)
+    enabled = gc.isenabled()
+    gc.disable()  # the model's ~14k containers hold no cycles: none is rescanned until it is freed
+    try:
+        model = forest.load_model(args.model)
+        rules = ranker.load_rules(args.rules) if args.rules else ranker.DEFAULT_RULES
+        recommendations = ranker.rank_transformations(model, rules, kind, ds, args.seed)
+        del model  # before the collector is back
+    finally:
+        if enabled:
+            gc.enable()
     if args.top is not None:
         recommendations = recommendations[: args.top]
     print(_config_line("recommend", args, ["dataset", "algorithm", "seed", "top"]))
@@ -249,6 +257,8 @@ def _failures_exit(args, failures) -> int:
 
 # --- argument plumbing ---------------------------------------------------------
 
+COMMANDS = ("featurize", "impact-scan", "build-metadb", "train", "recommend", "evaluate")
+
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--datasets", required=True, help="manifest of ids/paths")
@@ -261,69 +271,78 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full CLI parser; given one of COMMANDS, a parser of that command alone.
+
+    It parses that command's arguments, and writes help, usage and errors, as the full one does.
+    """
+    alone = command in COMMANDS
     parser = argparse.ArgumentParser(
         prog="preprank",
         description="Rank data pre-processing operators by predicted impact",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one command added, usage lines still name every command, as the full parser's do
+    metavar = "{" + ",".join(COMMANDS) + "}" if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("featurize", help="print a dataset's characteristics")
-    p.add_argument("dataset")
-    p.add_argument(
-        "--class-column", default=None, help="header name of a .csv file's class column"
-    )
-    p.set_defaults(fn=cmd_featurize)
+    def add(name, help_text, fn):
+        if alone and name != command:
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("impact-scan", help="measure per-operator impact shares")
-    _add_corpus_flags(p)
-    p.add_argument("--algorithm", action="append", required=True)
-    p.add_argument("--measure", choices=MEASURES, default="acc")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_impact_scan)
+    if p := add("featurize", "print a dataset's characteristics", cmd_featurize):
+        p.add_argument("dataset")
+        p.add_argument(
+            "--class-column", default=None, help="header name of a .csv file's class column"
+        )
 
-    p = sub.add_parser("build-metadb", help="measure transformations over a corpus")
-    _add_corpus_flags(p)
-    p.add_argument("--algorithm", required=True)
-    p.add_argument("--measure", choices=MEASURES, default="acc")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_build_metadb)
+    if p := add("impact-scan", "measure per-operator impact shares", cmd_impact_scan):
+        _add_corpus_flags(p)
+        p.add_argument("--algorithm", action="append", required=True)
+        p.add_argument("--measure", choices=MEASURES, default="acc")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train the forest meta-model")
-    p.add_argument("--metadb", required=True)
-    p.add_argument("--trees", type=int, default=forest.DEFAULT_TREES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
+    if p := add("build-metadb", "measure transformations over a corpus", cmd_build_metadb):
+        _add_corpus_flags(p)
+        p.add_argument("--algorithm", required=True)
+        p.add_argument("--measure", choices=MEASURES, default="acc")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("recommend", help="rank transformations for one dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--algorithm", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--rules", default=None)
-    p.add_argument("--top", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument(
-        "--class-column", default=None, help="header name of a .csv file's class column"
-    )
-    p.set_defaults(fn=cmd_recommend)
+    if p := add("train", "train the forest meta-model", cmd_train):
+        p.add_argument("--metadb", required=True)
+        p.add_argument("--trees", type=int, default=forest.DEFAULT_TREES)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("evaluate", help="leave-one-dataset-out report suite")
-    p.add_argument("--metadb", required=True)
-    p.add_argument("--trees", type=int, default=forest.DEFAULT_TREES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--top", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
+    if p := add("recommend", "rank transformations for one dataset", cmd_recommend):
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--algorithm", required=True)
+        p.add_argument("--model", required=True)
+        p.add_argument("--rules", default=None)
+        p.add_argument("--top", type=int, default=None)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument(
+            "--class-column", default=None, help="header name of a .csv file's class column"
+        )
+
+    if p := add("evaluate", "leave-one-dataset-out report suite", cmd_evaluate):
+        p.add_argument("--metadb", required=True)
+        p.add_argument("--trees", type=int, default=forest.DEFAULT_TREES)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--top", type=int, default=1)
+        p.add_argument("--out", required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)  # "-h" or "--": the full one
     if hasattr(args, "seed"):
         print(f"seed: {args.seed}", file=sys.stderr)
     for flag in ("top", "jobs"):

@@ -10,7 +10,6 @@ of ``Generator.choice`` (populations up to 10 000) would draw them one by one.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import math
@@ -241,17 +240,12 @@ def _scalar(value) -> str:
 
 def load_model(path) -> ForestModel:
     text = Path(path).read_text(encoding="utf-8-sig")
-    enabled = gc.isenabled()
-    gc.disable()  # the document holds no cycles, and its ~14k containers would trigger collections
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nesting level
         raise ModelError("a tree is too deep to read as JSON") from None
-    finally:
-        if enabled:
-            gc.enable()
     if not isinstance(doc, dict) or doc.get("format") != "preprank-forest":
         raise ModelError("not a forest model file")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:

@@ -132,13 +132,16 @@ def _dataset_rows(args):
     """Worker: all meta-instances of one dataset, or a failure reason."""
     ds, algorithm, measure, seed = args
     try:
-        columns = {}  # per-column statistics, shared by the dataset and its versions
-        base_mf = compute_meta_features(ds, columns)
-        specs, versions, changes = enumerate_applicable(ds), [], []
-        for spec in specs:
-            versions.append(apply(spec, ds))
-            changes.append(delta(base_mf, compute_meta_features(versions[-1], columns)))
-        del columns  # its column copies are not needed beside the versions in the CV
+        specs, versions = enumerate_applicable(ds), []
+
+        def catalog():  # makes each version once the one before has its meta-features
+            yield ds
+            for spec in specs:
+                versions.append(apply(spec, ds))
+                yield versions[-1]
+
+        mfs = compute_meta_features(catalog())
+        base_mf, changes = mfs[0], delta(mfs[0], mfs[1:])
         measured = cross_validate(algorithm, [ds, *versions], seed=seed)
         base_pm, *trans_pms = [pm.get(measure) for pm in measured]
         rows = []

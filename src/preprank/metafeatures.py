@@ -83,12 +83,6 @@ assert len(FEATURE_IDS) == 61
 MODIFIABLE_IDS: tuple[str, ...] = FEATURE_IDS[:55]
 
 
-def _sample_std(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
-
-
 def _shape(values: np.ndarray) -> tuple[float, float]:
     """Excess kurtosis and adjusted Fisher-Pearson skewness.
 
@@ -117,7 +111,11 @@ def _continuous_stats(ds: Dataset, attr: int) -> tuple[float, ...]:
     vals = vals[~np.isnan(vals)]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            stats = (float(vals.mean()) if vals.size else 0.0, _sample_std(vals), *_shape(vals))
+            stats = (
+                float(vals.mean()) if vals.size else 0.0,
+                float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0,  # the sample std
+                *_shape(vals),
+            )
     except (OverflowError, ZeroDivisionError):  # a power of m2 overflowed or underflowed to 0
         stats = (math.inf,)
     if not all(map(math.isfinite, stats)):
@@ -166,21 +164,24 @@ def _column_stats(ds: Dataset, attr: int, columns: dict) -> tuple:
 
 
 def _summary(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min, mean and max, and quartiles 1-3, of each row of a (stats x columns) block.
+    """Min, mean and max, and quartiles 1-3, of each row of a (rows x columns) block.
 
-    Both results are (3, stats).  The block is made C-ordered so that each
-    row's mean sums pairwise exactly as the mean of that row alone would.
+    Both results are (3, rows).  The block is made C-ordered so that each row's
+    mean and quartiles come out exactly as those of that row alone would.
     """
     block = np.ascontiguousarray(block)
     spread = np.stack([block.min(axis=1), block.mean(axis=1), block.max(axis=1)])
     return spread, np.percentile(block, [25, 50, 75], axis=1)
 
 
-def compute_meta_features(ds: Dataset, columns: dict | None = None) -> np.ndarray:
-    """All 61 characteristics of a dataset, a read-only array in FEATURE_IDS order.
+def compute_meta_features(catalog) -> np.ndarray:
+    """All 61 characteristics of each dataset of a catalog, a read-only (datasets x 61) array.
 
-    ``columns`` caches per-column statistics (:func:`_column_stats`) over
-    the calls of one catalog: a dataset and its operator versions.
+    A catalog is a dataset, then its operator versions (datasets sharing its
+    class column), read once in order.  Each row, in FEATURE_IDS order, equals
+    a one-dataset catalog's byte for byte: each distinct column's statistics
+    (:func:`_column_stats`) are computed once, and each summary once per group
+    of datasets with the same continuous or categorical column count.
 
     Degenerate inputs stay defined: constant or near-empty continuous
     attributes get std/skewness/kurtosis 0, an attribute with no observed
@@ -188,55 +189,50 @@ def compute_meta_features(ds: Dataset, columns: dict | None = None) -> np.ndarra
     order statistics.  Equivalent number of attributes and noise-to-signal
     ratio are NOT_APPLICABLE when the mean mutual information is zero.
     """
-    n, m = ds.rows.shape
-    cont = ds.continuous_predictors
-    cat = ds.categorical_predictors
-    values = np.full(len(FEATURE_IDS), NOT_APPLICABLE)
-    columns = {} if columns is None else columns
-
-    values[0:2] = len(cont), 100.0 * len(cont) / m
-    if cont:
-        spread, quartiles = _summary(np.array([_column_stats(ds, j, columns) for j in cont]).T)
-        values[2:14] = spread.ravel()
-        values[14:26] = quartiles.T.ravel()
-
-    class_counts = np.bincount(ds.class_labels)
-    class_counts = class_counts[class_counts > 0]
-    class_entropy = entropy(class_counts)
-
-    binary = sum(len(ds.attributes[j].categories) == 2 for j in cat)
-    values[26:30] = len(cat), binary, 100.0 * len(cat) / m, 100.0 * binary / m
-    if cat:
-        block = np.array([_column_stats(ds, j, columns) for j in cat], dtype=float).T.copy()
-        spread, quartiles = _summary(block)
-        values[30:42] = np.vstack([spread[:, :2], quartiles[:, :2]]).T.ravel()
-        mean_entropy, mean_info = spread[1, :2]
-        if mean_info != 0.0:
-            values[42] = class_entropy / mean_info  # equivalent number of attributes
-            values[43] = (mean_entropy - mean_info) / mean_info  # noise-to-signal ratio
-        values[44:47] = spread[:, 2]
-        values[47] = _sample_std(block[2])
-
-    missing = np.isnan(ds.rows)
-    n_missing = missing.sum()
-    rows_with_missing = int(missing.any(axis=1).sum())
-    values[48:55] = (
-        n,
-        m,
-        m / n,
-        n_missing,
-        100.0 * n_missing / (n * m),
-        rows_with_missing,
-        100.0 * rows_with_missing / n,
-    )
-    values[55:61] = (
-        class_counts.size,
-        class_entropy,
-        class_counts.min(),
-        class_counts.max(),
-        100.0 * class_counts.min() / n,
-        100.0 * class_counts.max() / n,
-    )
+    columns = {}  # per-column statistics, shared by the catalog's datasets
+    groups = {}  # (kind, column count) -> (row numbers, per-column statistics)
+    rows = []
+    for ds in catalog:
+        n, m = ds.rows.shape
+        cont, cat = ds.continuous_predictors, ds.categorical_predictors
+        for kind, attrs in (("continuous", cont), ("categorical", cat)):
+            if attrs:
+                numbers, stats = groups.setdefault((kind, len(attrs)), ([], []))
+                numbers.append(len(rows))
+                stats.append([_column_stats(ds, j, columns) for j in attrs])
+        class_counts = np.bincount(ds.class_labels)
+        class_counts = class_counts[class_counts > 0]
+        binary = sum(len(ds.attributes[j].categories) == 2 for j in cat)
+        missing = np.isnan(ds.rows)
+        n_missing = missing.sum()
+        rows_with_missing = int(missing.any(axis=1).sum())
+        rows.append([
+            len(cont), 100.0 * len(cont) / m, *[NOT_APPLICABLE] * 24,
+            len(cat), binary, 100.0 * len(cat) / m, 100.0 * binary / m, *[NOT_APPLICABLE] * 18,
+            n, m, m / n, n_missing, 100.0 * n_missing / (n * m), rows_with_missing,
+            100.0 * rows_with_missing / n,
+            class_counts.size, entropy(class_counts), class_counts.min(), class_counts.max(),
+            100.0 * class_counts.min() / n, 100.0 * class_counts.max() / n,
+        ])
+    values = np.array(rows, dtype=float).reshape(-1, len(FEATURE_IDS))
+    for (kind, count), (numbers, stats) in groups.items():
+        stats = np.array(stats, dtype=float)  # (datasets, columns, statistics)
+        block = stats.transpose(0, 2, 1).reshape(-1, count)  # a row per (dataset, statistic)
+        # each (datasets, aggregate, statistic)
+        spread, quartiles = (a.reshape(3, len(numbers), -1).swapaxes(0, 1) for a in _summary(block))
+        if kind == "continuous":
+            values[numbers, 2:14] = spread.reshape(-1, 12)
+            values[numbers, 14:26] = quartiles.transpose(0, 2, 1).reshape(-1, 12)
+            continue
+        information = np.concatenate([spread, quartiles], axis=1)[:, :, :2]  # entropy, information
+        values[numbers, 30:42] = information.transpose(0, 2, 1).reshape(-1, 12)
+        known = spread[:, 1, 1] != 0.0  # the mean mutual information
+        mean_entropy, mean_info = spread[known, 1, :2].T
+        at = np.array(numbers)[known]
+        values[at, 42] = values[at, 56] / mean_info  # equivalent number of attributes
+        values[at, 43] = (mean_entropy - mean_info) / mean_info  # noise-to-signal ratio
+        values[numbers, 44:47] = spread[:, :, 2]
+        values[numbers, 47] = np.std(block[2::3], axis=1, ddof=1) if count > 1 else 0.0
     values.flags.writeable = False
     return values
 

@@ -8,6 +8,7 @@ meta-feature deltas alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .classifiers import FAMILIES, ClassifierKind, cross_validate
@@ -117,15 +118,15 @@ def rank_transformations(
         raise ValueError(
             f"model was trained for {model.algorithm!r}, not {algorithm.name!r}"
         )
-    columns = {}  # per-column statistics, shared by the dataset and its versions
-    base_mf = compute_meta_features(ds, columns)
-    base_pm = cross_validate(algorithm, [ds], seed=seed)[0].get(model.measure or "acc")
     candidates = prune(rules, algorithm, enumerate_applicable(ds))
-    scored = []
-    for spec in candidates:
-        change = delta(base_mf, compute_meta_features(apply(spec, ds), columns))
-        proba = predict_proba(model, feature_vector(base_mf, change, base_pm))
-        scored.append((spec, proba))
+    # the catalog makes its versions one at a time as it is read: they are never all held
+    mfs = compute_meta_features(chain([ds], (apply(spec, ds) for spec in candidates)))
+    base_mf = mfs[0]
+    base_pm = cross_validate(algorithm, [ds], seed=seed)[0].get(model.measure or "acc")
+    scored = [
+        (spec, predict_proba(model, feature_vector(base_mf, change, base_pm)))
+        for spec, change in zip(candidates, delta(base_mf, mfs[1:]))
+    ]
     scored.sort(key=lambda item: (-item[1][0], item[0].text))
     out = []
     for rank, (spec, proba) in enumerate(scored, start=1):

@@ -184,10 +184,9 @@ def test_criterion_3_reference_values():
     assert distribution_distance(45, 30, 25) == pytest.approx(14.73, abs=0.01)
 
     ds = random_dataset(777, n_rows=40, n_continuous=5, n_categorical=0)
-    before = compute_meta_features(ds)
-    assert feature(before, "NumberOfContinuousAttributes") == 5.0
     transformed = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
-    after = compute_meta_features(transformed)
+    before, after = compute_meta_features([ds, transformed])
+    assert feature(before, "NumberOfContinuousAttributes") == 5.0
     d = delta(before, after)
     assert feature(d, "NumberOfContinuousAttributes") == -1.0
     report(3, "distribution distances 57.15 / 14.73 and the -1 delta reproduce")

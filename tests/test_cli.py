@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,11 @@ import pytest
 from conftest import CORPUS_DIR, mutated_texts, single_class_fold_metadb
 from hypothesis import given, settings, strategies as st
 
+import preprank.forest as forest_mod
 import preprank.metadb as metadb_mod
 import preprank.openml as openml_mod
 import preprank.ranker as ranker_mod
-from preprank.cli import main
+from preprank.cli import COMMANDS, build_parser, main
 
 SMALL = ["syn00", "syn01", "syn06", "syn12"]
 
@@ -171,6 +174,138 @@ def test_recommend_custom_rules_file(pipeline, tmp_path, capsys):
     assert "normalize(global)" in out  # default scaling rules replaced
 
 
+def _recommend(model_path):
+    return main([
+        "recommend",
+        "--dataset", str(CORPUS_DIR / "mini" / "syn06.arff"),
+        "--algorithm", "tree",
+        "--model", str(model_path),
+    ])
+
+
+@pytest.fixture
+def gc_state():
+    """The collector's state and thresholds, put back after the test."""
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*thresholds)
+    gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_recommend_restores_the_callers_gc_state(pipeline, tmp_path, capsys, gc_state, enabled):
+    _, model_path = pipeline
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(model_path.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    for path, code in ((model_path, 0), (damaged, 2)):
+        gc.enable() if enabled else gc.disable()
+        assert _recommend(path) == code
+        assert gc.isenabled() is enabled
+    assert "\nerror: malformed model file: " in capsys.readouterr().err
+
+
+def _collections(run):
+    """The generation of each collection that starts while ``run()`` runs."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(record)
+    return started
+
+
+def test_a_recommend_request_runs_no_collection(pipeline, gc_state):
+    # loading the model makes ~1k containers per 15 trees, and none of them is ever rescanned
+    _, model_path = pipeline
+    gc.enable()
+    gc.collect()
+    assert _collections(lambda: _recommend(model_path)) == []
+
+
+def test_no_collection_runs_while_recommend_holds_the_model(pipeline, monkeypatch, gc_state):
+    _, model_path = pipeline
+    load, held, during = forest_mod.load_model, [], []
+
+    def load_model(path):
+        model = load(path)
+        held.append(weakref.ref(model))
+        return model
+
+    def record(phase, info):
+        if phase == "start" and held and held[0]() is not None:
+            during.append(info["generation"])
+
+    monkeypatch.setattr(forest_mod, "load_model", load_model)
+    gc.enable()
+    gc.set_threshold(1)  # a collection at almost every allocation while the collector is on
+    gc.callbacks.append(record)
+    try:
+        outside = _collections(lambda: _recommend(model_path))
+    finally:
+        gc.callbacks.remove(record)
+    assert len(held) == 1 and held[0]() is None
+    assert during == [] and len(outside) > 100
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it writes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+#: argv that argparse answers with help, usage or an error, exiting
+EXITING_ARGV = [
+    [], ["-h"], ["--help"], ["--bogus"], ["bogus"], ["bogus", "--help"], ["-h", "recommend"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+    ["recommend", "--bogus"],
+    ["recommend", "--dataset", "d.arff", "--algorithm", "tree", "--model", "m.json", "extra"],
+    ["train", "--metadb", "db.tsv", "--out", "m.json", "--trees", "many"],
+    ["build-metadb", "--datasets", "m", "--algorithm", "tree", "--out", "o", "--measure", "x"],
+    ["featurize", "a.arff", "b.arff"],
+    ["--", "train", "--metadb", "db.tsv", "--out", "m.json"],
+]
+PARSED_ARGV = [
+    ["featurize", "a.csv", "--class-column", "label"],
+    ["impact-scan", "--datasets", "m", "--algorithm", "tree", "--algorithm", "nb", "--out", "o"],
+    ["build-metadb", "--datasets", "m", "--algorithm", "knn:1", "--out", "o", "--jobs", "2",
+     "--allow-partial", "--measure", "auc", "--cache", "c"],
+    ["train", "--metadb", "db.tsv", "--out", "m.json", "--trees", "7", "--seed", "3"],
+    ["recommend", "--dataset", "d.arff", "--algorithm", "tree", "--model", "m.json",
+     "--rules", "r.txt", "--top", "2", "--seed", "5", "--class-column", "c"],
+    ["evaluate", "--metadb", "db.tsv", "--out", "reports", "--trees", "5", "--top", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", EXITING_ARGV)
+def test_main_answers_help_usage_and_errors_as_the_full_parser(argv):
+    full = _parsed(build_parser().parse_args, argv)
+    assert full[0] in (0, 2)
+    assert _parsed(main, argv) == full
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGV)
+def test_the_parser_of_one_command_parses_as_the_full_parser(argv):
+    command = argv[0]
+    full = _parsed(build_parser().parse_args, argv)
+    assert isinstance(full[0], dict) and full[0]["command"] == command
+    assert _parsed(build_parser(command).parse_args, argv) == full
+    for other in COMMANDS:  # it holds no other command
+        if other != command:
+            assert _parsed(build_parser(command).parse_args, [other, "--help"])[0] == 2
+
+
 def test_evaluate_report_suite(pipeline, tmp_path):
     db_path, _ = pipeline
     out_dir = tmp_path / "reports"
@@ -291,10 +426,11 @@ def failing_syn01(monkeypatch):
     """Makes measuring syn01 raise inside ``build_metadb``."""
     real = metadb_mod.compute_meta_features
 
-    def compute(ds, columns=None):
-        if ds.name == "syn01":
+    def compute(catalog):
+        catalog = list(catalog)  # a generator in _dataset_rows
+        if catalog[0].name == "syn01":
             raise ArithmeticError("no meta-features for syn01")
-        return real(ds, columns)
+        return real(catalog)
 
     monkeypatch.setattr(metadb_mod, "compute_meta_features", compute)
 
@@ -304,7 +440,7 @@ def _syn01_frame():
     path = Path(metadb_mod.__file__)
     [lineno] = [
         i for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if "base_mf = compute_meta_features(ds, columns)" in line
+        if "mfs = compute_meta_features(catalog())" in line
     ]
     return f" [{path.name}:{lineno}]"
 

@@ -62,7 +62,7 @@ def test_counting_features():
         ],
         [0, 1, 0, 1],
     )
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert feature(mf, "NumberOfAttributes") == 4.0  # class included
     assert feature(mf, "NumberOfInstances") == 4.0
     assert feature(mf, "Dimensionality") == 1.0
@@ -74,7 +74,7 @@ def test_counting_features():
 
 def test_class_entropy_balanced_split():
     ds = build([(Attribute("a", "continuous"), [1, 2, 3, 4])], [0, 0, 1, 1])
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert feature(mf, "ClassEntropy") == 1.0
     assert feature(mf, "MajorityClassPercentage") == 50.0
     assert feature(mf, "MinorityClassSize") == 2.0
@@ -124,7 +124,7 @@ def test_mutual_information_independent_and_identical():
     assert information_of(ds, 0) == 0.0
     # identical to the class
     ds = build([cat("a", 2, [0, 1, 0, 1])], [0, 1, 0, 1])
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert information_of(ds, 0) == feature(mf, "ClassEntropy")
     assert feature(mf, "NoiseToSignalRatio") == 0.0
     assert feature(mf, "EquivalentNumberOfAttributes") == 1.0
@@ -148,7 +148,7 @@ def test_mutual_information_pairwise_deletion():
 def test_derived_information_features_guard():
     # two categories split independently of a 2x2 class grid: zero mean MI
     ds = build([cat("a", 2, [0, 0, 1, 1])], [0, 1, 0, 1])
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert math.isnan(feature(mf, "EquivalentNumberOfAttributes"))
     assert math.isnan(feature(mf, "NoiseToSignalRatio"))
 
@@ -162,7 +162,7 @@ def test_derived_information_compositional_oracle():
     counts = np.bincount(labels)[np.bincount(labels) > 0]
     p = counts / counts.sum()
     class_entropy = -(p * np.log2(p)).sum()
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     ena, nsr = feature(mf, "EquivalentNumberOfAttributes"), feature(mf, "NoiseToSignalRatio")
     assert ena == pytest.approx(class_entropy / mean_mi, rel=1e-12)
     assert nsr == pytest.approx((mean_h - mean_mi) / mean_mi, rel=1e-12)
@@ -170,7 +170,7 @@ def test_derived_information_compositional_oracle():
 
 def test_not_applicable_groups():
     only_cont = random_dataset(3, n_continuous=2, n_categorical=0)
-    mf = compute_meta_features(only_cont)
+    mf = compute_meta_features([only_cont])[0]
     assert math.isnan(feature(mf, "MeanAttributeEntropy"))
     assert math.isnan(feature(mf, "Quartile2MutualInformation"))
     assert math.isnan(feature(mf, "StdAttributeDistinctValues"))
@@ -178,7 +178,7 @@ def test_not_applicable_groups():
     assert feature(mf, "PercentageOfBinaryAttributes") == 0.0
 
     only_cat = random_dataset(4, n_continuous=0, n_categorical=2)
-    mf = compute_meta_features(only_cat)
+    mf = compute_meta_features([only_cat])[0]
     assert math.isnan(feature(mf, "MinMeansOfContinuousAttributes"))
     assert math.isnan(feature(mf, "Quartile3SkewnessOfContinuousAttributes"))
     assert feature(mf, "NumberOfContinuousAttributes") == 0.0
@@ -191,7 +191,7 @@ def test_not_applicable_groups():
 
 def test_constant_attribute_degenerate_stats():
     ds = build([(Attribute("a", "continuous"), [2.0, 2.0, 2.0, 2.0])], [0, 1, 0, 1])
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert feature(mf, "MeanStdOfContinuousAttributes") == 0.0
     assert feature(mf, "MeanSkewnessOfContinuousAttributes") == 0.0
     assert feature(mf, "MeanKurtosisOfContinuousAttributes") == 0.0
@@ -205,7 +205,7 @@ def test_missing_value_counters():
         ],
         [0, 1, 0, 1],
     )
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     assert feature(mf, "NumberOfMissingValues") == 3.0
     assert feature(mf, "PercentageOfMissingValues") == pytest.approx(100.0 * 3 / 12)
     assert feature(mf, "NumberOfInstancesWithMissingValues") == 3.0
@@ -214,7 +214,7 @@ def test_missing_value_counters():
 
 def test_quartile_and_spread_orderings():
     ds = random_dataset(8, n_rows=50, n_continuous=5, n_categorical=3, missing_rate=0.05)
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     for stat in ("Means", "Std", "Kurtosis", "Skewness"):
         lo = feature(mf, f"Min{stat}OfContinuousAttributes")
         hi = feature(mf, f"Max{stat}OfContinuousAttributes")
@@ -230,7 +230,7 @@ def test_quartile_and_spread_orderings():
 def test_mi_bounded_by_entropies():
     for seed in range(20):
         ds = random_dataset(seed, n_rows=30, n_continuous=0, n_categorical=2)
-        class_entropy = feature(compute_meta_features(ds), "ClassEntropy")
+        class_entropy = feature(compute_meta_features([ds])[0], "ClassEntropy")
         for j in ds.categorical_predictors:
             mi = information_of(ds, j)
             assert -1e-12 <= mi <= min(entropy_of(ds, j), class_entropy) + 1e-9
@@ -252,7 +252,7 @@ def test_row_permutation_invariance():
     ds = random_dataset(21, n_rows=40, n_continuous=3, n_categorical=2, missing_rate=0.1)
     rng = np.random.default_rng(0)
     shuffled = replace(ds, rows=ds.rows[rng.permutation(ds.n_rows)])
-    assert_vectors_match(compute_meta_features(ds), compute_meta_features(shuffled))
+    assert_vectors_match(compute_meta_features([ds])[0], compute_meta_features([shuffled])[0])
 
 
 def test_predictor_permutation_invariance():
@@ -261,22 +261,21 @@ def test_predictor_permutation_invariance():
     attrs = tuple(ds.attributes[j] for j in perm)
     rows = ds.rows[:, perm]
     swapped = Dataset(ds.name, attrs, 5, rows)
-    assert_vectors_match(compute_meta_features(ds), compute_meta_features(swapped))
+    assert_vectors_match(compute_meta_features([ds])[0], compute_meta_features([swapped])[0])
 
 
 def test_delta_discretization_example():
     ds = random_dataset(55, n_rows=40, n_continuous=5, n_categorical=0)
-    before = compute_meta_features(ds)
-    assert feature(before, "NumberOfContinuousAttributes") == 5.0
     out = apply(TransformationSpec("discretize_unsup", "local", 0), ds)
-    after = compute_meta_features(out)
+    before, after = compute_meta_features([ds, out])
+    assert feature(before, "NumberOfContinuousAttributes") == 5.0
     assert feature(after, "NumberOfContinuousAttributes") == 4.0
     assert feature(delta(before, after), "NumberOfContinuousAttributes") == -1.0
 
 
 def test_delta_identity_is_zero():
     ds = random_dataset(13, n_rows=25, n_continuous=2, n_categorical=2, missing_rate=0.1)
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     d = delta(mf, mf)
     for fid in FEATURE_IDS:
         if math.isnan(feature(mf, fid)):
@@ -286,8 +285,8 @@ def test_delta_identity_is_zero():
 
 
 def test_delta_not_applicable_propagates():
-    no_cont = compute_meta_features(random_dataset(3, n_continuous=0, n_categorical=2))
-    with_cont = compute_meta_features(random_dataset(3, n_continuous=2, n_categorical=2))
+    no_cont = compute_meta_features([random_dataset(3, n_continuous=0, n_categorical=2)])[0]
+    with_cont = compute_meta_features([random_dataset(3, n_continuous=2, n_categorical=2)])[0]
     d = delta(no_cont, with_cont)
     assert math.isnan(feature(d, "MeanKurtosisOfContinuousAttributes"))
     assert feature(d, "NumberOfContinuousAttributes") == 2.0
@@ -304,7 +303,7 @@ def test_percentages_and_counts_in_range(seed):
         n_categorical=int(rng.integers(1, 4)),
         missing_rate=float(rng.choice([0.0, 0.15])),
     )
-    mf = compute_meta_features(ds)
+    mf = compute_meta_features([ds])[0]
     for fid in FEATURE_IDS:
         value = feature(mf, fid)
         if math.isnan(value):
@@ -511,9 +510,9 @@ def _checked_against_oracle(ds):
         old = _oracle_compute_meta_features(ds)
     except ZeroDivisionError:
         with pytest.raises(ValueError, match="statistics leave the float range"):
-            compute_meta_features(ds)
+            compute_meta_features([ds])
         return None
-    new = compute_meta_features(ds)
+    new = compute_meta_features([ds])[0]
     assert new.dtype == np.float64 and not new.flags.writeable
     np.testing.assert_array_equal(new, _as_array(old))
     return new, old
@@ -602,7 +601,7 @@ def test_out_of_range_statistics_name_the_attribute(tmp_path, capsys, magnitude)
     huge = Dataset("huge", good.attributes, good.class_index, rows)
     message = f"attribute {good.attributes[0].name!r}: its statistics leave the float range"
     with pytest.raises(ValueError) as info:
-        compute_meta_features(huge)
+        compute_meta_features([huge])
     assert str(info.value) == message
 
     db = build_metadb([huge, good], TREE, "acc", seed=1)
@@ -619,53 +618,69 @@ def test_out_of_range_statistics_name_the_attribute(tmp_path, capsys, magnitude)
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-# --- per-column statistics reused across a catalog (a dataset and its versions) ---
+# --- a catalog (a dataset and its versions) in one call, columns computed once ---
 
 
-def assert_reuse_is_exact(catalog):
-    """Vectors computed with one shared column cache equal fresh ones byte for byte.
-
-    A dataset whose statistics leave the float range raises the fresh
-    error, naming its own attribute.  Every column computed is counted once.
-    """
-    fresh = []
+def _one_by_one(catalog):
+    """Each dataset's row from a one-dataset catalog, or the ValueError that call raises."""
+    rows = []
     for ds in catalog:
         try:
-            fresh.append(compute_meta_features(ds))
+            [row] = compute_meta_features([ds])
         except ValueError as exc:
-            fresh.append(exc)
+            row = exc
+        rows.append(row)
+    return rows
+
+
+def assert_catalog_is_exact(catalog):
+    """One catalog call equals a one-dataset call per dataset, byte for byte.
+
+    A catalog holding a dataset whose statistics leave the float range
+    raises the first such dataset's own error, naming its attribute; the
+    others, as a catalog of their own, still equal their one-dataset rows.
+    Each distinct column of that catalog is computed once.
+    """
+    alone = _one_by_one(catalog)
+    errors = [row for row in alone if isinstance(row, ValueError)]
+    if errors:
+        with pytest.raises(ValueError) as info:
+            compute_meta_features(catalog)
+        assert str(info.value) == str(errors[0])
+        kept = [(ds, row) for ds, row in zip(catalog, alone) if not isinstance(row, ValueError)]
+        catalog, alone = [ds for ds, _ in kept], [row for _, row in kept]
     COLUMN_STATS.reset()
-    columns = {}
-    for ds, expected in zip(catalog, fresh):
-        if isinstance(expected, ValueError):
-            with pytest.raises(ValueError) as info:
-                compute_meta_features(ds, columns)
-            assert str(info.value) == str(expected)
-        else:
-            cached = compute_meta_features(ds, columns)
-            assert cached.tobytes() == expected.tobytes() and not cached.flags.writeable
-    assert COLUMN_STATS.value == len(columns)
-    if not any(isinstance(expected, ValueError) for expected in fresh):
-        assert len(columns) == len(distinct_columns(catalog))
-    return columns
+    rows = compute_meta_features(catalog)
+    assert COLUMN_STATS.value == len(distinct_columns(catalog))
+    assert rows.shape == (len(catalog), len(FEATURE_IDS)) and not rows.flags.writeable
+    assert [row.tobytes() for row in rows] == [row.tobytes() for row in alone]
+
+
+def _catalogs(datasets):
+    return [[ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))] for ds in datasets]
 
 
 def test_column_reuse_is_exact_on_the_mini_corpus(mini_datasets):
-    versions = 0
-    for ds in mini_datasets:
-        catalog = [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]
-        columns = assert_reuse_is_exact(catalog)
+    catalogs = _catalogs(mini_datasets)
+    for catalog in catalogs:
+        assert_catalog_is_exact(catalog)
         # one computation per distinct column, fewer than the catalog's columns
-        assert len(columns) < sum(len(version.predictor_indices) for version in catalog)
-        versions += len(catalog) - 1
-    assert (len(mini_datasets), versions) == (24, 273)
+        assert COLUMN_STATS.value < sum(len(version.predictor_indices) for version in catalog)
+    assert (len(catalogs), sum(map(len, catalogs)) - len(catalogs)) == (24, 273)
+
+
+def test_catalog_rows_are_exact_on_mini_corpus_11():
+    catalogs = _catalogs(mini_corpus(11))
+    for catalog in catalogs:
+        assert_catalog_is_exact(catalog)
+    assert len(catalogs) == 24
 
 
 def test_column_reuse_is_exact_on_a_large_catalog():
     ds = random_dataset(
         2018, n_rows=4000, n_continuous=10, n_categorical=5, n_classes=3, missing_rate=0.03
     )
-    assert_reuse_is_exact([ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))])
+    assert_catalog_is_exact(*_catalogs([ds]))
 
 
 def test_out_of_range_statistics_name_each_versions_attribute():
@@ -675,12 +690,12 @@ def test_out_of_range_statistics_name_each_versions_attribute():
     attrs = good.attributes
     huge = Dataset("huge", attrs, good.class_index, rows)
     renamed = Dataset("huge", (attrs[0], Attribute("other", "continuous"), *attrs[2:]), 3, rows)
-    columns = {}
-    for ds in (huge, renamed, huge):
+    for ds in (huge, renamed):
         name = ds.attributes[1].name
+        COLUMN_STATS.reset()
         with pytest.raises(ValueError, match=f"^attribute {name!r}: its statistics leave"):
-            compute_meta_features(ds, columns)
-    assert list(columns) == [("continuous", 0, rows[:, 0].tobytes())]  # never the huge one
+            compute_meta_features([good, ds, huge])
+        assert COLUMN_STATS.value == 3  # good's columns; the huge column never counts
 
 
 @st.composite
@@ -718,4 +733,4 @@ def edge_catalogs(draw):
 @settings(max_examples=150, deadline=None)
 @given(edge_catalogs())
 def test_column_reuse_is_exact_on_fuzzed_catalogs(catalog):
-    assert_reuse_is_exact(catalog)
+    assert_catalog_is_exact(catalog)

@@ -1,8 +1,8 @@
 """Mutated mini-corpus ARFF and CSV texts through the whole pipeline: measures or a typed error.
 
 Each text goes through ``parse_arff`` (or ``parse_csv`` with its default
-class column), ``compute_meta_features`` with one column cache shared by the
-dataset and its versions, every applicable ``apply``, and one catalog
+class column), one catalog ``compute_meta_features`` of the dataset and its
+versions, each made by ``apply`` once the one before is read, and one catalog
 ``cross_validate``, as ``build-metadb`` takes a dataset.  A NumPy
 ``RuntimeWarning`` still fails the test (pyproject.toml).
 """
@@ -39,6 +39,14 @@ LEARNERS = (TREE, NAIVE_BAYES, knn(1), LOGISTIC)
 TYPED = ("its statistics leave the float range", "cannot split")
 
 
+def _catalog(ds, versions):
+    """``ds``, then each operator version, made once the one before is read, kept in ``versions``."""
+    yield ds
+    for spec in enumerate_applicable(ds):
+        versions.append(apply(spec, ds))
+        yield versions[-1]
+
+
 def _assert_measures_or_a_typed_error(parse, text, learner):
     try:
         ds = parse(text)
@@ -46,11 +54,8 @@ def _assert_measures_or_a_typed_error(parse, text, learner):
         event("DatasetError at parse")
         return
     try:
-        columns = {}
-        compute_meta_features(ds, columns)
-        versions = [apply(spec, ds) for spec in enumerate_applicable(ds)]
-        for version in versions:
-            compute_meta_features(version, columns)
+        versions = []
+        compute_meta_features(_catalog(ds, versions))
         measured = cross_validate(learner, [ds, *versions], seed=0)
     except ValueError as exc:
         assert any(message in str(exc) for message in TYPED), exc

@@ -131,12 +131,12 @@ def test_rank_matches_independent_recomputation(tree_model):
     ds = random_dataset(4, n_rows=40, n_continuous=2, n_categorical=2)
     out = rank_transformations(tree_model, DEFAULT_RULES, TREE, ds, seed=9)
 
-    base_mf = compute_meta_features(ds)
+    base_mf = compute_meta_features([ds])[0]
     base_pm = cross_validate(TREE, [ds], 10, seed=9)[0].get("acc")
     expected = []
     for spec in prune(DEFAULT_RULES, TREE, enumerate_applicable(ds)):
         trans = apply(spec, ds)
-        change = delta(base_mf, compute_meta_features(trans))
+        change = delta(base_mf, compute_meta_features([trans])[0])
         proba = predict_proba(tree_model, feature_vector(base_mf, change, base_pm))
         expected.append((spec.text, proba))
     expected.sort(key=lambda item: (-item[1][0], item[0]))
