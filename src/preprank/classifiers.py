@@ -137,6 +137,8 @@ class _Shared:
 
 def _fold_by_fold(score, datasets, train_rows, test_rows):
     """Each dataset's fold results ``score(ds, train, test, y, column)``, fold by fold."""
+    # ``column`` keys a result by (column, scope), not by fold: each slot must read each
+    # key exactly once per fold, so the last reader drops it before the next fold starts
     shared, labels, results = _Shared(datasets), datasets[0].class_labels, [[] for _ in datasets]
     for train, test in zip(train_rows, test_rows):
         for a, ds in enumerate(datasets):

@@ -201,9 +201,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> np.ndarray:
         members = np.flatnonzero(labels == c)
         if members.size == 0:
             continue
-        members = rng.permutation(members)
-        for i, row in enumerate(members):
-            fold_of_row[row] = (cursor + i) % k
+        fold_of_row[rng.permutation(members)] = (cursor + np.arange(members.size)) % k
         cursor += members.size
     fold_of_row.flags.writeable = False
     return fold_of_row

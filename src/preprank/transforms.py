@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
-from .tree import entropies, entropy, midpoint, select
+from .tree import mdl_cuts
 
 DISCRETIZE_SUPERVISED = "discretize_sup"
 DISCRETIZE_UNSUPERVISED = "discretize_unsup"
@@ -246,10 +246,11 @@ def _discretize_equal_width(ds: Dataset, j: int) -> _Columns:
 
 
 def _discretize_mdl(ds: Dataset, j: int) -> _Columns:
+    """Attribute ``j`` binned at its :func:`mdl_cuts`; a value at a cut goes above it."""
     col = ds.column(j)
     present = ~np.isnan(col)
-    cuts = np.asarray(_mdl_cuts(col[present], ds.class_labels[present]))
-    return _binned(ds, j, np.searchsorted(cuts, col[present], side="left"), cuts.size + 1)
+    cuts = mdl_cuts(col[present], ds.class_labels[present])
+    return _binned(ds, j, np.searchsorted(cuts, col[present], side="right"), cuts.size + 1)
 
 
 def _binned(ds: Dataset, j: int, bin_of_present: np.ndarray, n_bins: int) -> _Columns:
@@ -258,71 +259,6 @@ def _binned(ds: Dataset, j: int, bin_of_present: np.ndarray, n_bins: int) -> _Co
     out[~np.isnan(out)] = bin_of_present
     attr = Attribute(ds.attributes[j].name, CATEGORICAL, tuple(f"bin{i}" for i in range(n_bins)))
     return [(attr, out)]
-
-
-def _mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[float]:
-    """Recursive entropy-minimizing cut points accepted by the MDL criterion.
-
-    Candidates are the boundaries between runs of equal sorted values whose
-    two runs hold different sets of classes.  Scanning them in ascending
-    value order with a running best gain that starts at 0, a candidate
-    becomes the best when its information gain exceeds the running best by
-    more than 1e-12; the segment's cut is the last one to do so.  Exact gain
-    ties, and gains within 1e-12 of the best so far, thus go to the lower
-    cut.  Each cut sits at the midpoint of the two values it separates.
-    """
-    if values.size == 0:
-        return []
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
-    n_classes = int(labels.max()) + 1 if labels.size else 1
-    onehot = np.zeros((v.size, n_classes))
-    onehot[np.arange(v.size), y] = 1.0
-    prefix = np.vstack([np.zeros(n_classes), np.cumsum(onehot, axis=0)])
-
-    cuts: list[float] = []
-    stack = [(0, v.size)]
-    while stack:
-        lo, hi = stack.pop()
-        best = _best_cut(v, prefix, lo, hi)
-        if best is None:
-            continue
-        pos, _ = best
-        cuts.append(midpoint(v[pos - 1], v[pos]))
-        stack.append((pos, hi))
-        stack.append((lo, pos))
-    return sorted(cuts)
-
-
-def _best_cut(v, prefix, lo, hi):
-    """(position, gain) of the segment's cut if MDL accepts it, or None; see :func:`_mdl_cuts`."""
-    n = hi - lo
-    if n < 2:
-        return None
-    total = prefix[hi] - prefix[lo]
-    h_all = entropy(total)
-    if h_all == 0.0:
-        return None
-    bounds = lo + 1 + np.flatnonzero(v[lo + 1 : hi] != v[lo : hi - 1])
-    edges = np.concatenate(([lo], bounds, [hi]))
-    in_run = (prefix[edges[1:]] - prefix[edges[:-1]]) > 0  # classes of each run
-    pos = bounds[(in_run[:-1] != in_run[1:]).any(axis=1)]
-    if pos.size == 0:
-        return None
-    left = prefix[pos] - prefix[lo]
-    right = prefix[hi] - prefix[pos]
-    h_left, h_right = entropies(left), entropies(right)
-    gains = h_all - (left.sum(axis=1) / n) * h_left - (right.sum(axis=1) / n) * h_right
-    best = select(gains)
-    if best is None:
-        return None
-    # Fayyad and Irani's MDL criterion: the gain must pay for coding the cut
-    k, k1, k2 = (int((counts > 0).sum()) for counts in (total, left[best], right[best]))
-    delta = math.log2(3**k - 2) - (k * h_all - k1 * h_left[best] - k2 * h_right[best])
-    if not gains[best] > (math.log2(n - 1) + delta) / n:
-        return None
-    return int(pos[best]), gains[best]
 
 
 def _nominal_to_binary_plain(ds: Dataset, j: int) -> _Columns:

@@ -22,7 +22,7 @@ its column, ranked once per grow, then its position), one prefix sum of
 class weights and one call of the criterion on its candidate cuts alone, so
 the NumPy calls per step do not grow with the number of nodes or columns.
 Its categorical pairs share one table of class counts per batch.  Each pair's
-cut is chosen under :func:`select`, then each node's columns compete under it.
+cut is chosen under :func:`_select_rows`, then each node's columns compete under it.
 """
 
 from __future__ import annotations
@@ -114,17 +114,6 @@ ENTROPY = Criterion(entropies, _entropy_children)
 GINI = Criterion(ginis, _gini_children)
 
 
-def select(gains: np.ndarray) -> int | None:
-    """Index of the split to take among candidate gains in scan order, or None.
-
-    Scanning with a running best that starts at 0, a gain replaces the best
-    when it is larger by more than 1e-12, so near-ties go to the earlier
-    candidate; the last replacement wins.
-    """
-    top = int(_select_rows(gains[None])[0]) if gains.size else -1
-    return None if top < 0 else top
-
-
 #: cells (pairs x rows x classes) of one chunk of numeric pairs, and rows of one
 #: batch of categorical pairs; more go in several
 _BATCH_CELLS = 2**14
@@ -156,7 +145,7 @@ def _best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
     points at the padding row: it ranks with missing cells and has no
     weight.  A column's cuts lie between adjacent distinct sorted present
     values and leave at least ``min_leaf`` rows on each side, and
-    :func:`select` picks among them in sorted order.  Returns per row the
+    :func:`_select_rows` picks among them in sorted order.  Returns per row the
     gain of its cut (-inf when it has none) and the two adjacent sorted
     values the cut lies between.  The criterion sees the candidate cuts
     alone, most sorted positions being repeats, ties or padding.
@@ -196,12 +185,15 @@ def _best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
 
 
 def _select_rows(gains: np.ndarray) -> np.ndarray:
-    """:func:`select` on every row of a gain matrix, -1 for None.
+    """The split to take in every row of a gain matrix, candidates in scan order; -1 for none.
 
-    When a row's first maximum clears every other gain by the margin it is
-    the answer; otherwise the scan is replayed over the gains above all
-    earlier ones, the only ones that can replace the best.  A row's -inf
-    entries are never chosen and never change the choice.
+    Scanning a row with a running best that starts at 0, a gain replaces the
+    best when it is larger by more than 1e-12, so near-ties go to the earlier
+    candidate; the last replacement wins.  When a row's first maximum clears
+    every other gain by the margin it is the answer; otherwise the scan is
+    replayed over the gains above all earlier ones, the only ones that can
+    replace the best.  A row's -inf entries are never chosen and never
+    change the choice.
     """
     top = gains.argmax(axis=1)
     best = gains.max(axis=1)
@@ -243,13 +235,6 @@ def _search(xt, ranks, onehot, rows, cols, min_leaf, criterion):
         found[:, chunk] = _best_cuts(xt, ranks, cols[chunk], block_rows, onehot, min_leaf, criterion)
         start = stop
     return found
-
-
-def midpoint(lo: float, hi: float) -> float:
-    """``(lo + hi) / 2`` as a float, halving each first when their sum overflows."""
-    lo, hi = float(lo), float(hi)  # Python floats: an overflow gives inf, not a warning
-    mid = (lo + hi) / 2.0
-    return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
 
 
 def _categorical_gains(xt, y, w, rows, cols, n_classes, min_leaf, criterion):
@@ -338,19 +323,28 @@ def _categories(xt, idx, f):
     return groups
 
 
+def _thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each cut between adjacent sorted values ``lo`` < ``hi``: a value at or above it goes right.
+
+    The cut is the midpoint, each value halved first where their sum
+    overflows, or ``hi`` where the midpoint rounds down onto ``lo``.
+    """
+    with np.errstate(all="ignore"):  # an overflow gives inf and no warning
+        mid = (lo + hi) / 2.0
+        mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)
+    return np.where(mid <= lo, hi, mid)
+
+
 def _partition(xt, w, rows, cols, lo, hi):
     """(threshold, default branch, left rows, right rows) of each pair's cut, all pairs at once.
 
-    A pair of node rows and numeric column of ``xt`` is cut at the :func:`midpoint` of its
-    ``lo`` and ``hi`` (``hi`` where that rounds down onto ``lo``); missing rows go to the
-    heavier side, left on a tie.  Children keep their node's row order.
+    A pair of node rows and numeric column of ``xt`` is cut at the :func:`_thresholds` of
+    its ``lo`` and ``hi``; missing rows go to the heavier side, left on a tie.  Children
+    keep their node's row order.
     """
     sizes = np.array([r.size for r in rows])
     members, pair = np.concatenate(rows), np.repeat(np.arange(sizes.size), sizes)
-    with np.errstate(all="ignore"):  # as Python floats: an overflow gives inf and no warning
-        mid = (lo + hi) / 2.0
-        mid = np.where(np.isfinite(mid), mid, lo / 2.0 + hi / 2.0)
-        thresholds = np.where(mid <= lo, hi, mid)
+    thresholds = _thresholds(lo, hi)
     col = np.take(xt, np.repeat(np.multiply(cols, xt.shape[1]), sizes) + members)
     missing = np.isnan(col)
     right = ~missing & ~(col < np.repeat(thresholds, sizes))
@@ -383,7 +377,7 @@ def grow(
     fewer than ``min_node`` rows or a single class is a leaf.  Otherwise its
     candidate columns, in scan order, each give their best split (one child
     per category for ``categorical`` columns, which hold category indices),
-    and the splits compete under :func:`select`.
+    and the splits compete under :func:`_select_rows`.
 
     The trees grow in lockstep: each step takes nodes of every unfinished
     tree and searches the candidate columns of all of them together
@@ -487,3 +481,52 @@ def leaf(node: dict, row) -> dict:
         else:
             node = node["r"]
     return node
+
+
+def mdl_cuts(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Fayyad and Irani's recursive MDL cuts of a column with integer ``labels``, ascending.
+
+    A segment of the sorted values, first the whole column, is cut at the
+    boundary between two runs of equal values whose runs hold different
+    sets of classes and whose information gain :func:`_select_rows` picks,
+    if the gain pays for coding the cut; each side is then searched alike.
+    Every segment ends at a boundary, so its runs are the column's, found
+    once.  The cuts lie where :func:`_partition` puts them
+    (:func:`_thresholds`): a value at or above a cut belongs above it.
+    """
+    if values.size == 0:
+        return np.empty(0)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    n_classes = int(labels.max()) + 1
+    onehot = np.zeros((v.size, n_classes))
+    onehot[np.arange(v.size), labels[order]] = 1.0
+    prefix = np.vstack([np.zeros(n_classes), np.cumsum(onehot, axis=0)])
+    bounds = 1 + np.flatnonzero(v[1:] != v[:-1])
+    edges = np.concatenate(([0], bounds, [v.size]))
+    in_run = (prefix[edges[1:]] - prefix[edges[:-1]]) > 0  # classes of each run
+    candidates = bounds[(in_run[:-1] != in_run[1:]).any(axis=1)]
+    found, stack = [], [(0, v.size)]
+    while stack:
+        lo, hi = stack.pop()
+        pos = candidates[np.searchsorted(candidates, lo, "right") : np.searchsorted(candidates, hi)]
+        total = prefix[hi] - prefix[lo]
+        h_all = entropy(total)
+        if pos.size == 0 or h_all == 0.0:
+            continue
+        n = hi - lo
+        left = prefix[pos] - prefix[lo]
+        right = total - left
+        h_left, h_right = entropies(left), entropies(right)
+        gains = h_all - (left.sum(axis=1) / n) * h_left - (right.sum(axis=1) / n) * h_right
+        best = int(_select_rows(gains[None])[0])
+        if best < 0:
+            continue
+        # the MDL criterion: the gain must pay for coding the cut
+        k, k1, k2 = (int((counts > 0).sum()) for counts in (total, left[best], right[best]))
+        delta = math.log2(3**k - 2) - (k * h_all - k1 * h_left[best] - k2 * h_right[best])
+        if gains[best] > (math.log2(n - 1) + delta) / n:
+            found.append(pos[best])
+            stack += [(pos[best], hi), (lo, pos[best])]
+    cut = np.sort(np.array(found, dtype=np.intp))
+    return _thresholds(v[cut - 1], v[cut])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import CORPUS_DIR, mutated_texts, single_class_fold_metadb
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import preprank.forest as forest_mod
 import preprank.metadb as metadb_mod
@@ -651,6 +651,7 @@ def _run_cli(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert not UNTYPED_ERROR.search(err.getvalue()), err.getvalue()
+    return code
 
 
 @st.composite
@@ -678,6 +679,45 @@ def test_mutated_rules_through_recommend(pipeline, text):
         rules.write_text(text, encoding="utf-8")
         _run_cli(["recommend", "--dataset", str(CORPUS_DIR / "mini" / "syn00.arff"),
                   "--algorithm", "tree", "--model", str(model_path), "--rules", str(rules)])
+
+
+#: a mini-corpus ARFF text per file, its data rows written sparse: ``{index value, ...}``
+SPARSE_TEXTS = [
+    head + "@data\n" + "\n".join(
+        "{" + ", ".join(f"{i} {v}" for i, v in enumerate(row.split(","))) + "}" if row else row
+        for row in body.split("\n")
+    )
+    for head, body in zip(HEADS, BODIES)
+]
+SPARSE_TOKENS = ("{", "}", ",", " ", "\t", "0", "1", "-1", "99", "?", "'", "%", "{}", "c0", "0 0")
+METADB_TOKENS = ("\t", " ", "#", "-", "+", "e", "_", "?", "é", "\r", "\x00", "nan", "inf",
+                 "1e999", "0x1p3", "positive", "negative", "neutral", "schema_version=")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_texts(SPARSE_TEXTS, SPARSE_TOKENS))
+def test_mutated_sparse_arff_rows_through_featurize(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "sparse.arff")
+        path.write_text(text, encoding="utf-8")
+        event(f"featurize exits {_run_cli(['featurize', str(path)])}")
+
+
+@pytest.fixture(scope="module")
+def metadb_text(pipeline):
+    return pipeline[0].read_text(encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_metadb_cells_through_train_and_evaluate(metadb_text, data):
+    text = data.draw(mutated_texts([metadb_text], METADB_TOKENS))
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp, "db.tsv")
+        db.write_text(text, encoding="utf-8")
+        common = ["--metadb", str(db), "--trees", "3", "--seed", "1"]
+        event(f"train exits {_run_cli(['train', *common, '--out', str(Path(tmp, 'model.json'))])}")
+        event(f"evaluate exits {_run_cli(['evaluate', *common, '--out', str(Path(tmp, 'out'))])}")
 
 
 def _offline(url):

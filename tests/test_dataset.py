@@ -23,7 +23,7 @@ from preprank.dataset import (
     serialize_arff,
     stratified_folds,
 )
-from preprank.synthetic import random_dataset
+from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import apply, enumerate_applicable
 
 SIMPLE_ARFF = """\
@@ -293,6 +293,35 @@ def test_stratified_folds_counting_oracle():
     for c in np.unique(labels):
         counts = np.bincount(fold_of_row[labels == c], minlength=10)
         assert counts.max() - counts.min() <= 1
+
+
+def _loop_stratified_folds(ds, k, seed):
+    """The per-row loop that ``stratified_folds`` ran, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    labels = ds.class_labels
+    fold_of_row = np.empty(ds.n_rows, dtype=int)
+    cursor = 0
+    for c in range(len(ds.class_attribute.categories)):
+        members = np.flatnonzero(labels == c)
+        if members.size == 0:
+            continue
+        members = rng.permutation(members)
+        for i, row in enumerate(members):
+            fold_of_row[row] = (cursor + i) % k
+        cursor += members.size
+    return fold_of_row
+
+
+def test_stratified_folds_match_the_per_row_loop():
+    datasets = [*mini_corpus(7), *mini_corpus(11), random_dataset(
+        2018, n_rows=4000, n_continuous=10, n_categorical=5, n_classes=3, missing_rate=0.03
+    )]
+    for ds in datasets:
+        for k in (2, 3, 10):
+            for seed in (1, 7, 42):
+                fold_of_row = stratified_folds(ds, k, seed)
+                assert fold_of_row.dtype == int
+                assert np.array_equal(fold_of_row, _loop_stratified_folds(ds, k, seed))
 
 
 @settings(max_examples=30, deadline=None)

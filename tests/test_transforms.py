@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preprank.dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
-from preprank.synthetic import random_dataset
+from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import (
     _COLUMN_REWRITES,
     KIND_ORDER,
@@ -16,8 +16,7 @@ from preprank.transforms import (
     apply,
     enumerate_applicable,
 )
-from preprank.transforms import _best_cut, _mdl_cuts  # white-box oracle targets
-from preprank.tree import entropy
+from preprank.tree import ENTROPY, entropies, entropy, grow, mdl_cuts
 
 
 def one_column(values, n_classes=2, labels=None):
@@ -121,12 +120,12 @@ def test_supervised_discretization_perfect_threshold():
     out = apply(TransformationSpec("discretize_sup", "local", 0), ds)
     assert out.attributes[0].categories == ("bin0", "bin1")
     assert list(out.rows[:, 0]) == [0.0] * 4 + [1.0] * 4
-    assert _mdl_cuts(np.array(values), np.array(labels)) == [7.0]
+    assert mdl_cuts(np.array(values), np.array(labels)).tolist() == [7.0]
 
 
 def test_mdl_cut_between_values_whose_sum_overflows_is_finite():
     values = np.array([1e308, 1e308, 1.5e308, 1.5e308])
-    assert _mdl_cuts(values, np.array([0, 0, 1, 1])) == [1.25e308]
+    assert mdl_cuts(values, np.array([0, 0, 1, 1])).tolist() == [1.25e308]
 
 
 def test_supervised_discretization_no_signal_single_bin():
@@ -203,12 +202,12 @@ def test_mdl_cuts_match_independent_oracle():
             values = rng.normal(size=n) + labels * rng.uniform(0, 3)
         else:
             values = rng.integers(0, 6, size=n).astype(float)
-        ours = _mdl_cuts(values, labels)
+        ours = mdl_cuts(values, labels).tolist()
         oracle = _oracle_mdl(list(values), list(labels))
         assert ours == pytest.approx(oracle), f"trial {trial}"
 
 
-# The scalar cut search that the vectorized ``_best_cut`` replaced, kept
+# The scalar cut search that the vectorized per-segment search replaced, kept
 # verbatim as a bit-for-bit oracle: one Python step per sorted position,
 # class sets as frozensets, one entropy call per candidate boundary.
 
@@ -262,7 +261,7 @@ def _scalar_best_cut(v, y, prefix, lo, hi):
     return best_pos, best_gain
 
 
-# The MDL test that ``_best_cut`` now applies to its own cut, kept verbatim
+# The MDL test that the vectorized search now applies to its own cut, kept verbatim
 # as the oracle of which cuts the criterion accepts.
 
 
@@ -314,18 +313,17 @@ def _scalar_mdl_cuts(values, labels):
 
 
 def _assert_same_as_scalar(values, labels):
+    """``mdl_cuts`` equals both oracles on the column and on five segments between runs."""
     values, labels = np.asarray(values, dtype=float), np.asarray(labels)
-    assert _mdl_cuts(values, labels) == _scalar_mdl_cuts(values, labels)
-    v, y, prefix = _sorted_prefix(values, labels)
+    v, y, _ = _sorted_prefix(values, labels)
+    edges = np.concatenate(([0], 1 + np.flatnonzero(v[1:] != v[:-1]), [v.size]))
     rng = np.random.default_rng(values.size)
     segments = [(0, v.size)] + [
-        tuple(sorted(rng.choice(v.size + 1, size=2, replace=False))) for _ in range(5)
+        tuple(sorted(rng.choice(edges, size=2, replace=False))) for _ in range(5)
     ]
     for lo, hi in segments:
-        ours, scalar = _best_cut(v, prefix, lo, hi), _scalar_accepted_cut(v, y, prefix, lo, hi)
-        assert (ours is None) == (scalar is None), (lo, hi)
-        if ours is not None:  # same position, same gain to the last bit
-            assert ours[0] == scalar[0] and ours[1] == scalar[1], (lo, hi)
+        assert mdl_cuts(v[lo:hi], y[lo:hi]).tolist() == _scalar_mdl_cuts(v[lo:hi], y[lo:hi])
+        _assert_cuts_like_the_oracle(v[lo:hi], y[lo:hi])
 
 
 @pytest.mark.parametrize("pattern", [(2, 1, 0, 0), (1, 0, 2), (0, 1), (0, 0, 1)])
@@ -357,8 +355,7 @@ def test_mdl_matches_scalar_search_on_random_inputs():
 def test_mdl_single_distinct_value_has_no_cut():
     labels = np.arange(50) % 3
     _assert_same_as_scalar(np.full(50, 4.25), labels)
-    v, _, prefix = _sorted_prefix(np.full(50, 4.25), labels)
-    assert _best_cut(v, prefix, 0, 50) is None
+    assert mdl_cuts(np.full(50, 4.25), labels).size == 0
 
 
 @pytest.mark.parametrize("n_classes", [8, 9, 12, 20])
@@ -372,6 +369,194 @@ def test_mdl_matches_scalar_search_with_many_classes(n_classes):
         if trial % 2:
             values = np.round(values)
         _assert_same_as_scalar(values, labels)
+
+
+# The MDL search as it stood before it moved into ``tree.mdl_cuts``, kept verbatim as
+# an oracle of the cut positions, except that ``_oracle_mdl_cuts`` returns each cut's
+# position with its value: a boundary scan per segment, the scalar split choice
+# loop and the scalar midpoint.
+
+
+def _oracle_select(gains):
+    best = None
+    for i, gain in enumerate(gains):
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, i)
+    return None if best is None else best[1]
+
+
+def _oracle_midpoint(lo: float, hi: float) -> float:
+    """``(lo + hi) / 2`` as a float, halving each first when their sum overflows."""
+    lo, hi = float(lo), float(hi)  # Python floats: an overflow gives inf, not a warning
+    mid = (lo + hi) / 2.0
+    return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
+
+
+def _oracle_mdl_cuts(values: np.ndarray, labels: np.ndarray) -> list[tuple[int, float]]:
+    if values.size == 0:
+        return []
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    y = labels[order]
+    n_classes = int(labels.max()) + 1 if labels.size else 1
+    onehot = np.zeros((v.size, n_classes))
+    onehot[np.arange(v.size), y] = 1.0
+    prefix = np.vstack([np.zeros(n_classes), np.cumsum(onehot, axis=0)])
+
+    cuts = []
+    stack = [(0, v.size)]
+    while stack:
+        lo, hi = stack.pop()
+        best = _oracle_best_cut(v, prefix, lo, hi)
+        if best is None:
+            continue
+        pos, _ = best
+        cuts.append((pos, _oracle_midpoint(v[pos - 1], v[pos])))
+        stack.append((pos, hi))
+        stack.append((lo, pos))
+    return sorted(cuts)
+
+
+def _oracle_best_cut(v, prefix, lo, hi):
+    n = hi - lo
+    if n < 2:
+        return None
+    total = prefix[hi] - prefix[lo]
+    h_all = entropy(total)
+    if h_all == 0.0:
+        return None
+    bounds = lo + 1 + np.flatnonzero(v[lo + 1 : hi] != v[lo : hi - 1])
+    edges = np.concatenate(([lo], bounds, [hi]))
+    in_run = (prefix[edges[1:]] - prefix[edges[:-1]]) > 0  # classes of each run
+    pos = bounds[(in_run[:-1] != in_run[1:]).any(axis=1)]
+    if pos.size == 0:
+        return None
+    left = prefix[pos] - prefix[lo]
+    right = prefix[hi] - prefix[pos]
+    h_left, h_right = entropies(left), entropies(right)
+    gains = h_all - (left.sum(axis=1) / n) * h_left - (right.sum(axis=1) / n) * h_right
+    best = _oracle_select(gains)
+    if best is None:
+        return None
+    # Fayyad and Irani's MDL criterion: the gain must pay for coding the cut
+    k, k1, k2 = (int((counts > 0).sum()) for counts in (total, left[best], right[best]))
+    delta = math.log2(3**k - 2) - (k * h_all - k1 * h_left[best] - k2 * h_right[best])
+    if not gains[best] > (math.log2(n - 1) + delta) / n:
+        return None
+    return int(pos[best]), gains[best]
+
+
+def _assert_cuts_like_the_oracle(values, labels):
+    """Same cut positions as the oracle; same values unless its midpoint is the lower value."""
+    values, labels = np.asarray(values, dtype=float), np.asarray(labels)
+    cuts = mdl_cuts(values, labels)
+    v = np.sort(values, kind="stable")
+    expected = _oracle_mdl_cuts(values, labels)
+    assert np.searchsorted(v, cuts).tolist() == [pos for pos, _ in expected]  # cuts: (lo, hi]
+    assert cuts.tolist() == [float(v[pos]) if mid <= v[pos - 1] else mid for pos, mid in expected]
+    return len(expected)
+
+
+def _continuous_columns(datasets):
+    for ds in datasets:
+        for j in ds.predictor_indices:
+            if ds.attributes[j].is_continuous:
+                present = ~np.isnan(ds.column(j))
+                yield ds.column(j)[present], ds.class_labels[present]
+
+
+def test_mdl_cuts_match_the_oracle_on_the_mini_corpora():
+    datasets = [
+        version
+        for seed in (7, 11)
+        for ds in mini_corpus(seed)
+        for version in [ds, *(apply(spec, ds) for spec in enumerate_applicable(ds))]
+    ]
+    found = [_assert_cuts_like_the_oracle(*column) for column in _continuous_columns(datasets)]
+    assert len(found) > 1000 and sum(found) > 500
+
+
+def test_mdl_cuts_match_the_oracle_on_4000_rows():
+    datasets = [
+        random_dataset(seed, n_rows=4000, n_continuous=10, n_categorical=5, n_classes=3,
+                       missing_rate=rate)
+        for seed, rate in ((2018, 0.03), (2019, 0.0))
+    ]
+    found = [_assert_cuts_like_the_oracle(*column) for column in _continuous_columns(datasets)]
+    assert len(found) == 20 and sum(found) > 20
+
+
+#: cells that sort among others, tie as 0.0 and -0.0, or overflow a sum
+EDGE_CELLS = (0.0, -0.0, 1e308, -1e308, 1.5e308, -1.5e308, 1.7976931348623157e308, 5e-324)
+
+
+@st.composite
+def mdl_columns(draw):
+    """(values, labels): a few distinct cells in runs, with labels mostly following the cell."""
+    n_classes = draw(st.sampled_from((2, 3, 8, 12, 20)))
+    pool = draw(st.lists(
+        st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from(EDGE_CELLS),
+        min_size=1, max_size=24,
+    ))
+    n = draw(st.integers(1, 160))
+    cells = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    noise = draw(st.lists(st.integers(0, 3 * n_classes - 1), min_size=n, max_size=n))
+    labels = [c % n_classes if e >= n_classes else e for c, e in zip(cells, noise)]
+    return np.array([pool[c] for c in cells]), np.array(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mdl_columns())
+def test_mdl_cuts_match_the_oracle_on_fuzzed_columns(column):
+    _assert_cuts_like_the_oracle(*column)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.3, 0.1 + 0.2), (1.0, float(np.nextafter(1.0, 2.0)))],
+    ids=["midpoint-rounds-up", "midpoint-rounds-down"],
+)
+def test_mdl_bins_a_separable_pair_of_adjacent_doubles_apart(lo, hi):
+    assert lo < hi == np.nextafter(lo, 2.0) and (lo + hi) / 2.0 in (lo, hi)
+    values, labels = [lo] * 20 + [hi] * 20, [0] * 20 + [1] * 20
+    out = apply(TransformationSpec("discretize_sup", "local", 0), one_column(values, labels=labels))
+    assert out.attributes[0].categories == ("bin0", "bin1")
+    assert out.rows[:, 0].tolist() == labels
+    # the cut lies where the tree puts its threshold: at the upper value
+    [root] = grow(np.array(values)[:, None], np.array(labels), np.ones(40), 2,
+                  [(np.arange(40), np.array([0]))], criterion=ENTROPY)
+    assert mdl_cuts(np.array(values), np.array(labels)).tolist() == [root["t"]] == [hi]
+
+
+@st.composite
+def ulp_columns(draw):
+    """(values, labels): runs of cells next to their one-ulp neighbours, mostly split at one."""
+    base = draw(st.lists(
+        st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from((0.3, 1.0, 1e308, -1e308)),
+        min_size=1, max_size=5,
+    ))
+    pool = sorted({v for x in base for v in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf))})
+    runs = draw(st.lists(st.integers(1, 15), min_size=len(pool), max_size=len(pool)))
+    values = np.repeat(pool, runs)
+    pivot = draw(st.sampled_from(pool))
+    labels = (values >= pivot).astype(int)
+    flips = draw(st.lists(st.integers(0, values.size - 1), max_size=3))
+    labels[flips] = draw(st.integers(0, 2))
+    return values, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(ulp_columns())
+def test_mdl_bins_keep_each_cut_between_the_values_it_separates(column):
+    values, labels = column
+    out = apply(TransformationSpec("discretize_sup", "local", 0),
+                one_column(values, n_classes=3, labels=labels))
+    bins, cuts = out.rows[:, 0], mdl_cuts(values, labels)
+    assert len(out.attributes[0].categories) == cuts.size + 1
+    for cut in cuts:
+        below, above = values < cut, values >= cut
+        assert below.any() and above.any()
+        assert bins[below].max() < bins[above].min(), (cut, values, bins)
 
 
 def test_nominal_to_binary_unsupervised_shapes():
@@ -691,10 +876,10 @@ def _old_discretize_mdl(ds: Dataset, targets) -> Dataset:
     for j in targets:
         col = ds.column(j)
         present = ~np.isnan(col)
-        cuts = _mdl_cuts(col[present], labels[present])
+        cuts = mdl_cuts(col[present], labels[present]).tolist()
         out = np.array(col)
-        if cuts:
-            out[present] = np.searchsorted(np.asarray(cuts), col[present], side="left")
+        if cuts:  # a value at a cut goes above it, as the tree sends it right
+            out[present] = np.searchsorted(np.asarray(cuts), col[present], side="right")
         else:
             out[present] = 0.0
         attr = Attribute(

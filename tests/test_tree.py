@@ -391,8 +391,11 @@ def _oracle_node_split(block, labels, weights, n_classes, min_leaf, criterion, s
 
 def _oracle_threshold(lo: float, hi: float) -> float:
     """The midpoint of two adjacent sorted values, or ``hi`` if it rounds down onto ``lo``."""
-    mid = tree.midpoint(lo, hi)
-    return float(hi) if mid <= lo else mid
+    lo, hi = float(lo), float(hi)  # Python floats: an overflow gives inf, not a warning
+    mid = (lo + hi) / 2.0
+    if not math.isfinite(mid):
+        mid = lo / 2.0 + hi / 2.0
+    return hi if mid <= lo else mid
 
 
 # verbatim as the grower split one node at a time, with ``_threshold`` renamed
@@ -480,7 +483,7 @@ def _oracle_best_cuts(values, onehot, min_leaf, criterion):
     near = (split_gains + tree._MARGIN >= best[:, None]).sum(axis=1) > 1
     for j in np.flatnonzero(near & (best > tree._MARGIN)):  # replay the scan on near-ties
         cuts = np.flatnonzero(valid[j])
-        top[j] = cuts[tree.select(split_gains[j, cuts])]
+        top[j] = cuts[_scalar_select(split_gains[j, cuts])]
         best[j] = split_gains[j, top[j]]
     return np.where(best > tree._MARGIN, best, -np.inf), v[rows, top], v[rows, top + 1]
 
@@ -541,7 +544,7 @@ def _oracle_grow(
                     )
                     if gain is not None:
                         gains[j] = gain
-            k = tree.select(gains)
+            k = _scalar_select(gains)
         if k is None:
             node["p"] = dist
             continue
@@ -751,9 +754,12 @@ def test_select_matches_scalar_loop_on_fuzzed_gains():
             gains = rng.integers(-2, 5, size=size) * 5e-13
         else:  # exact repeats of a few values
             gains = rng.choice(rng.random(3), size=size)
-        if size and np.count_nonzero(gains + 1e-12 >= gains.max()) > 1:
+        if not size:  # an empty row has no argmax, and no caller passes one
+            continue
+        if np.count_nonzero(gains + 1e-12 >= gains.max()) > 1:
             near_ties += 1
-        assert tree.select(gains) == _scalar_select(gains), gains
+        top = int(tree._select_rows(gains[None])[0])
+        assert (None if top < 0 else top) == _scalar_select(gains), gains
     assert near_ties > 5000  # the replay path is exercised, not just the fast one
 
 
@@ -776,8 +782,8 @@ def _node_split(block, labels, weights, n_classes, min_leaf, criterion):
     gains, lo, hi = tree._search(
         xt, ranks, onehot, rows, np.arange(block.shape[0]), min_leaf, criterion
     )
-    k = tree.select(gains)
-    if k is None:
+    k = int(tree._select_rows(gains[None])[0])
+    if k < 0:
         return None
     return k, gains[k], _oracle_threshold(lo[k], hi[k])
 
@@ -1204,8 +1210,9 @@ def test_threshold_between_values_whose_sum_overflows_is_finite():
 def test_midpoint_is_the_plain_midpoint_when_the_sum_is_finite():
     rng = np.random.default_rng(3)
     pairs = np.sort(rng.normal(size=(2000, 2)) * 10.0 ** rng.integers(-300, 300, size=(2000, 1)))
-    for lo, hi in pairs:
-        assert tree.midpoint(lo, hi) == float((lo + hi) / 2.0)
+    lo, hi = pairs.T
+    assert (tree._thresholds(lo, hi) == (lo + hi) / 2.0).all()
+    assert [_oracle_threshold(a, b) for a, b in pairs] == ((lo + hi) / 2.0).tolist()
 
 
 def _has_categorical_split(root):
