@@ -102,27 +102,32 @@ COLUMN_FOLDS = CallCounter()
 _SHARED_CELLS = 2**20
 
 
+def _column_ids(datasets) -> list[dict]:
+    """Each dataset's ``{predictor: id}``, equal ids for equal :func:`column_key` columns."""
+    keys = {}
+    return [
+        {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
+        for ds in datasets
+    ]
+
+
 class _Shared:
-    """A CV's results per (distinct column, scope), each kept only for later readers.
+    """One fold's results per (distinct column, scope), each kept only for later readers.
 
     The datasets share rows and labels.  A result is kept, within ``_SHARED_CELLS``, until
-    the last (dataset, predictor) slot of its column reads it, so a column that one slot
-    holds is never kept.
+    the last of ``readers[column]`` (dataset, predictor) slots holding its column reads it,
+    so a column that one slot holds is never kept.
     """
 
-    def __init__(self, datasets):
-        keys = {}
-        self.ids = [
-            {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
-            for ds in datasets
-        ]
-        self.readers = Counter(i for ids in self.ids for i in ids.values())
+    def __init__(self, ids, readers):
+        self.ids, self.readers = ids, readers
         self.cache, self.reads, self.cells = {}, {}, 0
 
     def get(self, a, j, scope, fn, *args):
         """``fn(*args)``: the result in ``scope`` for column ``j`` of dataset ``a``."""
         key = (self.ids[a][j], scope)
-        later = self.reads[key] = (self.reads.get(key, 0) + 1) % self.readers[key[0]]  # 0: last
+        reads = self.reads[key] = self.reads.get(key, 0) + 1
+        later = reads < self.readers[key[0]]
         if key in self.cache:
             value, cells = self.cache[key] if later else self.cache.pop(key)
             self.cells -= 0 if later else cells
@@ -137,10 +142,10 @@ class _Shared:
 
 def _fold_by_fold(score, datasets, train_rows, test_rows):
     """Each dataset's fold results ``score(ds, train, test, y, column)``, fold by fold."""
-    # ``column`` keys a result by (column, scope), not by fold: each slot must read each
-    # key exactly once per fold, so the last reader drops it before the next fold starts
-    shared, labels, results = _Shared(datasets), datasets[0].class_labels, [[] for _ in datasets]
+    ids, labels, results = _column_ids(datasets), datasets[0].class_labels, [[] for _ in datasets]
+    readers = Counter(c for ds_ids in ids for c in ds_ids.values())
     for train, test in zip(train_rows, test_rows):
+        shared = _Shared(ids, readers)
         for a, ds in enumerate(datasets):
             results[a].append(score(ds, train, test, labels[train], partial(shared.get, a)))
     return results
@@ -162,17 +167,16 @@ def _learner_tree(datasets, train_rows, test_rows):
     among them as fixed candidates, so it grows a level per step.  Leaves
     hold at least 2 rows; a categorical split has one child per category.
     """
-    groups = [[]]
+    ids, groups = iter(_column_ids(datasets)), [[]]  # each dataset's column ids, in turn
     for ds in datasets:
         if groups[-1] and sum(d.rows.size for d in groups[-1]) + ds.rows.size > _TREE_BATCH_CELLS:
             groups.append([])
         groups[-1].append(ds)
     for group in groups:
-        stacked, trees = {}, []  # each distinct column's key -> (index in x, dataset, column)
+        stacked, trees = {}, []  # each distinct column's id -> (index in x, dataset, column)
         for ds in group:
             predictors = np.array([
-                stacked.setdefault(column_key(ds, j), (len(stacked), ds, j))[0]
-                for j in ds.predictor_indices
+                stacked.setdefault(c, (len(stacked), ds, j))[0] for j, c in next(ids).items()
             ])
             trees += [(rows, predictors) for rows in train_rows]  # its own columns
         x = np.column_stack([ds.rows[:, j] for _, ds, j in stacked.values()])
@@ -516,34 +520,33 @@ def _learner_logistic(datasets, train_rows, test_rows):
     The training folds of every dataset go, by the shape of their design
     matrices, into stacks of at most ``_LOGISTIC_BATCH_CELLS`` cells, each
     solved by one :func:`_lbfgsb` run; a fold's fit does not depend on the
-    folds it is stacked with.  The datasets share each column's fold builder
-    and its train and test blocks.  Yields each dataset's fold scores in order.
+    folds it is stacked with.  The datasets share each distinct column's fold
+    builder; each design block is built where it is read.  Yields each
+    dataset's fold scores in order.
     """
     labels, n_classes = datasets[0].class_labels, len(datasets[0].class_attribute.categories)
-    shared = _Shared(datasets)
-    builders = [
-        [[shared.get(a, j, i, _logistic_design, ds, j, rows) for j in ds.predictor_indices]
-         for i, rows in enumerate(train_rows)]
-        for a, ds in enumerate(datasets)
-    ]
+    ids = _column_ids(datasets)
+    columns = {c: (ds, j) for ds, ds_ids in zip(datasets, ids) for j, c in ds_ids.items()}
+    made = {  # one builder per (fold, distinct column), from any of its equal columns
+        (i, c): _logistic_design(ds, j, rows)
+        for i, rows in enumerate(train_rows) for c, (ds, j) in columns.items()
+    }
 
-    def design(a, i, rows, scope):
-        ds = datasets[a]
-        blocks = zip(ds.predictor_indices, builders[a][i])
-        return [shared.get(a, j, (i, scope), _logistic_apply, b, ds, j, rows) for j, b in blocks]
+    def design(a, i, rows):
+        return [_logistic_apply(made[i, c], datasets[a], j, rows) for j, c in ids[a].items()]
 
     shapes = {}
-    for a, ds_builders in enumerate(builders):
-        for i, fold_builders in enumerate(ds_builders):
-            d = sum(1 if b[0] == "num" else b[2] for b in fold_builders)
-            shapes.setdefault((len(train_rows[i]), d), []).append((a, i))
+    for a, ds_ids in enumerate(ids):
+        for i, rows in enumerate(train_rows):
+            d = sum(1 if made[i, c][0] == "num" else made[i, c][2] for c in ds_ids.values())
+            shapes.setdefault((len(rows), d), []).append((a, i))
     params = {}
     for (n, d), folds in shapes.items():
         step = max(1, _LOGISTIC_BATCH_CELLS // (n * d))
         for chunk in (folds[i : i + step] for i in range(0, len(folds), step)):
             x = np.empty((len(chunk), n, d))
             for slot, (a, i) in zip(x, chunk):
-                np.concatenate(design(a, i, train_rows[i], "train"), axis=1, out=slot)
+                np.concatenate(design(a, i, train_rows[i]), axis=1, out=slot)
             y = labels[np.array([train_rows[i] for _, i in chunk])]
             params.update(zip(chunk, _lbfgsb(x, y, n_classes)[0]))
             del x  # so the next stack is not allocated beside this one
@@ -551,7 +554,7 @@ def _learner_logistic(datasets, train_rows, test_rows):
         scores = []
         for i, rows in enumerate(test_rows):
             w, b = params[a, i][:-n_classes].reshape(-1, n_classes), params[a, i][-n_classes:]
-            logits = np.concatenate(design(a, i, rows, "test"), axis=1) @ w + b
+            logits = np.concatenate(design(a, i, rows), axis=1) @ w + b
             logits -= logits.max(axis=1, keepdims=True)
             exp = np.exp(logits)
             scores.append(exp / exp.sum(axis=1, keepdims=True))
@@ -601,6 +604,8 @@ def cross_validate(
     column, all measured on the first's folds: one result and ``CV_RUNS`` each.
     """
     datasets = list(datasets)
+    if not datasets:
+        raise ValueError("a cross-validation needs at least one dataset")
     first, y = datasets[0], datasets[0].class_labels
     for i, ds in enumerate(datasets):
         if ds.class_attribute != first.class_attribute or not np.array_equal(ds.class_labels, y):

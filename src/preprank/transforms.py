@@ -9,7 +9,9 @@ changes the row count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,35 +27,6 @@ STANDARDIZE = "standardize"
 IMPUTE_CONTINUOUS = "impute_cont"
 IMPUTE_CATEGORICAL = "impute_cat"
 PRINCIPAL_COMPONENTS = "pca"
-
-#: catalog order; enumeration and reports follow it
-KIND_ORDER = (
-    DISCRETIZE_SUPERVISED,
-    DISCRETIZE_UNSUPERVISED,
-    NOMINAL_TO_BINARY_SUPERVISED,
-    NOMINAL_TO_BINARY_UNSUPERVISED,
-    NORMALIZE,
-    STANDARDIZE,
-    IMPUTE_CONTINUOUS,
-    IMPUTE_CATEGORICAL,
-    PRINCIPAL_COMPONENTS,
-)
-
-LOCAL_KINDS = frozenset(
-    {DISCRETIZE_SUPERVISED, DISCRETIZE_UNSUPERVISED, NOMINAL_TO_BINARY_UNSUPERVISED}
-)
-
-_INPUT_KIND = {
-    DISCRETIZE_SUPERVISED: CONTINUOUS,
-    DISCRETIZE_UNSUPERVISED: CONTINUOUS,
-    NOMINAL_TO_BINARY_SUPERVISED: CATEGORICAL,
-    NOMINAL_TO_BINARY_UNSUPERVISED: CATEGORICAL,
-    NORMALIZE: CONTINUOUS,
-    STANDARDIZE: CONTINUOUS,
-    IMPUTE_CONTINUOUS: CONTINUOUS,
-    IMPUTE_CATEGORICAL: CATEGORICAL,
-    PRINCIPAL_COMPONENTS: CONTINUOUS,
-}
 
 #: equal-width discretization's bin count
 _BINS = 10
@@ -96,15 +69,8 @@ class TransformationSpec:
     @property
     def text(self) -> str:
         """Canonical text form, e.g. ``discretize_unsup(attr=3,bins=10)``."""
-        parts = []
-        if self.scope == SCOPE_LOCAL:
-            parts.append(f"attr={self.attribute}")
-        elif self.scope == SCOPE_ALL:
-            parts.append("all")
-        if self.kind == DISCRETIZE_UNSUPERVISED:
-            parts.append(f"bins={_BINS}")
-        elif self.kind == PRINCIPAL_COMPONENTS:
-            parts.append(f"var={_PCA_VARIANCE!r}")
+        scope = {SCOPE_LOCAL: f"attr={self.attribute}", SCOPE_ALL: "all"}.get(self.scope, "")
+        parts = [part for part in (scope, _OPERATORS[self.kind].params) if part]
         return f"{self.kind}({','.join(parts) or SCOPE_GLOBAL})"
 
     def __str__(self) -> str:
@@ -117,10 +83,8 @@ def spec_kind(text: str) -> str:
 
 
 def _compatible(ds: Dataset, kind: str) -> tuple[int, ...]:
-    wanted = _INPUT_KIND[kind]
-    if wanted == CONTINUOUS:
-        return ds.continuous_predictors
-    return ds.categorical_predictors
+    continuous = _OPERATORS[kind].reads == CONTINUOUS
+    return ds.continuous_predictors if continuous else ds.categorical_predictors
 
 
 def _has_missing(ds: Dataset, indices) -> bool:
@@ -141,15 +105,10 @@ def enumerate_applicable(ds: Dataset) -> list[TransformationSpec]:
         if not compatible:
             continue
         if kind in LOCAL_KINDS:
-            for j in compatible:
-                specs.append(TransformationSpec(kind, SCOPE_LOCAL, j))
+            specs += [TransformationSpec(kind, SCOPE_LOCAL, j) for j in compatible]
             if len(compatible) >= 2:
                 specs.append(TransformationSpec(kind, SCOPE_ALL))
-        else:
-            if kind in (IMPUTE_CONTINUOUS, IMPUTE_CATEGORICAL) and not _has_missing(
-                ds, compatible
-            ):
-                continue
+        elif kind not in (IMPUTE_CONTINUOUS, IMPUTE_CATEGORICAL) or _has_missing(ds, compatible):
             specs.append(TransformationSpec(kind, SCOPE_GLOBAL))
     return specs
 
@@ -161,15 +120,15 @@ _Columns = list[tuple[Attribute, np.ndarray]]
 def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
     """Apply one transformation, returning a fresh dataset.
 
-    Each target is replaced by the columns that its kind's entry in
-    ``_COLUMN_REWRITES`` returns for it.  PCA replaces its targets together:
+    Each target is replaced by the columns that its kind's rewrite in
+    ``_OPERATORS`` returns for it.  PCA replaces its targets together:
     the components take the place of the first target.
     """
     compatible = _compatible(ds, spec.kind)
     if spec.scope == SCOPE_LOCAL:
         if spec.attribute not in compatible:
             raise TransformError(
-                f"attribute {spec.attribute} is not a {_INPUT_KIND[spec.kind]} "
+                f"attribute {spec.attribute} is not a {_OPERATORS[spec.kind].reads} "
                 f"predictor of {ds.name!r}"
             )
         targets = (spec.attribute,)
@@ -184,7 +143,7 @@ def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
             columns[j] = []
         columns[targets[0]] = _principal_components(ds, targets)
     else:
-        rewrite = _COLUMN_REWRITES[spec.kind]
+        rewrite = _OPERATORS[spec.kind].rewrite
         for j in targets:
             columns[j] = rewrite(ds, j)
     return _rebuild(ds, columns)
@@ -373,15 +332,28 @@ def _principal_components(ds: Dataset, targets) -> _Columns:
     ]
 
 
-#: how each kind but PCA rewrites one target attribute ``j``:
-#: ``(ds, j) -> [(Attribute, column), ...]`` replacing it in place
-_COLUMN_REWRITES = {
-    DISCRETIZE_SUPERVISED: _discretize_mdl,
-    DISCRETIZE_UNSUPERVISED: _discretize_equal_width,
-    NOMINAL_TO_BINARY_SUPERVISED: _nominal_to_binary_ordered,
-    NOMINAL_TO_BINARY_UNSUPERVISED: _nominal_to_binary_plain,
-    NORMALIZE: _normalize,
-    STANDARDIZE: _standardize,
-    IMPUTE_CONTINUOUS: _impute_mean,
-    IMPUTE_CATEGORICAL: _impute_mode,
+class _Operator(NamedTuple):
+    reads: str  # the predictor kind it takes: CONTINUOUS or CATEGORICAL
+    local: bool  # a spec targets one compatible predictor, or all of them
+    params: str  # its parameter text in a spec's text form
+    #: ``(ds, j) -> [(Attribute, column), ...]`` replacing target ``j`` in place; None for
+    #: PCA, whose components replace its targets together in :func:`apply`
+    rewrite: Callable[[Dataset, int], _Columns] | None
+
+
+#: every operator kind, in catalog order
+_OPERATORS = {
+    DISCRETIZE_SUPERVISED: _Operator(CONTINUOUS, True, "", _discretize_mdl),
+    DISCRETIZE_UNSUPERVISED: _Operator(CONTINUOUS, True, f"bins={_BINS}", _discretize_equal_width),
+    NOMINAL_TO_BINARY_SUPERVISED: _Operator(CATEGORICAL, False, "", _nominal_to_binary_ordered),
+    NOMINAL_TO_BINARY_UNSUPERVISED: _Operator(CATEGORICAL, True, "", _nominal_to_binary_plain),
+    NORMALIZE: _Operator(CONTINUOUS, False, "", _normalize),
+    STANDARDIZE: _Operator(CONTINUOUS, False, "", _standardize),
+    IMPUTE_CONTINUOUS: _Operator(CONTINUOUS, False, "", _impute_mean),
+    IMPUTE_CATEGORICAL: _Operator(CATEGORICAL, False, "", _impute_mode),
+    PRINCIPAL_COMPONENTS: _Operator(CONTINUOUS, False, f"var={_PCA_VARIANCE!r}", None),
 }
+
+#: catalog order; enumeration and reports follow it
+KIND_ORDER = tuple(_OPERATORS)
+LOCAL_KINDS = frozenset(kind for kind, op in _OPERATORS.items() if op.local)

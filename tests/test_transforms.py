@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from preprank.dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
 from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import (
-    _COLUMN_REWRITES,
+    _OPERATORS,
     KIND_ORDER,
+    LOCAL_KINDS,
     PRINCIPAL_COMPONENTS,
     TransformError,
     TransformationSpec,
@@ -1068,7 +1069,11 @@ def assert_apply_matches_oracle(ds):
 
 
 def test_rewrite_table_and_pca_cover_the_catalog():
-    assert sorted([*_COLUMN_REWRITES, PRINCIPAL_COMPONENTS]) == sorted(KIND_ORDER)
+    assert KIND_ORDER == tuple(_OPERATORS)
+    assert [kind for kind in KIND_ORDER if _OPERATORS[kind].rewrite is None] == [
+        PRINCIPAL_COMPONENTS
+    ]
+    assert LOCAL_KINDS == {"discretize_sup", "discretize_unsup", "nom2bin_unsup"}
 
 
 def test_mini_corpus_apply_matches_oracle(mini_datasets):
