@@ -251,8 +251,8 @@ def _nb_fold(ds, train_rows, test_rows, y, column):
 # --- k nearest neighbours ----------------------------------------------------
 
 
-#: test rows per distance block; bounds the block's n_train-wide temporaries
-_KNN_BLOCK_ROWS = 64
+#: distances (test rows x training rows) per block, at least one test row; bounds its temporaries
+_KNN_BLOCK_CELLS = 2**16
 
 
 def _knn_column(ds, j, train_rows, test_rows):
@@ -277,8 +277,10 @@ def _knn_distances(column, start, stop):
         return te[start:stop, None] != tr[None, :]  # a missing cell differs too
     contrib = te[start:stop, None] - tr[None, :]
     contrib *= contrib
-    contrib[te_missing[start:stop]] = 1.0
-    contrib[:, tr_missing] = 1.0
+    if te_missing[start:stop].any():
+        contrib[te_missing[start:stop]] = 1.0
+    if tr_missing.any():
+        contrib[:, tr_missing] = 1.0
     return contrib
 
 
@@ -291,13 +293,15 @@ def _knn_fold(kind, ds, train, test, y, column):
     either side adds 1.  The neighbours are the first k training rows by
     (distance, row index): every row closer than the k-th smallest distance,
     then rows at that distance in ascending row order, as a stable sort
-    orders them.  Test rows are scored in blocks of ``_KNN_BLOCK_ROWS``.
+    orders them.  A block of test rows holds at most ``_KNN_BLOCK_CELLS``
+    distances, or one test row.
     """
     n_classes, n_test, k = len(ds.class_attribute.categories), len(test), min(kind.k, len(y))
     columns = [column(j, "knn", _knn_column, ds, j, train, test) for j in ds.predictor_indices]
     votes = np.zeros((n_test, n_classes), dtype=np.min_scalar_type(k))  # small counts
-    for start in range(0, n_test, _KNN_BLOCK_ROWS):
-        stop = min(start + _KNN_BLOCK_ROWS, n_test)
+    step = max(1, _KNN_BLOCK_CELLS // len(y))
+    for start in range(0, n_test, step):
+        stop = min(start + step, n_test)
         dist2 = np.zeros((stop - start, len(y)))
         for j, col in zip(ds.predictor_indices, columns):
             dist2 += column(j, start, _knn_distances, col, start, stop)

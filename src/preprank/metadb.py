@@ -132,12 +132,12 @@ def _dataset_rows(args):
     """Worker: all meta-instances of one dataset, or a failure reason."""
     ds, algorithm, measure, seed = args
     try:
-        specs, versions = enumerate_applicable(ds), []
+        specs, versions, shared = enumerate_applicable(ds), [], {}
 
         def catalog():  # makes each version once the one before has its meta-features
             yield ds
             for spec in specs:
-                versions.append(apply(spec, ds))
+                versions.append(apply(spec, ds, shared))
                 yield versions[-1]
 
         mfs = compute_meta_features(catalog())

@@ -118,9 +118,9 @@ def rank_transformations(
         raise ValueError(
             f"model was trained for {model.algorithm!r}, not {algorithm.name!r}"
         )
-    candidates = prune(rules, algorithm, enumerate_applicable(ds))
+    candidates, shared = prune(rules, algorithm, enumerate_applicable(ds)), {}
     # the catalog makes its versions one at a time as it is read: they are never all held
-    mfs = compute_meta_features(chain([ds], (apply(spec, ds) for spec in candidates)))
+    mfs = compute_meta_features(chain([ds], (apply(spec, ds, shared) for spec in candidates)))
     base_mf = mfs[0]
     base_pm = cross_validate(algorithm, [ds], seed=seed)[0].get(model.measure or "acc")
     scored = [

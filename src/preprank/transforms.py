@@ -117,13 +117,20 @@ def enumerate_applicable(ds: Dataset) -> list[TransformationSpec]:
 _Columns = list[tuple[Attribute, np.ndarray]]
 
 
-def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
+def apply(spec: TransformationSpec, ds: Dataset, shared: dict | None = None) -> Dataset:
     """Apply one transformation, returning a fresh dataset.
 
     Each target is replaced by the columns that its kind's rewrite in
     ``_OPERATORS`` returns for it.  PCA replaces its targets together:
     the components take the place of the first target.
+
+    The versions of one catalog may pass one ``shared`` dict in turn: a
+    rewrite depends only on ``ds`` and its target, so a local-scope version
+    keeps its (kind, attribute) rewrite there until the kind's all-scope
+    version takes it.  A dict holding another dataset's rewrites is refused.
     """
+    if shared and next(iter(shared.values()))[0] is not ds:
+        raise ValueError(f"shared rewrites of another dataset than {ds.name!r}")
     compatible = _compatible(ds, spec.kind)
     if spec.scope == SCOPE_LOCAL:
         if spec.attribute not in compatible:
@@ -144,8 +151,12 @@ def apply(spec: TransformationSpec, ds: Dataset) -> Dataset:
         columns[targets[0]] = _principal_components(ds, targets)
     else:
         rewrite = _OPERATORS[spec.kind].rewrite
+        done = shared if shared is not None and spec.scope == SCOPE_ALL else {}
         for j in targets:
-            columns[j] = rewrite(ds, j)
+            taken = done.pop((spec.kind, j), None)
+            columns[j] = taken[1] if taken else rewrite(ds, j)
+        if shared is not None and spec.scope == SCOPE_LOCAL and len(compatible) > 1:
+            shared[spec.kind, spec.attribute] = ds, columns[spec.attribute]
     return _rebuild(ds, columns)
 
 

@@ -361,7 +361,7 @@ KNN_CASES = [
     dict(seed=3, n_rows=90, n_continuous=0, n_categorical=3, n_classes=3),
     dict(seed=4, n_rows=120, n_continuous=3, n_categorical=2, missing_rate=0.2),
     dict(seed=5, n_rows=120, n_continuous=2, n_categorical=1, missing_rate=0.5, coarse=True),
-    dict(seed=6, n_rows=600, n_continuous=3, n_categorical=2, n_classes=4, coarse=True),
+    dict(seed=6, n_rows=900, n_continuous=3, n_categorical=2, n_classes=4, coarse=True),
 ]
 
 
@@ -374,8 +374,8 @@ def test_knn_matches_full_stable_sort(case, k):
 
 
 def test_knn_case_spans_several_blocks():
-    _, test = _knn_split(**KNN_CASES[-1])
-    assert test.n_rows > 2 * classifiers_mod._KNN_BLOCK_ROWS
+    train, test = _knn_split(**KNN_CASES[-1])
+    assert test.n_rows > 2 * (classifiers_mod._KNN_BLOCK_CELLS // train.n_rows)
 
 
 def test_knn_overflowing_values_match_full_stable_sort():
@@ -396,11 +396,25 @@ def test_knn_overflowing_values_match_full_stable_sort():
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_block_size_does_not_change_scores(monkeypatch, k):
     train, test = _knn_split(**KNN_CASES[4])
-    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", 1)  # one test row per block
     one_row = _one_fold(knn(k), *_as_fold(train, test))
-    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", test.n_rows)
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", test.n_rows * train.n_rows)
     one_block = _one_fold(knn(k), *_as_fold(train, test))
     assert np.array_equal(one_row, one_block)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_blocks_without_missing_cells_match_full_stable_sort(monkeypatch, k):
+    # no training cell is missing, and of the six-row test blocks only the first two hold
+    # missing cells: all but the first row of one, the first row alone of the other
+    train, test = _knn_split(**KNN_CASES[-1])
+    rows = np.array(test.rows)
+    rows[1:7, 0] = rows[2, 3] = np.nan  # continuous cells and a categorical one
+    test = replace(test, rows=rows)
+    assert not np.isnan(train.rows).any() and not np.isnan(test.rows[7:]).any()
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", 6 * train.n_rows)
+    expected = _argsort_knn(knn(k), train, test)
+    assert np.array_equal(_one_fold(knn(k), *_as_fold(train, test)), expected)
 
 
 # --- the L-BFGS-B driver against scipy.optimize.minimize ------------------------
@@ -1304,7 +1318,7 @@ def _copy_knn(kind, train, test):
                 tr = np.where(tr_missing, np.nan, 0.0)
                 te = np.where(te_missing, np.nan, 0.0)
         columns.append((is_cont, tr, te, tr_missing, te_missing))
-    block = classifiers_mod._KNN_BLOCK_ROWS
+    block = max(1, classifiers_mod._KNN_BLOCK_CELLS // train.n_rows)
     scores = np.zeros((test.n_rows, n_classes))
     for start in range(0, test.n_rows, block):
         stop = min(start + block, test.n_rows)
@@ -1516,7 +1530,7 @@ def _assert_catalog_equals_one_dataset_cvs(kind, datasets, seed, k=10):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_catalog_knn_cv_in_blocks_equals_one_dataset_cvs(mini_datasets, monkeypatch, k):
-    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_ROWS", 3)  # several blocks per fold
+    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", 200)  # 2-4 test rows per block
     for ds in mini_datasets[12:16]:
         _assert_catalog_equals_one_dataset_cvs(knn(k), _with_versions(ds), 7)
 

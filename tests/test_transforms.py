@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import preprank.transforms as transforms_mod
 from preprank.dataset import CATEGORICAL, CONTINUOUS, Attribute, Dataset
 from preprank.synthetic import mini_corpus, random_dataset
 from preprank.transforms import (
@@ -1115,3 +1116,72 @@ def test_degenerate_columns_apply_matches_oracle():
     assert assert_apply_matches_oracle(ds) == 20
     one_row = Dataset("one-row", attrs, 1, rows[:1])
     assert assert_apply_matches_oracle(one_row) == 19
+
+
+# --- rewrites shared across a catalog -------------------------------------------
+
+
+def _counting_mdl_cuts(monkeypatch):
+    """Patch the MDL search that ``transforms`` calls to count its calls."""
+    calls = Counter()
+
+    def counted(values, labels):
+        calls["mdl_cuts"] += 1
+        return mdl_cuts(values, labels)
+
+    monkeypatch.setattr(transforms_mod, "mdl_cuts", counted)
+    return calls
+
+
+def _assert_shared_catalog_equals_applies(ds, specs):
+    """Versions made in ``specs`` order with one shared dict equal separate applies; the dict."""
+    shared = {}
+    versions = [apply(spec, ds, shared) for spec in specs]
+    for spec, ours in zip(specs, versions):
+        alone = apply(spec, ds)
+        assert (ours.attributes, ours.class_index) == (alone.attributes, alone.class_index)
+        assert ours.rows.tobytes() == alone.rows.tobytes(), spec.text
+    return shared
+
+
+SHARED_CATALOG_DATASET = dict(
+    seed=2018, n_rows=300, n_continuous=10, n_categorical=5, n_classes=3, missing_rate=0.03
+)
+
+
+def test_shared_rewrites_search_each_column_once_per_catalog(monkeypatch):
+    datasets = [*mini_corpus(7), random_dataset(**SHARED_CATALOG_DATASET)]
+    calls = _counting_mdl_cuts(monkeypatch)
+    for ds in datasets:
+        shared = {}
+        for spec in enumerate_applicable(ds):
+            apply(spec, ds, shared)
+        assert shared == {}, ds.name  # every local kind ends with its all-scope version
+    # 111 searches with a catalog's versions made apart
+    assert calls["mdl_cuts"] == sum(len(ds.continuous_predictors) for ds in datasets) == 58 + 10
+
+
+def test_shared_rewrites_equal_separate_applies():
+    for ds in [*mini_corpus(7), random_dataset(**SHARED_CATALOG_DATASET)]:
+        assert _assert_shared_catalog_equals_applies(ds, enumerate_applicable(ds)) == {}
+
+
+def test_pruned_catalog_all_scope_version_rewrites_the_dropped_targets(monkeypatch):
+    ds = random_dataset(**SHARED_CATALOG_DATASET)
+    kept = [  # discretize_sup(all) with every other of its attr=j specs
+        spec for spec in enumerate_applicable(ds)
+        if spec.kind != "discretize_sup" or spec.scope == "all" or spec.attribute % 2
+    ]
+    assert [s.scope for s in kept if s.kind == "discretize_sup"] == ["local"] * 5 + ["all"]
+    calls = _counting_mdl_cuts(monkeypatch)
+    assert _assert_shared_catalog_equals_applies(ds, kept) == {}
+    assert calls["mdl_cuts"] == 10 + 5 + 10  # once per column shared, then apart: attr=j, all
+
+
+def test_shared_rewrites_of_another_dataset_are_refused():
+    ds, other = (random_dataset(**{**SHARED_CATALOG_DATASET, "seed": s}) for s in (1, 2))
+    shared = {}
+    apply(TransformationSpec("discretize_unsup", "local", ds.continuous_predictors[0]), ds, shared)
+    assert len(shared) == 1
+    with pytest.raises(ValueError, match="another dataset"):
+        apply(TransformationSpec("discretize_unsup", "all"), other, shared)
