@@ -240,6 +240,10 @@ def cmd_evaluate(args) -> int:
                 "response class; predicted with probability 1)",
             )
         )
+    if db.skipped:
+        summary.append(
+            _row("skipped_datasets", "; ".join(f"{name}: {reason}" for name, reason in db.skipped))
+        )
     _write(out_dir / "summary.txt", summary)
     print(f"evaluation reports -> {out_dir}", file=sys.stderr)
     return 0

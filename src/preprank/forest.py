@@ -64,19 +64,22 @@ def _train_forests(db, matrix, row_sets, n_trees, *, seed):
 
     Each forest is the one :func:`train_forest` grows on those rows alone:
     leaving out whole source datasets keeps the other rows' weights 1/|T_d|
-    and their order.  Forests grow in lockstep, one :func:`tree.grow` call
-    per group of at most ``max(n_trees, DEFAULT_TREES)`` trees; to cap
-    memory, a group's forests are yielded before the next group grows.
+    and their order.  Forests grow in lockstep, one :func:`tree.grow` call per
+    group: with ``cap = max(n_trees, DEFAULT_TREES)``, the row sets split in
+    order into ``max(1, len(row_sets) * n_trees // cap)`` runs whose sizes
+    differ by at most one, larger first, so a group holds fewer than
+    ``2 * cap`` trees and none is a short tail; to cap memory, a group's
+    forests are yielded before the next group grows.
     A tree's generator draws its bootstrap sample, then its nodes' features in pre-order,
     ``rows.size // MIN_NODE_SIZE + 1`` at a time, as ``choice``'s Floyd branch would (111 columns).
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got {n_trees}")
     x, y, w = matrix
-    per_group = max(n_trees, DEFAULT_TREES) // n_trees
+    n_groups = max(1, len(row_sets) * n_trees // max(n_trees, DEFAULT_TREES))
     blank = ForestModel((), seed, db.algorithm.name, db.measure)  # all fields but the trees
-    for start in range(0, len(row_sets), per_group):
-        group = row_sets[start : start + per_group]
+    for folds in np.array_split(np.arange(len(row_sets)), n_groups):
+        group = [row_sets[i] for i in folds]
         mixed = [np.unique(y[rows]).size > 1 for rows in group]
         bags = []  # per tree: its bootstrap rows of x and its feature draws
         for rows in itertools.compress(group, mixed):

@@ -90,7 +90,7 @@ class MetaDatabase:
     measure: str
     rows: tuple[MetaInstance, ...]
     #: (dataset name, "Type: message [file.py:line]") per dataset that failed
-    #: during measurement; kept in memory only, never saved
+    #: during measurement; saved as comment lines, which load reads back
     skipped: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def dataset_names(self) -> tuple[str, ...]:
@@ -199,25 +199,34 @@ def build_metadb(
 # --- persistence ----------------------------------------------------------
 
 _HEADER = ("dataset", "transformation") + FEATURE_COLUMNS + ("response_value", "response_class")
+_SKIPPED = "# skipped "  # a skipped dataset's line: name, tab, reason
+_BLANKS = str.maketrans("\t\r\n", "   ")  # a skip reason's tabs, CRs and LFs
+
+
+def _name_cell(name: str) -> str:
+    if {"\t", "\r", "\n"} & set(name):
+        raise MetaDbError(f"dataset name {name!r} holds a tab, CR or LF")
+    return name
 
 
 def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     """Write tab-delimited text: a schema comment, a header, one line per row.
 
-    A NOT_APPLICABLE feature is an empty cell.  A dataset name holding a tab,
-    CR or LF is a MetaDbError, and nothing is written.
+    Each skipped dataset is a ``# skipped <dataset>\\t<reason>`` line before
+    the header, its reason's tabs, CRs and LFs spaces.  A NOT_APPLICABLE
+    feature is an empty cell.  A dataset name holding a tab, CR or LF is a
+    MetaDbError, and nothing is written.
     """
     lines = [
         f"# preprank-metadb schema_version={SCHEMA_VERSION} "
-        f"algorithm={db.algorithm.name} measure={db.measure}",
-        "\t".join(_HEADER),
+        f"algorithm={db.algorithm.name} measure={db.measure}"
     ]
     if header_comment:
-        lines.insert(1, f"# {header_comment.lstrip('# ')}")
+        lines.append(f"# {header_comment.lstrip('# ')}")
+    lines += [f"{_SKIPPED}{_name_cell(n)}\t{reason.translate(_BLANKS)}" for n, reason in db.skipped]
+    lines.append("\t".join(_HEADER))
     for row in db.rows:
-        if {"\t", "\r", "\n"} & set(row.dataset_name):
-            raise MetaDbError(f"dataset name {row.dataset_name!r} holds a tab, CR or LF")
-        cells = [row.dataset_name, row.transformation]
+        cells = [_name_cell(row.dataset_name), row.transformation]
         cells += ["" if math.isnan(v) else repr(v) for v in row.features.tolist()]
         cells += [repr(float(row.meta_response_value)), row.meta_response_class]
         lines.append("\t".join(cells))
@@ -241,12 +250,16 @@ def load(path) -> MetaDatabase:
     meta: dict[str, str] = {}
     header = None
     rows: list[MetaInstance] = []
+    skipped: list[tuple[str, str]] = []
     n_blankable = 2 * len(MODIFIABLE_IDS)
     for lineno, line in enumerate(text.split("\n"), start=1):  # LF only, as save writes
         if not line.strip():
             continue
         if line.startswith("#") and header is None:  # a row's name may start with "#"
-            if "preprank-metadb" in line:
+            if line.startswith(_SKIPPED) and "\t" in line:
+                name, _, reason = line[len(_SKIPPED) :].partition("\t")
+                skipped.append((name, reason))
+            elif "preprank-metadb" in line:
                 for token in line.lstrip("# ").split():
                     if "=" in token:
                         key, value = token.split("=", 1)
@@ -284,5 +297,7 @@ def load(path) -> MetaDatabase:
         raise MetaDbError(f"unknown measure {meta['measure']!r}")
     if header is None or not rows:
         raise MetaDbError("file holds no meta-instances")
-    return MetaDatabase(parse_classifier(meta["algorithm"]), meta["measure"], tuple(rows))
+    return MetaDatabase(
+        parse_classifier(meta["algorithm"]), meta["measure"], tuple(rows), skipped=tuple(skipped)
+    )
 

@@ -349,7 +349,8 @@ def test_evaluate_summary_has_no_single_class_line_normally(pipeline, tmp_path):
     out_dir = tmp_path / "reports"
     args = ["evaluate", "--metadb", str(db_path), "--trees", "3", "--seed", "1"]
     assert main(args + ["--out", str(out_dir)]) == 0
-    assert "single_class_folds" not in (out_dir / "summary.txt").read_text()
+    summary = (out_dir / "summary.txt").read_text()
+    assert "single_class_folds" not in summary and "skipped_datasets" not in summary
 
 
 def test_evaluate_deterministic(pipeline, tmp_path):
@@ -457,6 +458,23 @@ def test_build_metadb_reports_failure_reason(small_manifest, tmp_path, capsys, f
     err = capsys.readouterr().err
     assert f"failed: syn01: ArithmeticError: no meta-features for syn01{_syn01_frame()}\n" in err
     assert main(args + ["--allow-partial"]) == 0
+
+
+def test_a_skipped_dataset_is_kept_in_the_metadb_and_named_by_evaluate(
+    small_manifest, tmp_path, failing_syn01
+):
+    db_path, out_dir = tmp_path / "db.tsv", tmp_path / "reports"
+    assert main([
+        "build-metadb", "--datasets", str(small_manifest), "--algorithm", "nb", "--seed", "1",
+        "--allow-partial", "--out", str(db_path),
+    ]) == 0
+    reason = f"ArithmeticError: no meta-features for syn01{_syn01_frame()}"
+    assert metadb_mod.load(db_path).skipped == (("syn01", reason),)
+    assert main([
+        "evaluate", "--metadb", str(db_path), "--trees", "3", "--seed", "1", "--out", str(out_dir)
+    ]) == 0
+    summary = (out_dir / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert summary[-1] == f"skipped_datasets\tsyn01: {reason}"
 
 
 def test_impact_scan_reports_failure_reason(small_manifest, tmp_path, capsys, failing_syn01):

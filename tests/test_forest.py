@@ -332,12 +332,14 @@ def _interleaved_rule_metadb(seed):
     return replace(db, rows=tuple(r for turn in turns for r in turn if r is not None))
 
 
-#: (database, seed, trees per fold); 7 and 23 folds are no multiple of the 3, 20
-#: and 100 folds a growth group holds at 30, 5 and 1 trees
+#: (database, seed, trees per fold); every case grows all its folds in one group but
+#: 7, 23 and 24 folds of 30 trees, which split unevenly into 2, 6 and 7 groups of
+#: (4, 3), (4, 4, 4, 4, 4, 3) and (4, 4, 4, 3, 3, 3, 3) folds
 _LOOV_CASES = (
     [("rule7", seed, n) for seed in (1, 7, 42) for n in (1, 5, 30)]
     + [("single_class", seed, n) for seed in (1, 7, 42) for n in (1, 5, 30)]
     + [("rule23", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
+    + [("rule23", 7, 30), ("rule24", 42, 30)]
     + [("tree", seed, n) for seed in (1, 7, 42) for n in (1, 5)]
     + [("tree", 7, 30)]
     + [("interleaved", seed, 5) for seed in (1, 7)]
@@ -350,6 +352,7 @@ def test_lockstep_loov_matches_per_fold_forests(tree_metadb, name, seed, n_trees
         "tree": lambda: tree_metadb,
         "rule7": lambda: make_rule_metadb(n_datasets=7, seed=seed),
         "rule23": lambda: make_rule_metadb(n_datasets=23, seed=seed),
+        "rule24": lambda: make_rule_metadb(n_datasets=24, seed=seed),
         "single_class": single_class_fold_metadb,
         "interleaved": lambda: _interleaved_rule_metadb(seed),
     }[name]()
@@ -359,6 +362,52 @@ def test_lockstep_loov_matches_per_fold_forests(tree_metadb, name, seed, n_trees
     assert report.probabilities.tobytes() == oracle.probabilities.tobytes()
     if len({r.meta_response_class for r in db.rows}) > 1:
         assert train_forest(db, n_trees, seed=seed) == _oracle_train_forest(db, n_trees, seed)
+
+
+def _counted_grows(monkeypatch):
+    """The tree count of every ``tree.grow`` call, filled as forests grow."""
+    counts, real_grow = [], forest_mod.tree.grow
+
+    def counting_grow(x, y, w, n_classes, trees, **kwargs):
+        counts.append(len(trees))
+        return real_grow(x, y, w, n_classes, trees, **kwargs)
+
+    monkeypatch.setattr(forest_mod.tree, "grow", counting_grow)
+    return counts
+
+
+def test_small_forests_of_every_fold_grow_in_one_call(tree_metadb, monkeypatch):
+    counts = _counted_grows(monkeypatch)
+    loov_evaluate(tree_metadb, 5, seed=7)
+    assert counts == [5 * len(tree_metadb.dataset_names())]  # 24 folds, no single-class one
+
+
+def test_forests_of_default_size_grow_one_fold_per_call(monkeypatch):
+    db = make_rule_metadb(n_datasets=5, seed=16)
+    counts = _counted_grows(monkeypatch)
+    loov_evaluate(db, DEFAULT_TREES, seed=0)
+    assert counts == [DEFAULT_TREES] * 5
+
+
+@pytest.mark.parametrize("n_trees", [1, 3, 5, 30, 51, 99, 100, 101, 250])
+def test_growth_groups_are_balanced_runs_of_folds(monkeypatch, n_trees):
+    # single-class folds grow no trees, so the groups are read without growing any:
+    # a fold's forest (None) is handed back after its group's grow call
+    counts = _counted_grows(monkeypatch)
+    cap = max(n_trees, DEFAULT_TREES)
+    db = make_rule_metadb(n_datasets=4, seed=17)
+    for n_folds in range(1, 61):
+        matrix = (np.zeros((n_folds, 1)), np.zeros(n_folds, dtype=int), np.ones(n_folds))
+        row_sets = [np.array([i]) for i in range(n_folds)]
+        counts.clear()
+        group_of = [len(counts) for _ in forest_mod._train_forests(db, matrix, row_sets,
+                                                                   n_trees, seed=0)]
+        n_groups = max(1, n_folds * n_trees // cap)
+        assert len(counts) == n_groups and group_of[0] == 1 and group_of[-1] == n_groups
+        sizes = np.bincount(group_of)[1:]
+        assert list(group_of) == sorted(group_of) and sizes.min() >= 1  # in order, each once
+        assert sizes.max() - sizes.min() <= 1 and list(sizes) == sorted(sizes, reverse=True)
+        assert sizes.max() * n_trees < 2 * cap, (n_folds, sizes)
 
 
 # --- candidate draws ----------------------------------------------------------------
@@ -479,13 +528,21 @@ def _traced_peak(fn):
 
 
 def test_loov_memory_stays_near_one_forest():
-    # folds grow in groups of at most DEFAULT_TREES trees, each group's forests
-    # handed back before the next grows, so at that forest size one fold's
-    # forest is held at a time instead of every fold's
+    # at DEFAULT_TREES trees per fold each fold grows in a group of its own, its
+    # forest handed back before the next grows, so one fold's forest is held at
+    # a time instead of every fold's
     db = make_rule_metadb(n_datasets=4, seed=15)
     one = _traced_peak(lambda: train_forest(db, DEFAULT_TREES, seed=0))
     loov = _traced_peak(lambda: loov_evaluate(db, DEFAULT_TREES, seed=0))
     assert loov <= 1.5 * one, (loov, one)
+
+
+def test_small_forest_loov_memory_stays_near_one_default_forest(tree_metadb):
+    # at 5 trees per fold every fold's forest grows in one group: 120 trees held
+    # at once, fewer than twice the trees of one default forest
+    one = _traced_peak(lambda: train_forest(tree_metadb, DEFAULT_TREES, seed=7))
+    loov = _traced_peak(lambda: loov_evaluate(tree_metadb, 5, seed=7))
+    assert loov < 2 * one, (loov, one)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

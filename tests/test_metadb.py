@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,52 @@ def test_failed_datasets_are_skipped(caplog):
     tiny = random_dataset(6, n_rows=8, n_continuous=1, name="tiny")  # fewer rows than folds
     db = build_metadb([tiny, good], TREE, "acc", seed=1)
     assert db.dataset_names() == ("good",)
+
+
+def test_skip_reasons_are_saved_before_the_header_and_read_back(tmp_path):
+    good = random_dataset(5, n_rows=30, n_continuous=1, name="good")
+    tiny = random_dataset(6, n_rows=8, n_continuous=1, name="tiny")  # fewer rows than folds
+    db = build_metadb([tiny, good], TREE, "acc", seed=1)
+    [(name, reason)] = db.skipped
+    assert name == "tiny" and reason.startswith("ValueError: ")
+    path = tmp_path / "db.tsv"
+    save(db, path, header_comment="config")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:3] == ["# config", f"# skipped tiny\t{reason}"]
+    assert lines[3].startswith("dataset\ttransformation\t")
+    again = load(path)
+    assert again.skipped == db.skipped and again == db
+    save(again, tmp_path / "again.tsv", header_comment="config")
+    assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+
+def test_a_skip_reasons_tabs_and_line_breaks_become_spaces(tmp_path):
+    db = build_metadb(toy_corpus(1), TREE, "acc", seed=2)
+    odd = "Err: a\tb\r\nc preprank-metadb schema_version=9 measure=auc\n"
+    save(replace(db, skipped=(("x", odd), ("y", ""))), tmp_path / "db.tsv")
+    again = load(tmp_path / "db.tsv")
+    spaced = "Err: a b  c preprank-metadb schema_version=9 measure=auc "
+    assert again.skipped == (("x", spaced), ("y", ""))
+    assert again.measure == "acc" and again == db  # a reason is never read as the schema line
+
+
+@pytest.mark.parametrize("odd", ["\t", "\r", "\n"])
+def test_save_rejects_a_skipped_name_that_breaks_the_file(tmp_path, odd):
+    db = build_metadb(toy_corpus(1), TREE, "acc", seed=2)
+    name = f"my{odd}data"
+    with pytest.raises(MetaDbError, match=f"^dataset name {re.escape(repr(name))} holds a tab"):
+        save(replace(db, skipped=((name, "Err: x"),)), tmp_path / "db.tsv")
+    assert list(tmp_path.iterdir()) == []  # nothing written, nor any partial file
+
+
+def test_a_metadb_without_skip_lines_loads_as_before(tmp_path):
+    db = build_metadb(toy_corpus(2), TREE, "acc", seed=2)
+    path = tmp_path / "db.tsv"
+    save(db, path, header_comment="skipped none")  # a comment line, but no tab: no skip
+    text = path.read_text(encoding="utf-8")
+    assert text.split("\n")[1] == "# skipped none" and text.count("# skipped") == 1
+    again = load(path)
+    assert again.skipped == () and again == db
 
 
 def test_all_failed_raises():
