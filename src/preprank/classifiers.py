@@ -10,7 +10,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from functools import cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -98,57 +97,18 @@ CV_RUNS = CallCounter()
 #: incremented once per (fold, predictor column) result that nb, kNN or logistic computes
 COLUMN_FOLDS = CallCounter()
 
-#: cells that the shared results of one cross_validate call hold together
-_SHARED_CELLS = 2**20
 
+def _column_ids(datasets) -> tuple[list[dict], dict]:
+    """Each dataset's ``{predictor: id}``, and ``{id: (dataset, predictor)}`` of each id's first.
 
-def _column_ids(datasets) -> list[dict]:
-    """Each dataset's ``{predictor: id}``, equal ids for equal :func:`column_key` columns."""
-    keys = {}
-    return [
-        {j: keys.setdefault(column_key(ds, j), len(keys)) for j in ds.predictor_indices}
+    Equal :func:`column_key` columns get equal ids.
+    """
+    keys = {}  # each distinct column's key -> (id, dataset, predictor) of its first holder
+    ids = [
+        {j: keys.setdefault(column_key(ds, j), (len(keys), ds, j))[0] for j in ds.predictor_indices}
         for ds in datasets
     ]
-
-
-class _Shared:
-    """One fold's results per (distinct column, scope), each kept only for later readers.
-
-    The datasets share rows and labels.  A result is kept, within ``_SHARED_CELLS``, until
-    the last of ``readers[column]`` (dataset, predictor) slots holding its column reads it,
-    so a column that one slot holds is never kept.
-    """
-
-    def __init__(self, ids, readers):
-        self.ids, self.readers = ids, readers
-        self.cache, self.reads, self.cells = {}, {}, 0
-
-    def get(self, a, j, scope, fn, *args):
-        """``fn(*args)``: the result in ``scope`` for column ``j`` of dataset ``a``."""
-        key = (self.ids[a][j], scope)
-        reads = self.reads[key] = self.reads.get(key, 0) + 1
-        later = reads < self.readers[key[0]]
-        if key in self.cache:
-            value, cells = self.cache[key] if later else self.cache.pop(key)
-            self.cells -= 0 if later else cells
-            return value
-        value = fn(*args)
-        parts = value if isinstance(value, tuple) else (value,)
-        cells = sum(getattr(v, "size", 1) for v in parts)
-        if later and self.cells + cells <= _SHARED_CELLS:
-            self.cache[key], self.cells = (value, cells), self.cells + cells
-        return value
-
-
-def _fold_by_fold(score, datasets, train_rows, test_rows):
-    """Each dataset's fold results ``score(ds, train, test, y, column)``, fold by fold."""
-    ids, labels, results = _column_ids(datasets), datasets[0].class_labels, [[] for _ in datasets]
-    readers = Counter(c for ds_ids in ids for c in ds_ids.values())
-    for train, test in zip(train_rows, test_rows):
-        shared = _Shared(ids, readers)
-        for a, ds in enumerate(datasets):
-            results[a].append(score(ds, train, test, labels[train], partial(shared.get, a)))
-    return results
+    return ids, {c: (ds, j) for c, ds, j in keys.values()}
 
 
 # --- decision tree --------------------------------------------------------
@@ -167,7 +127,7 @@ def _learner_tree(datasets, train_rows, test_rows):
     among them as fixed candidates, so it grows a level per step.  Leaves
     hold at least 2 rows; a categorical split has one child per category.
     """
-    ids, groups = iter(_column_ids(datasets)), [[]]  # each dataset's column ids, in turn
+    ids, groups = iter(_column_ids(datasets)[0]), [[]]  # each dataset's column ids, in turn
     for ds in datasets:
         if groups[-1] and sum(d.rows.size for d in groups[-1]) + ds.rows.size > _TREE_BATCH_CELLS:
             groups.append([])
@@ -226,26 +186,33 @@ def _nb_column(ds, j, train_rows, test_rows, y):
     return addend
 
 
-def _nb_fold(ds, train_rows, test_rows, y, column):
-    """Naive Bayes class posteriors of ``ds``'s ``test_rows``, trained on its ``train_rows``.
+def _learner_nb(datasets, train_rows, test_rows):
+    """Naive Bayes class posteriors, each distinct column's fold addend made once per catalog.
 
     Continuous predictors are Gaussian, categorical ones Laplace-smoothed.  A
     missing cell adds no factor, nor does a continuous predictor to a class
     with no value of it in training; a class absent from training gets
-    posterior 0.  Each test row adds its factors to the log prior in
-    predictor order, continuous predictors first.
+    posterior 0.  Each dataset's test rows add their factors to the log prior
+    in its predictor order, continuous predictors first.
     """
-    with np.errstate(divide="ignore"):  # a class absent from training: -inf
-        log_prior = np.log(np.bincount(y, minlength=len(ds.class_attribute.categories)) / len(y))
-    logp = np.tile(log_prior, (len(test_rows), 1))
-    for j in ds.continuous_predictors + ds.categorical_predictors:
-        logp += column(j, "nb", _nb_column, ds, j, train_rows, test_rows, y)
-    finite = np.isfinite(logp)
-    if not finite.any(axis=1).all():
-        raise ValueError("a test row has no finite class log-likelihood")
-    shifted = np.exp(logp - logp.max(axis=1, keepdims=True, where=finite, initial=-np.inf))
-    shifted[~np.isfinite(shifted)] = 0.0
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    (ids, columns), labels = _column_ids(datasets), datasets[0].class_labels
+    n_classes, results = len(datasets[0].class_attribute.categories), [[] for _ in datasets]
+    for train, test in zip(train_rows, test_rows):
+        y = labels[train]
+        addends = {c: _nb_column(ds, j, train, test, y) for c, (ds, j) in columns.items()}
+        with np.errstate(divide="ignore"):  # a class absent from training: -inf
+            log_prior = np.log(np.bincount(y, minlength=n_classes) / len(y))
+        for ds, ds_ids, folds in zip(datasets, ids, results):
+            logp = np.tile(log_prior, (len(test), 1))
+            for j in ds.continuous_predictors + ds.categorical_predictors:
+                logp += addends[ds_ids[j]]
+            finite = np.isfinite(logp)
+            if not finite.any(axis=1).all():
+                raise ValueError("a test row has no finite class log-likelihood")
+            shifted = np.exp(logp - logp.max(axis=1, keepdims=True, where=finite, initial=-np.inf))
+            shifted[~np.isfinite(shifted)] = 0.0
+            folds.append(shifted / shifted.sum(axis=1, keepdims=True))
+    return results
 
 
 # --- k nearest neighbours ----------------------------------------------------
@@ -253,6 +220,9 @@ def _nb_fold(ds, train_rows, test_rows, y, column):
 
 #: distances (test rows x training rows) per block, at least one test row; bounds its temporaries
 _KNN_BLOCK_CELLS = 2**16
+
+#: distances that the blocks of all of a catalog's datasets hold together
+_KNN_CATALOG_CELLS = 2**19
 
 
 def _knn_column(ds, j, train_rows, test_rows):
@@ -274,7 +244,8 @@ def _knn_distances(column, start, stop):
     """A :func:`_knn_column`'s addend to the squared distances of test rows ``start:stop``."""
     is_cont, tr, te, tr_missing, te_missing = column
     if not is_cont:
-        return te[start:stop, None] != tr[None, :]  # a missing cell differs too
+        # a missing cell differs too; as floats, since a float array adds faster than a bool one
+        return (te[start:stop, None] != tr[None, :]).astype(float)
     contrib = te[start:stop, None] - tr[None, :]
     contrib *= contrib
     if te_missing[start:stop].any():
@@ -284,8 +255,8 @@ def _knn_distances(column, start, stop):
     return contrib
 
 
-def _knn_fold(kind, ds, train, test, y, column):
-    """Votes of the k nearest of ``ds``'s ``train`` rows for each of its ``test`` rows.
+def _learner_knn(kind, datasets, train_rows, test_rows):
+    """Vote shares of the k nearest training rows, every dataset's distances grown in lockstep.
 
     The squared distance adds, per predictor, the squared difference of
     values min-max normalized on the training column (0 when it is
@@ -293,29 +264,46 @@ def _knn_fold(kind, ds, train, test, y, column):
     either side adds 1.  The neighbours are the first k training rows by
     (distance, row index): every row closer than the k-th smallest distance,
     then rows at that distance in ascending row order, as a stable sort
-    orders them.  A block of test rows holds at most ``_KNN_BLOCK_CELLS``
-    distances, or one test row.
+    orders them.  Per fold each distinct column is normalized once; per
+    block of test rows each (predictor position, column id) pair makes its
+    addend once and adds it to the block of every dataset holding it, the
+    pairs in sorted order, so each dataset adds its predictors in its own
+    order.  A dataset's block holds at most ``_KNN_BLOCK_CELLS`` distances
+    and all of them at most ``_KNN_CATALOG_CELLS``, or one test row each.
     """
-    n_classes, n_test, k = len(ds.class_attribute.categories), len(test), min(kind.k, len(y))
-    columns = [column(j, "knn", _knn_column, ds, j, train, test) for j in ds.predictor_indices]
-    votes = np.zeros((n_test, n_classes), dtype=np.min_scalar_type(k))  # small counts
-    step = max(1, _KNN_BLOCK_CELLS // len(y))
-    for start in range(0, n_test, step):
-        stop = min(start + step, n_test)
-        dist2 = np.zeros((stop - start, len(y)))
-        for j, col in zip(ds.predictor_indices, columns):
-            dist2 += column(j, start, _knn_distances, col, start, stop)
-        rows, neighbours = np.nonzero(_nearest(dist2, k))
-        votes[start:stop] = np.bincount(
-            rows * n_classes + y[neighbours], minlength=(stop - start) * n_classes
-        ).reshape(-1, n_classes)
-    return votes
-
-
-def _learner_knn(kind, datasets, train_rows, test_rows):
-    """Vote shares of :func:`_knn_fold`, each dataset's made once the catalog is scored."""
-    for folds in _fold_by_fold(partial(_knn_fold, kind), datasets, train_rows, test_rows):
-        yield [votes / min(kind.k, len(rows)) for votes, rows in zip(folds, train_rows)]
+    (ids, columns), labels = _column_ids(datasets), datasets[0].class_labels
+    n_classes, results = len(datasets[0].class_attribute.categories), [[] for _ in datasets]
+    holders = {}
+    for a, ds_ids in enumerate(ids):
+        for pair in enumerate(ds_ids.values()):
+            holders.setdefault(pair, []).append(a)
+    pairs = sorted(holders.items())
+    cells = min(_KNN_BLOCK_CELLS, _KNN_CATALOG_CELLS // len(datasets))
+    steps = [max(1, min(cells // len(tr), len(te))) for tr, te in zip(train_rows, test_rows)]
+    blocks = np.empty(len(datasets) * max(s * len(rows) for s, rows in zip(steps, train_rows)))
+    for train, test, step in zip(train_rows, test_rows, steps):
+        y, k = labels[train], min(kind.k, len(train))
+        made = {c: _knn_column(ds, j, train, test) for c, (ds, j) in columns.items()}
+        votes = np.zeros((len(datasets), len(test), n_classes), dtype=np.min_scalar_type(k))
+        fold_blocks = blocks[: len(datasets) * step * len(train)].reshape(len(datasets), step, -1)
+        for start in range(0, len(test), step):
+            stop = min(start + step, len(test))
+            dist2 = list(fold_blocks[:, : stop - start])  # views: a fancy-indexed add would copy
+            fold_blocks[:, : stop - start] = 0.0
+            for (_, c), holding in pairs:
+                addend = _knn_distances(made[c], start, stop)
+                for a in holding:
+                    dist2[a] += addend
+                del addend  # so the next is not made beside it
+            for a, block in enumerate(dist2):
+                rows, neighbours = np.nonzero(_nearest(block, k))
+                votes[a, start:stop] = np.bincount(
+                    rows * n_classes + y[neighbours], minlength=(stop - start) * n_classes
+                ).reshape(-1, n_classes)
+        for folds, ds_votes in zip(results, votes):
+            folds.append(ds_votes / k)
+        del made  # so the next fold's columns are not made beside these
+    return results
 
 
 def _nearest(dist2: np.ndarray, k: int) -> np.ndarray:
@@ -529,8 +517,7 @@ def _learner_logistic(datasets, train_rows, test_rows):
     dataset's fold scores in order.
     """
     labels, n_classes = datasets[0].class_labels, len(datasets[0].class_attribute.categories)
-    ids = _column_ids(datasets)
-    columns = {c: (ds, j) for ds, ds_ids in zip(datasets, ids) for j, c in ds_ids.items()}
+    ids, columns = _column_ids(datasets)
     made = {  # one builder per (fold, distinct column), from any of its equal columns
         (i, c): _logistic_design(ds, j, rows)
         for i, rows in enumerate(train_rows) for c, (ds, j) in columns.items()
@@ -579,7 +566,7 @@ def _fold_scores(kind: ClassifierKind, datasets, train_rows, test_rows):
         raise ValueError("empty training split")
     learners = {
         "tree": _learner_tree,
-        "nb": partial(_fold_by_fold, _nb_fold),
+        "nb": _learner_nb,
         "knn": partial(_learner_knn, kind),
         "logistic": _learner_logistic,
     }

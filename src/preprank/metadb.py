@@ -200,7 +200,7 @@ def build_metadb(
 
 _HEADER = ("dataset", "transformation") + FEATURE_COLUMNS + ("response_value", "response_class")
 _SKIPPED = "# skipped "  # a skipped dataset's line: name, tab, reason
-_BLANKS = str.maketrans("\t\r\n", "   ")  # a skip reason's tabs, CRs and LFs
+_BLANKS = str.maketrans("\t\r\n", "   ")  # a comment's or skip reason's tabs, CRs and LFs
 
 
 def _name_cell(name: str) -> str:
@@ -213,16 +213,16 @@ def save(db: MetaDatabase, path, header_comment: str | None = None) -> None:
     """Write tab-delimited text: a schema comment, a header, one line per row.
 
     Each skipped dataset is a ``# skipped <dataset>\\t<reason>`` line before
-    the header, its reason's tabs, CRs and LFs spaces.  A NOT_APPLICABLE
-    feature is an empty cell.  A dataset name holding a tab, CR or LF is a
-    MetaDbError, and nothing is written.
+    the header; the comment's and each reason's tabs, CRs and LFs are spaces.
+    A NOT_APPLICABLE feature is an empty cell.  A dataset name holding a tab,
+    CR or LF is a MetaDbError, and nothing is written.
     """
     lines = [
         f"# preprank-metadb schema_version={SCHEMA_VERSION} "
         f"algorithm={db.algorithm.name} measure={db.measure}"
     ]
     if header_comment:
-        lines.append(f"# {header_comment.lstrip('# ')}")
+        lines.append(f"# {header_comment.lstrip('# ').translate(_BLANKS)}")
     lines += [f"{_SKIPPED}{_name_cell(n)}\t{reason.translate(_BLANKS)}" for n, reason in db.skipped]
     lines.append("\t".join(_HEADER))
     for row in db.rows:

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from dataclasses import astuple, replace
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -1512,7 +1511,8 @@ def test_setulb_without_an_extension_file_imports_scipy_optimize(
 # --- catalog CVs share each distinct column's fold work ---------------------------
 
 SHARING_KINDS = [NAIVE_BAYES, knn(1), knn(3), LOGISTIC]
-#: the kinds that share fold results through ``_Shared``; logistic shares only its builders
+#: the kinds whose catalog CV adds each distinct column's fold terms to every dataset holding
+#: it; logistic shares only its builders
 FOLD_SHARING_KINDS = [NAIVE_BAYES, knn(1), knn(3)]
 
 
@@ -1530,9 +1530,48 @@ def _assert_catalog_equals_one_dataset_cvs(kind, datasets, seed, k=10):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_catalog_knn_cv_in_blocks_equals_one_dataset_cvs(mini_datasets, monkeypatch, k):
-    monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", 200)  # 2-4 test rows per block
-    for ds in mini_datasets[12:16]:
-        _assert_catalog_equals_one_dataset_cvs(knn(k), _with_versions(ds), 7)
+    for dataset_cells, catalog_cells in [
+        (200, 2**19),  # 2-4 test rows per block
+        (200, 2000),  # a catalog block holds fewer test rows than a one-dataset block
+        (1, 1),  # one test row per block
+        (2**40, 2**40),  # whole folds
+    ]:
+        monkeypatch.setattr(classifiers_mod, "_KNN_BLOCK_CELLS", dataset_cells)
+        monkeypatch.setattr(classifiers_mod, "_KNN_CATALOG_CELLS", catalog_cells)
+        for ds in mini_datasets[12:16]:
+            _assert_catalog_equals_one_dataset_cvs(knn(k), _with_versions(ds), 7)
+
+
+def _nearest_inputs(kind, datasets):
+    """Each dataset's ``_nearest`` input rows of one kNN CV, as bytes in call order."""
+    calls, real = [], classifiers_mod._nearest
+
+    def spy(dist2, k):
+        assert dist2.dtype == np.float64
+        calls.append(dist2.copy())
+        return real(dist2, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers_mod, "_nearest", spy)
+        cross_validate(kind, datasets, 10, seed=7)
+    # a block calls it once per dataset, in dataset order
+    return [[row.tobytes() for block in calls[a :: len(datasets)] for row in block]
+            for a in range(len(datasets))]
+
+
+def test_catalog_knn_distances_equal_one_dataset_cvs_byte_for_byte(mini_datasets):
+    # scores can hide an addition-order fault, distances cannot: every test row's squared
+    # distances must be the bytes that its dataset's own CV adds in its predictor order
+    ds = mini_datasets[21]
+    assert [a.kind for a in ds.attributes[:4]] == ["continuous"] * 3 + ["categorical"]
+    order = [2, 0, 1, *range(3, ds.n_attributes)]  # the three continuous columns permuted
+    permuted = replace(ds, name="permuted", attributes=tuple(ds.attributes[i] for i in order),
+                       rows=ds.rows[:, order])
+    catalogs = [[ds, permuted], *(_with_versions(d) for d in mini_datasets)]
+    for catalog in catalogs:
+        found = _nearest_inputs(knn(1), catalog)
+        for d, rows in zip(catalog, found):
+            assert rows == _nearest_inputs(knn(1), [d])[0]
 
 
 @st.composite
@@ -1640,74 +1679,6 @@ def test_tree_cv_keeps_nodes_apart_when_their_row_hashes_collide(mini_datasets, 
         assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
 
 
-@pytest.mark.parametrize("cells", [0, 300])
-def test_shared_cells_budget_does_not_change_scores(mini_datasets, monkeypatch, cells):
-    catalogs = [_with_versions(mini_datasets[i]) for i in (7, 15)]
-    expected = {
-        (kind, i): _catalog_cv(kind, catalog, 7)
-        for kind in FOLD_SHARING_KINDS for i, catalog in enumerate(catalogs)
-    }
-    real_get, held = classifiers_mod._Shared.get, []
-
-    def get(self, *args):
-        value = real_get(self, *args)
-        held.append(self.cells)
-        return value
-
-    monkeypatch.setattr(classifiers_mod, "_SHARED_CELLS", cells)
-    monkeypatch.setattr(classifiers_mod._Shared, "get", get)
-    for kind in FOLD_SHARING_KINDS:
-        for i, catalog in enumerate(catalogs):
-            COLUMN_FOLDS.reset()
-            found, measures = _catalog_cv(kind, catalog, 7)
-            want, want_measures = expected[kind, i]
-            assert measures == want_measures
-            for ours, theirs in zip(found, want):
-                assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
-            pairs = 10 * sum(len(ds.predictor_indices) for ds in catalog)
-            assert COLUMN_FOLDS.value == pairs if cells == 0 else COLUMN_FOLDS.value < pairs
-    assert max(held) <= cells and (cells == 0 or max(held) > 0)
-
-
-@pytest.mark.parametrize("kind", FOLD_SHARING_KINDS, ids=lambda kind: kind.name)
-def test_shared_results_are_kept_only_for_later_readers(mini_datasets, kind, monkeypatch):
-    # each fold has its own _Shared, and a column's results are read in it once per
-    # (dataset, predictor) slot holding the column
-    catalog = _with_versions(mini_datasets[15])
-    columns = [
-        {j: (ds.attributes[j].kind, len(ds.attributes[j].categories), ds.column(j).tobytes())
-         for j in ds.predictor_indices}
-        for ds in catalog
-    ]
-    slots = Counter(c for ds_columns in columns for c in ds_columns.values())
-    assert 1 in slots.values() and max(slots.values()) > 1
-    real_get, reads, seen, readers_of = classifiers_mod._Shared.get, Counter(), Counter(), {}
-
-    def get(self, a, j, scope, fn, *args):
-        value = real_get(self, a, j, scope, fn, *args)
-        key, readers = (self.ids[a][j], scope), slots[columns[a][j]]
-        assert self.readers[key[0]] == readers
-        readers_of[self, key] = readers
-        reads[self, key] += 1
-        assert reads[self, key] <= readers
-        if readers == 1:
-            seen["single"] += 1
-            assert key not in self.cache  # no later reader: never stored
-        elif reads[self, key] == readers:
-            seen["last"] += 1
-            assert key not in self.cache  # dropped at its last read
-        seen["stored"] = max(seen["stored"], len(self.cache))
-        return value
-
-    monkeypatch.setattr(classifiers_mod._Shared, "get", get)
-    cross_validate(kind, catalog, 10, seed=7)
-    assert seen["single"] and seen["last"] and seen["stored"], seen
-    assert reads == readers_of  # every slot read each of its fold's keys
-    folds = list(dict.fromkeys(shared for shared, _ in reads))
-    assert len(folds) == 10
-    assert all(shared.cache == {} and shared.cells == 0 for shared in folds)
-
-
 def test_a_one_dataset_cv_computes_a_repeated_column_once(mini_datasets):
     ds = mini_datasets[15]
     j = ds.predictor_indices[0]
@@ -1741,6 +1712,15 @@ def test_column_folds_count_each_distinct_column_once_per_fold(mini_datasets, ki
         COLUMN_FOLDS.reset()
         cross_validate(kind, [ds], 10, seed=7)
         assert COLUMN_FOLDS.value == 10 * len(ds.predictor_indices)
+
+
+@pytest.mark.parametrize("kind", FOLD_SHARING_KINDS, ids=lambda kind: kind.name)
+def test_every_mini_catalog_cv_computes_each_distinct_column_once_per_fold(mini_datasets, kind):
+    for ds in mini_datasets:
+        catalog = _with_versions(ds)
+        COLUMN_FOLDS.reset()
+        cross_validate(kind, catalog, 10, seed=7)
+        assert COLUMN_FOLDS.value == 10 * len(distinct_columns(catalog))
 
 
 def test_catalog_logistic_cv_builds_each_design_block_where_it_reads_it():

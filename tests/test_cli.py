@@ -422,6 +422,23 @@ def test_a_manifest_line_of_non_ascii_digits_is_a_missing_path(tmp_path, capsys)
     assert "5 rows over 1 datasets" in capsys.readouterr().err
 
 
+def test_a_manifest_path_holding_a_line_feed_builds_a_metadb_that_trains(tmp_path):
+    # the path goes into the metadb's config comment, which must stay one line
+    manifest = tmp_path / "lf\ndir" / "small.manifest"
+    manifest.parent.mkdir()
+    manifest.write_text(f"{CORPUS_DIR / 'mini' / 'syn00.arff'}\n", encoding="utf-8")
+    db_path = tmp_path / "db.tsv"
+    assert main([
+        "build-metadb", "--datasets", str(manifest), "--algorithm", "nb", "--seed", "1",
+        "--out", str(db_path),
+    ]) == 0
+    assert f"datasets={tmp_path / 'lf dir' / 'small.manifest'}" in db_path.read_text("utf-8")
+    assert main([
+        "train", "--metadb", str(db_path), "--trees", "3", "--seed", "1",
+        "--out", str(tmp_path / "model.json"),
+    ]) == 0
+
+
 @pytest.fixture
 def failing_syn01(monkeypatch):
     """Makes measuring syn01 raise inside ``build_metadb``."""

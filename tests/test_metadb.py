@@ -160,6 +160,18 @@ def test_a_metadb_without_skip_lines_loads_as_before(tmp_path):
     assert again.skipped == () and again == db
 
 
+@pytest.mark.parametrize("comment, line", [
+    ("a\nb", "# a b"), ("a\rb", "# a b"), ("skipped x\tnot a skip", "# skipped x not a skip"),
+], ids=["lf", "cr", "tab"])
+def test_a_comments_tabs_and_line_breaks_become_spaces(tmp_path, comment, line):
+    db = build_metadb(toy_corpus(1), TREE, "acc", seed=2)
+    path = tmp_path / "db.tsv"
+    save(db, path, header_comment=comment)
+    assert path.read_text(encoding="utf-8").split("\n")[1] == line
+    again = load(path)
+    assert again.skipped == () and again == db
+
+
 def test_all_failed_raises():
     tiny = random_dataset(6, n_rows=8, n_continuous=1, name="tiny")
     with pytest.raises(MetaDbError):
