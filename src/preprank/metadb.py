@@ -252,14 +252,16 @@ def load(path) -> MetaDatabase:
     rows: list[MetaInstance] = []
     skipped: list[tuple[str, str]] = []
     n_blankable = 2 * len(MODIFIABLE_IDS)
+    schema_line = True  # only the first non-blank line holds the schema keys
     for lineno, line in enumerate(text.split("\n"), start=1):  # LF only, as save writes
         if not line.strip():
             continue
+        first, schema_line = schema_line, False
         if line.startswith("#") and header is None:  # a row's name may start with "#"
             if line.startswith(_SKIPPED) and "\t" in line:
                 name, _, reason = line[len(_SKIPPED) :].partition("\t")
                 skipped.append((name, reason))
-            elif "preprank-metadb" in line:
+            elif first and "preprank-metadb" in line:
                 for token in line.lstrip("# ").split():
                     if "=" in token:
                         key, value = token.split("=", 1)

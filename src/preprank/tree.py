@@ -15,11 +15,11 @@ candidate columns are fixed (a base tree) gives a step every node it has
 pending, a whole level; a tree that draws its candidates (a forest tree)
 gives one node, so its draws stay in pre-order.  A step searches each
 distinct (node rows, candidate column) pair once, since nodes of different
-trees can hold the same rows.  Its numeric pairs go in one batch per chunk
-of similar-sized pairs, each pair's rows padded to the chunk's widest with
-missing values of no weight: one sort of its integer keys (a cell's rank in
-its column, ranked once per grow, then its position), one prefix sum of
-class weights and one call of the criterion on its candidate cuts alone, so
+trees can hold the same rows.  Its numeric pairs go in size order, one batch per
+chunk of at most ``_BATCH_CELLS`` cells, each padded to the chunk's widest with
+missing values of no weight: one sort of its 64-bit keys (a cell's rank in its
+column, ranked once per grow, over its position), one prefix sum of class weights,
+missing rows last, and one call of the criterion on its candidate cuts alone, so
 the NumPy calls per step do not grow with the number of nodes or columns.
 Its categorical pairs share one table of class counts per batch.  Each pair's
 cut is chosen under :func:`_select_rows`, then each node's columns compete under it.
@@ -114,26 +114,28 @@ ENTROPY = Criterion(entropies, _entropy_children)
 GINI = Criterion(ginis, _gini_children)
 
 
-#: cells (pairs x rows x classes) of one chunk of numeric pairs, and rows of one
-#: batch of categorical pairs; more go in several
+#: cells (pairs x widest rows x classes) of one chunk of numeric pairs, and rows of
+#: one batch of categorical pairs; a pair over it goes alone, more go in several
 _BATCH_CELLS = 2**14
 
 
 def _ranks(xt: np.ndarray) -> np.ndarray:
-    """Each cell's dense rank in its row of ``xt`` (0.0 and -0.0 tie); missing cells rank last."""
-    ranks = np.full(xt.shape, xt.shape[1], dtype=np.min_scalar_type(xt.shape[1]))
+    """Each cell's dense rank in its row of ``xt`` (0.0 and -0.0 tie), shifted 32 bits up.
+
+    Missing cells hold the top rank, the row length; the low 32 bits are left for block positions.
+    """
+    ranks = np.full(xt.shape, xt.shape[1] << 32, dtype=np.int64)
     for f, present in enumerate(~np.isnan(xt)):
-        ranks[f, present] = np.unique(xt[f, present], return_inverse=True)[1]
+        ranks[f, present] = np.unique(xt[f, present], return_inverse=True)[1] << 32
     return ranks
 
 
 def _sort_block(ranks, cols, rows):
     """Each block row's ``rows`` in stable order of their values in ``cols[i]``, and the ranks."""
-    shift = rows.size.bit_length()
-    keys = np.take(ranks, rows + (cols * ranks.shape[1])[:, None]).astype(np.int64) << shift
-    keys |= np.arange(rows.size).reshape(rows.shape)  # unique: any sort is the stable sort
+    keys = np.take(ranks, rows + (cols * ranks.shape[1])[:, None])
+    keys |= np.arange(rows.size).reshape(rows.shape)  # positions below the ranks: a stable sort
     keys.sort(axis=1)
-    return np.take(rows, keys & ((1 << shift) - 1)), keys >> shift
+    return np.take(rows, keys & 0xFFFFFFFF), keys >> 32
 
 
 def _best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
@@ -155,15 +157,13 @@ def _best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
     prefix = np.take(onehot, sorted_rows, axis=0)
     # a cut after sorted position i leaves i + 1 rows on the left
     first, stop = min_leaf - 1, n - min_leaf
+    total = np.cumsum(prefix, axis=1, out=prefix)[:, -1]
     if (rank[:, -1] == ranks.shape[1]).any():
-        missing = rank == ranks.shape[1]
-        present = n - missing.sum(axis=1)
+        present = np.count_nonzero(rank != ranks.shape[1], axis=1)
         stop = (present - min_leaf)[:, None]
+        # missing rows sort last, so a block row's total is its prefix at its last present one;
         # a column too sparse to cut keeps its missing rows, so its totals are not all 0
-        missing[present < 2 * min_leaf] = False
-        prefix[missing] = 0.0  # a missing row moves no prefix
-    np.cumsum(prefix, axis=1, out=prefix)
-    total = prefix[:, -1]
+        total = prefix[np.arange(n_cols), np.where(present < 2 * min_leaf, n, present) - 1]
     h_all = criterion.impurity(total)
     valid = rank[:, 1:] != rank[:, :-1]
     valid[:, :first] = False
@@ -210,21 +210,19 @@ def _select_rows(gains: np.ndarray) -> np.ndarray:
 def _search(xt, ranks, onehot, rows, cols, min_leaf, criterion):
     """:func:`_best_cuts` of each pair of node rows and numeric column of ``xt``, pairs batched.
 
-    The last row index of ``xt`` is padding.  Pairs go in order of row
-    count, in chunks whose widest pair has at most twice the rows of its
-    narrowest and whose pairs x widest rows x classes stay within
-    ``_BATCH_CELLS`` (a pair over it goes alone); each pair's rows are
-    padded to the chunk's widest.  Returns the (gains, low, high) rows of
+    The last row index of ``xt`` is padding.  Pairs go in order of row count, consecutive
+    ones sharing a chunk while its pairs x widest rows x classes stay within
+    ``_BATCH_CELLS`` (a pair over it goes alone), so a small level is one chunk; each
+    pair's rows are padded to the chunk's widest.  Returns the (gains, low, high) rows of
     the pairs in their given order.
     """
     sizes = np.array([r.size for r in rows])
     order = np.argsort(sizes, kind="stable")
     sizes = sizes[order]
-    within = np.searchsorted(sizes, 2 * sizes, side="right")  # the 2x rule's end per start
     found = np.empty((3, len(rows)))
     start = 0
     while start < sizes.size:
-        ends = sizes[start : within[start]]  # the pairs the 2x rule lets end the chunk
+        ends = sizes[start : start + _BATCH_CELLS // sizes[start]]  # the most that can fit
         cells = np.arange(1, ends.size + 1) * ends * onehot.shape[1]  # rises with the end
         stop = start + max(1, np.count_nonzero(cells <= _BATCH_CELLS))
         chunk, lengths = order[start:stop], sizes[start:stop]

@@ -172,6 +172,19 @@ def test_a_comments_tabs_and_line_breaks_become_spaces(tmp_path, comment, line):
     assert again.skipped == () and again == db
 
 
+def test_only_the_first_line_holds_the_schema_keys(tmp_path):
+    db = build_metadb(toy_corpus(1), TREE, "acc", seed=2)
+    path = tmp_path / "db.tsv"
+    comment = "preprank build-metadb datasets=/x/preprank-metadb measure=auc/m.manifest"
+    save(db, path, header_comment=comment)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1] == f"# {comment}"
+    again = load(path)
+    assert again.measure == "acc" and again == db
+    path.write_text("\n \n" + "\n".join(lines), encoding="utf-8")  # blank lines first
+    assert load(path) == db
+
+
 def test_all_failed_raises():
     tiny = random_dataset(6, n_rows=8, n_continuous=1, name="tiny")
     with pytest.raises(MetaDbError):

@@ -918,6 +918,46 @@ def test_pair_search_matches_one_best_cuts_call_per_pair(n_classes, name):
         assert cut.sum() > len(rows) // 2
 
 
+@pytest.mark.parametrize("name", ["entropy", "gini"])
+def test_a_level_that_fits_one_batch_is_one_best_cuts_call(name, monkeypatch):
+    # pairs of 2-200 rows: their widest row count 100 times their narrowest, and
+    # all of them together within tree._BATCH_CELLS
+    rng = np.random.default_rng(len(name))
+    n, n_classes = 300, 3
+    y = rng.integers(0, n_classes, size=n)
+    x = np.round(rng.normal(size=(n, 4)) + y[:, None] / n_classes, 1)
+    x[rng.random(x.shape) < 0.15] = np.nan
+    xt, ranks, onehot = _search_inputs(x, y, 1.0 / rng.integers(1, 12, size=n), n_classes)
+    sizes = rng.permutation(np.unique(np.geomspace(2, 200, 24).astype(int)))
+    rows = [rng.choice(n, size=size, replace=True) for size in sizes]
+    cols = rng.integers(0, x.shape[1], size=len(rows))
+    assert len(rows) * sizes.max() * n_classes <= tree._BATCH_CELLS
+    criterion = getattr(tree, name.upper())
+    expected = [
+        np.column_stack([
+            tree._best_cuts(xt, ranks, np.array([c]), r[None, :], onehot, min_leaf, criterion)
+            for r, c in zip(rows, cols)
+        ])
+        for min_leaf in (1, 2)
+    ]
+    calls = []
+    best_cuts = tree._best_cuts
+
+    def counting_best_cuts(xt, ranks, cols, *args):
+        calls.append(cols.size)
+        return best_cuts(xt, ranks, cols, *args)
+
+    monkeypatch.setattr(tree, "_best_cuts", counting_best_cuts)
+    for min_leaf, want in zip((1, 2), expected):
+        calls.clear()
+        ours = tree._search(xt, ranks, onehot, rows, cols, min_leaf, criterion)
+        assert calls == [len(rows)]
+        cut = np.isfinite(want[0])  # a pair without a cut has no values around it
+        assert ours[0].tobytes() == want[0].tobytes()
+        assert ours[:, cut].tobytes() == want[:, cut].tobytes()
+        assert cut.sum() > len(rows) // 2
+
+
 #: signed zeros, infinities and subnormal values, which tie and order as floats do
 _SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0])
 
@@ -996,7 +1036,14 @@ def test_block_keys_sort_as_a_stable_sort_of_the_values():
     rng = np.random.default_rng(28)
     for trial in range(3000):
         xt, ranks, cols, rows, _, values = _fuzzed_block(rng, 3, 1)
-        assert ranks.dtype == np.min_scalar_type(xt.shape[1])  # missing: n + 1 for n rows
+        # the high 32 bits are each cell's dense rank, missing cells the top one (n + 1 for n
+        # rows), and the low 32 bits are free for block positions
+        assert ranks.dtype == np.int64 and not (ranks & 0xFFFFFFFF).any()
+        for column, row_ranks in zip(xt, ranks >> 32):
+            present = ~np.isnan(column)
+            assert (row_ranks[~present] == xt.shape[1]).all(), trial
+            dense = np.unique(column[present], return_inverse=True)[1]
+            assert np.array_equal(row_ranks[present], dense), trial
         sorted_rows, rank = tree._sort_block(ranks, cols, rows)
         order = np.argsort(values, axis=1, kind="stable")
         assert np.array_equal(sorted_rows, np.take_along_axis(rows, order, axis=1)), trial
@@ -1232,7 +1279,7 @@ def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
     # chunks, and their categorical columns hold more rows than one batch
     rng = np.random.default_rng(len(name))
     x, y, w = _shared_rows(rng, 3000, 9)
-    searched, padded, categorical = [], [], []
+    searched, chunks, categorical = [], [], []
     search, best_cuts, categorical_gains = tree._search, tree._best_cuts, tree._categorical_gains
 
     def recording_search(xt, ranks, onehot, rows, cols, min_leaf, criterion):
@@ -1243,8 +1290,7 @@ def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
 
     def recording_best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion):
         lengths = (rows != x.shape[0]).sum(axis=1)  # each column's rows without padding
-        if lengths.min() < rows.shape[1]:
-            padded.append((lengths.min(), lengths.max(), rows.size * onehot.shape[1]))
+        chunks.append((lengths.min(), lengths.max(), rows.shape[0], rows.size * onehot.shape[1]))
         return best_cuts(xt, ranks, cols, rows, onehot, min_leaf, criterion)
 
     def recording_categorical_gains(xt, y, w, rows, *args):
@@ -1261,9 +1307,11 @@ def test_lockstep_trees_match_oracle_across_chunks(name, monkeypatch):
     assert ours == oracle
     assert any(len(sizes) > 1 and sizes[-1] > 2 * sizes[0] for sizes, _ in searched)
     assert any(len(sizes) > 1 and cells > tree._BATCH_CELLS for sizes, cells in searched)
-    assert padded
-    for shortest, longest, cells in padded:  # a chunk pads at most twice and fits one batch
-        assert longest <= 2 * shortest and cells <= tree._BATCH_CELLS
+    # a chunk of two pairs or more fits one batch, however unlike their row counts
+    assert any(longest > 2 * shortest for shortest, longest, _, _ in chunks)
+    assert any(pairs == 1 and cells > tree._BATCH_CELLS for _, _, pairs, cells in chunks)
+    for _, _, pairs, cells in chunks:
+        assert pairs == 1 or cells <= tree._BATCH_CELLS
     assert max(categorical) > tree._BATCH_CELLS
 
 
